@@ -41,7 +41,11 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
         for g in subset[1:]:
             total = vadd(total, g)
         raw.add(total)
-    assert raw, "a full-lattice generator set always has an admissible subset"
+    if not raw:
+        raise RuntimeError(
+            "log-Jacobian ideal is empty, but a full-lattice generator set "
+            "always has an admissible subset"
+        )
     raw = tuple(sorted(raw))
     w = S.grading
     kept = []

@@ -11,7 +11,7 @@ and `contains` is a plain sign check in every case.
 import operator
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 
 from .errors import DimensionError, NotFullDimensionalError, NotPointedError
@@ -36,48 +36,69 @@ def _ivec(v):
     return tuple(operator.index(c) for c in v)
 
 
-def _one_dim_kernel(rows, dim):
-    """Primitive spanning vector of the kernel of dim-1 stacked rows.
-
-    Entries are signed cofactors (the generalized cross product), so
-    <row, v> == 0 for every row; None when the rows have rank < dim-1.
-    """
-    v = []
-    for j in range(dim):
-        minor = tuple(tuple(row[i] for i in range(dim) if i != j) for row in rows)
-        v.append((-1) ** j * det(minor))
-    if not any(v):
-        return None
-    return primitive(v)
-
-
 def _pointed_extreme_rays(normals, dim):
-    """Extreme rays of {x : <n,x> >= 0 for all n}, assuming no line inside.
+    """Extreme rays of {x : <n,x> >= 0 for all n}; the normals have rank dim.
 
-    Every extreme ray lies on dim-1 independent active hyperplanes, so
-    enumerating (dim-1)-subsets of the normals finds them all.
+    Incremental double description (Motzkin et al. 1953; Fukuda & Prodon,
+    1996). The first dim independent normals cut out a simplicial cone whose
+    rays are the signed adjugate columns. The other normals are added one at
+    a time. Every ray carries the bitmask of the normals it lies on; a ray
+    on the positive side of the new normal and one on the negative side are
+    combined only when they are adjacent: their common zero set has at least
+    dim-2 members and lies in no third ray's zero set.
     """
     normals = tuple(normals)
-    found = set()
-    for subset in combinations(normals, dim - 1):
-        v = _one_dim_kernel(subset, dim)
-        if v is None:
-            continue
-        pos = neg = False
-        for n in normals:
-            s = dot(n, v)
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-            if pos and neg:
+    basis = []
+    for i, n in enumerate(normals):
+        if rank([normals[j] for j in basis] + [n]) > len(basis):
+            basis.append(i)
+            if len(basis) == dim:
                 break
-        if pos and neg:
+    A = tuple(normals[i] for i in basis)
+    adj = adjugate(A)
+    sign = 1 if sum(A[0][k] * adj[k][0] for k in range(dim)) > 0 else -1
+    seed_mask = 0
+    for i in basis:
+        seed_mask |= 1 << i
+    rays = [
+        (primitive(tuple(sign * adj[k][j] for k in range(dim))), seed_mask ^ (1 << i))
+        for j, i in enumerate(basis)
+    ]
+    seeded = set(basis)
+    for i, n in enumerate(normals):
+        if i in seeded:
             continue
-        if neg:
-            v = vneg(v)
-        found.add(v)
-    return tuple(sorted(found))
+        bit = 1 << i
+        pos = []
+        neg = []
+        kept = []
+        for r, z in rays:
+            s = dot(n, r)
+            if s > 0:
+                pos.append((r, z, s))
+                kept.append((r, z))
+            elif s < 0:
+                neg.append((r, z, -s))
+            else:
+                kept.append((r, z | bit))
+        if not neg:
+            rays = kept
+            continue
+        masks = [z for _, z in rays]
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() < dim - 2:
+                    continue
+                # distinct extreme rays have distinct zero sets
+                if any(z & common == common for z in masks if z != zp and z != zn):
+                    continue
+                w = primitive(tuple(sn * a + sp * b for a, b in zip(rp, rn)))
+                kept.append((w, common | bit))
+        rays = kept
+        if not rays:
+            break
+    return tuple(sorted({r for r, _ in rays}))
 
 
 def _h_to_v(normals, dim):
@@ -93,13 +114,15 @@ def _h_to_v(normals, dim):
     normals = tuple(n for n in normals if any(n))
     if not normals:
         return identity(dim), ()
+    # the Smith form of a tall normal list can blow up its entries, and
+    # without lineality only the rank is needed
+    if rank(normals) == dim:
+        return (), _pointed_extreme_rays(normals, dim)
     _, D, V = smith_normal_form(normals)
     r = 0
     for t in range(min(len(normals), dim)):
         if D[t][t]:
             r += 1
-    if r == dim:
-        return (), _pointed_extreme_rays(normals, dim)
     lines = []
     for j in range(r, dim):
         col = tuple(V[i][j] for i in range(dim))
@@ -256,7 +279,8 @@ def interior_point(cone: Cone):
     if all(dot(n, w) > 0 for n in cone.halfspaces):
         return w
     point = rational_feasible([(n, 1) for n in cone.halfspaces], cone.dim)
-    assert point is not None, "full-dimensional cone has interior"
+    if point is None:
+        raise RuntimeError("full-dimensional cone has no interior point")
     scale = 1
     for f in point:
         scale = lcm(scale, f.denominator)
@@ -326,7 +350,11 @@ def parallelepiped_points(vectors):
         points.append(
             tuple(z[i] - sum(M[i][j] * shift[j] for j in range(d)) for i in range(d))
         )
-    assert len(points) == abs(dM)
+    if len(points) != abs(dM):
+        raise RuntimeError(
+            f"parallelepiped has {len(points)} lattice points, "
+            f"expected |det| = {abs(dM)}"
+        )
     return tuple(sorted(points))
 
 
@@ -362,58 +390,17 @@ def hilbert_basis(cone: Cone) -> HilbertBasis:
     return HilbertBasis(cone, tuple(sorted(kept)))
 
 
-def _hull2d(points):
-    """Strict convex hull in counterclockwise order (monotone chain)."""
-    pts = sorted(points)
-    if len(pts) <= 1:
-        return list(pts)
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and (
-            (lower[-1][0] - lower[-2][0]) * (p[1] - lower[-2][1])
-            - (lower[-1][1] - lower[-2][1]) * (p[0] - lower[-2][0])
-        ) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and (
-            (upper[-1][0] - upper[-2][0]) * (p[1] - upper[-2][1])
-            - (upper[-1][1] - upper[-2][1]) * (p[0] - upper[-2][0])
-        ) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def polyhedron_vertices(points, cone: Cone):
     """Sorted vertices of conv(points) + cone.
 
-    A point is a vertex iff some functional is strictly positive on the
-    recession rays and strictly minimized at the point; after scaling this
-    is plain >= 1 feasibility. In the plane only hull vertices can qualify
-    and their two hull neighbors imply all other point constraints.
+    One conversion answers it: the homogenized cone generated by (1, p) for
+    the points and (0, r) for the recession rays has the extreme rays
+    (1, v) exactly at the vertices v. A recession cone with a line leaves
+    the polyhedron without vertices.
     """
     pts = sorted({_ivec(p) for p in points})
-    if not pts:
+    if not pts or not cone.pointed:
         return ()
-    ray_constraints = [(r, 1) for r in cone.rays]
-    if cone.dim == 2:
-        hull = _hull2d(pts)
-        k = len(hull)
-        out = []
-        for i, v in enumerate(hull):
-            constraints = list(ray_constraints)
-            if k > 1:
-                constraints.append((vsub(hull[i - 1], v), 1))
-                constraints.append((vsub(hull[(i + 1) % k], v), 1))
-            if rational_feasible(constraints, 2) is not None:
-                out.append(v)
-        return tuple(sorted(out))
-    out = []
-    for v in pts:
-        constraints = [(vsub(q, v), 1) for q in pts if q != v]
-        constraints.extend(ray_constraints)
-        if rational_feasible(constraints, cone.dim) is not None:
-            out.append(v)
-    return tuple(sorted(out))
+    lifted = [(1,) + p for p in pts] + [(0,) + r for r in cone.rays]
+    hom = Cone.from_rays(lifted, cone.dim + 1)
+    return tuple(sorted(r[1:] for r in hom.rays if r[0] > 0))

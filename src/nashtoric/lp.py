@@ -126,5 +126,8 @@ def rational_feasible(constraints, dim: int):
             point[v] = (lo + hi) / 2
     witness = tuple(point)
     for d, b in system.items():
-        assert sum(dk * xk for dk, xk in zip(d, witness)) >= b
+        if sum(dk * xk for dk, xk in zip(d, witness)) < b:
+            raise RuntimeError(
+                f"Fourier-Motzkin witness violates constraint {d} >= {b}"
+            )
     return witness

@@ -7,8 +7,8 @@ and never calls the triangulation-based algorithm under test.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
-from math import ceil
+from itertools import combinations, permutations, product
+from math import ceil, gcd
 
 import numpy as np
 
@@ -28,6 +28,34 @@ def permutation_det(M):
             term *= M[i][j]
         total += -term if inv % 2 else term
     return total
+
+
+def extreme_rays_bruteforce(normals, dim):
+    """Extreme rays of {x : <n,x> >= 0 for all n}, normals of rank dim.
+
+    Every extreme ray lies on dim-1 independent active hyperplanes, so the
+    signed cofactor kernel of each (dim-1)-subset of the normals that keeps
+    every normal on one side is an extreme ray, and all of them arise so.
+    """
+    normals = tuple(normals)
+    found = set()
+    for subset in combinations(normals, dim - 1):
+        v = []
+        for j in range(dim):
+            minor = [[row[i] for i in range(dim) if i != j] for row in subset]
+            v.append((-1) ** j * permutation_det(minor))
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        if g == 0:
+            continue
+        v = tuple(x // g for x in v)
+        dots = [sum(a * b for a, b in zip(n, v)) for n in normals]
+        signs = {(s > 0) - (s < 0) for s in dots}
+        if {1, -1} <= signs:
+            continue
+        found.add(tuple(-x for x in v) if -1 in signs else v)
+    return tuple(sorted(found))
 
 
 def frac_solve(M, rhs):

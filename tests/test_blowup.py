@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nashtoric import blowup
 from nashtoric.blowup import (
     blowup_charts,
     is_trivial_step,
@@ -187,3 +188,10 @@ def test_smooth_blowup_is_trivial():
     assert len(charts) == 1
     assert is_trivial_step(N, charts)
     assert charts[0].semigroup == S
+
+
+def test_empty_ideal_raises_runtime_error(monkeypatch):
+    S = AffineSemigroup(2, [(1, 0), (1, 1), (1, 2)])
+    monkeypatch.setattr(blowup, "det", lambda M: 0)
+    with pytest.raises(RuntimeError, match="log-Jacobian ideal is empty"):
+        log_jacobian_ideal(S, 0)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from nashtoric import cones
 from nashtoric.cones import (
     Cone,
     dual_cone,
@@ -23,6 +24,7 @@ from nashtoric.linalg import columns_matrix, det, dot, rank
 from oracles import (
     box_parallelepiped,
     brute_force_hilbert,
+    extreme_rays_bruteforce,
     in_cone_2d,
     vertices_via_lp,
 )
@@ -108,6 +110,99 @@ def test_biduality_random():
         assert dual_cone(dual_cone(c)).rays == c.rays
 
 
+def test_pointed_extreme_rays_match_bruteforce():
+    rng = random.Random(310)
+    checked = 0
+    while checked < 200:
+        dim = rng.randint(1, 5)
+        w = tuple(rng.randint(-3, 3) for _ in range(dim))
+        normals = []
+        for _ in range(rng.randint(dim, dim + 6)):
+            n = tuple(rng.randint(-4, 4) for _ in range(dim))
+            # most normals keep w inside, so the cone is rarely just {0}
+            if rng.random() < 0.8 and dot(n, w) < 0:
+                n = tuple(-x for x in n)
+            if any(n):
+                normals.append(n)
+        # a sum of two normals is redundant but tight on a lower face, the
+        # case where adjacency needs the third-ray test
+        for _ in range(rng.randint(0, 3)):
+            if len(normals) > 1:
+                a, b = rng.sample(normals, 2)
+                if any(x + y for x, y in zip(a, b)):
+                    normals.append(tuple(x + y for x, y in zip(a, b)))
+        if not normals or rank(normals) < dim:
+            continue
+        normals = sorted(set(normals))
+        assert cones._pointed_extreme_rays(normals, dim) == extreme_rays_bruteforce(
+            normals, dim
+        )
+        checked += 1
+
+
+def _random_ray_set(rng, dim):
+    """Random rays: generic, containing a line, or inside a proper subspace."""
+    k = rng.randint(1, dim + 2)
+    rays = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(k)]
+    kind = rng.randrange(3)
+    if kind == 1:
+        rays.append(tuple(-x for x in rays[0]))
+    elif kind == 2 and dim > 1:
+        basis = rays[: rng.randint(1, dim - 1)]
+        rays = [
+            tuple(sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(dim))
+            for _ in range(rng.randint(1, dim + 1))
+        ]
+    return rays
+
+
+def test_from_rays_matches_bruteforce_conversion(monkeypatch):
+    rng = random.Random(311)
+    cases = [
+        (_random_ray_set(rng, dim), dim) for dim in range(1, 6) for _ in range(40)
+    ]
+    fast = [Cone.from_rays(rays, dim) for rays, dim in cases]
+    monkeypatch.setattr(cones, "_pointed_extreme_rays", extreme_rays_bruteforce)
+    shapes = set()
+    for (rays, dim), c in zip(cases, fast):
+        ref = Cone.from_rays(rays, dim)
+        assert (c.rays, c.halfspaces, c.pointed, c.full_dim) == (
+            ref.rays,
+            ref.halfspaces,
+            ref.pointed,
+            ref.full_dim,
+        )
+        shapes.add((dim > 2, c.pointed, c.full_dim))
+    # lineality and lower-dimensional inputs both occur beyond the plane
+    assert {(True, False, True), (True, True, False), (True, True, True)} <= shapes
+
+
+def test_tall_normal_list_converts():
+    # converting the 32 facets back must not take the Smith form of that
+    # tall normal list: its entries grow past 40,000 bits within seconds
+    rays = (
+        (0, 1, 1, 1, -2, 2),
+        (0, 2, 3, 1, 1, 0),
+        (1, -3, 0, -2, -1, 5),
+        (1, -2, 1, -3, 0, 3),
+        (1, -1, -2, 4, 1, 0),
+        (1, -1, 2, 1, 5, -2),
+        (1, 0, 3, -1, -1, 4),
+        (1, 2, 1, 5, 3, 5),
+        (1, 3, 3, -3, 4, 1),
+        (1, 5, -3, 0, -1, 2),
+    )
+    c = Cone.from_rays(rays, 6)
+    assert c.pointed and c.full_dim
+    assert len(c.halfspaces) == 32
+    assert c.rays == tuple(sorted(rays))
+    for h in c.halfspaces:
+        tight = [r for r in c.rays if dot(h, r) == 0]
+        assert all(dot(h, r) >= 0 for r in rays)
+        assert rank(tight) == 5
+    assert Cone.from_halfspaces(c.halfspaces, 6) == c
+
+
 def test_containment_2d_against_cramer():
     rng = random.Random(303)
     for _ in range(60):
@@ -129,6 +224,13 @@ def test_interior_point():
     assert all(dot(h, w) > 0 for h in thin.halfspaces)
     with pytest.raises(NotFullDimensionalError):
         interior_point(Cone.from_rays(((1, 1),), 2))
+
+
+def test_interior_point_raises_on_broken_invariant():
+    # a hand-built cone whose halfspaces contradict each other
+    broken = Cone(2, ((0, 1), (1, 0)), ((-1, 0), (1, 0)), True, True)
+    with pytest.raises(RuntimeError, match="interior point"):
+        interior_point(broken)
 
 
 def test_interior_point_random():
@@ -295,11 +397,41 @@ def test_polyhedron_vertices_2d_matches_lp_oracle():
 
 def test_polyhedron_vertices_3d_sanity():
     rng = random.Random(309)
-    for _ in range(25):
-        c = random_pointed_cone(rng, 3)
+    for dim in (3, 4, 5):
+        for _ in range(25):
+            c = random_pointed_cone(rng, dim)
+            pts = tuple(
+                tuple(rng.randint(-5, 5) for _ in range(dim))
+                for _ in range(rng.randint(1, 6))
+            )
+            verts = polyhedron_vertices(pts, c)
+            assert verts == vertices_via_lp(pts, c.rays, dim)
+
+
+def test_polyhedron_vertices_degenerate_recession_cones():
+    rng = random.Random(312)
+    checked = 0
+    while checked < 60:
+        dim = rng.randint(3, 5)
+        k = rng.randint(0, dim - 1)
+        rays = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(k)]
+        c = Cone.from_rays(rays, dim)
+        if not c.pointed:
+            continue
+        assert not c.full_dim
         pts = tuple(
-            tuple(rng.randint(-5, 5) for _ in range(3))
-            for _ in range(rng.randint(1, 6))
+            tuple(rng.randint(-5, 5) for _ in range(dim))
+            for _ in range(rng.randint(1, 8))
         )
-        verts = polyhedron_vertices(pts, c)
-        assert verts == vertices_via_lp(pts, c.rays, 3)
+        assert polyhedron_vertices(pts, c) == vertices_via_lp(pts, c.rays, dim)
+        checked += 1
+    # two rays in Z^5, points on a plane through the origin
+    plane = Cone.from_rays(((1, 0, 2, 0, -1), (0, 1, -1, 3, 0)), 5)
+    pts = ((2, 1, 3, 3, -2), (1, 1, 1, 3, -1), (0, 2, -2, 6, 0), (3, 3, 3, 9, -3))
+    assert polyhedron_vertices(pts, plane) == vertices_via_lp(pts, plane.rays, 5)
+    # a recession cone with a line leaves no vertex
+    slab = Cone.from_rays(((1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0)), 4)
+    assert not slab.pointed
+    pts = ((0, 0, 0, 0), (1, 2, 3, 4), (0, 1, 0, 1))
+    assert polyhedron_vertices(pts, slab) == ()
+    assert vertices_via_lp(pts, slab.rays, 4) == ()
