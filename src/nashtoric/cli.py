@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 invalid input or arguments, 3 resolution hit the
 depth cap with singular leaves remaining, 4 a trivial (no-progress) blowup
-step was encountered, which can only happen with --no-normalize.
+step was encountered, which can only happen with --no-normalize, 5 an
+internal error (a broken invariant or any other unexpected exception).
+Codes 2 and 5 come with a JSON error report on stderr.
 """
 
 import argparse
@@ -42,10 +44,17 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_DEPTH_CAPPED = 3
 EXIT_TRIVIAL_STALL = 4
+EXIT_INTERNAL = 5
+
+
+class _Parser(argparse.ArgumentParser):
+    # report argument errors through the JSON contract, not usage text
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nashtoric",
         description="Nash blowups of affine toric varieties, computed combinatorially.",
     )
@@ -117,11 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     with_char(p)
     with_normalize(p)
     p.add_argument("--max-depth", type=int, default=None, metavar="N")
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="expand sibling charts concurrently (same tree, byte-identical output)",
-    )
 
     p = sub.add_parser("compare", help="Newton polyhedra across characteristics")
     with_input(p)
@@ -221,9 +225,8 @@ def _dispatch(args) -> int:
             return EXIT_TRIVIAL_STALL
         return EXIT_OK
 
-    assert args.command == "resolve"
     max_depth = spec.max_depth if args.max_depth is None else args.max_depth
-    tree = resolve(S, ch, normalize=normalize, max_depth=max_depth, parallel=args.parallel)
+    tree = resolve(S, ch, normalize=normalize, max_depth=max_depth)
     print(serialize(tree_payload(tree), fmt))
     statuses = tree.statuses()
     if TRIVIAL_STALL in statuses:
@@ -233,16 +236,22 @@ def _dispatch(args) -> int:
     return EXIT_OK
 
 
+def _report(code: str, message: str):
+    sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except ToricError as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": exc.message}) + "\n")
+        _report(exc.code, exc.message)
         return EXIT_INVALID
     except ValueError as exc:
-        sys.stderr.write(json.dumps({"error": "invalid-argument", "message": str(exc)}) + "\n")
+        _report("invalid-argument", str(exc))
         return EXIT_INVALID
+    except Exception as exc:
+        _report("internal-error", f"{type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 def main_entry():

@@ -8,11 +8,9 @@ convention on the dual side, so `halfspaces` always generates the dual cone
 and `contains` is a plain sign check in every case.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import product
-from math import lcm
 
 from .errors import DimensionError, NotFullDimensionalError, NotPointedError
 from .linalg import (
@@ -25,15 +23,12 @@ from .linalg import (
     mat_vec,
     primitive,
     rank,
+    smith_kernel,
     smith_normal_form,
+    vec,
     vneg,
     vsub,
 )
-from .lp import rational_feasible
-
-
-def _ivec(v):
-    return tuple(operator.index(c) for c in v)
 
 
 def _pointed_extreme_rays(normals, dim):
@@ -118,25 +113,12 @@ def _h_to_v(normals, dim):
     # without lineality only the rank is needed
     if rank(normals) == dim:
         return (), _pointed_extreme_rays(normals, dim)
-    _, D, V = smith_normal_form(normals)
-    r = 0
-    for t in range(min(len(normals), dim)):
-        if D[t][t]:
-            r += 1
-    lines = []
-    for j in range(r, dim):
-        col = tuple(V[i][j] for i in range(dim))
-        for x in col:
-            if x:
-                if x < 0:
-                    col = vneg(col)
-                break
-        lines.append(col)
+    r, V, lines = smith_kernel(normals)
     reduced = sorted({primitive(row[:r]) for row in mat_mul(normals, V)})
     rays = []
     for w in _pointed_extreme_rays(reduced, r):
         rays.append(tuple(sum(V[i][j] * w[j] for j in range(r)) for i in range(dim)))
-    return tuple(sorted(lines)), tuple(sorted(rays))
+    return lines, tuple(sorted(rays))
 
 
 def _with_line_pairs(lines, rays):
@@ -178,7 +160,7 @@ class Cone:
 
     @classmethod
     def from_rays(cls, rays, dim=None):
-        rays = [_ivec(r) for r in rays]
+        rays = [vec(r) for r in rays]
         if dim is None:
             if not rays:
                 raise DimensionError("cannot infer dimension from an empty ray list")
@@ -272,19 +254,17 @@ def is_pointed(cone: Cone) -> bool:
 
 
 def interior_point(cone: Cone):
-    """Integer point strictly inside every facet halfspace."""
+    """Integer point strictly inside every facet halfspace: the ray sum.
+
+    Every stored normal is nonzero and >= 0 on every stored ray, line pairs
+    cancel, and the rays span Q^d, so each normal is > 0 on the sum.
+    """
     if not cone.full_dim:
         raise NotFullDimensionalError("interior point needs a full-dimensional cone")
-    w = tuple(map(sum, zip(*cone.rays))) if cone.rays else (0,) * cone.dim
-    if all(dot(n, w) > 0 for n in cone.halfspaces):
-        return w
-    point = rational_feasible([(n, 1) for n in cone.halfspaces], cone.dim)
-    if point is None:
+    w = tuple(map(sum, zip(*cone.rays)))
+    if not all(dot(n, w) > 0 for n in cone.halfspaces):
         raise RuntimeError("full-dimensional cone has no interior point")
-    scale = 1
-    for f in point:
-        scale = lcm(scale, f.denominator)
-    return tuple(int(f * scale) for f in point)
+    return w
 
 
 def _simplicial_pieces(rays, dim):
@@ -328,7 +308,7 @@ def parallelepiped_points(vectors):
     Exactly |det| many: one representative per coset of Z^d modulo the
     column lattice, translated into the half-open box.
     """
-    vectors = tuple(_ivec(v) for v in vectors)
+    vectors = tuple(vec(v) for v in vectors)
     d = len(vectors)
     if d == 0 or any(len(v) != d for v in vectors):
         raise DimensionError("need d vectors in Z^d")
@@ -398,7 +378,7 @@ def polyhedron_vertices(points, cone: Cone):
     (1, v) exactly at the vertices v. A recession cone with a line leaves
     the polyhedron without vertices.
     """
-    pts = sorted({_ivec(p) for p in points})
+    pts = sorted({vec(p) for p in points})
     if not pts or not cone.pointed:
         return ()
     lifted = [(1,) + p for p in pts] + [(0,) + r for r in cone.rays]

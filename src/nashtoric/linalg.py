@@ -4,13 +4,15 @@ Vectors are tuples of ints; matrices are row-major tuples of row tuples.
 Everything is arbitrary precision, nothing here ever touches floats.
 """
 
+import operator
 from math import gcd
 
 from .errors import CharacteristicError, DimensionError
 
 
 def vec(coords):
-    return tuple(int(c) for c in coords)
+    """Integer tuple; rejects floats and other non-integral entries."""
+    return tuple(operator.index(c) for c in coords)
 
 
 def vadd(a, b):
@@ -35,10 +37,6 @@ def cross2(a, b):
 
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(M):
-    return tuple(tuple(col) for col in zip(*M))
 
 
 def columns_matrix(vectors):
@@ -297,11 +295,13 @@ def invariant_factors(M):
     return tuple(out)
 
 
-def kernel_basis(A):
-    """Basis of the saturated integer kernel of A, as an n x c matrix.
+def smith_kernel(A):
+    """Smith form view of the saturated integer kernel of the m x n matrix A.
 
-    Columns are the basis vectors, lexicographically sorted with first
-    nonzero entry positive, so output is canonical.
+    Returns (r, V, cols): the rank r, the right transform V of the Smith
+    form, and the trailing n - r columns of V with first nonzero entry
+    positive, lexicographically sorted. The first r columns of V complete
+    cols to a basis of Z^n.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -320,6 +320,17 @@ def kernel_basis(A):
                 break
         cols.append(v)
     cols.sort()
+    return r, V, tuple(cols)
+
+
+def kernel_basis(A):
+    """Basis of the saturated integer kernel of A, as an n x c matrix.
+
+    Columns are the basis vectors, lexicographically sorted with first
+    nonzero entry positive, so output is canonical.
+    """
+    n = len(A[0]) if A else 0
+    _, _, cols = smith_kernel(A)
     return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 

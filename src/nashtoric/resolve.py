@@ -2,7 +2,6 @@
 and a randomized termination suite for normal surface singularities."""
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .blowup import (
@@ -69,43 +68,32 @@ def resolve(
     characteristic,
     normalize: bool = True,
     max_depth: int = 64,
-    parallel: bool = False,
 ) -> ResolutionTree:
     """Blow up repeatedly until every branch is smooth, stalls, or hits
-    the depth cap. Parallel mode farms sibling charts out to threads and
-    produces the identical tree."""
+    the depth cap."""
     p = validate_characteristic(characteristic)
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    root = _expand(S, 0, p, normalize, max_depth, parallel)
+    root = _expand(S, 0, p, normalize, max_depth)
     return ResolutionTree(root, p, normalize, max_depth)
 
 
-def _expand(S, depth, p, normalize, max_depth, parallel) -> ResolutionNode:
+def _expand(S, depth, p, normalize, max_depth) -> ResolutionNode:
     if S.is_smooth():
         return ResolutionNode(S, depth, SMOOTH_LEAF, ())
+    # only the unnormalized stall check needs the charts of a capped node
+    if normalize and depth == max_depth:
+        return ResolutionNode(S, depth, DEPTH_CAPPED, ())
     N = newton_polyhedron(log_jacobian_ideal(S, p))
     charts = blowup_charts(N, normalize)
     if not normalize and is_trivial_step(N, charts):
         return ResolutionNode(S, depth, TRIVIAL_STALL, ())
     if depth == max_depth:
         return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-    if parallel and len(charts) > 1:
-        with ThreadPoolExecutor(max_workers=len(charts)) as pool:
-            futures = [
-                pool.submit(
-                    _expand, c.semigroup, depth + 1, p, normalize, max_depth, parallel
-                )
-                for c in charts
-            ]
-            children = tuple(
-                (c.vertex, f.result()) for c, f in zip(charts, futures)
-            )
-    else:
-        children = tuple(
-            (c.vertex, _expand(c.semigroup, depth + 1, p, normalize, max_depth, parallel))
-            for c in charts
-        )
+    children = tuple(
+        (c.vertex, _expand(c.semigroup, depth + 1, p, normalize, max_depth))
+        for c in charts
+    )
     return ResolutionNode(S, depth, EXPANDED, children)
 
 

@@ -18,11 +18,7 @@ from .errors import (
     NotSaturatedError,
 )
 from .cones import Cone, hilbert_basis, polyhedron_vertices
-from .linalg import columns_matrix, cross2, det, dot, group_is_full_lattice, vsub
-
-
-def _ivec(v):
-    return tuple(operator.index(c) for c in v)
+from .linalg import columns_matrix, cross2, det, dot, group_is_full_lattice, vec, vsub
 
 
 def _generated_member(x, gens, cone, cache) -> bool:
@@ -81,7 +77,7 @@ class AffineSemigroup:
             raise DimensionError("dimension must be positive")
         gens = set()
         for g in generators:
-            t = _ivec(g)
+            t = vec(g)
             if len(t) != dim:
                 raise DimensionError(f"generator {t} does not have length {dim}")
             if any(t):
@@ -128,7 +124,7 @@ class AffineSemigroup:
         return self._grading
 
     def membership(self, x) -> bool:
-        x = _ivec(x)
+        x = vec(x)
         if len(x) != self.dim:
             raise DimensionError(f"point {x} does not have length {self.dim}")
         if not self._cone.contains(x):

@@ -245,8 +245,6 @@ def test_criterion_8_deterministic_output(tmp_path):
         for argv in (
             ("resolve", str(path)),
             ("resolve", str(path)),
-            ("resolve", str(path), "--parallel"),
-            ("resolve", str(path), "--parallel"),
         ):
             code, out, _ = run_cli(*argv)
             assert code == 0

@@ -235,15 +235,22 @@ def test_interior_point_raises_on_broken_invariant():
 
 def test_interior_point_random():
     rng = random.Random(304)
-    for _ in range(100):
-        dim = rng.randint(2, 3)
+    with_lineality = 0
+    for _ in range(250):
+        dim = rng.randint(1, 5)
         c = random_cone(rng, dim)
+        if rng.random() < 0.3:
+            # force a line through the first ray
+            c = Cone.from_rays(c.rays + (tuple(-x for x in c.rays[0]),), dim)
         if not c.full_dim:
             with pytest.raises(NotFullDimensionalError):
                 interior_point(c)
             continue
+        with_lineality += not c.pointed
         w = interior_point(c)
+        assert w == tuple(map(sum, zip(*c.rays)))
         assert all(dot(h, w) > 0 for h in c.halfspaces)
+    assert with_lineality > 0
 
 
 def test_triangulate_square_cone():

@@ -377,13 +377,6 @@ def test_cli_resolve_exit_codes(tmp_path, capsys):
     assert code == 0
 
 
-def test_cli_resolve_parallel_identical(tmp_path, capsys):
-    path = threefold_path(tmp_path)
-    _, serial, _ = run_cli(capsys, "resolve", path)
-    _, parallel, _ = run_cli(capsys, "resolve", path, "--parallel")
-    assert serial == parallel
-
-
 def test_cli_compare(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "compare", threefold_path(tmp_path))
     assert code == 0
@@ -449,3 +442,30 @@ def test_cli_error_reports(tmp_path, capsys):
     code, _, err = run_cli(capsys, "mingen", str(pointless))
     assert code == 2
     assert json.loads(err)["error"] == "non-pointed"
+    # argument errors follow the same contract instead of printing usage
+    for extra in (("--bogus",), ("--max-depth", "abc"), ("--parallel",)):
+        code, out, err = run_cli(capsys, "resolve", cusp_path(tmp_path), *extra)
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "invalid-argument"
+        assert extra[0] in report["message"]
+
+
+def test_cli_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["resolve", "-h"])
+    assert exc.value.code == 0
+    assert "--max-depth" in capsys.readouterr().out
+
+
+def test_cli_internal_error_report(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr("nashtoric.cli.resolve", broken)
+    code, out, err = run_cli(capsys, "resolve", cusp_path(tmp_path))
+    assert code == 5 and out == ""
+    assert json.loads(err) == {
+        "error": "internal-error",
+        "message": "RuntimeError: broken invariant",
+    }

@@ -20,6 +20,7 @@ from nashtoric.linalg import (
     rank,
     smith_normal_form,
     validate_characteristic,
+    vec,
     xgcd,
 )
 
@@ -147,6 +148,12 @@ def test_invariant_factors():
     assert invariant_factors(((2, 0), (0, 3))) == (1, 6)
     assert invariant_factors(((1, 0), (0, 1))) == (1, 1)
     assert invariant_factors(((2, 4), (4, 8))) == (2,)
+
+
+def test_vec_rejects_non_integers():
+    assert vec([True, 2, -3]) == (1, 2, -3)
+    with pytest.raises(TypeError):
+        vec((1, 2.5))
 
 
 def test_kernel_basis_fixed():

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from nashtoric.blowup import log_jacobian_ideal
 from nashtoric.cones import Cone
 from nashtoric.errors import CharacteristicError
 from nashtoric.io import serialize
@@ -119,19 +121,28 @@ def test_resolve_argument_validation(cusp):
         resolve(cusp, 4)
 
 
-def test_parallel_matches_serial(threefold):
-    serial = resolve(threefold, 2, parallel=False)
-    parallel = resolve(threefold, 2, parallel=True)
-    assert serial.shape() == parallel.shape()
-    assert serialize(serial) == serialize(parallel)
+def test_normalized_capped_nodes_skip_the_blowup(threefold, monkeypatch):
+    full = resolve(threefold, 2)
+    module = sys.modules[resolve.__module__]
+    calls = []
 
-    rng = random.Random(601)
-    for _ in range(5):
-        S = random_saturated_surface(rng)
-        a = resolve(S, 3, parallel=False)
-        b = resolve(S, 3, parallel=True)
-        assert a.shape() == b.shape()
-        assert serialize(a) == serialize(b)
+    def counted(S, p):
+        calls.append(S)
+        return log_jacobian_ideal(S, p)
+
+    monkeypatch.setattr(module, "log_jacobian_ideal", counted)
+    capped = resolve(threefold, 2, max_depth=1)
+    # only the root is blown up; its depth-1 charts are capped untouched
+    assert len(calls) == 1
+    expected = (
+        full.root.semigroup.minimal_generators(),
+        EXPANDED,
+        tuple(
+            (v, (child.semigroup.minimal_generators(), DEPTH_CAPPED, ()))
+            for v, child in full.root.children
+        ),
+    )
+    assert capped.shape() == expected
 
 
 def test_resolve_is_deterministic(threefold):
