@@ -83,24 +83,26 @@ def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
     """One chart per Newton polyhedron vertex, in vertex order.
 
     The chart at v is generated by the parent's minimal generators together
-    with e - v for every exponent e; with normalize the chart semigroup is
-    replaced by its saturation.
+    with e - v for every exponent e. With normalize the chart is its
+    saturation cone(σ^∨ ∪ (E - v)) ∩ Z^d, built straight from that cone.
     """
     S = N.semigroup
     charts = []
     for v in N.vertices:
-        gens = list(S.minimal_generators())
-        gens.extend(vsub(e, v) for e in N.exponents)
+        shifts = tuple(vsub(e, v) for e in N.exponents)
         try:
-            chart = AffineSemigroup(S.dim, gens)
+            if normalize:
+                cone = Cone.from_rays(S.cone.rays + shifts, S.dim)
+                chart = AffineSemigroup.from_cone(cone)
+            else:
+                chart = AffineSemigroup(S.dim, S.minimal_generators() + shifts)
         except ToricError as exc:
-            # chart semigroups are provably pointed with full group; reaching
-            # this means the construction itself is broken
+            # chart cones are provably pointed and full-dimensional, chart
+            # semigroups have full group; reaching this means the
+            # construction itself is broken
             raise RuntimeError(
                 f"blowup chart at vertex {v} violated construction invariants: {exc}"
             ) from exc
-        if normalize:
-            chart = chart.saturate()
         charts.append(BlowupChart(v, chart, normalize))
     return tuple(charts)
 

@@ -3,12 +3,14 @@
 Exit codes: 0 success, 2 invalid input or arguments, 3 resolution hit the
 depth cap with singular leaves remaining, 4 a trivial (no-progress) blowup
 step was encountered, which can only happen with --no-normalize, 5 an
-internal error (a broken invariant or any other unexpected exception).
-Codes 2 and 5 come with a JSON error report on stderr.
+internal error (a broken invariant or any other unexpected exception),
+141 the reader closed standard output early (128 + SIGPIPE). Codes 2 and 5
+come with a JSON error report on stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .blowup import (
@@ -45,6 +47,7 @@ EXIT_INVALID = 2
 EXIT_DEPTH_CAPPED = 3
 EXIT_TRIVIAL_STALL = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,7 +245,16 @@ def _report(code: str, message: str):
 
 def main(argv=None) -> int:
     try:
-        return _dispatch(_build_parser().parse_args(argv))
+        code = _dispatch(_build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; keep the interpreter's final flush from
+        # raising again and stop as quietly as a writer killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ToricError as exc:
         _report(exc.code, exc.message)
         return EXIT_INVALID

@@ -175,8 +175,11 @@ class Cone:
             fast = cls._from_rays_2d(norm)
             if fast is not None:
                 return fast
-        dual_lines, dual_rays = _h_to_v(norm, dim)
-        return cls._from_halfspace_set(_with_line_pairs(dual_lines, dual_rays), dim)
+        halfspaces = _with_line_pairs(*_h_to_v(norm, dim))
+        lines, prays = _h_to_v(halfspaces, dim)
+        rays = _with_line_pairs(lines, prays)
+        full = bool(rays) and rank(rays) == dim
+        return cls(dim, rays, halfspaces, not lines, full)
 
     @classmethod
     def _from_rays_2d(cls, norm):
@@ -204,22 +207,9 @@ class Cone:
         return cls(2, tuple(sorted((lo, hi))), halfspaces, True, True)
 
     @classmethod
-    def _from_halfspace_set(cls, halfspaces, dim):
-        lines, prays = _h_to_v(halfspaces, dim)
-        if lines:
-            rays = _with_line_pairs(lines, prays)
-            pointed = False
-        else:
-            rays = tuple(sorted(prays))
-            pointed = True
-        full = bool(rays) and rank(rays) == dim
-        return cls(dim, rays, tuple(sorted(halfspaces)), pointed, full)
-
-    @classmethod
     def from_halfspaces(cls, normals, dim=None):
         # canonicalize the normal set as generators of the dual cone
-        dual = cls.from_rays(normals, dim)
-        return cls._from_halfspace_set(dual.rays, dual.dim)
+        return cls.from_rays(normals, dim).dual()
 
     def contains(self, point) -> bool:
         for n in self.halfspaces:
@@ -228,7 +218,8 @@ class Cone:
         return True
 
     def dual(self):
-        return Cone.from_rays(self.halfspaces, self.dim)
+        # both lists follow one convention, so dualizing swaps them
+        return Cone(self.dim, self.halfspaces, self.rays, self.full_dim, self.pointed)
 
     def __eq__(self, other):
         return (
@@ -267,27 +258,32 @@ def interior_point(cone: Cone):
     return w
 
 
-def _simplicial_pieces(rays, dim):
+def _simplicial_pieces(rays, halfspaces):
     """Placing triangulation anchored at the lexicographically smallest ray.
 
-    Input rays must be the extreme rays of their cone. Each output tuple
-    spans a simplicial cone; the union is the whole cone with pairwise
-    disjoint interiors.
+    rays are the extreme rays of a face of a pointed cone whose facet
+    normals are halfspaces. A facet of the face is its set of rays on some
+    normal's hyperplane that has rank one less. Each output tuple spans a
+    simplicial cone; the union is the whole face with pairwise disjoint
+    interiors.
     """
     rays = tuple(sorted(rays))
     if not rays:
         return ()
-    if len(rays) == rank(rays):
+    k = rank(rays)
+    if len(rays) == k:
         return (rays,)
-    cone = Cone.from_rays(rays, dim)
     r0 = rays[0]
     pieces = set()
-    for h in cone.halfspaces:
-        if dot(h, r0) <= 0:
-            continue  # facets through r0 are covered by their own cones
-        facet = tuple(r for r in cone.rays if dot(h, r) == 0)
-        for sub in _simplicial_pieces(facet, dim):
-            pieces.add(tuple(sorted(sub + (r0,))))
+    # facets through r0 are covered by their own cones
+    for facet in {
+        tuple(r for r in rays if dot(h, r) == 0)
+        for h in halfspaces
+        if dot(h, r0) > 0
+    }:
+        if rank(facet) == k - 1:
+            for sub in _simplicial_pieces(facet, halfspaces):
+                pieces.add(tuple(sorted(sub + (r0,))))
     return tuple(sorted(pieces))
 
 
@@ -298,7 +294,7 @@ def triangulate(cone: Cone):
         raise NotFullDimensionalError("triangulation needs a full-dimensional cone")
     return tuple(
         Cone.from_rays(piece, cone.dim)
-        for piece in _simplicial_pieces(cone.rays, cone.dim)
+        for piece in _simplicial_pieces(cone.rays, cone.halfspaces)
     )
 
 
@@ -351,7 +347,7 @@ def hilbert_basis(cone: Cone) -> HilbertBasis:
     if not cone.full_dim:
         raise NotFullDimensionalError("Hilbert basis needs a full-dimensional cone")
     candidates = set(cone.rays)
-    for piece in _simplicial_pieces(cone.rays, cone.dim):
+    for piece in _simplicial_pieces(cone.rays, cone.halfspaces):
         for x in parallelepiped_points(piece):
             if any(x):
                 candidates.add(x)

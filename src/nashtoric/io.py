@@ -58,7 +58,8 @@ def _as_int(value, name: str) -> int:
         return value
     if isinstance(value, str):
         body = value[1:] if value[:1] in ("-", "+") else value
-        if body.isdigit():
+        # str.isdigit also accepts superscripts and other scripts' digits
+        if body.isascii() and body.isdigit():
             return int(value)
     raise MalformedInputError(f"{name} must be an integer or a decimal string")
 
@@ -90,6 +91,8 @@ def parse_input(document) -> ProblemSpec:
             data = json.loads(document)
         except json.JSONDecodeError as exc:
             raise MalformedInputError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise MalformedInputError("invalid JSON: nested too deeply") from None
     else:
         data = document
     if not isinstance(data, dict):

@@ -10,7 +10,8 @@ from nashtoric.blowup import (
     newton_polyhedron,
 )
 from nashtoric.cones import Cone, polyhedron_vertices
-from nashtoric.errors import CharacteristicError
+from nashtoric.errors import CharacteristicError, ToricError
+from nashtoric.linalg import vsub
 from nashtoric.semigroups import AffineSemigroup
 
 # charts of the threefold in characteristic 2, keyed by Newton vertex
@@ -148,6 +149,46 @@ def test_threefold_charts(threefold):
     assert all(c.normalized for c in saturated)
     for c in saturated:
         assert c.semigroup.is_saturated()
+
+
+def random_generator_semigroup(rng, dim):
+    """Pointed semigroup with full group, often not saturated."""
+    while True:
+        gens = [
+            tuple(rng.randint(0, 3) for _ in range(dim))
+            for _ in range(rng.randint(dim, dim + 2))
+        ]
+        if rng.random() < 0.5:
+            gens.extend(tuple(3 * (i == j) for j in range(dim)) for i in range(dim))
+        try:
+            return AffineSemigroup(dim, gens)
+        except ToricError:
+            continue
+
+
+def test_normalized_charts_match_saturated_generator_charts():
+    # the former construction: the checked generator semigroup, saturated
+    rng = random.Random(505)
+    unsaturated = 0
+    for i in range(60):
+        dim = 4 if i % 10 == 0 else rng.randint(1, 3)
+        S = random_generator_semigroup(rng, dim)
+        if i % 3 == 0:
+            S = S.saturate()
+        unsaturated += not S.is_saturated()
+        for p in (0, 2, 3):
+            N = newton_polyhedron(log_jacobian_ideal(S, p))
+            charts = blowup_charts(N, normalize=True)
+            assert tuple(c.vertex for c in charts) == N.vertices
+            for chart in charts:
+                shifts = [vsub(e, chart.vertex) for e in N.exponents]
+                oracle = AffineSemigroup(
+                    dim, list(S.minimal_generators()) + shifts
+                ).saturate()
+                assert chart.semigroup == oracle
+                assert chart.semigroup.cone == oracle.cone
+                assert chart.semigroup.minimal_generators() == oracle.minimal_generators()
+    assert unsaturated > 10
 
 
 def test_trivial_step_on_numerical_semigroup(cusp):

@@ -110,6 +110,42 @@ def test_biduality_random():
         assert dual_cone(dual_cone(c)).rays == c.rays
 
 
+def test_dual_swaps_the_two_descriptions():
+    # the former dual(): a fresh conversion of the halfspaces
+    rng = random.Random(303)
+    seen = {"lineality": 0, "lower": 0, "reordered": 0}
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        span = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
+        span = span[: rng.randint(1, dim)]
+        rays = [
+            tuple(sum(rng.randint(-2, 2) * b[i] for b in span) for i in range(dim))
+            for _ in range(rng.randint(1, dim + 3))
+        ]
+        if rng.random() < 0.3:
+            rays.append(tuple(-x for x in rays[0]))
+        c = Cone.from_rays(rays, dim)
+        d = c.dual()
+        old = Cone.from_rays(c.halfspaces, dim)
+        assert (d.rays, d.halfspaces) == (c.halfspaces, c.rays)
+        assert d.halfspaces == old.halfspaces
+        assert (d.pointed, d.full_dim) == (old.pointed, old.full_dim)
+        assert (d.pointed, d.full_dim) == (c.full_dim, c.pointed)
+        seen["lineality"] += not c.pointed
+        seen["lower"] += not c.full_dim
+        if c.full_dim:
+            # the dual is pointed, whose description is unique
+            assert d == old
+        elif d != old:
+            # with lineality the pointed part depends on the complement the
+            # Smith form picks; both lists generate the same cone
+            seen["reordered"] += 1
+            assert all(old.contains(r) for r in d.rays)
+            assert all(d.contains(r) for r in old.rays)
+        assert dual_cone(d) == c
+    assert seen["lineality"] > 30 and seen["lower"] > 30 and seen["reordered"] > 0
+
+
 def test_pointed_extreme_rays_match_bruteforce():
     rng = random.Random(310)
     checked = 0
@@ -281,9 +317,25 @@ def test_triangulate_errors():
 
 def test_triangulate_random():
     rng = random.Random(305)
-    for _ in range(80):
-        dim = rng.randint(2, 3)
-        c = random_pointed_cone(rng, dim, extra=3)
+    non_simplicial_facets = 0
+    for _ in range(120):
+        dim = rng.randint(2, 5)
+        if dim >= 4 and rng.random() < 0.5:
+            # cones over 0/1 polytopes have facets with more than dim-1 rays
+            while True:
+                rays = [
+                    tuple(rng.randint(0, 1) for _ in range(dim - 1)) + (1,)
+                    for _ in range(rng.randint(dim + 1, dim + 5))
+                ]
+                c = Cone.from_rays(rays, dim)
+                if c.full_dim:
+                    break
+        else:
+            c = random_pointed_cone(rng, dim, extra=4)
+        if dim >= 4 and any(
+            sum(dot(h, r) == 0 for r in c.rays) > dim - 1 for h in c.halfspaces
+        ):
+            non_simplicial_facets += 1
         pieces = triangulate(c)
         assert pieces
         for piece in pieces:
@@ -302,6 +354,7 @@ def test_triangulate_random():
                 sum(a * r[i] for a, r in zip(coeffs, c.rays)) for i in range(dim)
             )
             assert any(piece.contains(z) for piece in pieces)
+    assert non_simplicial_facets >= 10
 
 
 def test_parallelepiped_points_fixed():

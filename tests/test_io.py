@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nashtoric
 from nashtoric.blowup import blowup_charts, log_jacobian_ideal, newton_polyhedron
 from nashtoric.cli import main
 from nashtoric.cones import Cone, hilbert_basis
@@ -131,11 +135,22 @@ def test_parse_rejects_non_pointed_cone_rays():
         ('{"dimension": 1.5, "characteristic": 0, "semigroup_generators": [[1]]}', MalformedInputError),
         ("[]", MalformedInputError),
         ("{", MalformedInputError),
+        # str.isdigit accepts all three; int() rejects the first, reads the others
+        ('{"dimension": "\u00b2", "characteristic": 0, "semigroup_generators": [[1]]}', MalformedInputError),
+        ('{"dimension": "\uff13", "characteristic": 0, "semigroup_generators": [[1, 0, 0]]}', MalformedInputError),
+        ('{"dimension": 1, "characteristic": 0, "semigroup_generators": [["-\u0663"]]}', MalformedInputError),
     ],
 )
 def test_parse_errors(doc, err):
     with pytest.raises(err):
         parse_input(doc)
+
+
+def test_parse_rejects_deep_nesting():
+    with pytest.raises(MalformedInputError, match="nested too deeply"):
+        parse_input("[" * 100000 + "]" * 100000)
+    with pytest.raises(MalformedInputError):
+        parse_input('{"dimension": ' + "[" * 100000 + "]" * 100000 + "}")
 
 
 def test_parse_rejects_bad_utf8():
@@ -442,6 +457,15 @@ def test_cli_error_reports(tmp_path, capsys):
     code, _, err = run_cli(capsys, "mingen", str(pointless))
     assert code == 2
     assert json.loads(err)["error"] == "non-pointed"
+    for name, text in (
+        ("nested.json", "[" * 100000 + "]" * 100000),
+        ("superscript.json", '{"dimension": "\u00b2", "characteristic": 0, "semigroup_generators": [[1]]}'),
+    ):
+        doc = tmp_path / name
+        doc.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", str(doc))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "malformed-document"
     # argument errors follow the same contract instead of printing usage
     for extra in (("--bogus",), ("--max-depth", "abc"), ("--parallel",)):
         code, out, err = run_cli(capsys, "resolve", cusp_path(tmp_path), *extra)
@@ -469,3 +493,25 @@ def test_cli_internal_error_report(tmp_path, capsys, monkeypatch):
         "error": "internal-error",
         "message": "RuntimeError: broken invariant",
     }
+
+
+@pytest.mark.parametrize("command", ["logjac", "resolve"])
+def test_cli_closed_stdout_exits_quietly(command):
+    # the reader is gone before any output is written, as in `... | head -0`
+    src = os.path.dirname(os.path.dirname(nashtoric.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nashtoric", command],
+            stdin=subprocess.PIPE,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(THREEFOLD_DOC.encode(), timeout=120)
+    assert err == b""
+    assert proc.returncode == 141
