@@ -2,10 +2,12 @@
 
 A Cone stores primitive generator rays and primitive inward facet normals.
 For pointed cones the rays are exactly the extreme rays; for cones with
-lineality the stored generators are the extreme rays of the pointed part
-plus +-pairs spanning the lineality space. Halfspace lists follow the same
-convention on the dual side, so `halfspaces` always generates the dual cone
-and `contains` is a plain sign check in every case.
+lineality the stored generators are +-pairs of the Hermite basis of the
+lineality lattice plus the extreme rays of the pointed part, the cone
+intersected with the span of its facet normals. Both depend only on the
+cone, so each cone has one description and `==` is exact. Halfspace lists
+follow the same convention on the dual side, so `halfspaces` always
+generates the dual cone and `contains` is a plain sign check in every case.
 """
 
 from dataclasses import dataclass
@@ -18,13 +20,11 @@ from .linalg import (
     columns_matrix,
     det,
     dot,
+    hermite_basis,
     identity,
-    mat_mul,
-    mat_vec,
+    kernel_basis,
     primitive,
     rank,
-    smith_kernel,
-    smith_normal_form,
     vec,
     vneg,
     vsub,
@@ -99,10 +99,10 @@ def _pointed_extreme_rays(normals, dim):
 def _h_to_v(normals, dim):
     """Generator description of {x : <n,x> >= 0 for all n}.
 
-    Returns (lines, rays): a lattice basis of the lineality space and the
-    extreme rays of the pointed part. When there is lineality, a unimodular
-    change of coordinates pushes it into the trailing coordinates and the
-    pointed part is solved in the leading ones.
+    Returns (lines, rays): the Hermite basis of the lineality space's
+    lattice and the extreme rays of the pointed part, the cone intersected
+    with the span of the normals. The ±lines as extra normals cut out that
+    intersection, so both lists depend only on the cone.
     """
     if dim < 1:
         raise DimensionError("dimension must be positive")
@@ -113,12 +113,9 @@ def _h_to_v(normals, dim):
     # without lineality only the rank is needed
     if rank(normals) == dim:
         return (), _pointed_extreme_rays(normals, dim)
-    r, V, lines = smith_kernel(normals)
-    reduced = sorted({primitive(row[:r]) for row in mat_mul(normals, V)})
-    rays = []
-    for w in _pointed_extreme_rays(reduced, r):
-        rays.append(tuple(sum(V[i][j] * w[j] for j in range(r)) for i in range(dim)))
-    return lines, tuple(sorted(rays))
+    lines = hermite_basis(zip(*kernel_basis(normals)), dim)
+    rays = _pointed_extreme_rays(normals + lines + tuple(map(vneg, lines)), dim)
+    return lines, rays
 
 
 def _with_line_pairs(lines, rays):
@@ -302,7 +299,8 @@ def parallelepiped_points(vectors):
     """Lattice points with all barycentric coordinates in [0, 1).
 
     Exactly |det| many: one representative per coset of Z^d modulo the
-    column lattice, translated into the half-open box.
+    lattice the vectors generate, read off the box [0, H[k][k]) under its
+    Hermite basis H and translated into the half-open parallelepiped.
     """
     vectors = tuple(vec(v) for v in vectors)
     d = len(vectors)
@@ -312,15 +310,10 @@ def parallelepiped_points(vectors):
     dM = det(M)
     if dM == 0:
         raise DimensionError("parallelepiped needs linearly independent vectors")
-    U, D, _ = smith_normal_form(M)
-    diag = tuple(D[i][i] for i in range(d))
-    sign = det(U)
-    Uadj = adjugate(U)
-    Uinv = tuple(tuple(sign * Uadj[i][j] for j in range(d)) for i in range(d))
+    H = hermite_basis(vectors, d)
     Madj = adjugate(M)
     points = []
-    for y in product(*(range(di) for di in diag)):
-        z = mat_vec(Uinv, y)
+    for z in product(*(range(H[k][k]) for k in range(d))):
         # floor of the rational barycentric coordinates; // floors for any sign
         shift = tuple(dot(Madj[i], z) // dM for i in range(d))
         points.append(

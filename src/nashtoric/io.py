@@ -13,7 +13,13 @@ from itertools import count as _counter
 
 from .blowup import BlowupChart, MonomialIdealExponents, NewtonPolyhedron
 from .cones import Cone, HilbertBasis
-from .errors import DimensionError, FormatError, MalformedInputError, NotPointedError
+from .errors import (
+    DimensionError,
+    FormatError,
+    MalformedInputError,
+    NotFullDimensionalError,
+    NotPointedError,
+)
 from .linalg import validate_characteristic
 from .resolve import CharacteristicComparison, ResolutionTree, SuiteSummary
 from .semigroups import AffineSemigroup
@@ -47,6 +53,10 @@ class ProblemSpec:
             cone = Cone.from_rays(self.cone_rays, self.dimension)
             if not cone.pointed:
                 raise NotPointedError("cone_rays must span a pointed cone")
+            if not cone.full_dim:
+                raise NotFullDimensionalError(
+                    "cone_rays must span a full-dimensional cone"
+                )
             cone = cone.dual()
         return AffineSemigroup.from_cone(cone)
 

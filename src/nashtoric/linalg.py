@@ -46,10 +46,6 @@ def columns_matrix(vectors):
     return tuple(tuple(v[i] for v in vectors) for i in range(d))
 
 
-def mat_vec(M, v):
-    return tuple(dot(row, v) for row in M)
-
-
 def mat_mul(A, B):
     Bt = tuple(zip(*B))
     return tuple(tuple(dot(row, col) for col in Bt) for row in A)
@@ -295,21 +291,17 @@ def invariant_factors(M):
     return tuple(out)
 
 
-def smith_kernel(A):
-    """Smith form view of the saturated integer kernel of the m x n matrix A.
+def kernel_basis(A):
+    """Basis of the saturated integer kernel of A, as an n x c matrix.
 
-    Returns (r, V, cols): the rank r, the right transform V of the Smith
-    form, and the trailing n - r columns of V with first nonzero entry
-    positive, lexicographically sorted. The first r columns of V complete
-    cols to a basis of Z^n.
+    The trailing columns of the Smith form's right transform. Columns are
+    lexicographically sorted with first nonzero entry positive, so output
+    is canonical.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     _, D, V = smith_normal_form(A)
-    r = 0
-    for t in range(min(m, n)):
-        if D[t][t]:
-            r += 1
+    r = sum(1 for t in range(min(m, n)) if D[t][t])
     cols = []
     for j in range(r, n):
         v = tuple(V[i][j] for i in range(n))
@@ -320,25 +312,18 @@ def smith_kernel(A):
                 break
         cols.append(v)
     cols.sort()
-    return r, V, tuple(cols)
-
-
-def kernel_basis(A):
-    """Basis of the saturated integer kernel of A, as an n x c matrix.
-
-    Columns are the basis vectors, lexicographically sorted with first
-    nonzero entry positive, so output is canonical.
-    """
-    n = len(A[0]) if A else 0
-    _, _, cols = smith_kernel(A)
     return tuple(tuple(col[i] for col in cols) for i in range(n))
 
 
-def group_is_full_lattice(vectors, dim: int) -> bool:
-    """True iff the vectors generate all of Z^dim as a group.
+def hermite_basis(vectors, dim: int):
+    """Row Hermite normal form of the lattice the vectors generate in Z^dim.
 
-    Incremental triangular reduction; bails out early once the running
-    lattice index hits 1, which keeps huge generator lists cheap.
+    Rows are ordered by pivot column, each pivot is positive and the
+    entries above it lie in [0, pivot), so the result depends only on the
+    lattice. Each vector is inserted into a triangular basis by xgcd row
+    operations; once the basis has dim unit pivots the lattice is all of
+    Z^dim and the remaining vectors are skipped, which keeps long generator
+    lists cheap.
     """
     basis = {}
     for cand in vectors:
@@ -351,25 +336,29 @@ def group_is_full_lattice(vectors, dim: int) -> bool:
                 if v[k] < 0:
                     v = [-x for x in v]
                 basis[k] = v
-                v = None
                 break
             g, x, y = xgcd(b[k], v[k])
             bk = b[k] // g
             vk = v[k] // g
             basis[k] = [x * b[i] + y * v[i] for i in range(dim)]
             v = [bk * v[i] - vk * b[i] for i in range(dim)]
-        if len(basis) == dim:
-            index = 1
-            for k in range(dim):
-                index *= basis[k][k]
-            if index == 1:
-                return True
-    if len(basis) < dim:
-        return False
-    index = 1
-    for k in range(dim):
-        index *= basis[k][k]
-    return index == 1
+        if len(basis) == dim and all(b[k] == 1 for k, b in basis.items()):
+            return identity(dim)
+    pivots = sorted(basis)
+    for i, k in enumerate(pivots):
+        row = basis[k]
+        for above in pivots[:i]:
+            a = basis[above]
+            q = a[k] // row[k]
+            if q:
+                for j in range(k, dim):
+                    a[j] -= q * row[j]
+    return tuple(tuple(basis[k]) for k in pivots)
+
+
+def group_is_full_lattice(vectors, dim: int) -> bool:
+    """True iff the vectors generate all of Z^dim as a group."""
+    return hermite_basis(vectors, dim) == identity(dim)
 
 
 def adjugate(M):

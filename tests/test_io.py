@@ -457,6 +457,14 @@ def test_cli_error_reports(tmp_path, capsys):
     code, _, err = run_cli(capsys, "mingen", str(pointless))
     assert code == 2
     assert json.loads(err)["error"] == "non-pointed"
+    flat = tmp_path / "flat.json"
+    flat.write_text('{"dimension": 3, "characteristic": 0, "cone_rays": [[1, 0, 0], [0, 1, 0]]}')
+    code, out, err = run_cli(capsys, "mingen", str(flat))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "not-full-dimensional",
+        "message": "cone_rays must span a full-dimensional cone",
+    }
     for name, text in (
         ("nested.json", "[" * 100000 + "]" * 100000),
         ("superscript.json", '{"dimension": "\u00b2", "characteristic": 0, "semigroup_generators": [[1]]}'),

@@ -10,12 +10,12 @@ from nashtoric.linalg import (
     det,
     det_mod,
     group_is_full_lattice,
+    hermite_basis,
     identity,
     invariant_factors,
     is_prime,
     kernel_basis,
     mat_mul,
-    mat_vec,
     primitive,
     rank,
     smith_normal_form,
@@ -201,6 +201,69 @@ def test_group_is_full_lattice():
         assert group_is_full_lattice(vecs, d) == expected
 
 
+def test_hermite_basis_fixed():
+    assert hermite_basis((), 2) == ()
+    assert hermite_basis(((0, 0),), 2) == ()
+    assert hermite_basis(((4,), (-6,)), 1) == ((2,),)
+    assert hermite_basis(((1, 0), (1, 2)), 2) == ((1, 0), (0, 2))
+    assert hermite_basis(((2, 1), (1, 1)), 2) == identity(2)
+    assert hermite_basis(((0, 3, 1), (0, 0, 2)), 3) == ((0, 3, 1), (0, 0, 2))
+    assert hermite_basis(((0, 3, 5), (0, 0, 2)), 3) == ((0, 3, 1), (0, 0, 2))
+
+
+def _in_hermite_lattice(H, v):
+    v = list(v)
+    for row in H:
+        p = next(j for j, x in enumerate(row) if x)
+        if v[p] % row[p]:
+            return False
+        q = v[p] // row[p]
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def test_hermite_basis_depends_only_on_the_lattice():
+    rng = random.Random(108)
+    full_rank = 0
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        k = rng.randint(1, d + 2)
+        vecs = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(k)]
+        H = hermite_basis(vecs, d)
+        # echelon rows, positive pivots, entries above each pivot reduced
+        pivots = [next(j for j, x in enumerate(row) if x) for row in H]
+        assert pivots == sorted(set(pivots))
+        for i, (row, p) in enumerate(zip(H, pivots)):
+            assert row[p] > 0
+            assert all(0 <= above[p] < row[p] for above in H[:i])
+        assert len(H) == rank(vecs)
+        assert all(_in_hermite_lattice(H, v) for v in vecs)
+        if k == d and det(vecs) != 0:
+            full_rank += 1
+            index = 1
+            for row, p in zip(H, pivots):
+                index *= row[p]
+            assert index == abs(det(vecs))
+        shuffled = vecs[:]
+        rng.shuffle(shuffled)
+        assert hermite_basis(shuffled, d) == H
+        coeffs = [rng.randint(-3, 3) for _ in vecs]
+        combo = tuple(sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(d))
+        assert hermite_basis(vecs + [combo], d) == H
+        # a random unimodular change of generators: elementary row operations
+        gens = [list(v) for v in vecs]
+        for _ in range(8):
+            i = rng.randrange(k)
+            j = rng.randrange(k)
+            if i == j:
+                gens[i] = [-x for x in gens[i]]
+            else:
+                c = rng.randint(-3, 3)
+                gens[i] = [a + c * b for a, b in zip(gens[i], gens[j])]
+        assert hermite_basis(gens, d) == H
+    assert full_rank > 30
+
+
 def test_adjugate():
     rng = random.Random(107)
     for _ in range(100):
@@ -212,7 +275,3 @@ def test_adjugate():
         for i in range(n):
             for j in range(n):
                 assert prod[i][j] == (d if i == j else 0)
-
-
-def test_mat_vec():
-    assert mat_vec(((1, 2), (3, 4)), (1, 1)) == (3, 7)
