@@ -8,6 +8,10 @@ intersected with the span of its facet normals. Both depend only on the
 cone, so each cone has one description and `==` is exact. Halfspace lists
 follow the same convention on the dual side, so `halfspaces` always
 generates the dual cone and `contains` is a plain sign check in every case.
+
+Pointed full-dimensional 2D cones take their own paths: rays sorted by
+angle instead of a conversion, and the Hirzebruch-Jung chain as the Hilbert
+basis instead of parallelepiped points.
 """
 
 from dataclasses import dataclass
@@ -18,6 +22,7 @@ from .errors import DimensionError, NotFullDimensionalError, NotPointedError
 from .linalg import (
     adjugate,
     columns_matrix,
+    cross2,
     det,
     dot,
     hermite_basis,
@@ -28,6 +33,7 @@ from .linalg import (
     vec,
     vneg,
     vsub,
+    xgcd,
 )
 
 
@@ -143,6 +149,32 @@ def _circular_cmp(a, b):
     if c < 0:
         return 1
     return 0
+
+
+def _hirzebruch_jung(u1, u2):
+    """Hilbert basis of the 2D cone spanned by independent primitive u1, u2.
+
+    The Hirzebruch-Jung chain (Oda 1988, ch. 1; Cox-Little-Schenck §10.2):
+    w0 = u1, w1 is the lattice point with det(u1, w1) = 1 moved into the
+    cone by the least multiple of u1, and w_{i+1} = b_i w_i - w_{i-1} with
+    b_i = ceil(det(w_{i-1}, u2) / det(w_i, u2)) until w_i reaches u2. The
+    values det(w_i, u2) strictly decrease to 0, so the chain has one step per
+    basis element and lists no other lattice point.
+    """
+    if cross2(u1, u2) < 0:
+        u1, u2 = u2, u1
+    _, x, y = xgcd(u1[0], u1[1])
+    w = (-y, x)
+    k = -(cross2(w, u2) // cross2(u1, u2))
+    w = (w[0] + k * u1[0], w[1] + k * u1[1])
+    chain = [u1]
+    prev = u1
+    while cross2(w, u2):
+        chain.append(w)
+        b = -(-cross2(prev, u2) // cross2(w, u2))
+        prev, w = w, (b * w[0] - prev[0], b * w[1] - prev[1])
+    chain.append(u2)
+    return tuple(sorted(chain))
 
 
 class Cone:
@@ -334,11 +366,28 @@ class HilbertBasis:
 
 
 def hilbert_basis(cone: Cone) -> HilbertBasis:
-    """Unique minimal generating set of cone ∩ Z^d for a pointed cone."""
+    """Unique minimal generating set of cone ∩ Z^d for a pointed cone.
+
+    In dimension 2 it is the Hirzebruch-Jung chain between the two rays; in
+    higher dimensions it is reduced from the parallelepiped points of a
+    triangulation.
+    """
     if not cone.pointed:
         raise NotPointedError("Hilbert basis needs a pointed cone")
     if not cone.full_dim:
         raise NotFullDimensionalError("Hilbert basis needs a full-dimensional cone")
+    if cone.dim == 2:
+        return HilbertBasis(cone, _hirzebruch_jung(*cone.rays))
+    return HilbertBasis(cone, _hilbert_basis_by_pieces(cone))
+
+
+def _hilbert_basis_by_pieces(cone: Cone):
+    """Sorted Hilbert basis of a pointed full-dimensional cone of any dimension.
+
+    The rays and the nonzero parallelepiped points of every simplicial piece
+    generate cone ∩ Z^d; the irreducible ones, taken in order of a grading,
+    are the basis.
+    """
     candidates = set(cone.rays)
     for piece in _simplicial_pieces(cone.rays, cone.halfspaces):
         for x in parallelepiped_points(piece):
@@ -356,7 +405,7 @@ def hilbert_basis(cone: Cone) -> HilbertBasis:
                 break
         if not reducible:
             kept.append(v)
-    return HilbertBasis(cone, tuple(sorted(kept)))
+    return tuple(sorted(kept))
 
 
 def polyhedron_vertices(points, cone: Cone):

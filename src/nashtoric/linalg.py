@@ -46,11 +46,6 @@ def columns_matrix(vectors):
     return tuple(tuple(v[i] for v in vectors) for i in range(d))
 
 
-def mat_mul(A, B):
-    Bt = tuple(zip(*B))
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
 def primitive(v):
     """Divide a vector by the gcd of its entries, keeping direction."""
     g = 0

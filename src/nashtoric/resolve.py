@@ -81,10 +81,13 @@ def resolve(
 def _expand(S, depth, p, normalize, max_depth) -> ResolutionNode:
     if S.is_smooth():
         return ResolutionNode(S, depth, SMOOTH_LEAF, ())
-    # only the unnormalized stall check needs the charts of a capped node
+    # only the unnormalized stall check needs the blowup of a capped node,
+    # and a stall has exactly one chart
     if normalize and depth == max_depth:
         return ResolutionNode(S, depth, DEPTH_CAPPED, ())
     N = newton_polyhedron(log_jacobian_ideal(S, p))
+    if depth == max_depth and len(N.vertices) != 1:
+        return ResolutionNode(S, depth, DEPTH_CAPPED, ())
     charts = blowup_charts(N, normalize)
     if not normalize and is_trivial_step(N, charts):
         return ResolutionNode(S, depth, TRIVIAL_STALL, ())

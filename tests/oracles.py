@@ -30,6 +30,12 @@ def permutation_det(M):
     return total
 
 
+def mat_mul(A, B):
+    """Product of two row-major integer matrices."""
+    Bt = tuple(zip(*B))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
+
+
 def extreme_rays_bruteforce(normals, dim):
     """Extreme rays of {x : <n,x> >= 0 for all n}, normals of rank dim.
 
@@ -122,7 +128,7 @@ def _gradings(rays, dim, bound=64):
         if found:
             return found
         B *= 2
-    raise AssertionError(f"no grading with entries <= {bound} for rays {rays}")
+    raise RuntimeError(f"no grading with entries <= {bound} for rays {rays}")
 
 
 def brute_force_hilbert(rays, halfspaces, dim, volume_limit=None):

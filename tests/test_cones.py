@@ -21,13 +21,14 @@ from nashtoric.errors import (
     NotFullDimensionalError,
     NotPointedError,
 )
-from nashtoric.linalg import columns_matrix, det, dot, mat_mul, rank
+from nashtoric.linalg import columns_matrix, cross2, det, dot, rank
 
 from oracles import (
     box_parallelepiped,
     brute_force_hilbert,
     extreme_rays_bruteforce,
     in_cone_2d,
+    mat_mul,
     vertices_via_lp,
 )
 
@@ -464,6 +465,45 @@ def test_hilbert_basis_against_brute_force():
             continue
         assert list(hilbert_basis(c).elements) == expected
         checked += 1
+    # 2D takes the Hirzebruch-Jung chain; the general path is its reference
+    seen = dict.fromkeys(("ccw", "cw", "unimodular", "dual", "large", "brute"), 0)
+    for i in range(240):
+        if i % 4 == 0:
+            # a random unimodular matrix: its columns span a smooth cone
+            a, b = (1, 0), (0, 1)
+            for _ in range(6):
+                k = rng.randint(-4, 4)
+                a, b = b, (a[0] + k * b[0], a[1] + k * b[1])
+            if rng.random() < 0.5:
+                a = (-a[0], -a[1])
+        else:
+            bound = (4, 20, 90)[i % 4 - 1]
+            while True:
+                a, b = (
+                    tuple(rng.randint(-bound, bound) for _ in range(2)) for _ in range(2)
+                )
+                if cross2(a, b):
+                    break
+        c = Cone.from_rays((a, b), 2)
+        for cone in (c, c.dual()):
+            elements = hilbert_basis(cone).elements
+            assert elements == cones._hilbert_basis_by_pieces(cone)
+            D = cross2(*cone.rays)
+            seen["ccw" if D > 0 else "cw"] += 1
+            seen["unimodular"] += abs(D) == 1
+            seen["dual"] += cone is not c
+            seen["large"] += abs(D) >= 1000
+            if max(map(abs, cone.rays[0] + cone.rays[1])) > 20:
+                continue  # the oracle's graded box would be too large
+            try:
+                expected = brute_force_hilbert(
+                    cone.rays, cone.halfspaces, 2, volume_limit=200_000
+                )
+            except RuntimeError:
+                continue
+            assert list(elements) == expected
+            seen["brute"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_polyhedron_vertices_fixed():

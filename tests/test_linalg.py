@@ -15,7 +15,6 @@ from nashtoric.linalg import (
     invariant_factors,
     is_prime,
     kernel_basis,
-    mat_mul,
     primitive,
     rank,
     smith_normal_form,
@@ -24,7 +23,7 @@ from nashtoric.linalg import (
     xgcd,
 )
 
-from oracles import permutation_det
+from oracles import mat_mul, permutation_det
 
 
 def random_matrix(rng, rows, cols, bound=9):

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from nashtoric.blowup import log_jacobian_ideal
+from nashtoric.blowup import blowup_charts, log_jacobian_ideal, newton_polyhedron
 from nashtoric.cones import Cone
 from nashtoric.errors import CharacteristicError
 from nashtoric.io import serialize
@@ -143,6 +143,53 @@ def test_normalized_capped_nodes_skip_the_blowup(threefold, monkeypatch):
         ),
     )
     assert capped.shape() == expected
+
+
+def _capped_prefix(node, cap):
+    """Shape of the tree below node as resolve(..., max_depth=cap) must build it."""
+    gens = node.semigroup.minimal_generators()
+    if node.depth < cap:
+        return (
+            gens,
+            node.status,
+            tuple((v, _capped_prefix(child, cap)) for v, child in node.children),
+        )
+    return (gens, DEPTH_CAPPED if node.status == EXPANDED else node.status, ())
+
+
+def test_unnormalized_capped_nodes_build_charts_only_for_a_stall(cusp, monkeypatch):
+    S = AffineSemigroup.from_cone(Cone.from_rays(((4, 1), (3, 2)), 2))
+    full = resolve(S, 2, normalize=False, max_depth=6)
+    depth1 = [child for _, child in full.root.children]
+    vertex_counts = [
+        len(newton_polyhedron(log_jacobian_ideal(c.semigroup, 2)).vertices)
+        for c in depth1
+        if not c.semigroup.is_smooth()
+    ]
+    # one capped node has two vertices, so it cannot stall
+    assert sorted(vertex_counts) == [1, 1, 2]
+    module = sys.modules[resolve.__module__]
+    calls = []
+
+    def counted(N, normalize=True):
+        calls.append(len(N.vertices))
+        return blowup_charts(N, normalize)
+
+    monkeypatch.setattr(module, "blowup_charts", counted)
+    capped = resolve(S, 2, normalize=False, max_depth=1)
+    # the root, then only the single-vertex nodes at the cap
+    assert calls[1:] == [1, 1]
+    assert capped.shape() == _capped_prefix(full.root, 1)
+    assert {c.status for _, c in capped.root.children} == {TRIVIAL_STALL, DEPTH_CAPPED}
+    # <2,5> blows up to the cusp in p = 3, which stalls right at the cap
+    root = AffineSemigroup(1, [(2,), (5,)])
+    calls.clear()
+    tree = resolve(root, 3, normalize=False, max_depth=1)
+    assert len(calls) == 2
+    ((_, child),) = tree.root.children
+    assert child.semigroup.minimal_generators() == cusp.minimal_generators()
+    assert child.status == TRIVIAL_STALL
+    assert tree.shape() == _capped_prefix(resolve(root, 3, normalize=False).root, 1)
 
 
 def test_resolve_is_deterministic(threefold):

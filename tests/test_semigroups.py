@@ -170,6 +170,15 @@ def test_boundary_generators_crosscheck():
     for _ in range(40):
         S = random_saturated_surface(rng, bound=15)
         assert boundary_generators_crosscheck(S) == S.minimal_generators()
+    # roots as the surfaces benchmark draws them: dual cone rays in [1, 50]^2
+    for _ in range(60):
+        while True:
+            a = (rng.randint(1, 50), rng.randint(1, 50))
+            b = (rng.randint(1, 50), rng.randint(1, 50))
+            if a[0] * b[1] - a[1] * b[0]:
+                break
+        S = AffineSemigroup.from_cone(Cone.from_rays((a, b), 2))
+        assert boundary_generators_crosscheck(S) == S.minimal_generators()
 
 
 def test_boundary_generators_crosscheck_requires_saturated(cusp):
