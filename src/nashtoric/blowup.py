@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ToricError
-from .cones import Cone, polyhedron_vertices
-from .linalg import columns_matrix, det, dot, vadd, validate_characteristic, vsub
+from .cones import Cone, irreducible, polyhedron_vertices
+from .linalg import columns_matrix, det_mod, validate_characteristic, vsub
 from .semigroups import AffineSemigroup
 
 
@@ -27,33 +27,23 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
 
     E = sums of d distinct minimal generators whose determinant does not
     vanish mod p (p = 0 reads as: does not vanish over Z). The public
-    exponent list drops any exponent reachable from a smaller one inside
-    the semigroup; the raw list is kept for invariance checks.
+    exponents are the ideal's minimal generators, those that are no other
+    exponent plus an element of S (`irreducible`); the raw list is kept
+    for invariance checks.
     """
     p = validate_characteristic(characteristic)
     gens = S.minimal_generators()
     raw = set()
     for subset in combinations(gens, S.dim):
-        dt = det(columns_matrix(subset))
-        if dt == 0 or (p and dt % p == 0):
-            continue
-        total = subset[0]
-        for g in subset[1:]:
-            total = vadd(total, g)
-        raw.add(total)
+        if det_mod(columns_matrix(subset), p):
+            raw.add(tuple(map(sum, zip(*subset))))
     if not raw:
         raise RuntimeError(
             "log-Jacobian ideal is empty, but a full-lattice generator set "
             "always has an admissible subset"
         )
-    raw = tuple(sorted(raw))
-    w = S.grading
-    kept = []
-    for e in sorted(raw, key=lambda e: (dot(w, e), e)):
-        if any(S.membership(vsub(e, k)) for k in kept):
-            continue
-        kept.append(e)
-    return MonomialIdealExponents(S, p, tuple(sorted(kept)), raw)
+    kept = irreducible(raw, S.cone.halfspaces, lambda g, _: S.membership(g))
+    return MonomialIdealExponents(S, p, kept, tuple(sorted(raw)))
 
 
 @dataclass(frozen=True)

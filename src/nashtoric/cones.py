@@ -9,14 +9,18 @@ cone, so each cone has one description and `==` is exact. Halfspace lists
 follow the same convention on the dual side, so `halfspaces` always
 generates the dual cone and `contains` is a plain sign check in every case.
 
-Pointed full-dimensional 2D cones take their own paths: rays sorted by
-angle instead of a conversion, and the Hirzebruch-Jung chain as the Hilbert
-basis instead of parallelepiped points.
+Pointed full-dimensional 2D cones take their own paths: one cross-product
+scan for the two extreme rays instead of a conversion, and the
+Hirzebruch-Jung chain as the Hilbert basis instead of parallelepiped points.
+
+`irreducible` is the one reduction behind every minimal generating set: the
+Hilbert basis here, the semigroup's minimal generators and the minimal
+exponents of the log-Jacobian ideal.
 """
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import product
+from operator import ge
 
 from .errors import DimensionError, NotFullDimensionalError, NotPointedError
 from .linalg import (
@@ -132,25 +136,6 @@ def _with_line_pairs(lines, rays):
     return tuple(sorted(out))
 
 
-def _half(v):
-    # 0 for angle in [0, pi), 1 for [pi, 2*pi)
-    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
-        return 0
-    return 1
-
-
-def _circular_cmp(a, b):
-    ha, hb = _half(a), _half(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    c = a[0] * b[1] - a[1] * b[0]
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
 def _hirzebruch_jung(u1, u2):
     """Hilbert basis of the 2D cone spanned by independent primitive u1, u2.
 
@@ -212,26 +197,21 @@ class Cone:
 
     @classmethod
     def _from_rays_2d(cls, norm):
-        """Pointed full-dimensional 2D cones without any normal form work.
+        """Pointed full-dimensional 2D cones without any conversion.
 
-        Sort the rays by angle; a circular gap wider than pi pins down the
-        two extreme rays. Anything degenerate falls back to the generic
-        construction by returning None.
+        One scan keeps the most clockwise ray lo and the most
+        counterclockwise ray hi. The cone is pointed and full-dimensional
+        exactly when lo is strictly clockwise of hi and every ray lies
+        between them; otherwise return None for the generic construction.
         """
-        order = sorted(norm, key=cmp_to_key(_circular_cmp))
-        k = len(order)
-        lo = hi = None
-        for i in range(k):
-            a = order[i]
-            b = order[(i + 1) % k]
-            c = a[0] * b[1] - a[1] * b[0]
-            if c == 0:
-                return None  # antipodal pair, the cone contains a line
-            if c < 0:
-                lo, hi = b, a
-                break
-        if lo is None:
-            return None  # rays wrap around, the cone is the whole plane
+        lo = hi = norm[0]
+        for r in norm[1:]:
+            if cross2(hi, r) > 0:
+                hi = r
+            elif cross2(r, lo) > 0:
+                lo = r
+        if cross2(lo, hi) <= 0 or any(cross2(lo, r) < 0 or cross2(r, hi) < 0 for r in norm):
+            return None
         halfspaces = tuple(sorted(((-lo[1], lo[0]), (hi[1], -hi[0]))))
         return cls(2, tuple(sorted((lo, hi))), halfspaces, True, True)
 
@@ -263,14 +243,6 @@ class Cone:
 
     def __repr__(self):
         return f"Cone(dim={self.dim}, rays={list(self.rays)})"
-
-
-def dual_cone(cone: Cone) -> Cone:
-    return cone.dual()
-
-
-def is_pointed(cone: Cone) -> bool:
-    return cone.pointed
 
 
 def interior_point(cone: Cone):
@@ -369,8 +341,8 @@ def hilbert_basis(cone: Cone) -> HilbertBasis:
     """Unique minimal generating set of cone ∩ Z^d for a pointed cone.
 
     In dimension 2 it is the Hirzebruch-Jung chain between the two rays; in
-    higher dimensions it is reduced from the parallelepiped points of a
-    triangulation.
+    higher dimensions `irreducible` reduces the rays and the parallelepiped
+    points of a triangulation.
     """
     if not cone.pointed:
         raise NotPointedError("Hilbert basis needs a pointed cone")
@@ -385,26 +357,36 @@ def _hilbert_basis_by_pieces(cone: Cone):
     """Sorted Hilbert basis of a pointed full-dimensional cone of any dimension.
 
     The rays and the nonzero parallelepiped points of every simplicial piece
-    generate cone ∩ Z^d; the irreducible ones, taken in order of a grading,
-    are the basis.
+    generate cone ∩ Z^d; the irreducible ones are the basis.
     """
     candidates = set(cone.rays)
     for piece in _simplicial_pieces(cone.rays, cone.halfspaces):
         for x in parallelepiped_points(piece):
             if any(x):
                 candidates.add(x)
-    # sum of facet normals is strictly positive on the cone minus origin
-    grading = tuple(map(sum, zip(*cone.halfspaces)))
-    ordered = sorted(candidates, key=lambda v: (dot(grading, v), v))
+    return irreducible(candidates, cone.halfspaces)
+
+
+def irreducible(points, halfspaces, member=None):
+    """Sorted points that are no kept point plus an element of the semigroup.
+
+    The semigroup lies in the pointed cone cut out by halfspaces, and is all
+    of cone ∩ Z^d unless member(x - k, kept) tests it. Points are visited by
+    (sum of facet values y(x), x), a grading positive on the cone minus 0;
+    x is dropped when some kept k has y(x) >= y(k), that is x - k in the
+    cone, and member, if given, holds. The latest kept k come first: x - k
+    is then lowest in the grading, so a member search from it is shortest.
+    """
+    values = {x: tuple(dot(h, x) for h in halfspaces) for x in points}
     kept = []
-    for v in ordered:
-        reducible = False
-        for k in kept:
-            if cone.contains(vsub(v, k)):
-                reducible = True
-                break
-        if not reducible:
-            kept.append(v)
+    for x in sorted(values, key=lambda x: (sum(values[x]), x)):
+        y = values[x]
+        if not any(
+            all(map(ge, y, values[k]))
+            and (member is None or member(vsub(x, k), kept))
+            for k in reversed(kept)
+        ):
+            kept.append(x)
     return tuple(sorted(kept))
 
 

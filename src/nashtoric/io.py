@@ -21,7 +21,7 @@ from .errors import (
     NotPointedError,
 )
 from .linalg import validate_characteristic
-from .resolve import CharacteristicComparison, ResolutionTree, SuiteSummary
+from .resolve import MAX_DEPTH, CharacteristicComparison, ResolutionTree, SuiteSummary
 from .semigroups import AffineSemigroup
 
 INT64_MIN = -(2**63)
@@ -127,8 +127,8 @@ def parse_input(document) -> ProblemSpec:
     if not isinstance(normalize, bool):
         raise MalformedInputError("normalize must be a boolean")
     max_depth = _as_int(data.get("max_depth", 64), "max_depth")
-    if max_depth < 1:
-        raise MalformedInputError("max_depth must be at least 1")
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise MalformedInputError(f"max_depth must be between 1 and {MAX_DEPTH}")
     fmt = data.get("format", "json")
     if fmt not in FORMATS:
         raise FormatError(f"format must be one of: {', '.join(FORMATS)}")

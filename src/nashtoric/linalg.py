@@ -15,10 +15,6 @@ def vec(coords):
     return tuple(operator.index(c) for c in coords)
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 

@@ -19,6 +19,10 @@ EXPANDED = "expanded"
 TRIVIAL_STALL = "trivial-stall"
 DEPTH_CAPPED = "depth-capped"
 
+# serializing a tree recurses once per level, and Python's default recursion
+# limit stops JSON output near depth 330
+MAX_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class ResolutionNode:
@@ -72,10 +76,14 @@ def resolve(
     """Blow up repeatedly until every branch is smooth, stalls, or hits
     the depth cap."""
     p = validate_characteristic(characteristic)
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    _check_max_depth(max_depth)
     root = _expand(S, 0, p, normalize, max_depth)
     return ResolutionTree(root, p, normalize, max_depth)
+
+
+def _check_max_depth(max_depth):
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise ValueError(f"max_depth must be between 1 and {MAX_DEPTH}")
 
 
 def _expand(S, depth, p, normalize, max_depth) -> ResolutionNode:
@@ -182,6 +190,7 @@ def surface_termination_suite(
     chars = tuple(validate_characteristic(c) for c in characteristics)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    _check_max_depth(max_depth)
     rng = random.Random(seed)
     runs = []
     while len(runs) < count:

@@ -17,8 +17,8 @@ from .errors import (
     NotPointedError,
     NotSaturatedError,
 )
-from .cones import Cone, hilbert_basis, polyhedron_vertices
-from .linalg import columns_matrix, cross2, det, dot, group_is_full_lattice, vec, vsub
+from .cones import Cone, hilbert_basis, irreducible, polyhedron_vertices
+from .linalg import columns_matrix, cross2, det, group_is_full_lattice, vec, vsub
 
 
 def _generated_member(x, gens, cone, cache) -> bool:
@@ -26,9 +26,9 @@ def _generated_member(x, gens, cone, cache) -> bool:
 
     Iterative depth-first search on x minus partial sums, pruned by cone
     membership; the search is a DAG because every generator is strictly
-    positive on the cone's grading. cache must map the origin to True. It
-    may persist across calls provided the generator list only ever grows
-    by elements already marked True in it.
+    positive on the cone's grading. cache maps points to known answers and
+    must map the origin to True; it may persist across calls while every
+    entry stays right for the generator list passed.
     """
     hit = cache.get(x)
     if hit is not None:
@@ -68,7 +68,6 @@ class AffineSemigroup:
         "_minimal",
         "_saturated",
         "_member_cache",
-        "_grading",
     )
 
     def __init__(self, dim, generators):
@@ -96,7 +95,6 @@ class AffineSemigroup:
         self._minimal = None
         self._saturated = None
         self._member_cache = {(0,) * dim: True}
-        self._grading = None
 
     @classmethod
     def from_cone(cls, cone: Cone) -> "AffineSemigroup":
@@ -109,19 +107,11 @@ class AffineSemigroup:
         s._minimal = hb.elements
         s._saturated = True
         s._member_cache = {(0,) * cone.dim: True}
-        s._grading = None
         return s
 
     @property
     def cone(self) -> Cone:
         return self._cone
-
-    @property
-    def grading(self):
-        """Integer functional strictly positive on the cone minus the origin."""
-        if self._grading is None:
-            self._grading = tuple(map(sum, zip(*self._cone.halfspaces)))
-        return self._grading
 
     def membership(self, x) -> bool:
         x = vec(x)
@@ -135,18 +125,22 @@ class AffineSemigroup:
         return _generated_member(x, self.generators, self._cone, self._member_cache)
 
     def minimal_generators(self):
-        """The unique minimal generating set, lexicographically sorted."""
+        """The unique minimal generating set, lexicographically sorted.
+
+        g is redundant when g - k is generated by the kept ones for a kept
+        k. The searches for g look only below g in the grading, where every
+        generator is already generated by the kept ones and no later kept
+        generator can change an answer, so one cache serves the sweep.
+        """
         if self._minimal is None:
-            w = self.grading
-            order = sorted(self.generators, key=lambda g: (dot(w, g), g))
-            kept = []
-            cache = {(0,) * self.dim: True}
-            for g in order:
-                if kept and _generated_member(g, tuple(kept), self._cone, cache):
-                    continue
-                kept.append(g)
-                cache[g] = True
-            self._minimal = tuple(sorted(kept))
+            cone = self._cone
+            cache = dict.fromkeys(self.generators, True)
+            cache[(0,) * self.dim] = True
+            self._minimal = irreducible(
+                self.generators,
+                cone.halfspaces,
+                lambda g, kept: _generated_member(g, kept, cone, cache),
+            )
         return self._minimal
 
     def saturate(self) -> "AffineSemigroup":

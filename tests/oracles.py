@@ -3,7 +3,9 @@
 Everything here trades speed for obviousness: permutation determinants,
 dense Fraction solves, exhaustive lattice scans. The Hilbert basis oracle
 enumerates irreducible lattice points directly from a graded bounding box
-and never calls the triangulation-based algorithm under test.
+and never calls the triangulation-based algorithm under test. The random
+unsaturated generator lists the minimal-generator oracle is checked on are
+drawn here too, so that every test draws them the same way.
 """
 
 from fractions import Fraction
@@ -169,6 +171,61 @@ def brute_force_hilbert(rays, halfspaces, dim, volume_limit=None):
         ):
             irr.append(p)
     return sorted(irr)
+
+
+def random_unsaturated_generators(rng, dim):
+    """Generators in the positive orthant, some of them sums of others,
+    under a random unimodular map; redrawn until the gcd of their maximal
+    minors is 1, that is until they span Z^dim as a group."""
+    bound = {1: 12, 2: 5, 3: 3, 4: 2}[dim]
+    while True:
+        gens = [
+            tuple(rng.randint(0, bound) for _ in range(dim))
+            for _ in range(rng.randint(dim, dim + 3))
+        ]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(gens), rng.choice(gens)
+            gens.append(tuple(x + y for x, y in zip(a, b)))
+        for _ in range(2 if dim > 1 else 0):
+            i, j = rng.sample(range(dim), 2)
+            k = rng.choice((-1, 1))
+            gens = [g[:i] + (g[i] + k * g[j],) + g[i + 1 :] for g in gens]
+        g = 0
+        for subset in combinations(gens, dim):
+            g = gcd(g, permutation_det(subset))
+        if g == 1:
+            return gens
+
+
+def brute_force_minimal_generators(generators, dim):
+    """Sorted generators that are no sum of two or more generators.
+
+    Under a grading w >= 1 on every generator, a sum of two or more has a
+    summand a that is itself a sum of generators, with grade at most the
+    largest generator grade minus the smallest. All such sums are
+    enumerated, and g is redundant when g - h is one of them for some
+    generator h.
+    """
+    gens = sorted({tuple(g) for g in generators if any(g)})
+    w = _gradings(gens, dim)[0]
+    grades = [_grade(w, g) for g in gens]
+    cap = max(grades) - min(grades)
+    sums = set()
+    frontier = [(0,) * dim]
+    while frontier:
+        step = []
+        for a in frontier:
+            for g in gens:
+                s = tuple(x + y for x, y in zip(a, g))
+                if _grade(w, s) <= cap and s not in sums:
+                    sums.add(s)
+                    step.append(s)
+        frontier = step
+    return sorted(
+        g
+        for g in gens
+        if not any(tuple(x - y for x, y in zip(g, h)) in sums for h in gens)
+    )
 
 
 def _cone_points(halfspaces, w, cap, exts, dim):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,8 +12,10 @@ from nashtoric.blowup import (
 )
 from nashtoric.cones import Cone, polyhedron_vertices
 from nashtoric.errors import CharacteristicError, ToricError
-from nashtoric.linalg import vsub
+from nashtoric.linalg import columns_matrix, det, vsub
 from nashtoric.semigroups import AffineSemigroup
+
+from oracles import random_unsaturated_generators
 
 # charts of the threefold in characteristic 2, keyed by Newton vertex
 CHART_GENS = {
@@ -72,18 +75,34 @@ def test_ideal_minimalization_drops_reachable_exponents():
 
 def test_ideal_minimalization_contract():
     rng = random.Random(505)
-    for _ in range(30):
-        S = random_saturated_surface(rng, bound=9)
-        for p in (0, 2):
+    cases = [(random_saturated_surface(rng, bound=9), (0, 2)) for _ in range(30)]
+    # unsaturated semigroups, where membership is narrower than the cone
+    cases += [
+        (AffineSemigroup(dim, random_unsaturated_generators(rng, dim)), (2, 3))
+        for dim in (1, 2, 3, 4)
+        for _ in range(15)
+    ]
+    p_divides = {2: 0, 3: 0}
+    only_cone = 0
+    for S, chars in cases:
+        for p in chars:
             I = log_jacobian_ideal(S, p)
             kept = set(I.exponents)
             assert kept <= set(I.raw_exponents)
             for e in I.raw_exponents:
-                reachable = any(
-                    k != e and S.membership(tuple(a - b for a, b in zip(e, k)))
-                    for k in kept
-                )
+                steps = [vsub(e, k) for k in kept if k != e]
+                reachable = any(S.membership(g) for g in steps)
                 assert reachable == (e not in kept)
+                only_cone += not reachable and any(S.cone.contains(g) for g in steps)
+            if p:
+                dets = [
+                    det(columns_matrix(sub))
+                    for sub in combinations(S.minimal_generators(), S.dim)
+                ]
+                p_divides[p] += any(d and d % p == 0 for d in dets)
+    # p kills some nonzero determinants, and some exponent is another one
+    # plus a cone point outside the semigroup
+    assert min(p_divides.values()) >= 20 and only_cone >= 20, (p_divides, only_cone)
 
 
 def test_ideal_rejects_composite_characteristic(cusp):
@@ -233,6 +252,6 @@ def test_smooth_blowup_is_trivial():
 
 def test_empty_ideal_raises_runtime_error(monkeypatch):
     S = AffineSemigroup(2, [(1, 0), (1, 1), (1, 2)])
-    monkeypatch.setattr(blowup, "det", lambda M: 0)
+    monkeypatch.setattr(blowup, "det_mod", lambda M, p: 0)
     with pytest.raises(RuntimeError, match="log-Jacobian ideal is empty"):
         log_jacobian_ideal(S, 0)

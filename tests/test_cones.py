@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from nashtoric import cones
 from nashtoric.cones import (
     Cone,
-    dual_cone,
     hilbert_basis,
     interior_point,
-    is_pointed,
     parallelepiped_points,
     polyhedron_vertices,
     triangulate,
@@ -21,7 +19,7 @@ from nashtoric.errors import (
     NotFullDimensionalError,
     NotPointedError,
 )
-from nashtoric.linalg import columns_matrix, cross2, det, dot, rank
+from nashtoric.linalg import columns_matrix, cross2, det, dot, primitive, rank
 
 from oracles import (
     box_parallelepiped,
@@ -76,14 +74,13 @@ def test_from_rays_dimension_checks():
 def test_dual_fixed():
     c = Cone.from_rays(((1, 0), (1, 2)), 2)
     assert c.dual().rays == ((0, 1), (2, -1))
-    assert dual_cone(dual_cone(c)) == c
+    assert c.dual().dual() == c
 
 
 def test_halfplane_is_not_pointed():
     c = Cone.from_rays(((1, 0), (-1, 0), (0, 1)), 2)
     assert not c.pointed
     assert c.full_dim
-    assert not is_pointed(c)
 
 
 def test_halfline_is_not_full_dim():
@@ -116,7 +113,7 @@ def test_biduality_random():
     for _ in range(150):
         dim = rng.randint(2, 3)
         c = random_pointed_cone(rng, dim)
-        assert dual_cone(dual_cone(c)).rays == c.rays
+        assert c.dual().dual().rays == c.rays
 
 
 def test_dual_swaps_the_two_descriptions():
@@ -139,7 +136,7 @@ def test_dual_swaps_the_two_descriptions():
         assert (d.pointed, d.full_dim) == (c.full_dim, c.pointed)
         seen["lineality"] += not c.pointed
         seen["lower"] += not c.full_dim
-        assert dual_cone(d) == c
+        assert d.dual() == c
     assert seen["lineality"] > 30 and seen["lower"] > 30
 
 
@@ -239,6 +236,34 @@ def test_from_rays_matches_bruteforce_conversion(monkeypatch):
         shapes.add((dim > 2, c.pointed, c.full_dim))
     # lineality and lower-dimensional inputs both occur beyond the plane
     assert {(True, False, True), (True, True, False), (True, True, True)} <= shapes
+
+
+def test_2d_shortcut_matches_generic_conversion(monkeypatch):
+    rng = random.Random(313)
+    shortcut = Cone._from_rays_2d
+    cases = []
+    for i in range(4000):
+        bound = (2, 50)[i % 2]
+        rays = [
+            tuple(rng.randint(-bound, bound) for _ in range(2))
+            for _ in range(rng.randint(2, 7))
+        ]
+        norm = sorted({primitive(r) for r in rays if any(r)})
+        if len(norm) >= 2:
+            cases.append((rays, shortcut(norm)))
+    monkeypatch.setattr(Cone, "_from_rays_2d", classmethod(lambda cls, norm: None))
+    seen = {"pointed": 0, "line": 0, "half-plane": 0, "plane": 0}
+    for rays, fast in cases:
+        ref = Cone.from_rays(rays, 2)
+        if fast is None:
+            # with two distinct primitive rays only lineality can decline
+            assert not ref.pointed
+            seen[("plane", "half-plane", "line")[len(ref.halfspaces)]] += 1
+        else:
+            assert ref.pointed and ref.full_dim
+            assert fast == ref and fast.pointed and fast.full_dim
+            seen["pointed"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_tall_normal_list_converts():

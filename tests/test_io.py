@@ -26,7 +26,15 @@ from nashtoric.io import (
     serialize,
     to_payload,
 )
-from nashtoric.resolve import compare_characteristics, resolve
+from nashtoric.resolve import (
+    DEPTH_CAPPED,
+    EXPANDED,
+    MAX_DEPTH,
+    ResolutionNode,
+    ResolutionTree,
+    compare_characteristics,
+    resolve,
+)
 from nashtoric.semigroups import AffineSemigroup
 
 CUSP_DOC = '{"dimension": 1, "characteristic": 2, "semigroup_generators": [[2], [3]]}'
@@ -120,6 +128,11 @@ def test_parse_rejects_non_pointed_cone_rays():
         (
             '{"dimension": 1, "characteristic": 0, "semigroup_generators": [[1]],'
             ' "max_depth": 0}',
+            MalformedInputError,
+        ),
+        (
+            '{"dimension": 1, "characteristic": 0, "semigroup_generators": [[1]],'
+            f' "max_depth": {MAX_DEPTH + 1}}}',
             MalformedInputError,
         ),
         (
@@ -307,6 +320,23 @@ def test_text_rendering(cusp, threefold):
     assert serialize([(1, 2)], "text") == "vectors: (1,2)"
 
 
+def test_deepest_tree_serializes(cusp):
+    # a chain as deep as any tree resolve may build, one node per level
+    node = ResolutionNode(cusp, MAX_DEPTH, DEPTH_CAPPED, ())
+    for depth in reversed(range(MAX_DEPTH)):
+        node = ResolutionNode(cusp, depth, EXPANDED, (((3,), node),))
+    tree = ResolutionTree(node, 2, True, MAX_DEPTH)
+    last = json.loads(serialize(tree, "json"))["root"]
+    for _ in range(MAX_DEPTH):
+        (child,) = last["children"]
+        last = child["node"]
+    assert last["depth"] == MAX_DEPTH and last["status"] == DEPTH_CAPPED
+    assert serialize(tree, "dot").count("->") == MAX_DEPTH
+    text = serialize(tree, "text").splitlines()
+    assert len(text) == MAX_DEPTH + 2
+    assert text[-1].startswith("  " * (MAX_DEPTH + 1) + f"via (3) [depth {MAX_DEPTH}]")
+
+
 # CLI
 
 
@@ -452,6 +482,22 @@ def test_cli_error_reports(tmp_path, capsys):
     code, _, err = run_cli(capsys, "resolve", cusp_path(tmp_path), "--max-depth", "0")
     assert code == 2
     assert json.loads(err)["error"] == "invalid-argument"
+    too_deep = str(MAX_DEPTH + 1)
+    for argv in (
+        ("resolve", cusp_path(tmp_path), "--max-depth", too_deep),
+        ("suite", "--count", "1", "--max-depth", too_deep),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "invalid-argument",
+            "message": f"max_depth must be between 1 and {MAX_DEPTH}",
+        }
+    deep = tmp_path / "deep.json"
+    deep.write_text(CUSP_DOC[:-1] + f', "max_depth": {too_deep}}}')
+    code, out, err = run_cli(capsys, "resolve", str(deep))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed-document"
     pointless = tmp_path / "line.json"
     pointless.write_text('{"dimension": 2, "characteristic": 0, "cone_rays": [[1, 0], [-1, 0]]}')
     code, _, err = run_cli(capsys, "mingen", str(pointless))

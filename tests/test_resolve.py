@@ -10,6 +10,7 @@ from nashtoric.io import serialize
 from nashtoric.resolve import (
     DEPTH_CAPPED,
     EXPANDED,
+    MAX_DEPTH,
     SMOOTH_LEAF,
     TRIVIAL_STALL,
     compare_characteristics,
@@ -117,6 +118,10 @@ def test_smooth_input_is_a_leaf():
 def test_resolve_argument_validation(cusp):
     with pytest.raises(ValueError):
         resolve(cusp, 2, max_depth=0)
+    with pytest.raises(ValueError, match=str(MAX_DEPTH)):
+        resolve(cusp, 2, max_depth=MAX_DEPTH + 1)
+    with pytest.raises(ValueError, match=str(MAX_DEPTH)):
+        surface_termination_suite(0, 0, max_depth=MAX_DEPTH + 1)
     with pytest.raises(CharacteristicError):
         resolve(cusp, 4)
 

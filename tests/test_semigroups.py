@@ -9,12 +9,14 @@ from nashtoric.errors import (
     NotPointedError,
     NotSaturatedError,
 )
-from nashtoric.linalg import group_is_full_lattice, vadd
+from nashtoric.linalg import dot, group_is_full_lattice
 from nashtoric.semigroups import (
     AffineSemigroup,
     boundary_generators_crosscheck,
     surface_profile,
 )
+
+from oracles import brute_force_minimal_generators, random_unsaturated_generators
 
 
 def random_saturated_surface(rng, bound=20):
@@ -98,8 +100,24 @@ def test_minimal_generators_random():
         # padding with sums leaves the minimal set alone
         padded = list(mins)
         for _ in range(3):
-            padded.append(vadd(padded[rng.randrange(len(mins))], padded[rng.randrange(len(padded))]))
+            a, b = padded[rng.randrange(len(mins))], padded[rng.randrange(len(padded))]
+            padded.append((a[0] + b[0], a[1] + b[1]))
         assert AffineSemigroup(2, padded).minimal_generators() == mins
+
+
+def test_minimal_generators_against_brute_force():
+    rng = random.Random(406)
+    seen = {"tie": 0, "dropped": 0, "unsaturated": 0}
+    for dim in (1, 2, 3, 4):
+        for _ in range(40):
+            S = AffineSemigroup(dim, random_unsaturated_generators(rng, dim))
+            mins = S.minimal_generators()
+            assert list(mins) == brute_force_minimal_generators(S.generators, dim)
+            w = tuple(map(sum, zip(*S.cone.halfspaces)))
+            seen["tie"] += len({dot(w, g) for g in S.generators}) < len(S.generators)
+            seen["dropped"] += len(mins) < len(S.generators)
+            seen["unsaturated"] += dim < 4 and not S.is_saturated()
+    assert min(seen.values()) >= 20, seen
 
 
 def test_saturate(cusp, threefold):
