@@ -3,6 +3,13 @@
 Pipeline: admissible d-subsets of minimal generators (determinant nonzero
 mod p) give the ideal exponents; their convex hull plus the semigroup's
 cone is the Newton polyhedron; each vertex yields an affine chart.
+
+The admissible subsets are the bases of the generators' matroid over F_p
+(over Q for p = 0), so conv(E) is the image of its base polytope.
+`normalized_blowup` uses that to build the normalized charts without the
+C(n, d) enumeration: Edmonds' greedy algorithm finds a vertex, the single
+exchanges B - b + g of its basis span the chart cone, and a walk along the
+bounded edges reaches every other vertex.
 """
 
 from dataclasses import dataclass
@@ -10,8 +17,26 @@ from itertools import combinations
 
 from .errors import ToricError
 from .cones import Cone, irreducible, polyhedron_vertices
-from .linalg import columns_matrix, det_mod, validate_characteristic, vsub
+from .linalg import (
+    adjugate,
+    columns_matrix,
+    det_mod,
+    dot,
+    validate_characteristic,
+    vneg,
+    vsub,
+)
 from .semigroups import AffineSemigroup
+
+
+_EMPTY_IDEAL = (
+    "log-Jacobian ideal is empty, but a full-lattice generator set "
+    "always has an admissible subset"
+)
+
+
+def _vsum(vectors):
+    return tuple(map(sum, zip(*vectors)))
 
 
 @dataclass(frozen=True)
@@ -36,12 +61,9 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
     raw = set()
     for subset in combinations(gens, S.dim):
         if det_mod(columns_matrix(subset), p):
-            raw.add(tuple(map(sum, zip(*subset))))
+            raw.add(_vsum(subset))
     if not raw:
-        raise RuntimeError(
-            "log-Jacobian ideal is empty, but a full-lattice generator set "
-            "always has an admissible subset"
-        )
+        raise RuntimeError(_EMPTY_IDEAL)
     kept = irreducible(raw, S.cone.halfspaces, lambda g, _: S.membership(g))
     return MonomialIdealExponents(S, p, kept, tuple(sorted(raw)))
 
@@ -74,27 +96,120 @@ def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
 
     The chart at v is generated by the parent's minimal generators together
     with e - v for every exponent e. With normalize the chart is its
-    saturation cone(σ^∨ ∪ (E - v)) ∩ Z^d, built straight from that cone.
+    saturation cone(σ^∨ ∪ (E - v)) ∩ Z^d, built straight from that cone;
+    `normalized_blowup` gives the same charts without E.
     """
     S = N.semigroup
+    return tuple(
+        _chart(S, v, tuple(vsub(e, v) for e in N.exponents), normalize)
+        for v in N.vertices
+    )
+
+
+def _chart(S, v, directions, normalize):
+    """The chart at vertex v: with normalize, cone(σ^∨ ∪ directions) ∩ Z^d
+    for directions that span the Newton polyhedron's tangent cone at v;
+    without, the semigroup the parent's generators and directions generate."""
+    try:
+        if normalize:
+            cone = Cone.from_rays(S.cone.rays + directions, S.dim)
+            chart = AffineSemigroup.from_cone(cone)
+        else:
+            chart = AffineSemigroup(S.dim, S.minimal_generators() + directions)
+    except ToricError as exc:
+        # chart cones are provably pointed and full-dimensional, chart
+        # semigroups have full group; reaching this means the
+        # construction itself is broken
+        raise RuntimeError(
+            f"blowup chart at vertex {v} violated construction invariants: {exc}"
+        ) from exc
+    return BlowupChart(v, chart, normalize)
+
+
+def normalized_blowup(S: AffineSemigroup, characteristic):
+    """The normalized charts of one blowup step, in vertex order.
+
+    Equal to blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)))
+    but built by a walk on the vertices, without E. A vertex is the sum of
+    a greedy basis. Its tangent cone, the chart cone, is spanned by σ^∨ and
+    the exchange directions g - b. Each extreme ray u of that cone outside
+    σ^∨ is a bounded edge; the sum w_e of the facet normals through u is
+    least on exactly that edge, and the greedy basis under (w_e, -u) sits
+    at its far end. Bounded edges connect all vertices of a polyhedron
+    whose recession cone is pointed.
+    """
+    p = validate_characteristic(characteristic)
+    gens = S.minimal_generators()
+    w = _vsum(S.cone.halfspaces)
+    start = _greedy_basis(gens, lambda g: (dot(w, g), g), p)
+    seen = {_vsum(start)}
+    # each basis comes with the edge back to where it was reached from
+    todo = [(start, None)]
     charts = []
-    for v in N.vertices:
-        shifts = tuple(vsub(e, v) for e in N.exponents)
-        try:
-            if normalize:
-                cone = Cone.from_rays(S.cone.rays + shifts, S.dim)
-                chart = AffineSemigroup.from_cone(cone)
-            else:
-                chart = AffineSemigroup(S.dim, S.minimal_generators() + shifts)
-        except ToricError as exc:
-            # chart cones are provably pointed and full-dimensional, chart
-            # semigroups have full group; reaching this means the
-            # construction itself is broken
-            raise RuntimeError(
-                f"blowup chart at vertex {v} violated construction invariants: {exc}"
-            ) from exc
-        charts.append(BlowupChart(v, chart, normalize))
-    return tuple(charts)
+    while todo:
+        basis, back = todo.pop()
+        chart = _chart(S, _vsum(basis), _exchanges(basis, gens, p), True)
+        charts.append(chart)
+        tangent = chart.semigroup.cone
+        for u in tangent.rays:
+            if u == back or S.cone.contains(u):
+                continue
+            w_e = _vsum([h for h in tangent.halfspaces if not dot(h, u)])
+            far = _greedy_basis(gens, lambda g: (dot(w_e, g), -dot(u, g), g), p)
+            v = _vsum(far)
+            if v not in seen:
+                seen.add(v)
+                todo.append((far, vneg(u)))
+    return tuple(sorted(charts, key=lambda c: c.vertex))
+
+
+def _greedy_basis(gens, key, p):
+    """Edmonds' greedy algorithm: the basis of the generators' matroid mod p
+    that is least under key, as the generators kept in key order.
+
+    A generator is kept when it is independent of those kept before. The
+    kept ones are stored as echelon rows, each reduced by the earlier rows
+    so that it vanishes on their pivots; a candidate is reduced the same way
+    by fraction-free steps r[c]·x - x[c]·r, taken mod p when p > 0.
+    """
+    d = len(gens[0])
+    basis = []
+    rows = []
+    for g in sorted(gens, key=key):
+        x = [a % p for a in g] if p else list(g)
+        for c, r in rows:
+            t = x[c]
+            if t:
+                x = [r[c] * a - t * b for a, b in zip(x, r)]
+                if p:
+                    x = [a % p for a in x]
+        for c, a in enumerate(x):
+            if a:
+                rows.append((c, x))
+                basis.append(g)
+                if len(basis) == d:
+                    return tuple(basis)
+                break
+    raise RuntimeError(_EMPTY_IDEAL)
+
+
+def _exchanges(basis, gens, p):
+    """Directions g - b of the base polytope's edges at the basis.
+
+    B - b + g is a basis exactly when det(B with b replaced by g) is
+    nonzero mod p, and by Cramer's rule that determinant is the entry of
+    adj(B)·g in b's row, so one adjugate answers every exchange.
+    """
+    adj = adjugate(columns_matrix(basis))
+    out = []
+    for g in gens:
+        if g in basis:
+            continue
+        for row, b in zip(adj, basis):
+            t = dot(row, g)
+            if t % p if p else t:
+                out.append(vsub(g, b))
+    return tuple(out)
 
 
 def is_trivial_step(N: NewtonPolyhedron, charts) -> bool:

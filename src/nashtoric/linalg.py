@@ -5,7 +5,7 @@ Everything is arbitrary precision, nothing here ever touches floats.
 """
 
 import operator
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import CharacteristicError, DimensionError
 
@@ -52,10 +52,18 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
+# the least strong pseudoprime to all of the first 13 prime bases, 2 to 41
+# (Sorenson & Webster, 2017); below it those bases decide primality
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases 2 to 41, deterministic below
+    _MR_BOUND; above it a strong Lucas test joins them, which with base 2
+    is the Baillie-PSW test, with no known counterexample."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for p in small:
         if n % p == 0:
             return n == p
@@ -64,7 +72,6 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # deterministic Miller-Rabin for anything a characteristic could be
     for a in small:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -75,7 +82,63 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 2 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4 (Baillie & Wagstaff, 1980)."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k and Q^k mod n, from k = 1 along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def validate_characteristic(p) -> int:

@@ -9,6 +9,7 @@ from .blowup import (
     is_trivial_step,
     log_jacobian_ideal,
     newton_polyhedron,
+    normalized_blowup,
 )
 from .cones import Cone
 from .linalg import cross2, validate_characteristic
@@ -87,20 +88,26 @@ def _check_max_depth(max_depth):
 
 
 def _expand(S, depth, p, normalize, max_depth) -> ResolutionNode:
+    """The subtree below S. Normalized charts come from the walk of
+    `normalized_blowup`; unnormalized ones need the ideal exponents E, so
+    that path enumerates them and builds the Newton polyhedron."""
     if S.is_smooth():
         return ResolutionNode(S, depth, SMOOTH_LEAF, ())
-    # only the unnormalized stall check needs the blowup of a capped node,
-    # and a stall has exactly one chart
-    if normalize and depth == max_depth:
-        return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-    N = newton_polyhedron(log_jacobian_ideal(S, p))
-    if depth == max_depth and len(N.vertices) != 1:
-        return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-    charts = blowup_charts(N, normalize)
-    if not normalize and is_trivial_step(N, charts):
-        return ResolutionNode(S, depth, TRIVIAL_STALL, ())
-    if depth == max_depth:
-        return ResolutionNode(S, depth, DEPTH_CAPPED, ())
+    if normalize:
+        if depth == max_depth:
+            return ResolutionNode(S, depth, DEPTH_CAPPED, ())
+        charts = normalized_blowup(S, p)
+    else:
+        N = newton_polyhedron(log_jacobian_ideal(S, p))
+        # a capped node needs its charts only for the stall check, and a
+        # stall has exactly one chart
+        if depth == max_depth and len(N.vertices) != 1:
+            return ResolutionNode(S, depth, DEPTH_CAPPED, ())
+        charts = blowup_charts(N, False)
+        if is_trivial_step(N, charts):
+            return ResolutionNode(S, depth, TRIVIAL_STALL, ())
+        if depth == max_depth:
+            return ResolutionNode(S, depth, DEPTH_CAPPED, ())
     children = tuple(
         (c.vertex, _expand(c.semigroup, depth + 1, p, normalize, max_depth))
         for c in charts

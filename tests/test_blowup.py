@@ -9,6 +9,7 @@ from nashtoric.blowup import (
     is_trivial_step,
     log_jacobian_ideal,
     newton_polyhedron,
+    normalized_blowup,
 )
 from nashtoric.cones import Cone, polyhedron_vertices
 from nashtoric.errors import CharacteristicError, ToricError
@@ -109,6 +110,8 @@ def test_ideal_rejects_composite_characteristic(cusp):
     for bad in (4, 6, 1, -2):
         with pytest.raises(CharacteristicError):
             log_jacobian_ideal(cusp, bad)
+        with pytest.raises(CharacteristicError):
+            normalized_blowup(cusp, bad)
 
 
 def test_newton_polyhedron_fixed(cusp, threefold):
@@ -208,6 +211,40 @@ def test_normalized_charts_match_saturated_generator_charts():
                 assert chart.semigroup.cone == oracle.cone
                 assert chart.semigroup.minimal_generators() == oracle.minimal_generators()
     assert unsaturated > 10
+
+
+def test_normalized_blowup_matches_enumeration(cusp, threefold):
+    # the walk on the base polytope against E, its Newton polyhedron and
+    # the charts built from E - v
+    rng = random.Random(506)
+    cases = [cusp, threefold]
+    for i in range(60):
+        dim = 1 + i % 4
+        cases.append(AffineSemigroup(dim, random_unsaturated_generators(rng, dim)))
+    for _ in range(12):
+        cases.append(random_saturated_surface(rng))
+        rays = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(rng.randint(3, 4))]
+        cone = Cone.from_rays(rays, 3)
+        if cone.pointed and cone.full_dim:
+            cases.append(AffineSemigroup.from_cone(cone))
+    multi = depends_on_p = 0
+    for S in cases:
+        vertex_sets = set()
+        for p in (0, 2, 3, 5):
+            expected = blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)), True)
+            charts = normalized_blowup(S, p)
+            assert [c.vertex for c in charts] == [c.vertex for c in expected]
+            for chart, oracle in zip(charts, expected):
+                assert chart == oracle
+                assert chart.semigroup.cone == oracle.semigroup.cone
+                assert (
+                    chart.semigroup.minimal_generators()
+                    == oracle.semigroup.minimal_generators()
+                )
+            multi += len(charts) > 1
+            vertex_sets.add(tuple(c.vertex for c in charts))
+        depends_on_p += len(vertex_sets) > 1
+    assert multi >= 20 and depends_on_p >= 20, (multi, depends_on_p)
 
 
 def test_trivial_step_on_numerical_semigroup(cusp):

@@ -473,6 +473,14 @@ def test_cli_error_reports(tmp_path, capsys):
     code, _, err = run_cli(capsys, "logjac", cusp_path(tmp_path), "--char", "4")
     assert code == 2
     assert json.loads(err)["error"] == "composite-characteristic"
+    pseudoprime = tmp_path / "pseudoprime.json"
+    pseudoprime.write_text(
+        '{"dimension":2,"characteristic":"318665857834031151167461",'
+        '"dual_cone_rays":[[1,0],[1,3]]}'
+    )
+    code, out, err = run_cli(capsys, "logjac", str(pseudoprime))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "composite-characteristic"
     code, _, err = run_cli(capsys, "newton", cusp_path(tmp_path), "--format", "dot")
     assert code == 2
     assert json.loads(err)["error"] == "unsupported-format"

@@ -13,6 +13,7 @@ from nashtoric.linalg import (
     hermite_basis,
     identity,
     invariant_factors,
+    _strong_lucas,
     is_prime,
     kernel_basis,
     primitive,
@@ -74,6 +75,24 @@ def test_is_prime():
     assert not is_prime(2**31 + 1)
     # strong pseudoprime to several small bases
     assert not is_prime(3215031751)
+    # the least strong pseudoprimes to the prime bases up to 37 and up to 41
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3317044064679887385961981)
+    # above the Miller-Rabin bound, so the strong Lucas test decides too
+    assert is_prime(2**89 - 1)
+    assert is_prime(2**127 - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
+def test_strong_lucas_pseudoprimes():
+    # odd composites the Selfridge strong Lucas test accepts (OEIS A217255)
+    pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    primes = set(range(3, 30000, 2))
+    for n in range(3, 174, 2):
+        primes -= set(range(n * n, 30000, 2 * n))
+    accepted = [n for n in range(3, 30000, 2) if _strong_lucas(n)]
+    assert [n for n in accepted if n not in primes] == pseudoprimes
+    assert primes <= set(accepted)
 
 
 def test_validate_characteristic():

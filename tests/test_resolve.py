@@ -3,7 +3,12 @@ import sys
 
 import pytest
 
-from nashtoric.blowup import blowup_charts, log_jacobian_ideal, newton_polyhedron
+from nashtoric.blowup import (
+    blowup_charts,
+    log_jacobian_ideal,
+    newton_polyhedron,
+    normalized_blowup,
+)
 from nashtoric.cones import Cone
 from nashtoric.errors import CharacteristicError
 from nashtoric.io import serialize
@@ -133,9 +138,9 @@ def test_normalized_capped_nodes_skip_the_blowup(threefold, monkeypatch):
 
     def counted(S, p):
         calls.append(S)
-        return log_jacobian_ideal(S, p)
+        return normalized_blowup(S, p)
 
-    monkeypatch.setattr(module, "log_jacobian_ideal", counted)
+    monkeypatch.setattr(module, "normalized_blowup", counted)
     capped = resolve(threefold, 2, max_depth=1)
     # only the root is blown up; its depth-1 charts are capped untouched
     assert len(calls) == 1
