@@ -6,10 +6,18 @@ cone is the Newton polyhedron; each vertex yields an affine chart.
 
 The admissible subsets are the bases of the generators' matroid over F_p
 (over Q for p = 0), so conv(E) is the image of its base polytope.
-`normalized_blowup` uses that to build the normalized charts without the
-C(n, d) enumeration: Edmonds' greedy algorithm finds a vertex, the single
+`nash_blowup` uses that to build the charts without the C(n, d)
+enumeration: Edmonds' greedy algorithm finds a vertex, the single
 exchanges B - b + g of its basis span the chart cone, and a walk along the
 bounded edges reaches every other vertex.
+
+The exchanges also generate the unnormalized chart Γ + <E - v>, Γ the
+semigroup and v = sum B. Each g - b is a raw exponent minus v, and a raw
+exponent is a minimal one plus an element of Γ. Conversely, by Brualdi's
+symmetric exchange (Brualdi 1969) every basis B' admits a bijection
+s: B - B' -> B' - B with every B - b + s(b) a basis, so sum B' - v is a
+sum of exchange directions. Hence Γ + <E - v> = Γ + <g - b : B - b + g a
+basis mod p>, and one walk serves both chart kinds.
 """
 
 from dataclasses import dataclass
@@ -96,8 +104,10 @@ def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
 
     The chart at v is generated by the parent's minimal generators together
     with e - v for every exponent e. With normalize the chart is its
-    saturation cone(σ^∨ ∪ (E - v)) ∩ Z^d, built straight from that cone;
-    `normalized_blowup` gives the same charts without E.
+    saturation cone(σ^∨ ∪ (E - v)) ∩ Z^d, built straight from that cone.
+    `nash_blowup` gives the same charts without E (for normalize False,
+    the same semigroups from other generators); this enumeration stays for
+    the `blowup` command and as the walk's test oracle.
     """
     S = N.semigroup
     return tuple(
@@ -126,17 +136,19 @@ def _chart(S, v, directions, normalize):
     return BlowupChart(v, chart, normalize)
 
 
-def normalized_blowup(S: AffineSemigroup, characteristic):
-    """The normalized charts of one blowup step, in vertex order.
+def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
+    """The charts of one blowup step, in vertex order.
 
-    Equal to blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)))
-    but built by a walk on the vertices, without E. A vertex is the sum of
-    a greedy basis. Its tangent cone, the chart cone, is spanned by σ^∨ and
-    the exchange directions g - b. Each extreme ray u of that cone outside
-    σ^∨ is a bounded edge; the sum w_e of the facet normals through u is
-    least on exactly that edge, and the greedy basis under (w_e, -u) sits
-    at its far end. Bounded edges connect all vertices of a polyhedron
-    whose recession cone is pointed.
+    Equal to blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)),
+    normalize), up to the generator lists of unnormalized charts, but
+    built by a walk on the vertices, without E. A vertex is the sum of a
+    greedy basis. Its tangent cone, the chart cone, is spanned by σ^∨ and
+    the exchange directions g - b, which with the parent's generators also
+    generate the unnormalized chart (module docstring). Each extreme ray u
+    of that cone outside σ^∨ is a bounded edge; the sum w_e of the facet
+    normals through u is least on exactly that edge, and the greedy basis
+    under (w_e, -u) sits at its far end. Bounded edges connect all
+    vertices of a polyhedron whose recession cone is pointed.
     """
     p = validate_characteristic(characteristic)
     gens = S.minimal_generators()
@@ -148,7 +160,7 @@ def normalized_blowup(S: AffineSemigroup, characteristic):
     charts = []
     while todo:
         basis, back = todo.pop()
-        chart = _chart(S, _vsum(basis), _exchanges(basis, gens, p), True)
+        chart = _chart(S, _vsum(basis), _exchanges(basis, gens, p), normalize)
         charts.append(chart)
         tangent = chart.semigroup.cone
         for u in tangent.rays:
@@ -217,9 +229,11 @@ def is_trivial_step(N: NewtonPolyhedron, charts) -> bool:
 
     Only meaningful for charts built without normalization.
     """
+    return stalls(N.semigroup, charts)
+
+
+def stalls(S: AffineSemigroup, charts) -> bool:
+    """`is_trivial_step` for the charts of S, without its Newton polyhedron."""
     if len(charts) != 1:
         return False
-    return (
-        charts[0].semigroup.minimal_generators()
-        == N.semigroup.minimal_generators()
-    )
+    return charts[0].semigroup.minimal_generators() == S.minimal_generators()

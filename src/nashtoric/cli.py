@@ -173,8 +173,6 @@ def _read_document(path: str) -> str:
 
 def _dispatch(args) -> int:
     if args.command == "suite":
-        if args.entry_bound < 1:
-            raise ValueError("entry bound must be at least 1")
         chars = tuple(args.char) if args.char else (0, 2, 3, 5)
         summary = surface_termination_suite(
             args.seed,

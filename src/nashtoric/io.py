@@ -70,7 +70,11 @@ def _as_int(value, name: str) -> int:
         body = value[1:] if value[:1] in ("-", "+") else value
         # str.isdigit also accepts superscripts and other scripts' digits
         if body.isascii() and body.isdigit():
-            return int(value)
+            try:
+                return int(value)
+            except ValueError:
+                # past the interpreter's limit on decimal digits
+                raise MalformedInputError(f"{name} has too many digits") from None
     raise MalformedInputError(f"{name} must be an integer or a decimal string")
 
 
@@ -99,7 +103,8 @@ def parse_input(document) -> ProblemSpec:
     if isinstance(document, str):
         try:
             data = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, or a number past the limit on decimal digits
             raise MalformedInputError(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise MalformedInputError("invalid JSON: nested too deeply") from None

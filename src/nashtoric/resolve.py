@@ -4,13 +4,7 @@ and a randomized termination suite for normal surface singularities."""
 import random
 from dataclasses import dataclass
 
-from .blowup import (
-    blowup_charts,
-    is_trivial_step,
-    log_jacobian_ideal,
-    newton_polyhedron,
-    normalized_blowup,
-)
+from .blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
 from .cones import Cone
 from .linalg import cross2, validate_characteristic
 from .semigroups import AffineSemigroup
@@ -88,26 +82,18 @@ def _check_max_depth(max_depth):
 
 
 def _expand(S, depth, p, normalize, max_depth) -> ResolutionNode:
-    """The subtree below S. Normalized charts come from the walk of
-    `normalized_blowup`; unnormalized ones need the ideal exponents E, so
-    that path enumerates them and builds the Newton polyhedron."""
+    """The subtree below S, with the charts of `nash_blowup`'s walk for
+    both chart kinds. A normalized node at the cap is not blown up; an
+    unnormalized one is, because it may stall there."""
     if S.is_smooth():
         return ResolutionNode(S, depth, SMOOTH_LEAF, ())
-    if normalize:
-        if depth == max_depth:
-            return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-        charts = normalized_blowup(S, p)
-    else:
-        N = newton_polyhedron(log_jacobian_ideal(S, p))
-        # a capped node needs its charts only for the stall check, and a
-        # stall has exactly one chart
-        if depth == max_depth and len(N.vertices) != 1:
-            return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-        charts = blowup_charts(N, False)
-        if is_trivial_step(N, charts):
-            return ResolutionNode(S, depth, TRIVIAL_STALL, ())
-        if depth == max_depth:
-            return ResolutionNode(S, depth, DEPTH_CAPPED, ())
+    if normalize and depth == max_depth:
+        return ResolutionNode(S, depth, DEPTH_CAPPED, ())
+    charts = nash_blowup(S, p, normalize)
+    if not normalize and stalls(S, charts):
+        return ResolutionNode(S, depth, TRIVIAL_STALL, ())
+    if depth == max_depth:
+        return ResolutionNode(S, depth, DEPTH_CAPPED, ())
     children = tuple(
         (c.vertex, _expand(c.semigroup, depth + 1, p, normalize, max_depth))
         for c in charts
@@ -197,6 +183,9 @@ def surface_termination_suite(
     chars = tuple(validate_characteristic(c) for c in characteristics)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    # below 2 the only ray is (1, 1), and two rays are never independent
+    if entry_bound < 2:
+        raise ValueError("entry bound must be at least 2")
     _check_max_depth(max_depth)
     rng = random.Random(seed)
     runs = []

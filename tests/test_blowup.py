@@ -8,8 +8,8 @@ from nashtoric.blowup import (
     blowup_charts,
     is_trivial_step,
     log_jacobian_ideal,
+    nash_blowup,
     newton_polyhedron,
-    normalized_blowup,
 )
 from nashtoric.cones import Cone, polyhedron_vertices
 from nashtoric.errors import CharacteristicError, ToricError
@@ -111,7 +111,7 @@ def test_ideal_rejects_composite_characteristic(cusp):
         with pytest.raises(CharacteristicError):
             log_jacobian_ideal(cusp, bad)
         with pytest.raises(CharacteristicError):
-            normalized_blowup(cusp, bad)
+            nash_blowup(cusp, bad)
 
 
 def test_newton_polyhedron_fixed(cusp, threefold):
@@ -215,7 +215,9 @@ def test_normalized_charts_match_saturated_generator_charts():
 
 def test_normalized_blowup_matches_enumeration(cusp, threefold):
     # the walk on the base polytope against E, its Newton polyhedron and
-    # the charts built from E - v
+    # the charts built from E - v, for both chart kinds; unnormalized walk
+    # charts list exchange directions where the oracle lists E - v, so
+    # they are compared as semigroups, not as generator lists
     rng = random.Random(506)
     cases = [cusp, threefold]
     for i in range(60):
@@ -231,16 +233,20 @@ def test_normalized_blowup_matches_enumeration(cusp, threefold):
     for S in cases:
         vertex_sets = set()
         for p in (0, 2, 3, 5):
-            expected = blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)), True)
-            charts = normalized_blowup(S, p)
-            assert [c.vertex for c in charts] == [c.vertex for c in expected]
-            for chart, oracle in zip(charts, expected):
-                assert chart == oracle
-                assert chart.semigroup.cone == oracle.semigroup.cone
-                assert (
-                    chart.semigroup.minimal_generators()
-                    == oracle.semigroup.minimal_generators()
-                )
+            N = newton_polyhedron(log_jacobian_ideal(S, p))
+            for normalize in (True, False):
+                expected = blowup_charts(N, normalize)
+                charts = nash_blowup(S, p, normalize)
+                assert [c.vertex for c in charts] == [c.vertex for c in expected]
+                for chart, oracle in zip(charts, expected):
+                    if normalize:
+                        assert chart == oracle
+                    assert chart.normalized == normalize
+                    assert chart.semigroup.cone == oracle.semigroup.cone
+                    assert (
+                        chart.semigroup.minimal_generators()
+                        == oracle.semigroup.minimal_generators()
+                    )
             multi += len(charts) > 1
             vertex_sets.add(tuple(c.vertex for c in charts))
         depends_on_p += len(vertex_sets) > 1

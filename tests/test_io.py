@@ -171,6 +171,24 @@ def test_parse_rejects_bad_utf8():
         parse_input(b"\xff\xfe")
 
 
+def test_parse_rejects_over_long_integers(tmp_path, capsys):
+    # one digit past the interpreter's limit on integer string conversion,
+    # as a JSON number and as a decimal string
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no limit on integer string conversion")
+    digits = "1" * (limit + 1)
+    for name, entry in (("number", digits), ("string", f'"{digits}"')):
+        text = f'{{"dimension": 1, "characteristic": 0, "semigroup_generators": [[{entry}]]}}'
+        with pytest.raises(MalformedInputError):
+            parse_input(text)
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(text)
+        code, out, err = run_cli(capsys, "check", str(doc))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "malformed-document"
+
+
 def test_problem_round_trip():
     spec = parse_input(
         '{"dimension": 2, "characteristic": 5, "dual_cone_rays": [[1, 0], [3, 7]],'
@@ -487,6 +505,12 @@ def test_cli_error_reports(tmp_path, capsys):
     code, _, err = run_cli(capsys, "suite", "--entry-bound", "0")
     assert code == 2
     assert json.loads(err)["error"] == "invalid-argument"
+    code, out, err = run_cli(capsys, "suite", "--count", "1", "--entry-bound", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "invalid-argument",
+        "message": "entry bound must be at least 2",
+    }
     code, _, err = run_cli(capsys, "resolve", cusp_path(tmp_path), "--max-depth", "0")
     assert code == 2
     assert json.loads(err)["error"] == "invalid-argument"

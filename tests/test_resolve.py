@@ -3,12 +3,7 @@ import sys
 
 import pytest
 
-from nashtoric.blowup import (
-    blowup_charts,
-    log_jacobian_ideal,
-    newton_polyhedron,
-    normalized_blowup,
-)
+from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron
 from nashtoric.cones import Cone
 from nashtoric.errors import CharacteristicError
 from nashtoric.io import serialize
@@ -136,11 +131,11 @@ def test_normalized_capped_nodes_skip_the_blowup(threefold, monkeypatch):
     module = sys.modules[resolve.__module__]
     calls = []
 
-    def counted(S, p):
+    def counted(S, p, normalize=True):
         calls.append(S)
-        return normalized_blowup(S, p)
+        return nash_blowup(S, p, normalize)
 
-    monkeypatch.setattr(module, "normalized_blowup", counted)
+    monkeypatch.setattr(module, "nash_blowup", counted)
     capped = resolve(threefold, 2, max_depth=1)
     # only the root is blown up; its depth-1 charts are capped untouched
     assert len(calls) == 1
@@ -179,23 +174,18 @@ def test_unnormalized_capped_nodes_build_charts_only_for_a_stall(cusp, monkeypat
     # one capped node has two vertices, so it cannot stall
     assert sorted(vertex_counts) == [1, 1, 2]
     module = sys.modules[resolve.__module__]
-    calls = []
 
-    def counted(N, normalize=True):
-        calls.append(len(N.vertices))
-        return blowup_charts(N, normalize)
+    def enumeration(*args, **kwargs):
+        raise AssertionError("unnormalized resolve enumerated the ideal exponents")
 
-    monkeypatch.setattr(module, "blowup_charts", counted)
+    for name in ("log_jacobian_ideal", "newton_polyhedron", "blowup_charts"):
+        monkeypatch.setattr(module, name, enumeration, raising=False)
     capped = resolve(S, 2, normalize=False, max_depth=1)
-    # the root, then only the single-vertex nodes at the cap
-    assert calls[1:] == [1, 1]
     assert capped.shape() == _capped_prefix(full.root, 1)
     assert {c.status for _, c in capped.root.children} == {TRIVIAL_STALL, DEPTH_CAPPED}
     # <2,5> blows up to the cusp in p = 3, which stalls right at the cap
     root = AffineSemigroup(1, [(2,), (5,)])
-    calls.clear()
     tree = resolve(root, 3, normalize=False, max_depth=1)
-    assert len(calls) == 2
     ((_, child),) = tree.root.children
     assert child.semigroup.minimal_generators() == cusp.minimal_generators()
     assert child.status == TRIVIAL_STALL
@@ -315,3 +305,10 @@ def test_suite_edge_cases():
         surface_termination_suite(0, -1)
     with pytest.raises(CharacteristicError):
         surface_termination_suite(0, 1, characteristics=(4,))
+    # entries in [1, 1] give only the ray (1, 1), so the draw never ends
+    for bound in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            surface_termination_suite(0, 1, entry_bound=bound)
+    runs = surface_termination_suite(0, 3, entry_bound=2).runs
+    assert len(runs) == 3
+    assert all(set(ray) <= {1, 2} for run in runs for ray in run.rays)
