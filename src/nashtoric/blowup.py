@@ -30,6 +30,7 @@ from .linalg import (
     columns_matrix,
     det_mod,
     dot,
+    independent_rows,
     validate_characteristic,
     vneg,
     vsub,
@@ -179,30 +180,15 @@ def _greedy_basis(gens, key, p):
     """Edmonds' greedy algorithm: the basis of the generators' matroid mod p
     that is least under key, as the generators kept in key order.
 
-    A generator is kept when it is independent of those kept before. The
-    kept ones are stored as echelon rows, each reduced by the earlier rows
-    so that it vanishes on their pivots; a candidate is reduced the same way
-    by fraction-free steps r[c]·x - x[c]·r, taken mod p when p > 0.
+    A generator is kept when it is independent of those kept before, which
+    is what `independent_rows` answers for the key-sorted list.
     """
-    d = len(gens[0])
-    basis = []
-    rows = []
-    for g in sorted(gens, key=key):
-        x = [a % p for a in g] if p else list(g)
-        for c, r in rows:
-            t = x[c]
-            if t:
-                x = [r[c] * a - t * b for a, b in zip(x, r)]
-                if p:
-                    x = [a % p for a in x]
-        for c, a in enumerate(x):
-            if a:
-                rows.append((c, x))
-                basis.append(g)
-                if len(basis) == d:
-                    return tuple(basis)
-                break
-    raise RuntimeError(_EMPTY_IDEAL)
+    order = sorted(gens, key=key)
+    d = len(order[0])
+    kept = independent_rows(order, p, d)
+    if len(kept) < d:
+        raise RuntimeError(_EMPTY_IDEAL)
+    return tuple(order[i] for i in kept)
 
 
 def _exchanges(basis, gens, p):

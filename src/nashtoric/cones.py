@@ -31,6 +31,7 @@ from .linalg import (
     dot,
     hermite_basis,
     identity,
+    independent_rows,
     kernel_basis,
     primitive,
     rank,
@@ -45,20 +46,16 @@ def _pointed_extreme_rays(normals, dim):
     """Extreme rays of {x : <n,x> >= 0 for all n}; the normals have rank dim.
 
     Incremental double description (Motzkin et al. 1953; Fukuda & Prodon,
-    1996). The first dim independent normals cut out a simplicial cone whose
-    rays are the signed adjugate columns. The other normals are added one at
+    1996). The first dim independent normals, found by one
+    `independent_rows` echelon, cut out a simplicial cone whose rays are
+    the signed adjugate columns. The other normals are added one at
     a time. Every ray carries the bitmask of the normals it lies on; a ray
     on the positive side of the new normal and one on the negative side are
     combined only when they are adjacent: their common zero set has at least
     dim-2 members and lies in no third ray's zero set.
     """
     normals = tuple(normals)
-    basis = []
-    for i, n in enumerate(normals):
-        if rank([normals[j] for j in basis] + [n]) > len(basis):
-            basis.append(i)
-            if len(basis) == dim:
-                break
+    basis = independent_rows(normals, limit=dim)
     A = tuple(normals[i] for i in basis)
     adj = adjugate(A)
     sign = 1 if sum(A[0][k] * adj[k][0] for k in range(dim)) > 0 else -1

@@ -2,6 +2,8 @@
 
 Vectors are tuples of ints; matrices are row-major tuples of row tuples.
 Everything is arbitrary precision, nothing here ever touches floats.
+Independence, rank and greedy bases share one fraction-free echelon,
+`independent_rows`; the adjugate is one fraction-free Gauss-Jordan pass.
 """
 
 import operator
@@ -16,15 +18,15 @@ def vec(coords):
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vneg(a):
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def cross2(a, b):
@@ -191,39 +193,37 @@ def det_mod(M, p: int) -> int:
     return d % p
 
 
-def rank(M) -> int:
-    if not M:
-        return 0
-    a = [list(row) for row in M]
-    m = len(a)
-    n = len(a[0])
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if a[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        top = a[r]
-        for i in range(r + 1, m):
-            x = a[i][c]
-            if x:
-                p = top[c]
-                row = a[i]
-                new = [p * row[j] - x * top[j] for j in range(n)]
-                g = 0
-                for y in new:
-                    g = gcd(g, y)
-                if g > 1:
-                    new = [y // g for y in new]
-                a[i] = new
-        r += 1
-        if r == m:
+def independent_rows(M, p: int = 0, limit=None):
+    """Indices of the rows of M independent of the rows before them, over Q
+    or mod p when p > 0, stopping once limit of them are found.
+
+    A row is reduced by the kept rows, each of which vanishes on the pivot
+    columns of those before it, by fraction-free steps r[c]*x - x[c]*r (mod
+    p when p > 0), and kept when something is left, over Q divided by its
+    content.
+    """
+    kept = []
+    rows = []
+    for i, row in enumerate(M):
+        if len(kept) == limit or len(kept) == len(row):
             break
-    return r
+        x = [a % p for a in row] if p else list(row)
+        for c, r in rows:
+            t = x[c]
+            if t:
+                x = [r[c] * a - t * b for a, b in zip(x, r)]
+                if p:
+                    x = [a % p for a in x]
+        for c, a in enumerate(x):
+            if a:
+                rows.append((c, x if p else primitive(x)))
+                kept.append(i)
+                break
+    return tuple(kept)
+
+
+def rank(M) -> int:
+    return len(independent_rows(M))
 
 
 def xgcd(a: int, b: int):
@@ -416,18 +416,33 @@ def group_is_full_lattice(vectors, dim: int) -> bool:
 
 
 def adjugate(M):
-    """Adjugate matrix: M * adjugate(M) == det(M) * identity."""
+    """Adjugate of a nonsingular M: M * adjugate(M) == det(M) * identity.
+
+    One fraction-free Gauss-Jordan pass on [M | I] (Bareiss, 1968) leaves
+    [D * identity | D * M^-1], D = ±det(M) by the sign of the row swaps;
+    a singular M raises DimensionError.
+    """
     d = len(M)
-    if d == 0:
-        return ()
-    if d == 1:
-        return ((1,),)
-    idx = range(d)
-    adj = [[0] * d for _ in idx]
-    for i in idx:
-        for j in idx:
-            minor = tuple(
-                tuple(M[r][c] for c in idx if c != j) for r in idx if r != i
-            )
-            adj[j][i] = (-1) ** (i + j) * det(minor)
-    return tuple(tuple(row) for row in adj)
+    if any(len(row) != d for row in M):
+        raise DimensionError("adjugate needs a square matrix")
+    a = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(M)]
+    sign = 1
+    prev = 1
+    for k in range(d):
+        if not a[k][k]:
+            for i in range(k + 1, d):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                raise DimensionError("adjugate needs a nonsingular matrix")
+        top = a[k]
+        pivot = top[k]
+        for i, row in enumerate(a):
+            if i != k:
+                aik = row[k]
+                # exact division is guaranteed by the Bareiss identity
+                a[i] = [(pivot * x - aik * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return tuple(tuple(sign * x for x in row[d:]) for row in a)

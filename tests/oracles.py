@@ -32,6 +32,31 @@ def permutation_det(M):
     return total
 
 
+def cofactor_adjugate(M):
+    """Adjugate from its definition: adj[j][i] = (-1)^(i+j) times the
+    Leibniz determinant of M without row i and column j."""
+    idx = range(len(M))
+    adj = [[0] * len(M) for _ in idx]
+    for i in idx:
+        for j in idx:
+            minor = [[M[r][c] for c in idx if c != j] for r in idx if r != i]
+            adj[j][i] = (-1) ** (i + j) * permutation_det(minor)
+    return tuple(map(tuple, adj))
+
+
+def rank_mod_bruteforce(M, p):
+    """The largest k with a k x k minor of M nonzero mod p (over Q for p = 0)."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    for k in range(min(rows, cols), 0, -1):
+        for R in combinations(range(rows), k):
+            for C in combinations(range(cols), k):
+                m = permutation_det([[M[r][c] for c in C] for r in R])
+                if m % p if p else m:
+                    return k
+    return 0
+
+
 def mat_mul(A, B):
     """Product of two row-major integer matrices."""
     Bt = tuple(zip(*B))

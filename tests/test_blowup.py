@@ -1,3 +1,4 @@
+import operator
 import random
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from nashtoric.blowup import (
 )
 from nashtoric.cones import Cone, polyhedron_vertices
 from nashtoric.errors import CharacteristicError, ToricError
-from nashtoric.linalg import columns_matrix, det, vsub
+from nashtoric.linalg import columns_matrix, det, det_mod, dot, vsub
 from nashtoric.semigroups import AffineSemigroup
 
 from oracles import random_unsaturated_generators
@@ -251,6 +252,43 @@ def test_normalized_blowup_matches_enumeration(cusp, threefold):
             vertex_sets.add(tuple(c.vertex for c in charts))
         depends_on_p += len(vertex_sets) > 1
     assert multi >= 20 and depends_on_p >= 20, (multi, depends_on_p)
+
+
+def test_greedy_basis_is_gale_minimal():
+    """Edmonds/Gale: the i-th least key of the greedy basis is at most the
+    i-th least key of every basis of the matroid, here the d-subsets with
+    a determinant nonzero mod p."""
+    rng = random.Random(211)
+    seen = {"skipped": 0, "no basis": 0}
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        p = rng.choice((0, 2, 3))
+        gens = {
+            tuple(rng.randint(-3, 3) for _ in range(d))
+            for _ in range(rng.randint(d, 7))
+        }
+        gens = sorted(g for g in gens if any(g))
+        if len(gens) < d:
+            continue
+        w, u = (tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(2))
+        key = lambda g: (dot(w, g), -dot(u, g), g)
+        bases = [
+            A for A in combinations(gens, d) if det_mod(columns_matrix(A), p)
+        ]
+        if not bases:
+            seen["no basis"] += 1
+            with pytest.raises(RuntimeError, match="log-Jacobian ideal is empty"):
+                blowup._greedy_basis(gens, key, p)
+            continue
+        B = blowup._greedy_basis(gens, key, p)
+        assert det_mod(columns_matrix(B), p)
+        assert list(B) == sorted(B, key=key)
+        least = [key(g) for g in B]
+        for A in bases:
+            assert all(map(operator.le, least, sorted(map(key, A))))
+        if B != tuple(sorted(gens, key=key)[:d]):
+            seen["skipped"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_trivial_step_on_numerical_semigroup(cusp):

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashtoric.errors import CharacteristicError, DimensionError
 from nashtoric.linalg import (
@@ -12,6 +14,7 @@ from nashtoric.linalg import (
     group_is_full_lattice,
     hermite_basis,
     identity,
+    independent_rows,
     invariant_factors,
     _strong_lucas,
     is_prime,
@@ -24,7 +27,7 @@ from nashtoric.linalg import (
     xgcd,
 )
 
-from oracles import mat_mul, permutation_det
+from oracles import cofactor_adjugate, mat_mul, permutation_det, rank_mod_bruteforce
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -128,6 +131,44 @@ def test_rank():
     assert rank(((1, 2), (2, 4))) == 1
     assert rank(((0, 0), (0, 0))) == 0
     assert rank(((1, 0, 0), (0, 1, 0), (1, 1, 2))) == 3
+
+
+@st.composite
+def _echelon_cases(draw):
+    """A characteristic and a small integer matrix whose rows are drawn
+    fresh or as zero rows, repeats and multiples of earlier rows (a multiple
+    by p vanishes mod p)."""
+    p = draw(st.sampled_from((0, 2, 3, 5)))
+    cols = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-6, 6), min_size=cols, max_size=cols)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "multiple")))
+        if kind == "zero":
+            rows.append((0,) * cols)
+        elif kind == "fresh" or not rows:
+            rows.append(tuple(draw(entries)))
+        else:
+            row = draw(st.sampled_from(rows))
+            c = 1 if kind == "repeat" else draw(st.sampled_from((-1, 2, p or 7)))
+            rows.append(tuple(c * a for a in row))
+    return tuple(rows), p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_echelon_cases())
+def test_independent_rows_against_minors(case):
+    M, p = case
+    kept = independent_rows(M, p)
+    # row i is kept exactly when it raises the rank of the rows before it
+    ranks = [rank_mod_bruteforce(M[:i], p) for i in range(len(M) + 1)]
+    assert kept == tuple(i for i in range(len(M)) if ranks[i + 1] > ranks[i])
+    assert len(kept) == ranks[-1]
+    assert rank_mod_bruteforce([M[i] for i in kept], p) == len(kept)
+    for limit in range(len(kept) + 2):
+        assert independent_rows(M, p, limit) == kept[:limit]
+    if p == 0:
+        assert rank(M) == len(kept)
 
 
 def test_smith_normal_form_fixed():
@@ -284,12 +325,32 @@ def test_hermite_basis_depends_only_on_the_lattice():
 
 def test_adjugate():
     rng = random.Random(107)
-    for _ in range(100):
+    seen = {"nonsingular": 0, "singular": 0}
+    for t in range(200):
         n = rng.randint(1, 4)
-        M = random_matrix(rng, n, n)
-        adj = adjugate(M)
+        M = [list(row) for row in random_matrix(rng, n, n)]
+        if t % 3 == 0:
+            # a row that is an integer combination of the others (zero if n == 1)
+            r = rng.randrange(n)
+            M[r] = [0] * n
+            for i in range(n):
+                if i != r:
+                    c = rng.randint(-2, 2)
+                    M[r] = [a + c * b for a, b in zip(M[r], M[i])]
+        M = tuple(map(tuple, M))
         d = det(M)
-        prod = mat_mul(M, adj)
-        for i in range(n):
-            for j in range(n):
-                assert prod[i][j] == (d if i == j else 0)
+        if d == 0:
+            seen["singular"] += 1
+            with pytest.raises(DimensionError):
+                adjugate(M)
+            continue
+        seen["nonsingular"] += 1
+        adj = adjugate(M)
+        assert adj == cofactor_adjugate(M)
+        assert mat_mul(M, adj) == tuple(
+            tuple(d if i == j else 0 for j in range(n)) for i in range(n)
+        )
+    assert adjugate(()) == ()
+    with pytest.raises(DimensionError):
+        adjugate(((1, 2),))
+    assert min(seen.values()) >= 50
