@@ -185,7 +185,7 @@ def _greedy_basis(gens, key, p):
     """
     order = sorted(gens, key=key)
     d = len(order[0])
-    kept = independent_rows(order, p, d)
+    kept = independent_rows(order, p)
     if len(kept) < d:
         raise RuntimeError(_EMPTY_IDEAL)
     return tuple(order[i] for i in kept)

@@ -27,7 +27,6 @@ from .linalg import (
     adjugate,
     columns_matrix,
     cross2,
-    det,
     dot,
     hermite_basis,
     identity,
@@ -55,7 +54,7 @@ def _pointed_extreme_rays(normals, dim):
     dim-2 members and lies in no third ray's zero set.
     """
     normals = tuple(normals)
-    basis = independent_rows(normals, limit=dim)
+    basis = independent_rows(normals)
     A = tuple(normals[i] for i in basis)
     adj = adjugate(A)
     sign = 1 if sum(A[0][k] * adj[k][0] for k in range(dim)) > 0 else -1
@@ -308,11 +307,9 @@ def parallelepiped_points(vectors):
     if d == 0 or any(len(v) != d for v in vectors):
         raise DimensionError("need d vectors in Z^d")
     M = columns_matrix(vectors)
-    dM = det(M)
-    if dM == 0:
-        raise DimensionError("parallelepiped needs linearly independent vectors")
-    H = hermite_basis(vectors, d)
     Madj = adjugate(M)
+    dM = sum(M[0][k] * Madj[k][0] for k in range(d))
+    H = hermite_basis(vectors, d)
     points = []
     for z in product(*(range(H[k][k]) for k in range(d))):
         # floor of the rational barycentric coordinates; // floors for any sign

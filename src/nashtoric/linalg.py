@@ -193,9 +193,9 @@ def det_mod(M, p: int) -> int:
     return d % p
 
 
-def independent_rows(M, p: int = 0, limit=None):
+def independent_rows(M, p: int = 0):
     """Indices of the rows of M independent of the rows before them, over Q
-    or mod p when p > 0, stopping once limit of them are found.
+    or mod p when p > 0, stopping once there are as many as columns.
 
     A row is reduced by the kept rows, each of which vanishes on the pivot
     columns of those before it, by fraction-free steps r[c]*x - x[c]*r (mod
@@ -205,7 +205,7 @@ def independent_rows(M, p: int = 0, limit=None):
     kept = []
     rows = []
     for i, row in enumerate(M):
-        if len(kept) == limit or len(kept) == len(row):
+        if len(kept) == len(row):
             break
         x = [a % p for a in row] if p else list(row)
         for c, r in rows:
