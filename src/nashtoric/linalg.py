@@ -29,6 +29,17 @@ def dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
+def mat_vec(M, x):
+    return tuple([dot(row, x) for row in M])
+
+
+def images(M, vectors):
+    """The images M·x of the vectors, sorted."""
+    out = [tuple([sum(map(operator.mul, row, x)) for row in M]) for x in vectors]
+    out.sort()
+    return tuple(out)
+
+
 def cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
@@ -446,3 +457,14 @@ def adjugate(M):
                 a[i] = [(pivot * x - aik * y) // prev for x, y in zip(row, top)]
         prev = pivot
     return tuple(tuple(sign * x for x in row[d:]) for row in a)
+
+
+def unimodular_dual(g):
+    """g^-T = det(g)·adj(g)^T for g in GL(d, Z), the map that keeps every
+    pairing <h, x> when x maps by g; any other g raises ValueError."""
+    sign = det(g)
+    if sign not in (1, -1):
+        raise ValueError("a unimodular map needs determinant ±1")
+    d = len(g)
+    adj = adjugate(g)
+    return tuple(tuple(sign * adj[j][i] for j in range(d)) for i in range(d))

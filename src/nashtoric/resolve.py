@@ -1,13 +1,14 @@
 """Iterated Nash blowups: resolution trees, characteristic comparison,
 and a randomized termination suite for normal surface singularities."""
 
+import operator
 import random
 from dataclasses import dataclass
 
-from .blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
+from .blowup import BlowupChart, log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
 from .cones import Cone
-from .linalg import cross2, validate_characteristic
-from .semigroups import AffineSemigroup
+from .linalg import cross2, mat_vec, unimodular_dual, validate_characteristic
+from .semigroups import AffineSemigroup, LatticePairing
 
 SMOOTH_LEAF = "smooth-leaf"
 EXPANDED = "expanded"
@@ -69,33 +70,73 @@ def resolve(
     max_depth: int = 64,
 ) -> ResolutionTree:
     """Blow up repeatedly until every branch is smooth, stalls, or hits
-    the depth cap."""
+    the depth cap.
+
+    A Nash blowup commutes with GL(d, Z), so each lattice class of nodes
+    is blown up once per call: a node g·R for an earlier node R gets R's
+    charts mapped by g (`_class_memo`).
+    """
     p = validate_characteristic(characteristic)
-    _check_max_depth(max_depth)
-    root = _expand(S, 0, p, normalize, max_depth)
+    max_depth = _check_max_depth(max_depth)
+    charts = _class_memo(lambda T: nash_blowup(T, p, normalize))
+    root = _expand(S, 0, charts, normalize, max_depth)
     return ResolutionTree(root, p, normalize, max_depth)
 
 
-def _check_max_depth(max_depth):
+def _check_max_depth(max_depth) -> int:
+    if isinstance(max_depth, bool):
+        raise TypeError("max_depth must be an integer, not a bool")
+    max_depth = operator.index(max_depth)
     if not 1 <= max_depth <= MAX_DEPTH:
         raise ValueError(f"max_depth must be between 1 and {MAX_DEPTH}")
+    return max_depth
 
 
-def _expand(S, depth, p, normalize, max_depth) -> ResolutionNode:
-    """The subtree below S, with the charts of `nash_blowup`'s walk for
-    both chart kinds. A normalized node at the cap is not blown up; an
-    unnormalized one is, because it may stall there."""
+def _class_memo(blowup):
+    """`blowup` with its charts kept per GL(d, Z) class of semigroups.
+
+    A semigroup S is looked up in the bucket of its `LatticePairing` key;
+    if g·R == S for a stored R, the charts of S are R's charts mapped by
+    g, re-sorted by vertex. Otherwise S is blown up and stored.
+    The minimal generators determine a semigroup and its charts, so this
+    serves both chart kinds in every dimension.
+    """
+    buckets = {}
+
+    def charts(S):
+        pairing = LatticePairing(S)
+        bucket = buckets.setdefault(pairing.key, [])
+        for R, known in bucket:
+            g = R.map_to(pairing)
+            if g is not None:
+                dual = unimodular_dual(g)
+                mapped = (
+                    BlowupChart(mat_vec(g, c.vertex), c.semigroup.image(g, dual), c.normalized)
+                    for c in known
+                )
+                return tuple(sorted(mapped, key=lambda c: c.vertex))
+        known = blowup(S)
+        bucket.append((pairing, known))
+        return known
+
+    return charts
+
+
+def _expand(S, depth, blowup, normalize, max_depth) -> ResolutionNode:
+    """The subtree below S, with the charts `blowup` gives for S. A
+    normalized node at the cap is not blown up; an unnormalized one is,
+    because it may stall there."""
     if S.is_smooth():
         return ResolutionNode(S, depth, SMOOTH_LEAF, ())
     if normalize and depth == max_depth:
         return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-    charts = nash_blowup(S, p, normalize)
+    charts = blowup(S)
     if not normalize and stalls(S, charts):
         return ResolutionNode(S, depth, TRIVIAL_STALL, ())
     if depth == max_depth:
         return ResolutionNode(S, depth, DEPTH_CAPPED, ())
     children = tuple(
-        (c.vertex, _expand(c.semigroup, depth + 1, p, normalize, max_depth))
+        (c.vertex, _expand(c.semigroup, depth + 1, blowup, normalize, max_depth))
         for c in charts
     )
     return ResolutionNode(S, depth, EXPANDED, children)
@@ -186,7 +227,7 @@ def surface_termination_suite(
     # below 2 the only ray is (1, 1), and two rays are never independent
     if entry_bound < 2:
         raise ValueError("entry bound must be at least 2")
-    _check_max_depth(max_depth)
+    max_depth = _check_max_depth(max_depth)
     rng = random.Random(seed)
     runs = []
     while len(runs) < count:

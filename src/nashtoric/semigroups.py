@@ -7,6 +7,7 @@ smoothness) is exact.
 """
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
@@ -18,7 +19,17 @@ from .errors import (
     NotSaturatedError,
 )
 from .cones import Cone, hilbert_basis, irreducible, polyhedron_vertices
-from .linalg import columns_matrix, cross2, det, group_is_full_lattice, vec, vsub
+from .linalg import (
+    adjugate,
+    columns_matrix,
+    cross2,
+    det,
+    group_is_full_lattice,
+    images,
+    independent_rows,
+    vec,
+    vsub,
+)
 
 
 def _generated_member(x, gens, cone, cache) -> bool:
@@ -143,6 +154,25 @@ class AffineSemigroup:
             )
         return self._minimal
 
+    def image(self, g, dual=None) -> "AffineSemigroup":
+        """The semigroup g·S for g in GL(d, Z) (rows), without a conversion.
+
+        g keeps the standing hypotheses, saturation and minimality, so both
+        generator lists map by g, re-sorted, and the saturation flag stays.
+        dual is g^-T for the cone's `Cone.image`, when the caller has it.
+        """
+        s = AffineSemigroup.__new__(AffineSemigroup)
+        s.dim = self.dim
+        s._cone = self._cone.image(g, dual)
+        s.generators = images(g, self.generators)
+        if self._minimal == self.generators:
+            s._minimal = s.generators
+        else:
+            s._minimal = None if self._minimal is None else images(g, self._minimal)
+        s._saturated = self._saturated
+        s._member_cache = {(0,) * self.dim: True}
+        return s
+
     def saturate(self) -> "AffineSemigroup":
         if self._saturated is True:
             return self
@@ -173,6 +203,96 @@ class AffineSemigroup:
 
     def __repr__(self):
         return f"AffineSemigroup(dim={self.dim}, generators={list(self.generators)})"
+
+
+class LatticePairing:
+    """The pairing matrix <h, x> of S, facet normals h by minimal
+    generators x, for telling GL(d, Z) classes apart.
+
+    g·S has the minimal generators g·x and the normals g^-T h, so its
+    matrix is S's with rows and columns permuted: `key`, the sorted rows
+    and the sorted columns, each sorted first, is a class invariant.
+    `map_to` finds the g between two semigroups with equal keys.
+    """
+
+    __slots__ = ("dim", "columns", "profiles", "key", "_frame")
+
+    def __init__(self, S: AffineSemigroup):
+        hs = S.cone.halfspaces
+        self.dim = S.dim
+        # each minimal generator's column, and that column sorted
+        self.columns = {
+            x: tuple([sum(map(operator.mul, h, x)) for h in hs]) for x in S.minimal_generators()
+        }
+        self.profiles = {x: tuple(sorted(c)) for x, c in self.columns.items()}
+        self.key = (
+            self.dim,
+            tuple(sorted([tuple(sorted(r)) for r in zip(*self.columns.values())])),
+            tuple(sorted(self.profiles.values())),
+        )
+        self._frame = None
+
+    def _basis(self):
+        """d independent minimal generators A, rarest profile first, with
+        the columns of adj(A), det(A) and, for each prefix of A, the sorted
+        facet value tuples of its members."""
+        if self._frame is None:
+            count = Counter(self.profiles.values())
+            order = sorted(self.columns, key=lambda x: (count[self.profiles[x]], x))
+            A = tuple(order[i] for i in independent_rows(order))
+            M = columns_matrix(A)
+            adj = adjugate(M)
+            det_A = sum(M[0][k] * adj[k][0] for k in range(self.dim))
+            prefixes = [sorted(zip(*(self.columns[a] for a in A[: k + 1]))) for k in range(self.dim)]
+            self._frame = A, tuple(zip(*adj)), det_A, prefixes
+        return self._frame
+
+    def map_to(self, other: "LatticePairing"):
+        """Some g in GL(d, Z) (rows) with g·R == S for R and S the two
+        semigroups, or None if there is none.
+
+        g is fixed by the images B of the independent generators A, g =
+        B·adj(A)/det(A), and maps them to minimal generators of S. g
+        permutes the facets too, so for every prefix of A the sorted facet
+        value tuples of its images must be those of the prefix; a
+        depth-first search extends B one image at a time under this test.
+        A full B is accepted when g is integral and maps R's minimal
+        generators onto S's. Both sets span Z^d as a group, so g then maps
+        Z^d onto itself and is unimodular, and the generators determine S.
+        """
+        if self.key != other.key:
+            return None
+        A, adj_columns, det_A, prefixes = self._basis()
+        d = len(A)
+        target = other.columns
+        by_profile = {}
+        for y, c in other.profiles.items():
+            by_profile.setdefault(c, []).append(y)
+
+        def search(B):
+            k = len(B)
+            if k == d:
+                g = []
+                for b in zip(*B):
+                    row = []
+                    for a in adj_columns:
+                        q, r = divmod(sum(map(operator.mul, b, a)), det_A)
+                        if r:
+                            return None
+                        row.append(q)
+                    g.append(tuple(row))
+                mapped = {tuple([sum(map(operator.mul, row, x)) for row in g]) for x in self.columns}
+                return tuple(g) if mapped == target.keys() else None
+            # the lookup itself matches the one-member prefix
+            for y in by_profile[self.profiles[A[k]]]:
+                if y in B or k and sorted(zip(*(target[b] for b in B + (y,)))) != prefixes[k]:
+                    continue
+                g = search(B + (y,))
+                if g is not None:
+                    return g
+            return None
+
+        return search(())
 
 
 def _ccw_cmp(a, b):

@@ -289,3 +289,32 @@ def vertices_via_lp(points, rays, dim):
         if rational_feasible(cons, dim) is not None:
             out.append(v)
     return tuple(out)
+
+
+def resolve_reference(S, characteristic, normalize=True, max_depth=64):
+    """`resolve` as a plain recursion that blows up every node itself,
+    with no memo over lattice classes."""
+    from nashtoric.blowup import nash_blowup, stalls
+    from nashtoric.resolve import (
+        DEPTH_CAPPED,
+        EXPANDED,
+        SMOOTH_LEAF,
+        TRIVIAL_STALL,
+        ResolutionNode,
+        ResolutionTree,
+    )
+
+    def expand(T, depth):
+        if T.is_smooth():
+            return ResolutionNode(T, depth, SMOOTH_LEAF, ())
+        if normalize and depth == max_depth:
+            return ResolutionNode(T, depth, DEPTH_CAPPED, ())
+        charts = nash_blowup(T, characteristic, normalize)
+        if not normalize and stalls(T, charts):
+            return ResolutionNode(T, depth, TRIVIAL_STALL, ())
+        if depth == max_depth:
+            return ResolutionNode(T, depth, DEPTH_CAPPED, ())
+        children = tuple((c.vertex, expand(c.semigroup, depth + 1)) for c in charts)
+        return ResolutionNode(T, depth, EXPANDED, children)
+
+    return ResolutionTree(expand(S, 0), characteristic, normalize, max_depth)

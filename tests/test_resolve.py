@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron
 from nashtoric.cones import Cone
 from nashtoric.errors import CharacteristicError
-from nashtoric.io import serialize
+from nashtoric.io import parse_input, serialize, tree_payload
 from nashtoric.resolve import (
     DEPTH_CAPPED,
     EXPANDED,
@@ -124,6 +125,20 @@ def test_resolve_argument_validation(cusp):
         surface_termination_suite(0, 0, max_depth=MAX_DEPTH + 1)
     with pytest.raises(CharacteristicError):
         resolve(cusp, 4)
+
+
+def test_max_depth_must_be_an_integer():
+    # a depth of 1.5 is never reached, so nothing would be capped
+    S = AffineSemigroup.from_cone(Cone.from_rays(((1, 0), (13, 47)), 2))
+    for bad in (1.5, True, False, "2"):
+        with pytest.raises(TypeError):
+            resolve(S, 0, max_depth=bad)
+        with pytest.raises(TypeError):
+            surface_termination_suite(0, 1, max_depth=bad)
+    tree = resolve(S, 0, max_depth=1)
+    assert tree.depth() == 1
+    assert DEPTH_CAPPED in tree.statuses()
+    assert '"max_depth":1,' in serialize(tree_payload(tree))
 
 
 def test_normalized_capped_nodes_skip_the_blowup(threefold, monkeypatch):
@@ -312,3 +327,29 @@ def test_suite_edge_cases():
     runs = surface_termination_suite(0, 3, entry_bound=2).runs
     assert len(runs) == 3
     assert all(set(ray) <= {1, 2} for run in runs for ray in run.rays)
+
+
+def test_fourfold_root_blows_up_each_lattice_class_once(monkeypatch):
+    document = (
+        '{"dimension": 4, "characteristic": 0, '
+        '"cone_rays": [[1,0,0,0], [0,1,0,0], [0,0,1,0], [3,5,7,11]]}'
+    )
+    module = sys.modules[resolve.__module__]
+    calls = []
+
+    def counted(S, p, normalize=True):
+        calls.append(S)
+        return nash_blowup(S, p, normalize)
+
+    monkeypatch.setattr(module, "nash_blowup", counted)
+    tree = resolve(parse_input(document).semigroup(), 0)
+    nodes = list(tree.nodes())
+    assert len(nodes) == 2389
+    assert tree.depth() == 7
+    # 338 nodes are blown up, but they fall into 89 lattice classes
+    assert sum(node.status == EXPANDED for node in nodes) == 338
+    assert len(calls) == 89
+    text = serialize(tree_payload(tree))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4c3fe2ea591ddee8e44165b880859e897cbf990f53a360faac6682cb598bbf03"
+    )
