@@ -21,16 +21,15 @@ basis mod p>, and one walk serves both chart kinds.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ToricError
 from .cones import Cone, irreducible, polyhedron_vertices
 from .linalg import (
     adjugate,
     columns_matrix,
-    det_mod,
     dot,
     independent_rows,
+    maximal_minors,
     validate_characteristic,
     vneg,
     vsub,
@@ -60,17 +59,19 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
     """Exponent set of the logarithmic Jacobian ideal modulo p.
 
     E = sums of d distinct minimal generators whose determinant does not
-    vanish mod p (p = 0 reads as: does not vanish over Z). The public
+    vanish mod p (p = 0 reads as: does not vanish over Z), all determinants
+    from one `maximal_minors` sweep. The public
     exponents are the ideal's minimal generators, those that are no other
     exponent plus an element of S (`irreducible`); the raw list is kept
     for invariance checks.
     """
     p = validate_characteristic(characteristic)
     gens = S.minimal_generators()
-    raw = set()
-    for subset in combinations(gens, S.dim):
-        if det_mod(columns_matrix(subset), p):
-            raw.add(_vsum(subset))
+    raw = {
+        _vsum([gens[i] for i in T])
+        for T, minor in maximal_minors(gens)
+        if (minor % p if p else minor)
+    }
     if not raw:
         raise RuntimeError(_EMPTY_IDEAL)
     kept = irreducible(raw, S.cone.halfspaces, lambda g, _: S.membership(g))

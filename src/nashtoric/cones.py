@@ -9,6 +9,11 @@ cone, so each cone has one description and `==` is exact. Halfspace lists
 follow the same convention on the dual side, so `halfspaces` always
 generates the dual cone and `contains` is a plain sign check in every case.
 
+`Cone.from_rays` makes one double-description pass for every cone: the
+facets come out of it with the inputs on each, the extreme rays are the
+inputs with maximal facet sets, projected onto the span of the facet
+normals, and no second conversion runs.
+
 Pointed full-dimensional 2D cones take their own paths: one cross-product
 scan for the two extreme rays instead of a conversion, and the
 Hirzebruch-Jung chain as the Hilbert basis instead of parallelepiped points.
@@ -33,6 +38,7 @@ from .linalg import (
     images,
     independent_rows,
     kernel_basis,
+    mat_vec,
     primitive,
     rank,
     unimodular_dual,
@@ -43,20 +49,20 @@ from .linalg import (
 )
 
 
-def _pointed_extreme_rays(normals, dim):
-    """Extreme rays of {x : <n,x> >= 0 for all n}; the normals have rank dim.
+def _pointed_extreme_rays(normals, basis):
+    """Extreme rays of {x : <n,x> >= 0 for all n} as sorted (ray, mask)
+    pairs, bit i of mask set when <normals[i], ray> is 0; basis holds the
+    indices of dim independent normals.
 
     Incremental double description (Motzkin et al. 1953; Fukuda & Prodon,
-    1996). The first dim independent normals, found by one
-    `independent_rows` echelon, cut out a simplicial cone whose rays are
+    1996). The basis normals cut out a simplicial cone whose rays are
     the signed adjugate columns. The other normals are added one at
     a time. Every ray carries the bitmask of the normals it lies on; a ray
     on the positive side of the new normal and one on the negative side are
     combined only when they are adjacent: their common zero set has at least
     dim-2 members and lies in no third ray's zero set.
     """
-    normals = tuple(normals)
-    basis = independent_rows(normals)
+    dim = len(basis)
     A = tuple(normals[i] for i in basis)
     adj = adjugate(A)
     sign = 1 if sum(A[0][k] * adj[k][0] for k in range(dim)) > 0 else -1
@@ -101,29 +107,62 @@ def _pointed_extreme_rays(normals, dim):
         rays = kept
         if not rays:
             break
-    return tuple(sorted({r for r, _ in rays}))
+    # every normal has been tested against every ray, so each mask is the
+    # ray's whole zero set
+    return tuple(sorted(dict(rays).items()))
 
 
-def _h_to_v(normals, dim):
-    """Generator description of {x : <n,x> >= 0 for all n}.
-
-    Returns (lines, rays): the Hermite basis of the lineality space's
-    lattice and the extreme rays of the pointed part, the cone intersected
-    with the span of the normals. The ±lines as extra normals cut out that
-    intersection, so both lists depend only on the cone.
-    """
-    if dim < 1:
-        raise DimensionError("dimension must be positive")
-    normals = tuple(n for n in normals if any(n))
+def _kernel_lattice(normals, dim):
+    """Hermite basis of the lattice of {x : <n,x> = 0 for all n}."""
     if not normals:
-        return identity(dim), ()
-    # the Smith form of a tall normal list can blow up its entries, and
-    # without lineality only the rank is needed
-    if rank(normals) == dim:
-        return (), _pointed_extreme_rays(normals, dim)
-    lines = hermite_basis(zip(*kernel_basis(normals)), dim)
-    rays = _pointed_extreme_rays(normals + lines + tuple(map(vneg, lines)), dim)
-    return lines, rays
+        return identity(dim)
+    return hermite_basis(zip(*kernel_basis(normals)), dim)
+
+
+def _extreme_inputs(inputs, facets, halfspaces, dim):
+    """(lines, rays) of cone(inputs): the Hermite basis of its lineality
+    lattice and the extreme rays of its pointed part, read off its facets,
+    (normal, mask) pairs with bit i of mask set when inputs[i] lies on the
+    facet, and its halfspaces.
+
+    The face an input generates is cut out by the facets through it. The
+    lineality space is the least face, generated by the inputs in it, so it
+    is 0 unless some input lies on every facet, and only then is the kernel
+    of the halfspaces computed. An input whose set of facets is maximal
+    among the others lies on an extreme ray modulo the lines; projected
+    orthogonally onto the span of the facet normals, the complement of the
+    lines, and made primitive, it is that ray.
+    """
+    on = [0] * len(inputs)
+    inputs_mask = (1 << len(inputs)) - 1
+    for j, (_, z) in enumerate(facets):
+        z &= inputs_mask
+        while z:
+            low = z & -z
+            on[low.bit_length() - 1] |= 1 << j
+            z ^= low
+    everything = (1 << len(facets)) - 1
+    maximal = []
+    for f in sorted(set(on) - {everything}, key=int.bit_count, reverse=True):
+        if all(f & m != f for m in maximal):
+            maximal.append(f)
+    maximal = set(maximal)
+    extreme = [r for r, f in zip(inputs, on) if f in maximal]
+    if everything not in on:
+        return (), extreme
+    lines = _kernel_lattice(halfspaces, dim)
+    # with Gram matrix G of the lines, det(G)*x - lines^T adj(G) (lines x)
+    # is det(G) > 0 times the projection of x
+    gram = tuple(tuple(dot(a, b) for b in lines) for a in lines)
+    adj = adjugate(gram)
+    det_gram = dot(gram[0], [row[0] for row in adj])
+    columns = tuple(zip(*lines))
+    out = []
+    for r in extreme:
+        c = mat_vec(adj, mat_vec(lines, r))
+        x = tuple(det_gram * a - dot(col, c) for a, col in zip(r, columns))
+        out.append(primitive(x))
+    return lines, out
 
 
 def _with_line_pairs(lines, rays):
@@ -172,6 +211,14 @@ class Cone:
 
     @classmethod
     def from_rays(cls, rays, dim=None):
+        """The cone the rays generate, by one double-description pass.
+
+        The facet normals are the extreme rays of the dual cone's pointed
+        part, each with the inputs on it. The lines are the Hermite basis
+        of the normals' kernel, and the extreme rays are the inputs whose
+        facet sets are maximal under inclusion, projected onto the span of
+        the facet normals and made primitive.
+        """
         rays = [vec(r) for r in rays]
         if dim is None:
             if not rays:
@@ -187,11 +234,19 @@ class Cone:
             fast = cls._from_rays_2d(norm)
             if fast is not None:
                 return fast
-        halfspaces = _with_line_pairs(*_h_to_v(norm, dim))
-        lines, prays = _h_to_v(halfspaces, dim)
-        rays = _with_line_pairs(lines, prays)
-        full = bool(rays) and rank(rays) == dim
-        return cls(dim, rays, halfspaces, not lines, full)
+        # the dual's ± lines, independent of the inputs, cut it down to
+        # its pointed part
+        basis = independent_rows(norm)
+        n = len(norm)
+        dual_lines = _kernel_lattice(norm, dim) if len(basis) < dim else ()
+        facets = _pointed_extreme_rays(
+            tuple(norm) + dual_lines + tuple(map(vneg, dual_lines)),
+            basis + tuple(range(n, n + len(dual_lines))),
+        )
+        halfspaces = _with_line_pairs(dual_lines, [h for h, _ in facets])
+        lines, rays = _extreme_inputs(norm, facets, halfspaces, dim)
+        rays = _with_line_pairs(lines, rays)
+        return cls(dim, rays, halfspaces, not lines, not dual_lines)
 
     @classmethod
     def _from_rays_2d(cls, norm):

@@ -3,10 +3,13 @@
 Vectors are tuples of ints; matrices are row-major tuples of row tuples.
 Everything is arbitrary precision, nothing here ever touches floats.
 Independence, rank and greedy bases share one fraction-free echelon,
-`independent_rows`; the adjugate is one fraction-free Gauss-Jordan pass.
+`independent_rows`; the adjugate is one fraction-free Gauss-Jordan pass;
+all maximal minors of a vector list come from one Laplace sweep,
+`maximal_minors`, instead of one elimination per subset.
 """
 
 import operator
+from itertools import combinations
 from math import gcd, isqrt
 
 from .errors import CharacteristicError, DimensionError
@@ -202,6 +205,43 @@ def det_mod(M, p: int) -> int:
     if p == 0:
         return d
     return d % p
+
+
+def maximal_minors(vectors):
+    """Yield (indices, minor) for every d-subset of the n vectors in Z^d, in
+    `combinations(range(n), d)` order: the determinant of the matrix whose
+    columns are those vectors.
+
+    One Laplace sweep: the minors on coordinates 0..k of every (k+1)-subset
+    are expanded along coordinate k into the minors on 0..k-1 of its
+    k-subsets, sum C(n, k+1)*(k+1) products in all. Only the previous
+    level is held; the last one is yielded as it is computed.
+    """
+    vectors = tuple(vectors)
+    n = len(vectors)
+    d = len(vectors[0]) if n else 0
+    bits = [1 << t for t in range(n)]
+    # minors of the previous level, keyed by the bitmask of their subset
+    prev = {0: 1}
+    for k in range(d):
+        row = [v[k] for v in vectors]
+        level = {}
+        for T in combinations(range(n), k + 1):
+            mask = 0
+            for t in T:
+                mask |= bits[t]
+            m = 0
+            odd = k % 2
+            for t in T:
+                if row[t]:
+                    c = row[t] * prev[mask ^ bits[t]]
+                    m = m - c if odd else m + c
+                odd ^= 1
+            if k == d - 1:
+                yield T, m
+            else:
+                level[mask] = m
+        prev = level
 
 
 def independent_rows(M, p: int = 0):

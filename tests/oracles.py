@@ -91,6 +91,130 @@ def extreme_rays_bruteforce(normals, dim):
     return tuple(sorted(found))
 
 
+def _primitive(v):
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def frac_kernel(rows, dim):
+    """Basis of {x in Q^dim : <r, x> = 0 for every row} from the reduced row
+    echelon form over Fractions, one primitive integer vector per free
+    column."""
+    A = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(dim):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(A)) if A[i][col] != 0), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        A[r] = [x / A[r][col] for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][col] != 0:
+                f = A[i][col]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        pivots.append(col)
+    out = []
+    for free in (c for c in range(dim) if c not in pivots):
+        x = [Fraction(0)] * dim
+        x[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            x[col] = -A[i][free]
+        den = 1
+        for c in x:
+            den = den * c.denominator // gcd(den, c.denominator)
+        out.append(_primitive(tuple(int(c * den) for c in x)))
+    return out
+
+
+def _left_kernel_mod(B, q):
+    """A nonzero c with sum c_i B_i = 0 mod q, or None."""
+    k = len(B)
+    d = len(B[0])
+    rows = [[x % q for x in b] + [int(i == j) for j in range(k)] for i, b in enumerate(B)]
+    r = 0
+    for col in range(d):
+        pivot = next((i for i in range(r, k) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], -1, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i in range(k):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return rows[r][d:] if r < k else None
+
+
+def saturated_lattice_basis(vectors, dim):
+    """Hermite basis of (Q-span of the independent vectors) ∩ Z^dim.
+
+    The lattice the vectors generate is saturated exactly when the gcd of
+    its maximal minors is 1. While a prime q divides it, the basis is
+    dependent mod q, and c·B/q for a mod-q relation c is a lattice point of
+    the span outside the lattice, which joins the generators.
+    """
+    from nashtoric.linalg import hermite_basis
+
+    B = hermite_basis(vectors, dim)
+    k = len(B)
+    while B:
+        g = 0
+        for cols in combinations(range(dim), k):
+            g = gcd(g, permutation_det([[b[c] for c in cols] for b in B]))
+        if g == 1:
+            break
+        q = next(q for q in range(2, g + 1) if g % q == 0)
+        c = _left_kernel_mod(B, q)
+        x = tuple(sum(ci * b[i] for ci, b in zip(c, B)) // q for i in range(dim))
+        B = hermite_basis(B + (x,), dim)
+    return B
+
+
+def cone_bruteforce(rays, dim):
+    """(rays, halfspaces, pointed, full_dim) of the cone the rays generate,
+    in `Cone`'s convention, by two `extreme_rays_bruteforce` passes.
+
+    The facets are the extreme rays of the dual cone cut down to the span
+    of the inputs by its ± lines, and the rays are the extreme rays of the
+    cone cut down to the span of the facets by its own ± lines; each line
+    lattice is the saturated kernel of a Fraction elimination.
+    """
+    norm = sorted({_primitive(tuple(r)) for r in rays if any(r)})
+
+    def lines_of(normals):
+        return saturated_lattice_basis(frac_kernel(normals, dim), dim)
+
+    def with_pairs(lines, extreme):
+        return tuple(sorted(set(extreme) | set(lines) | {tuple(-x for x in l) for l in lines}))
+
+    dual_lines = lines_of(norm)
+    halfspaces = with_pairs(
+        dual_lines, extreme_rays_bruteforce(with_pairs(dual_lines, norm), dim)
+    )
+    lines = lines_of(halfspaces)
+    out = with_pairs(lines, extreme_rays_bruteforce(with_pairs(lines, halfspaces), dim))
+    return out, halfspaces, not lines, not dual_lines
+
+
+def log_jacobian_reference(S, p):
+    """(exponents, raw exponents) of the log-Jacobian ideal from one
+    Leibniz determinant per d-subset of the minimal generators."""
+    from nashtoric.cones import irreducible
+
+    raw = set()
+    for subset in combinations(S.minimal_generators(), S.dim):
+        m = permutation_det(subset)
+        if m % p if p else m:
+            raw.add(tuple(map(sum, zip(*subset))))
+    kept = irreducible(raw, S.cone.halfspaces, lambda g, _: S.membership(g))
+    return kept, tuple(sorted(raw))
+
+
 def frac_solve(M, rhs):
     """Solve the square system M x = rhs over Q; None when singular."""
     n = len(M)

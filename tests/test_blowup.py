@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashtoric import blowup
 from nashtoric.blowup import (
@@ -17,7 +19,7 @@ from nashtoric.errors import CharacteristicError, ToricError
 from nashtoric.linalg import columns_matrix, det, det_mod, dot, vsub
 from nashtoric.semigroups import AffineSemigroup
 
-from oracles import random_unsaturated_generators
+from oracles import log_jacobian_reference, random_unsaturated_generators
 
 # charts of the threefold in characteristic 2, keyed by Newton vertex
 CHART_GENS = {
@@ -105,6 +107,14 @@ def test_ideal_minimalization_contract():
     # p kills some nonzero determinants, and some exponent is another one
     # plus a cone point outside the semigroup
     assert min(p_divides.values()) >= 20 and only_cone >= 20, (p_divides, only_cone)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.sampled_from((0, 2, 3, 5)), st.integers(0, 2**32))
+def test_ideal_matches_one_determinant_per_subset(dim, p, seed):
+    S = AffineSemigroup(dim, random_unsaturated_generators(random.Random(seed), dim))
+    I = log_jacobian_ideal(S, p)
+    assert (I.exponents, I.raw_exponents) == log_jacobian_reference(S, p)
 
 
 def test_ideal_rejects_composite_characteristic(cusp):
@@ -333,6 +343,11 @@ def test_smooth_blowup_is_trivial():
 
 def test_empty_ideal_raises_runtime_error(monkeypatch):
     S = AffineSemigroup(2, [(1, 0), (1, 1), (1, 2)])
-    monkeypatch.setattr(blowup, "det_mod", lambda M, p: 0)
+    # every minor of the sweep reads as zero
+    monkeypatch.setattr(
+        blowup,
+        "maximal_minors",
+        lambda gens: ((T, 0) for T in combinations(range(len(gens)), len(gens[0]))),
+    )
     with pytest.raises(RuntimeError, match="log-Jacobian ideal is empty"):
         log_jacobian_ideal(S, 0)

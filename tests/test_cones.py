@@ -19,11 +19,20 @@ from nashtoric.errors import (
     NotFullDimensionalError,
     NotPointedError,
 )
-from nashtoric.linalg import columns_matrix, cross2, det, dot, primitive, rank
+from nashtoric.linalg import (
+    columns_matrix,
+    cross2,
+    det,
+    dot,
+    independent_rows,
+    primitive,
+    rank,
+)
 
 from oracles import (
     box_parallelepiped,
     brute_force_hilbert,
+    cone_bruteforce,
     extreme_rays_bruteforce,
     in_cone_2d,
     mat_mul,
@@ -198,9 +207,11 @@ def test_pointed_extreme_rays_match_bruteforce():
         if not normals or rank(normals) < dim:
             continue
         normals = sorted(set(normals))
-        assert cones._pointed_extreme_rays(normals, dim) == extreme_rays_bruteforce(
-            normals, dim
-        )
+        found = cones._pointed_extreme_rays(normals, independent_rows(normals))
+        assert tuple(r for r, _ in found) == extreme_rays_bruteforce(normals, dim)
+        # each mask is the set of normals the ray lies on
+        for r, mask in found:
+            assert mask == sum(1 << i for i, n in enumerate(normals) if dot(n, r) == 0)
         checked += 1
 
 
@@ -217,25 +228,48 @@ def _random_ray_set(rng, dim):
     return rays
 
 
-def test_from_rays_matches_bruteforce_conversion(monkeypatch):
+def test_from_rays_matches_bruteforce_conversion():
     rng = random.Random(311)
     cases = [
         (_random_ray_set(rng, dim), dim) for dim in range(1, 6) for _ in range(40)
     ]
-    fast = [Cone.from_rays(rays, dim) for rays, dim in cases]
-    monkeypatch.setattr(cones, "_pointed_extreme_rays", extreme_rays_bruteforce)
     shapes = set()
-    for (rays, dim), c in zip(cases, fast):
-        ref = Cone.from_rays(rays, dim)
-        assert (c.rays, c.halfspaces, c.pointed, c.full_dim) == (
-            ref.rays,
-            ref.halfspaces,
-            ref.pointed,
-            ref.full_dim,
-        )
+    for rays, dim in cases:
+        c = Cone.from_rays(rays, dim)
+        assert (c.rays, c.halfspaces, c.pointed, c.full_dim) == cone_bruteforce(rays, dim)
         shapes.add((dim > 2, c.pointed, c.full_dim))
     # lineality and lower-dimensional inputs both occur beyond the plane
     assert {(True, False, True), (True, True, False), (True, True, True)} <= shapes
+
+
+def test_from_rays_ignores_added_combinations_of_rays():
+    # nonnegative combinations of the rays are no new extreme rays: the
+    # single conversion must drop them by their facet sets, and with
+    # lineality project the kept inputs onto the span of the facet normals
+    rng = random.Random(317)
+    kinds = {"pointed": 0, "lower-dimensional": 0, "lineality": 0}
+    for dim in range(1, 6):
+        for _ in range(60):
+            rays = _random_ray_set(rng, dim)
+            c = Cone.from_rays(rays, dim)
+            if not c.rays:
+                continue
+            extra = []
+            for _ in range(rng.randint(1, 4)):
+                picked = rng.sample(c.rays, rng.randint(1, len(c.rays)))
+                coeffs = [rng.randint(0, 3) for _ in picked]
+                extra.append(
+                    tuple(sum(a * r[i] for a, r in zip(coeffs, picked)) for i in range(dim))
+                )
+            assert Cone.from_rays(rays + extra, dim) == c
+            assert Cone.from_rays(extra + list(c.rays), dim) == c
+            if not c.pointed:
+                kinds["lineality"] += 1
+            elif not c.full_dim:
+                kinds["lower-dimensional"] += 1
+            else:
+                kinds["pointed"] += 1
+    assert min(kinds.values()) >= 60, kinds
 
 
 def test_2d_shortcut_matches_generic_conversion(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -19,6 +20,7 @@ from nashtoric.linalg import (
     _strong_lucas,
     is_prime,
     kernel_basis,
+    maximal_minors,
     primitive,
     rank,
     smith_normal_form,
@@ -167,6 +169,38 @@ def test_independent_rows_against_minors(case):
     assert rank_mod_bruteforce([M[i] for i in kept], p) == len(kept)
     if p == 0:
         assert rank(M) == len(kept)
+
+
+@st.composite
+def _minor_cases(draw):
+    """Up to 9 vectors in Z^1..Z^5, among them zero vectors, repeats and
+    multiples of a prime p, so that whole blocks of minors vanish."""
+    dim = draw(st.integers(1, 5))
+    p = draw(st.sampled_from((2, 3, 5)))
+    entries = st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)
+    vectors = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "multiple")))
+        if kind == "zero":
+            vectors.append((0,) * dim)
+        elif kind == "fresh" or not vectors:
+            vectors.append(tuple(draw(entries)))
+        else:
+            v = draw(st.sampled_from(vectors))
+            c = 1 if kind == "repeat" else p
+            vectors.append(tuple(c * a for a in v))
+    return tuple(vectors), dim
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_minor_cases())
+def test_maximal_minors_against_leibniz(case):
+    vectors, dim = case
+    found = list(maximal_minors(vectors))
+    subsets = list(combinations(range(len(vectors)), dim))
+    assert [T for T, _ in found] == subsets
+    for T, minor in found:
+        assert minor == permutation_det(columns_matrix([vectors[t] for t in T]))
 
 
 def test_smith_normal_form_fixed():
