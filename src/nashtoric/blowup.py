@@ -199,7 +199,7 @@ def _exchanges(basis, gens, p):
     nonzero mod p, and by Cramer's rule that determinant is the entry of
     adj(B)·g in b's row, so one adjugate answers every exchange.
     """
-    adj = adjugate(columns_matrix(basis))
+    adj, _ = adjugate(columns_matrix(basis))
     out = []
     for g in gens:
         if g in basis:

@@ -63,9 +63,8 @@ def _pointed_extreme_rays(normals, basis):
     dim-2 members and lies in no third ray's zero set.
     """
     dim = len(basis)
-    A = tuple(normals[i] for i in basis)
-    adj = adjugate(A)
-    sign = 1 if sum(A[0][k] * adj[k][0] for k in range(dim)) > 0 else -1
+    adj, det_A = adjugate(tuple(normals[i] for i in basis))
+    sign = 1 if det_A > 0 else -1
     seed_mask = 0
     for i in basis:
         seed_mask |= 1 << i
@@ -116,7 +115,7 @@ def _kernel_lattice(normals, dim):
     """Hermite basis of the lattice of {x : <n,x> = 0 for all n}."""
     if not normals:
         return identity(dim)
-    return hermite_basis(zip(*kernel_basis(normals)), dim)
+    return tuple(zip(*kernel_basis(normals)))
 
 
 def _extreme_inputs(inputs, facets, halfspaces, dim):
@@ -154,8 +153,7 @@ def _extreme_inputs(inputs, facets, halfspaces, dim):
     # with Gram matrix G of the lines, det(G)*x - lines^T adj(G) (lines x)
     # is det(G) > 0 times the projection of x
     gram = tuple(tuple(dot(a, b) for b in lines) for a in lines)
-    adj = adjugate(gram)
-    det_gram = dot(gram[0], [row[0] for row in adj])
+    adj, det_gram = adjugate(gram)
     columns = tuple(zip(*lines))
     out = []
     for r in extreme:
@@ -383,8 +381,7 @@ def parallelepiped_points(vectors):
     if d == 0 or any(len(v) != d for v in vectors):
         raise DimensionError("need d vectors in Z^d")
     M = columns_matrix(vectors)
-    Madj = adjugate(M)
-    dM = sum(M[0][k] * Madj[k][0] for k in range(d))
+    Madj, dM = adjugate(M)
     H = hermite_basis(vectors, d)
     points = []
     for z in product(*(range(H[k][k]) for k in range(d))):

@@ -2,10 +2,18 @@
 
 Vectors are tuples of ints; matrices are row-major tuples of row tuples.
 Everything is arbitrary precision, nothing here ever touches floats.
-Independence, rank and greedy bases share one fraction-free echelon,
-`independent_rows`; the adjugate is one fraction-free Gauss-Jordan pass;
-all maximal minors of a vector list come from one Laplace sweep,
-`maximal_minors`, instead of one elimination per subset.
+The library runs on four exact kernels, each one pass:
+
+- `independent_rows`, a fraction-free echelon, answers independence, rank
+  and greedy bases;
+- `hermite_basis` gives lattice bases, full-lattice tests and integer
+  kernels (`kernel_basis`);
+- `adjugate`, a fraction-free Gauss-Jordan pass, returns the adjugate with
+  the determinant;
+- `maximal_minors` gives all maximal minors of a vector list from one
+  Laplace sweep instead of one elimination per subset.
+
+`det`, `smith_normal_form` and `invariant_factors` are public API only.
 """
 
 import operator
@@ -200,13 +208,6 @@ def det(M) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_mod(M, p: int) -> int:
-    d = det(M)
-    if p == 0:
-        return d
-    return d % p
-
-
 def maximal_minors(vectors):
     """Yield (indices, minor) for every d-subset of the n vectors in Z^d, in
     `combinations(range(n), d)` order: the determinant of the matrix whose
@@ -397,27 +398,21 @@ def invariant_factors(M):
 
 
 def kernel_basis(A):
-    """Basis of the saturated integer kernel of A, as an n x c matrix.
+    """Hermite basis of the integer kernel of A, as the columns of an
+    n x c matrix, in pivot order.
 
-    The trailing columns of the Smith form's right transform. Columns are
-    lexicographically sorted with first nonzero entry positive, so output
-    is canonical.
+    The vectors (A e_j, e_j) generate the lattice {(Ax, x) : x in Z^n},
+    and the rows of its Hermite basis that vanish on the first m
+    coordinates are the Hermite basis of {(0, x) : Ax = 0} (Cohen 1993,
+    ch. 2), so one Hermite pass gives the kernel, saturated and canonical.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    _, D, V = smith_normal_form(A)
-    r = sum(1 for t in range(min(m, n)) if D[t][t])
-    cols = []
-    for j in range(r, n):
-        v = tuple(V[i][j] for i in range(n))
-        for x in v:
-            if x:
-                if x < 0:
-                    v = vneg(v)
-                break
-        cols.append(v)
-    cols.sort()
-    return tuple(tuple(col[i] for col in cols) for i in range(n))
+    if any(len(row) != n for row in A):
+        raise DimensionError("ragged matrix")
+    lifted = [[row[j] for row in A] + [int(i == j) for i in range(n)] for j in range(n)]
+    H = hermite_basis(lifted, m + n)
+    return tuple(zip(*(h[m:] for h in H if not any(h[:m])))) or ((),) * n
 
 
 def hermite_basis(vectors, dim: int):
@@ -467,11 +462,11 @@ def group_is_full_lattice(vectors, dim: int) -> bool:
 
 
 def adjugate(M):
-    """Adjugate of a nonsingular M: M * adjugate(M) == det(M) * identity.
+    """(adj, det) of a nonsingular M: M * adj == det * identity.
 
     One fraction-free Gauss-Jordan pass on [M | I] (Bareiss, 1968) leaves
-    [D * identity | D * M^-1], D = ±det(M) by the sign of the row swaps;
-    a singular M raises DimensionError.
+    [D * identity | D * M^-1] with D the last pivot, and det(M) = ±D by the
+    sign of the row swaps; a singular M raises DimensionError.
     """
     d = len(M)
     if any(len(row) != d for row in M):
@@ -496,15 +491,16 @@ def adjugate(M):
                 # exact division is guaranteed by the Bareiss identity
                 a[i] = [(pivot * x - aik * y) // prev for x, y in zip(row, top)]
         prev = pivot
-    return tuple(tuple(sign * x for x in row[d:]) for row in a)
+    return tuple(tuple(sign * x for x in row[d:]) for row in a), sign * prev
 
 
 def unimodular_dual(g):
     """g^-T = det(g)·adj(g)^T for g in GL(d, Z), the map that keeps every
     pairing <h, x> when x maps by g; any other g raises ValueError."""
-    sign = det(g)
+    try:
+        adj, sign = adjugate(g)
+    except DimensionError:
+        sign = 0
     if sign not in (1, -1):
         raise ValueError("a unimodular map needs determinant ±1")
-    d = len(g)
-    adj = adjugate(g)
-    return tuple(tuple(sign * adj[j][i] for j in range(d)) for i in range(d))
+    return tuple(tuple(sign * a for a in col) for col in zip(*adj))

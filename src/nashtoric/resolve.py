@@ -83,10 +83,14 @@ def resolve(
     return ResolutionTree(root, p, normalize, max_depth)
 
 
+def _integer(value, name) -> int:
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    return operator.index(value)
+
+
 def _check_max_depth(max_depth) -> int:
-    if isinstance(max_depth, bool):
-        raise TypeError("max_depth must be an integer, not a bool")
-    max_depth = operator.index(max_depth)
+    max_depth = _integer(max_depth, "max_depth")
     if not 1 <= max_depth <= MAX_DEPTH:
         raise ValueError(f"max_depth must be between 1 and {MAX_DEPTH}")
     return max_depth
@@ -222,8 +226,10 @@ def surface_termination_suite(
     trees agree across characteristics. The seed makes runs replayable.
     """
     chars = tuple(validate_characteristic(c) for c in characteristics)
+    count = _integer(count, "count")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    entry_bound = _integer(entry_bound, "entry_bound")
     # below 2 the only ray is (1, 1), and two rays are never independent
     if entry_bound < 2:
         raise ValueError("entry bound must be at least 2")

@@ -23,7 +23,6 @@ from .linalg import (
     adjugate,
     columns_matrix,
     cross2,
-    det,
     group_is_full_lattice,
     images,
     independent_rows,
@@ -100,25 +99,22 @@ class AffineSemigroup:
             raise NotPointedError("generators span a cone containing a line")
         if not group_is_full_lattice(gens, dim):
             raise NotFullLatticeError("generators do not span Z^d as a group")
+        self._set(dim, gens, cone, None, None)
+
+    def _set(self, dim, generators, cone, minimal, saturated):
         self.dim = dim
-        self.generators = gens
+        self.generators = generators
         self._cone = cone
-        self._minimal = None
-        self._saturated = None
+        self._minimal = minimal
+        self._saturated = saturated
         self._member_cache = {(0,) * dim: True}
+        return self
 
     @classmethod
     def from_cone(cls, cone: Cone) -> "AffineSemigroup":
         """The saturated semigroup cone ∩ Z^d, generated by its Hilbert basis."""
         hb = hilbert_basis(cone)
-        s = cls.__new__(cls)
-        s.dim = cone.dim
-        s.generators = hb.elements
-        s._cone = cone
-        s._minimal = hb.elements
-        s._saturated = True
-        s._member_cache = {(0,) * cone.dim: True}
-        return s
+        return cls.__new__(cls)._set(cone.dim, hb.elements, cone, hb.elements, True)
 
     @property
     def cone(self) -> Cone:
@@ -133,7 +129,8 @@ class AffineSemigroup:
         if self._saturated is True:
             # saturated means the semigroup is exactly cone ∩ Z^d
             return True
-        return _generated_member(x, self.generators, self._cone, self._member_cache)
+        gens = self.minimal_generators()
+        return _generated_member(x, gens, self._cone, self._member_cache)
 
     def minimal_generators(self):
         """The unique minimal generating set, lexicographically sorted.
@@ -141,12 +138,14 @@ class AffineSemigroup:
         g is redundant when g - k is generated by the kept ones for a kept
         k. The searches for g look only below g in the grading, where every
         generator is already generated by the kept ones and no later kept
-        generator can change an answer, so one cache serves the sweep.
+        generator can change an answer. So every entry of the one cache
+        the sweep fills says whether a point lies in S, and `membership`
+        keeps using it.
         """
         if self._minimal is None:
             cone = self._cone
-            cache = dict.fromkeys(self.generators, True)
-            cache[(0,) * self.dim] = True
+            cache = self._member_cache
+            cache.update(dict.fromkeys(self.generators, True))
             self._minimal = irreducible(
                 self.generators,
                 cone.halfspaces,
@@ -161,17 +160,14 @@ class AffineSemigroup:
         generator lists map by g, re-sorted, and the saturation flag stays.
         dual is g^-T for the cone's `Cone.image`, when the caller has it.
         """
-        s = AffineSemigroup.__new__(AffineSemigroup)
-        s.dim = self.dim
-        s._cone = self._cone.image(g, dual)
-        s.generators = images(g, self.generators)
+        gens = images(g, self.generators)
         if self._minimal == self.generators:
-            s._minimal = s.generators
+            minimal = gens
         else:
-            s._minimal = None if self._minimal is None else images(g, self._minimal)
-        s._saturated = self._saturated
-        s._member_cache = {(0,) * self.dim: True}
-        return s
+            minimal = None if self._minimal is None else images(g, self._minimal)
+        return AffineSemigroup.__new__(AffineSemigroup)._set(
+            self.dim, gens, self._cone.image(g, dual), minimal, self._saturated
+        )
 
     def saturate(self) -> "AffineSemigroup":
         if self._saturated is True:
@@ -185,11 +181,9 @@ class AffineSemigroup:
         return self._saturated
 
     def is_smooth(self) -> bool:
-        """Free on a lattice basis: d minimal generators with determinant +-1."""
-        gens = self.minimal_generators()
-        if len(gens) != self.dim:
-            return False
-        return abs(det(columns_matrix(gens))) == 1
+        """Free on a lattice basis. The minimal generators span Z^d as a
+        group, so d of them are a lattice basis."""
+        return len(self.minimal_generators()) == self.dim
 
     def __eq__(self, other):
         return (
@@ -240,9 +234,7 @@ class LatticePairing:
             count = Counter(self.profiles.values())
             order = sorted(self.columns, key=lambda x: (count[self.profiles[x]], x))
             A = tuple(order[i] for i in independent_rows(order))
-            M = columns_matrix(A)
-            adj = adjugate(M)
-            det_A = sum(M[0][k] * adj[k][0] for k in range(self.dim))
+            adj, det_A = adjugate(columns_matrix(A))
             prefixes = [sorted(zip(*(self.columns[a] for a in A[: k + 1]))) for k in range(self.dim)]
             self._frame = A, tuple(zip(*adj)), det_A, prefixes
         return self._frame

@@ -358,23 +358,30 @@ def brute_force_minimal_generators(generators, dim):
     gens = sorted({tuple(g) for g in generators if any(g)})
     w = _gradings(gens, dim)[0]
     grades = [_grade(w, g) for g in gens]
-    cap = max(grades) - min(grades)
-    sums = set()
-    frontier = [(0,) * dim]
-    while frontier:
-        step = []
-        for a in frontier:
-            for g in gens:
-                s = tuple(x + y for x, y in zip(a, g))
-                if _grade(w, s) <= cap and s not in sums:
-                    sums.add(s)
-                    step.append(s)
-        frontier = step
+    sums = generator_sums(gens, w, max(grades) - min(grades))
     return sorted(
         g
         for g in gens
         if not any(tuple(x - y for x, y in zip(g, h)) in sums for h in gens)
     )
+
+
+def generator_sums(generators, w, cap):
+    """Every sum of one or more generators with grade at most cap under a
+    grading w >= 1 on every generator, by breadth-first search."""
+    dim = len(w)
+    sums = set()
+    frontier = [(0,) * dim]
+    while frontier:
+        step = []
+        for a in frontier:
+            for g in generators:
+                s = tuple(x + y for x, y in zip(a, g))
+                if _grade(w, s) <= cap and s not in sums:
+                    sums.add(s)
+                    step.append(s)
+        frontier = step
+    return sums
 
 
 def _cone_points(halfspaces, w, cap, exts, dim):

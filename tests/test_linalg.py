@@ -11,7 +11,6 @@ from nashtoric.linalg import (
     adjugate,
     columns_matrix,
     det,
-    det_mod,
     group_is_full_lattice,
     hermite_basis,
     identity,
@@ -29,7 +28,14 @@ from nashtoric.linalg import (
     xgcd,
 )
 
-from oracles import cofactor_adjugate, mat_mul, permutation_det, rank_mod_bruteforce
+from oracles import (
+    cofactor_adjugate,
+    frac_kernel,
+    mat_mul,
+    permutation_det,
+    rank_mod_bruteforce,
+    saturated_lattice_basis,
+)
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -58,17 +64,6 @@ def test_det_matches_permutation_expansion():
         n = rng.randint(1, 4)
         M = random_matrix(rng, n, n)
         assert det(M) == permutation_det(M)
-
-
-def test_det_mod():
-    rng = random.Random(102)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        M = random_matrix(rng, n, n)
-        d = permutation_det(M)
-        assert det_mod(M, 0) == d
-        for p in (2, 3, 5, 7):
-            assert det_mod(M, p) == d % p
 
 
 def test_is_prime():
@@ -257,20 +252,29 @@ def test_kernel_basis_fixed():
 
 
 def test_kernel_basis_random():
-    rng = random.Random(105)
-    for _ in range(200):
-        d = rng.randint(1, 3)
-        n = rng.randint(d, 6)
-        A = random_matrix(rng, d, n)
+    # the Hermite basis of the saturation of the rational kernel
+    rng = random.Random(108)
+    seen = {"zero row": 0, "rank deficient": 0, "trivial kernel": 0}
+    for t in range(300):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        A = [list(row) for row in random_matrix(rng, m, n, bound=rng.choice((1, 3, 9)))]
+        if t % 4 == 0:
+            A[rng.randrange(m)] = [0] * n
+        elif t % 4 == 1:
+            # a row that is an integer combination of the others (zero if m == 1)
+            r = rng.randrange(m)
+            c = [rng.randint(-2, 2) if i != r else 0 for i in range(m)]
+            A[r] = [sum(ci * row[k] for ci, row in zip(c, A)) for k in range(n)]
+        A = tuple(map(tuple, A))
         K = kernel_basis(A)
+        expected = saturated_lattice_basis(frac_kernel(A, n), n)
         assert len(K) == n
-        c = len(K[0]) if K else 0
-        assert rank(A) + c == n
-        if c:
-            prod = mat_mul(A, K)
-            assert all(x == 0 for row in prod for x in row)
-            cols = tuple(tuple(K[i][j] for i in range(n)) for j in range(c))
-            assert rank(cols) == c
+        assert tuple(zip(*K)) == expected
+        seen["zero row"] += not all(map(any, A))
+        seen["rank deficient"] += rank(A) < min(m, n)
+        seen["trivial kernel"] += not expected
+    assert min(seen.values()) >= 30, seen
 
 
 def test_group_is_full_lattice():
@@ -370,19 +374,20 @@ def test_adjugate():
                     c = rng.randint(-2, 2)
                     M[r] = [a + c * b for a, b in zip(M[r], M[i])]
         M = tuple(map(tuple, M))
-        d = det(M)
+        d = permutation_det(M)
         if d == 0:
             seen["singular"] += 1
             with pytest.raises(DimensionError):
                 adjugate(M)
             continue
         seen["nonsingular"] += 1
-        adj = adjugate(M)
+        adj, det_M = adjugate(M)
+        assert det_M == d
         assert adj == cofactor_adjugate(M)
         assert mat_mul(M, adj) == tuple(
             tuple(d if i == j else 0 for j in range(n)) for i in range(n)
         )
-    assert adjugate(()) == ()
+    assert adjugate(()) == ((), 1)
     with pytest.raises(DimensionError):
         adjugate(((1, 2),))
     assert min(seen.values()) >= 50

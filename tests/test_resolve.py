@@ -324,6 +324,12 @@ def test_suite_edge_cases():
     for bound in (1, 0, -3):
         with pytest.raises(ValueError, match="at least 2"):
             surface_termination_suite(0, 1, entry_bound=bound)
+    # count and entry_bound must be integers, as max_depth must
+    for bad in (2.5, True, "3", None):
+        with pytest.raises(TypeError):
+            surface_termination_suite(0, bad, entry_bound=5, characteristics=(0,))
+        with pytest.raises(TypeError):
+            surface_termination_suite(0, 1, entry_bound=bad, characteristics=(0,))
     runs = surface_termination_suite(0, 3, entry_bound=2).runs
     assert len(runs) == 3
     assert all(set(ray) <= {1, 2} for run in runs for ray in run.rays)

@@ -16,7 +16,12 @@ from nashtoric.semigroups import (
     surface_profile,
 )
 
-from oracles import brute_force_minimal_generators, random_unsaturated_generators
+from oracles import (
+    brute_force_minimal_generators,
+    generator_sums,
+    permutation_det,
+    random_unsaturated_generators,
+)
 
 
 def random_saturated_surface(rng, bound=20):
@@ -139,11 +144,76 @@ def test_saturate_nontrivial_surface():
     assert S.saturate().minimal_generators() == ((1, 0), (1, 1), (1, 2), (1, 3))
 
 
+def _random_unimodular(rng, dim):
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(3 if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return tuple(tuple(s * a for a in row) for s, row in zip(rng.choices((-1, 1), k=dim), rows))
+
+
+def test_membership_against_brute_force_sums():
+    # membership shares the minimal-generator sweep's cache, so it must
+    # answer alike before and after the sweep and on images
+    rng = random.Random(408)
+    seen = {"in": 0, "out": 0}
+    for dim in (1, 2, 3):
+        for _ in range(25):
+            gens = random_unsaturated_generators(rng, dim)
+            S = AffineSemigroup(dim, gens)
+            w = tuple(map(sum, zip(*S.cone.halfspaces)))
+            cap = 2 * max(dot(w, x) for x in S.generators)
+            sums = generator_sums(S.generators, w, cap)
+            near = list(sums) + [(0,) * dim]
+            points = set(near)
+            for _ in range(40):
+                a, b = rng.choice(near), rng.choice(S.generators)
+                points.add(tuple(x - y + rng.randint(-1, 1) for x, y in zip(a, b)))
+            points = sorted(x for x in points if dot(w, x) <= cap)
+            g = _random_unimodular(rng, dim)
+            before = AffineSemigroup(dim, gens)
+            after = AffineSemigroup(dim, gens)
+            after.minimal_generators()
+            fresh_image = AffineSemigroup(dim, gens).image(g)
+            truth = {x: not any(x) or x in sums for x in points}
+            for x in points:
+                assert before.membership(x) == truth[x]
+                assert after.membership(x) == truth[x]
+            # before has swept by now, so its image knows its minimal generators
+            for T in (before.image(g), fresh_image):
+                for x in points:
+                    assert T.membership(tuple(dot(row, x) for row in g)) == truth[x]
+            for t in truth.values():
+                seen["in" if t else "out"] += 1
+    assert min(seen.values()) >= 200, seen
+
+
 def test_is_smooth():
     assert AffineSemigroup(2, [(1, 0), (0, 1)]).is_smooth()
     assert AffineSemigroup(2, [(1, 3), (2, 7)]).is_smooth()
     assert not AffineSemigroup(1, [(2,), (3,)]).is_smooth()
     assert not AffineSemigroup(2, [(1, 0), (1, 1), (1, 2)]).is_smooth()
+    rng = random.Random(409)
+    seen = {"smooth": 0, "singular": 0}
+    for dim in (1, 2, 3, 4):
+        for t in range(30):
+            if t % 3 == 0:
+                # a lattice basis padded with sums of its members
+                basis = _random_unimodular(rng, dim)
+                gens = list(basis) + [
+                    tuple(map(sum, zip(*rng.sample(basis, rng.randint(1, dim)))))
+                    for _ in range(3)
+                ]
+            else:
+                gens = random_unsaturated_generators(rng, dim)
+            S = AffineSemigroup(dim, gens)
+            mins = S.minimal_generators()
+            smooth = len(mins) == dim and abs(permutation_det(mins)) == 1
+            assert S.is_smooth() == smooth
+            seen["smooth" if smooth else "singular"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_from_cone_is_saturated_and_full():
