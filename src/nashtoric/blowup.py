@@ -23,7 +23,7 @@ basis mod p>, and one walk serves both chart kinds.
 from dataclasses import dataclass
 
 from .errors import ToricError
-from .cones import Cone, irreducible, polyhedron_vertices
+from .cones import Cone, irreducible, polyhedron_vertices_and_facets
 from .linalg import (
     adjugate,
     columns_matrix,
@@ -80,18 +80,27 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
+    """conv(exponents) + recession_cone, with its sorted vertices and its
+    facets: the normals (h0, h), as tuples (h0,) + h, with
+    h0 + <h, x> >= 0 on the polyhedron, (1, 0) included when the far face
+    is a facet. The facets through a vertex cut out its tangent cone."""
+
     semigroup: AffineSemigroup
     characteristic: int
     exponents: tuple
     recession_cone: Cone
     vertices: tuple
+    facets: tuple
 
 
 def newton_polyhedron(ideal: MonomialIdealExponents) -> NewtonPolyhedron:
-    """Vertices of conv(exponents) + cone(semigroup)."""
+    """Vertices and facets of conv(exponents) + cone(semigroup), from one
+    conversion of the homogenized cone (`polyhedron_vertices_and_facets`)."""
     S = ideal.semigroup
-    vertices = polyhedron_vertices(ideal.exponents, S.cone)
-    return NewtonPolyhedron(S, ideal.characteristic, ideal.exponents, S.cone, vertices)
+    vertices, facets = polyhedron_vertices_and_facets(ideal.exponents, S.cone)
+    return NewtonPolyhedron(
+        S, ideal.characteristic, ideal.exponents, S.cone, vertices, facets
+    )
 
 
 @dataclass(frozen=True)
@@ -106,26 +115,36 @@ def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
 
     The chart at v is generated by the parent's minimal generators together
     with e - v for every exponent e. With normalize the chart is its
-    saturation cone(σ^∨ ∪ (E - v)) ∩ Z^d, built straight from that cone.
-    `nash_blowup` gives the same charts without E (for normalize False,
-    the same semigroups from other generators); this enumeration stays for
-    the `blowup` command and as the walk's test oracle.
+    saturation, the lattice points of the tangent cone at v,
+    cone(σ^∨ ∪ (E - v)), built as the cone cut out by the facets of N
+    through v: the normals h of N's facets with h0 + <h, v> = 0, a few per
+    vertex where E - v lists every exponent. `nash_blowup` gives the same
+    charts from the exchange directions, the cone's rays (for normalize
+    False, the same semigroups from other generators); this enumeration
+    stays for the `blowup` command and as the walk's test oracle.
     """
     S = N.semigroup
-    return tuple(
-        _chart(S, v, tuple(vsub(e, v) for e in N.exponents), normalize)
-        for v in N.vertices
-    )
+    charts = []
+    for v in N.vertices:
+        if normalize:
+            through = [h[1:] for h in N.facets if h[0] + dot(h[1:], v) == 0]
+            tangent = Cone.from_halfspaces(through, S.dim)
+            charts.append(_chart(S, v, (), True, tangent))
+        else:
+            directions = tuple(vsub(e, v) for e in N.exponents)
+            charts.append(_chart(S, v, directions, False))
+    return tuple(charts)
 
 
-def _chart(S, v, directions, normalize):
-    """The chart at vertex v: with normalize, cone(σ^∨ ∪ directions) ∩ Z^d
-    for directions that span the Newton polyhedron's tangent cone at v;
+def _chart(S, v, directions, normalize, tangent=None):
+    """The chart at vertex v: with normalize, tangent ∩ Z^d for the Newton
+    polyhedron's tangent cone at v, cone(σ^∨ ∪ directions) unless given;
     without, the semigroup the parent's generators and directions generate."""
     try:
         if normalize:
-            cone = Cone.from_rays(S.cone.rays + directions, S.dim)
-            chart = AffineSemigroup.from_cone(cone)
+            if tangent is None:
+                tangent = Cone.from_rays(S.cone.rays + directions, S.dim)
+            chart = AffineSemigroup.from_cone(tangent)
         else:
             chart = AffineSemigroup(S.dim, S.minimal_generators() + directions)
     except ToricError as exc:

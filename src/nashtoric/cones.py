@@ -457,17 +457,30 @@ def irreducible(points, halfspaces, member=None):
     return tuple(sorted(kept))
 
 
-def polyhedron_vertices(points, cone: Cone):
-    """Sorted vertices of conv(points) + cone.
+def polyhedron_vertices_and_facets(points, cone: Cone):
+    """(vertices, facets) of P = conv(points) + cone, both sorted.
 
-    One conversion answers it: the homogenized cone generated by (1, p) for
-    the points and (0, r) for the recession rays has the extreme rays
-    (1, v) exactly at the vertices v. A recession cone with a line leaves
-    the polyhedron without vertices.
+    One conversion answers both: the homogenized cone generated by (1, p)
+    for the points and (0, r) for the recession rays has the extreme rays
+    (1, v) exactly at the vertices v, and its halfspaces are the normals
+    (h0, h) with h0 + <h, x> >= 0 cutting out P (± pairs when P is not
+    full-dimensional, and (1, 0) when the far face x0 = 0 is a facet).
+    The tangent cone of P at v is cut out by the h with h0 + <h, v> = 0.
+    A recession cone with a line leaves P without vertices; no points leave
+    it empty, with neither.
     """
     pts = sorted({vec(p) for p in points})
-    if not pts or not cone.pointed:
-        return ()
+    for p in pts:
+        if len(p) != cone.dim:
+            raise DimensionError(f"point {p} does not have length {cone.dim}")
+    if not pts:
+        return (), ()
     lifted = [(1,) + p for p in pts] + [(0,) + r for r in cone.rays]
     hom = Cone.from_rays(lifted, cone.dim + 1)
-    return tuple(sorted(r[1:] for r in hom.rays if r[0] > 0))
+    vertices = sorted(r[1:] for r in hom.rays if r[0] > 0) if cone.pointed else ()
+    return tuple(vertices), hom.halfspaces
+
+
+def polyhedron_vertices(points, cone: Cone):
+    """Sorted vertices of conv(points) + cone."""
+    return polyhedron_vertices_and_facets(points, cone)[0]

@@ -264,6 +264,33 @@ def test_normalized_blowup_matches_enumeration(cusp, threefold):
     assert multi >= 20 and depends_on_p >= 20, (multi, depends_on_p)
 
 
+# u of the `fourfold-step` benchmark roots, cone_rays e1, e2, e3, u: one
+# root per lattice class of u = (a, b, c, n), n <= 5, 6-10 generators
+FOURFOLD_ROOTS = (
+    (0, 1, 1, 2), (1, 1, 1, 2), (0, 0, 2, 3), (0, 1, 1, 3), (0, 1, 2, 3), (0, 0, 3, 4),
+    (0, 1, 1, 4), (0, 1, 2, 4), (0, 1, 3, 4), (0, 2, 2, 4), (0, 2, 3, 4), (1, 2, 2, 4),
+    (2, 2, 2, 4), (0, 0, 2, 5), (0, 0, 3, 5), (0, 0, 4, 5), (0, 1, 1, 5), (0, 1, 2, 5),
+    (0, 1, 3, 5), (0, 1, 4, 5), (0, 2, 3, 5),
+)
+
+
+def test_normalized_blowup_matches_enumeration_on_fourfold_roots():
+    # the walk's charts come from exchange directions, the enumeration's
+    # from the Newton facets through each vertex, and both match the cone
+    # of σ^∨ and E - v
+    e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    for u in FOURFOLD_ROOTS:
+        S = AffineSemigroup.from_cone(Cone.from_rays(e + (u,), 4).dual())
+        assert 6 <= len(S.minimal_generators()) <= 10
+        for p in (0, 2):
+            N = newton_polyhedron(log_jacobian_ideal(S, p))
+            charts = blowup_charts(N, normalize=True)
+            assert charts == nash_blowup(S, p, normalize=True)
+            for chart in charts:
+                shifts = tuple(vsub(x, chart.vertex) for x in N.exponents)
+                assert chart.semigroup.cone == Cone.from_rays(S.cone.rays + shifts, 4)
+
+
 def test_greedy_basis_is_gale_minimal():
     """Edmonds/Gale: the i-th least key of the greedy basis is at most the
     i-th least key of every basis of the matroid, here the d-subsets with

@@ -12,6 +12,7 @@ from nashtoric.cones import (
     interior_point,
     parallelepiped_points,
     polyhedron_vertices,
+    polyhedron_vertices_and_facets,
     triangulate,
 )
 from nashtoric.errors import (
@@ -27,6 +28,7 @@ from nashtoric.linalg import (
     independent_rows,
     primitive,
     rank,
+    vsub,
 )
 
 from oracles import (
@@ -629,3 +631,52 @@ def test_polyhedron_vertices_degenerate_recession_cones():
     pts = ((0, 0, 0, 0), (1, 2, 3, 4), (0, 1, 0, 1))
     assert polyhedron_vertices(pts, slab) == ()
     assert vertices_via_lp(pts, slab.rays, 4) == ()
+
+
+def test_polyhedron_vertices_checks_point_lengths():
+    quadrant = Cone.from_rays(((1, 0), (0, 1)), 2)
+    with pytest.raises(DimensionError, match=r"point \(1, 2, 3\) does not have length 2"):
+        polyhedron_vertices([(1, 2, 3)], quadrant)
+    with pytest.raises(DimensionError, match=r"point \(4,\) does not have length 2"):
+        polyhedron_vertices_and_facets([(0, 0), (4,)], quadrant)
+
+
+def test_polyhedron_facets_cut_out_every_tangent_cone():
+    """Every facet (h0, h) holds on the points and the recession rays and is
+    tight on one of them, unless P is one point (the homogenized cone is a
+    ray, whose one facet is its apex). At every vertex v the facets through
+    v cut out the tangent cone cone(rays + (P - v)), the V-description's."""
+    rng = random.Random(313)
+    seen = {"full": 0, "lower": 0, "far facet": 0, "several vertices": 0}
+    cases = 0
+    while cases < 320:
+        dim = 1 + cases % 5
+        if rng.random() < 0.5:
+            cone = random_pointed_cone(rng, dim, bound=4)
+        else:
+            k = rng.randint(0, dim - 1)
+            cone = Cone.from_rays(
+                [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(k)], dim
+            )
+            if not cone.pointed:
+                continue
+        pts = [
+            tuple(rng.randint(-4, 4) for _ in range(dim))
+            for _ in range(rng.randint(1, 7))
+        ]
+        vertices, facets = polyhedron_vertices_and_facets(pts, cone)
+        assert vertices == polyhedron_vertices(pts, cone)
+        assert vertices and set(vertices) <= set(pts)
+        for h in facets:
+            values = [h[0] + dot(h[1:], p) for p in pts] + [dot(h[1:], r) for r in cone.rays]
+            one_point = len(set(pts)) == 1 and not cone.rays
+            assert min(values) == 0 or (one_point and min(values) > 0)
+        for v in vertices:
+            through = [h[1:] for h in facets if h[0] + dot(h[1:], v) == 0]
+            tangent = Cone.from_rays(list(cone.rays) + [vsub(p, v) for p in pts], dim)
+            assert Cone.from_halfspaces(through, dim) == tangent
+        seen["full" if cone.full_dim else "lower"] += 1
+        seen["far facet"] += (1,) + (0,) * dim in facets
+        seen["several vertices"] += len(vertices) > 1
+        cases += 1
+    assert min(seen.values()) >= 40, seen
