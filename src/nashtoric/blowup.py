@@ -173,8 +173,7 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
     """
     p = validate_characteristic(characteristic)
     gens = S.minimal_generators()
-    w = _vsum(S.cone.halfspaces)
-    start = _greedy_basis(gens, lambda g: (dot(w, g), g), p)
+    start = _start_basis(S, gens, p)
     seen = {_vsum(start)}
     # each basis comes with the edge back to where it was reached from
     todo = [(start, None)]
@@ -194,6 +193,13 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
                 seen.add(v)
                 todo.append((far, vneg(u)))
     return tuple(sorted(charts, key=lambda c: c.vertex))
+
+
+def _start_basis(S, gens, p):
+    """The greedy basis under (<w, g>, g), w the sum of the facet normals:
+    the walk's first vertex."""
+    w = _vsum(S.cone.halfspaces)
+    return _greedy_basis(gens, lambda g: (dot(w, g), g), p)
 
 
 def _greedy_basis(gens, key, p):
@@ -233,13 +239,25 @@ def _exchanges(basis, gens, p):
 def is_trivial_step(N: NewtonPolyhedron, charts) -> bool:
     """True when the single chart reproduces the parent semigroup.
 
-    Only meaningful for charts built without normalization.
+    Only meaningful for charts built without normalization. The `blowup`
+    command has the charts in hand; `stalls` answers the same question
+    from the semigroup alone.
     """
-    return stalls(N.semigroup, charts)
-
-
-def stalls(S: AffineSemigroup, charts) -> bool:
-    """`is_trivial_step` for the charts of S, without its Newton polyhedron."""
     if len(charts) != 1:
         return False
-    return charts[0].semigroup.minimal_generators() == S.minimal_generators()
+    return charts[0].semigroup.minimal_generators() == N.semigroup.minimal_generators()
+
+
+def stalls(S: AffineSemigroup, characteristic) -> bool:
+    """Is the unnormalized Nash blowup of S in characteristic p a trivial
+    step, one chart equal to S? Answered without building a chart.
+
+    Read off the exchanges at the walk's start basis B, v = sum B: S stalls
+    exactly when every direction g - b lies in Γ. Then the tangent cone at
+    v is σ^∨, the recession cone, so v is the only vertex, and its chart
+    Γ + <directions> is Γ. Conversely, a stall has one chart, the one at
+    v, and it contains every direction.
+    """
+    p = validate_characteristic(characteristic)
+    gens = S.minimal_generators()
+    return all(S.membership(u) for u in _exchanges(_start_basis(S, gens, p), gens, p))

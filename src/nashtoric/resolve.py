@@ -79,7 +79,7 @@ def resolve(
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
     charts = _class_memo(lambda T: nash_blowup(T, p, normalize))
-    root = _expand(S, 0, charts, normalize, max_depth)
+    root = _expand(S, 0, charts, p, normalize, max_depth)
     return ResolutionTree(root, p, normalize, max_depth)
 
 
@@ -126,21 +126,23 @@ def _class_memo(blowup):
     return charts
 
 
-def _expand(S, depth, blowup, normalize, max_depth) -> ResolutionNode:
-    """The subtree below S, with the charts `blowup` gives for S. A
-    normalized node at the cap is not blown up; an unnormalized one is,
-    because it may stall there."""
+def _expand(S, depth, blowup, p, normalize, max_depth) -> ResolutionNode:
+    """The subtree below S, with the charts `blowup` gives for S.
+
+    A node is tested in the order smooth, stall (unnormalized only), cap,
+    and only then blown up: an unnormalized stall is read off the
+    exchanges at one basis (`stalls`), so neither a stall nor a node at
+    the cap builds a chart.
+    """
     if S.is_smooth():
         return ResolutionNode(S, depth, SMOOTH_LEAF, ())
-    if normalize and depth == max_depth:
-        return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-    charts = blowup(S)
-    if not normalize and stalls(S, charts):
+    if not normalize and stalls(S, p):
         return ResolutionNode(S, depth, TRIVIAL_STALL, ())
     if depth == max_depth:
         return ResolutionNode(S, depth, DEPTH_CAPPED, ())
+    charts = blowup(S)
     children = tuple(
-        (c.vertex, _expand(c.semigroup, depth + 1, blowup, normalize, max_depth))
+        (c.vertex, _expand(c.semigroup, depth + 1, blowup, p, normalize, max_depth))
         for c in charts
     )
     return ResolutionNode(S, depth, EXPANDED, children)

@@ -36,38 +36,42 @@ def _generated_member(x, gens, cone, cache) -> bool:
 
     Iterative depth-first search on x minus partial sums, pruned by cone
     membership; the search is a DAG because every generator is strictly
-    positive on the cone's grading. cache maps points to known answers and
-    must map the origin to True; it may persist across calls while every
-    entry stays right for the generator list passed.
+    positive on the cone's grading. Each frame on the stack is a point v
+    with the index of the next generator g to try. The search ends at the
+    first child v - g known to lie in the semigroup, and then every point
+    on the stack is in it too, so all are cached True; a point is cached
+    False once every child in the cone has come back False. cache maps
+    points to known answers and must map the origin to True; it may
+    persist across calls while every entry stays right for the generator
+    list passed.
     """
     hit = cache.get(x)
     if hit is not None:
         return hit
-    stack = [x]
-    while stack:
-        v = stack[-1]
-        if v in cache:
-            stack.pop()
-            continue
-        result = None
-        pending = []
-        for g in gens:
-            w = vsub(v, g)
+    n = len(gens)
+    path = [x]
+    nexts = [0]
+    while path:
+        v = path[-1]
+        i = nexts[-1]
+        while i < n:
+            w = vsub(v, gens[i])
+            i += 1
             r = cache.get(w)
             if r is True:
-                result = True
-                break
+                cache.update(dict.fromkeys(path, True))
+                return True
             if r is None and cone.contains(w):
-                pending.append(w)
-        if result is None and not pending:
-            result = False
-        if result is None:
-            # revisit v after the unresolved children are settled
-            stack.extend(pending)
+                break
         else:
-            cache[v] = result
-            stack.pop()
-    return cache[x]
+            cache[v] = False
+            path.pop()
+            nexts.pop()
+            continue
+        nexts[-1] = i
+        path.append(w)
+        nexts.append(0)
+    return False
 
 
 class AffineSemigroup:

@@ -424,8 +424,9 @@ def vertices_via_lp(points, rays, dim):
 
 def resolve_reference(S, characteristic, normalize=True, max_depth=64):
     """`resolve` as a plain recursion that blows up every node itself,
-    with no memo over lattice classes."""
-    from nashtoric.blowup import nash_blowup, stalls
+    with no memo over lattice classes, and tells a stall from the charts:
+    one chart equal to the node."""
+    from nashtoric.blowup import nash_blowup
     from nashtoric.resolve import (
         DEPTH_CAPPED,
         EXPANDED,
@@ -441,7 +442,11 @@ def resolve_reference(S, characteristic, normalize=True, max_depth=64):
         if normalize and depth == max_depth:
             return ResolutionNode(T, depth, DEPTH_CAPPED, ())
         charts = nash_blowup(T, characteristic, normalize)
-        if not normalize and stalls(T, charts):
+        if (
+            not normalize
+            and len(charts) == 1
+            and charts[0].semigroup.minimal_generators() == T.minimal_generators()
+        ):
             return ResolutionNode(T, depth, TRIVIAL_STALL, ())
         if depth == max_depth:
             return ResolutionNode(T, depth, DEPTH_CAPPED, ())

@@ -13,6 +13,7 @@ from nashtoric.blowup import (
     log_jacobian_ideal,
     nash_blowup,
     newton_polyhedron,
+    stalls,
 )
 from nashtoric.cones import Cone, polyhedron_vertices
 from nashtoric.errors import CharacteristicError, ToricError
@@ -340,6 +341,26 @@ def test_trivial_step_on_numerical_semigroup(cusp):
     normalized = blowup_charts(N, normalize=True)
     assert normalized[0].semigroup.minimal_generators() == ((1,),)
     assert not is_trivial_step(N, normalized)
+
+
+def test_stall_from_exchanges_matches_the_enumerated_charts(cusp):
+    # stalls reads the answer off one basis's exchanges, the enumeration
+    # compares the one chart built from E - v with the parent; a smooth
+    # semigroup stalls trivially, so only singular ones are counted
+    rng = random.Random(515)
+    cases = [cusp]
+    for i in range(150):
+        dim = 1 + i % 4
+        cases.append(AffineSemigroup(dim, random_unsaturated_generators(rng, dim)))
+    outcomes = {True: 0, False: 0}
+    for S in cases:
+        for p in (0, 2, 3):
+            N = newton_polyhedron(log_jacobian_ideal(S, p))
+            expected = is_trivial_step(N, blowup_charts(N, normalize=False))
+            assert stalls(S, p) == expected, (S, p)
+            if not S.is_smooth():
+                outcomes[expected] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_charts_contain_parent_generators(threefold):

@@ -177,7 +177,7 @@ def _capped_prefix(node, cap):
     return (gens, DEPTH_CAPPED if node.status == EXPANDED else node.status, ())
 
 
-def test_unnormalized_capped_nodes_build_charts_only_for_a_stall(cusp, monkeypatch):
+def test_unnormalized_capped_nodes_skip_the_blowup(cusp, monkeypatch):
     S = AffineSemigroup.from_cone(Cone.from_rays(((4, 1), (3, 2)), 2))
     full = resolve(S, 2, normalize=False, max_depth=6)
     depth1 = [child for _, child in full.root.children]
@@ -189,18 +189,29 @@ def test_unnormalized_capped_nodes_build_charts_only_for_a_stall(cusp, monkeypat
     # one capped node has two vertices, so it cannot stall
     assert sorted(vertex_counts) == [1, 1, 2]
     module = sys.modules[resolve.__module__]
+    calls = []
+
+    def counted(T, p, normalize=True):
+        calls.append(T)
+        return nash_blowup(T, p, normalize)
 
     def enumeration(*args, **kwargs):
         raise AssertionError("unnormalized resolve enumerated the ideal exponents")
 
+    monkeypatch.setattr(module, "nash_blowup", counted)
     for name in ("log_jacobian_ideal", "newton_polyhedron", "blowup_charts"):
         monkeypatch.setattr(module, name, enumeration, raising=False)
     capped = resolve(S, 2, normalize=False, max_depth=1)
+    # only the root is blown up; a stall at the cap is read off the
+    # exchanges and a capped node builds no chart
+    assert calls == [S]
     assert capped.shape() == _capped_prefix(full.root, 1)
     assert {c.status for _, c in capped.root.children} == {TRIVIAL_STALL, DEPTH_CAPPED}
     # <2,5> blows up to the cusp in p = 3, which stalls right at the cap
     root = AffineSemigroup(1, [(2,), (5,)])
+    calls.clear()
     tree = resolve(root, 3, normalize=False, max_depth=1)
+    assert calls == [root]
     ((_, child),) = tree.root.children
     assert child.semigroup.minimal_generators() == cusp.minimal_generators()
     assert child.status == TRIVIAL_STALL
