@@ -17,6 +17,9 @@ normals, and no second conversion runs.
 Pointed full-dimensional 2D cones take their own paths: one cross-product
 scan for the two extreme rays instead of a conversion, and the
 Hirzebruch-Jung chain as the Hilbert basis instead of parallelepiped points.
+A simplicial cone in any dimension costs one determinant for its facets,
+the adjugate of its d rays, and one Hermite index for its Hilbert basis: it
+is its own triangulation, and a piece of index 1 adds no point.
 
 `irreducible` is the one reduction behind every minimal generating set: the
 Hilbert basis here, the semigroup's minimal generators and the minimal
@@ -49,6 +52,15 @@ from .linalg import (
 )
 
 
+def _simplicial_facets(rows):
+    """The primitive signed adjugate columns of d independent rows: column j
+    lies on every row's hyperplane but the j-th and is positive on the j-th.
+    A singular list raises DimensionError."""
+    adj, det_M = adjugate(rows)
+    sign = 1 if det_M > 0 else -1
+    return [primitive(tuple(sign * a for a in col)) for col in zip(*adj)]
+
+
 def _pointed_extreme_rays(normals, basis):
     """Extreme rays of {x : <n,x> >= 0 for all n} as sorted (ray, mask)
     pairs, bit i of mask set when <normals[i], ray> is 0; basis holds the
@@ -63,14 +75,12 @@ def _pointed_extreme_rays(normals, basis):
     dim-2 members and lies in no third ray's zero set.
     """
     dim = len(basis)
-    adj, det_A = adjugate(tuple(normals[i] for i in basis))
-    sign = 1 if det_A > 0 else -1
     seed_mask = 0
     for i in basis:
         seed_mask |= 1 << i
     rays = [
-        (primitive(tuple(sign * adj[k][j] for k in range(dim))), seed_mask ^ (1 << i))
-        for j, i in enumerate(basis)
+        (r, seed_mask ^ (1 << i))
+        for r, i in zip(_simplicial_facets(tuple(normals[i] for i in basis)), basis)
     ]
     seeded = set(basis)
     for i, n in enumerate(normals):
@@ -216,6 +226,10 @@ class Cone:
         of the normals' kernel, and the extreme rays are the inputs whose
         facet sets are maximal under inclusion, projected onto the span of
         the facet normals and made primitive.
+
+        Exactly d independent primitive inputs (after the 2D scan) stop at
+        the pass's seed: one adjugate gives the facets, and the inputs are
+        the rays.
         """
         rays = [vec(r) for r in rays]
         if dim is None:
@@ -232,6 +246,10 @@ class Cone:
             fast = cls._from_rays_2d(norm)
             if fast is not None:
                 return fast
+        if len(norm) == dim:
+            simplicial = cls._from_rays_simplicial(norm)
+            if simplicial is not None:
+                return simplicial
         # the dual's ± lines, independent of the inputs, cut it down to
         # its pointed part
         basis = independent_rows(norm)
@@ -245,6 +263,20 @@ class Cone:
         lines, rays = _extreme_inputs(norm, facets, halfspaces, dim)
         rays = _with_line_pairs(lines, rays)
         return cls(dim, rays, halfspaces, not lines, not dual_lines)
+
+    @classmethod
+    def _from_rays_simplicial(cls, norm):
+        """d independent primitive inputs without the insertion loop.
+
+        The double description's seed is the whole answer: the inputs are
+        the extreme rays and the signed adjugate columns the facets. A
+        singular list returns None for the general pass.
+        """
+        try:
+            facets = _simplicial_facets(norm)
+        except DimensionError:
+            return None
+        return cls(len(norm), tuple(norm), tuple(sorted(facets)), True, True)
 
     @classmethod
     def _from_rays_2d(cls, norm):
@@ -315,20 +347,6 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={list(self.rays)})"
 
 
-def interior_point(cone: Cone):
-    """Integer point strictly inside every facet halfspace: the ray sum.
-
-    Every stored normal is nonzero and >= 0 on every stored ray, line pairs
-    cancel, and the rays span Q^d, so each normal is > 0 on the sum.
-    """
-    if not cone.full_dim:
-        raise NotFullDimensionalError("interior point needs a full-dimensional cone")
-    w = tuple(map(sum, zip(*cone.rays)))
-    if not all(dot(n, w) > 0 for n in cone.halfspaces):
-        raise RuntimeError("full-dimensional cone has no interior point")
-    return w
-
-
 def _simplicial_pieces(rays, halfspaces):
     """Placing triangulation anchored at the lexicographically smallest ray.
 
@@ -374,7 +392,9 @@ def parallelepiped_points(vectors):
 
     Exactly |det| many: one representative per coset of Z^d modulo the
     lattice the vectors generate, read off the box [0, H[k][k]) under its
-    Hermite basis H and translated into the half-open parallelepiped.
+    Hermite basis H and translated into the half-open parallelepiped. The
+    index Π H[k][k] is checked against |det| before the box is enumerated;
+    at index 1 the origin is the only point.
     """
     vectors = tuple(vec(v) for v in vectors)
     d = len(vectors)
@@ -383,18 +403,21 @@ def parallelepiped_points(vectors):
     M = columns_matrix(vectors)
     Madj, dM = adjugate(M)
     H = hermite_basis(vectors, d)
+    index = 1
+    for k in range(d):
+        index *= H[k][k]
+    if index != abs(dM):
+        raise RuntimeError(
+            f"parallelepiped has {index} lattice points, "
+            f"expected |det| = {abs(dM)}"
+        )
+    if index == 1:
+        return ((0,) * d,)
     points = []
     for z in product(*(range(H[k][k]) for k in range(d))):
         # floor of the rational barycentric coordinates; // floors for any sign
-        shift = tuple(dot(Madj[i], z) // dM for i in range(d))
-        points.append(
-            tuple(z[i] - sum(M[i][j] * shift[j] for j in range(d)) for i in range(d))
-        )
-    if len(points) != abs(dM):
-        raise RuntimeError(
-            f"parallelepiped has {len(points)} lattice points, "
-            f"expected |det| = {abs(dM)}"
-        )
+        shift = [dot(row, z) // dM for row in Madj]
+        points.append(vsub(z, mat_vec(M, shift)))
     return tuple(sorted(points))
 
 
@@ -409,7 +432,7 @@ def hilbert_basis(cone: Cone) -> HilbertBasis:
 
     In dimension 2 it is the Hirzebruch-Jung chain between the two rays; in
     higher dimensions `irreducible` reduces the rays and the parallelepiped
-    points of a triangulation.
+    points of a triangulation, which a simplicial cone is of itself.
     """
     if not cone.pointed:
         raise NotPointedError("Hilbert basis needs a pointed cone")
@@ -424,13 +447,22 @@ def _hilbert_basis_by_pieces(cone: Cone):
     """Sorted Hilbert basis of a pointed full-dimensional cone of any dimension.
 
     The rays and the nonzero parallelepiped points of every simplicial piece
-    generate cone ∩ Z^d; the irreducible ones are the basis.
+    generate cone ∩ Z^d; the irreducible ones are the basis. A simplicial
+    cone is its own single piece. When no piece adds a point, the sorted
+    primitive extreme rays are the basis: none is a sum of other nonzero
+    lattice points of the cone.
     """
+    if len(cone.rays) == cone.dim:
+        pieces = (cone.rays,)
+    else:
+        pieces = _simplicial_pieces(cone.rays, cone.halfspaces)
     candidates = set(cone.rays)
-    for piece in _simplicial_pieces(cone.rays, cone.halfspaces):
+    for piece in pieces:
         for x in parallelepiped_points(piece):
             if any(x):
                 candidates.add(x)
+    if len(candidates) == len(cone.rays):
+        return cone.rays
     return irreducible(candidates, cone.halfspaces)
 
 

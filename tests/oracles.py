@@ -3,9 +3,11 @@
 Everything here trades speed for obviousness: permutation determinants,
 dense Fraction solves, exhaustive lattice scans. The Hilbert basis oracle
 enumerates irreducible lattice points directly from a graded bounding box
-and never calls the triangulation-based algorithm under test. The random
-unsaturated generator lists the minimal-generator oracle is checked on are
-drawn here too, so that every test draws them the same way.
+and never calls the triangulation-based algorithm under test; a second
+reference runs that general route on every cone, so that the shortcuts for
+simplicial cones and for pieces that add no point are checked against it.
+The random unsaturated generator lists the minimal-generator oracle is
+checked on are drawn here too, so that every test draws them the same way.
 """
 
 from fractions import Fraction
@@ -199,6 +201,35 @@ def cone_bruteforce(rays, dim):
     lines = lines_of(halfspaces)
     out = with_pairs(lines, extreme_rays_bruteforce(with_pairs(lines, halfspaces), dim))
     return out, halfspaces, not lines, not dual_lines
+
+
+def interior_point(cone):
+    """Integer point strictly inside every facet halfspace: the ray sum.
+
+    Every stored normal is nonzero and >= 0 on every stored ray, line pairs
+    cancel, and the rays span Q^d, so each normal is > 0 on the sum.
+    """
+    from nashtoric.errors import NotFullDimensionalError
+
+    if not cone.full_dim:
+        raise NotFullDimensionalError("interior point needs a full-dimensional cone")
+    w = tuple(map(sum, zip(*cone.rays)))
+    if not all(sum(a * b for a, b in zip(n, w)) > 0 for n in cone.halfspaces):
+        raise RuntimeError("full-dimensional cone has no interior point")
+    return w
+
+
+def hilbert_basis_by_triangulation(cone):
+    """Hilbert basis by the general route for every cone: a placing
+    triangulation, the parallelepiped points of each piece, then the graded
+    reduction, with no shortcut for simplicial cones or for pieces that add
+    no point."""
+    from nashtoric.cones import _simplicial_pieces, irreducible, parallelepiped_points
+
+    candidates = set(cone.rays)
+    for piece in _simplicial_pieces(cone.rays, cone.halfspaces):
+        candidates.update(x for x in parallelepiped_points(piece) if any(x))
+    return irreducible(candidates, cone.halfspaces)
 
 
 def log_jacobian_reference(S, p):

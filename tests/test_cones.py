@@ -9,7 +9,6 @@ from nashtoric import cones
 from nashtoric.cones import (
     Cone,
     hilbert_basis,
-    interior_point,
     parallelepiped_points,
     polyhedron_vertices,
     polyhedron_vertices_and_facets,
@@ -36,7 +35,9 @@ from oracles import (
     brute_force_hilbert,
     cone_bruteforce,
     extreme_rays_bruteforce,
+    hilbert_basis_by_triangulation,
     in_cone_2d,
+    interior_point,
     mat_mul,
     vertices_via_lp,
 )
@@ -302,6 +303,82 @@ def test_2d_shortcut_matches_generic_conversion(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
+def _random_unimodular(rng, dim):
+    """A random matrix in GL(dim, Z): row additions and sign flips of the
+    identity, so its rows and columns are primitive and independent."""
+    M = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(3 * dim):
+        if dim > 1:
+            i, j = rng.sample(range(dim), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+        if rng.random() < 0.3:
+            i = rng.randrange(dim)
+            M[i] = [-a for a in M[i]]
+    return M
+
+
+def test_simplicial_exit_matches_general_pass(monkeypatch):
+    # d independent inputs stop at the double description's seed; adding
+    # their sum, a new primitive input for d > 1, forces the general pass,
+    # and so does switching the exit off
+    rng = random.Random(318)
+    cases = []
+    seen = {"positive": 0, "negative": 0, "non-primitive": 0, "unimodular": 0}
+    for i in range(200):
+        dim = 1 + i % 5
+        if i % 4 == 0:
+            rays = [list(col) for col in zip(*_random_unimodular(rng, dim))]
+        else:
+            while True:
+                rays = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(dim)]
+                if det(rays):
+                    break
+        if rng.random() < 0.4:
+            j = rng.randrange(dim)
+            rays[j] = [rng.randint(2, 3) * x for x in rays[j]]
+        rays = [tuple(r) for r in rays]
+        fast = Cone.from_rays(rays, dim)
+        assert fast.pointed and fast.full_dim and len(fast.rays) == dim
+        cases.append((rays, fast))
+        if dim > 1:
+            total = tuple(map(sum, zip(*rays)))
+            assert Cone.from_rays(rays + [total], dim) == fast
+        D = det(rays)
+        seen["positive" if D > 0 else "negative"] += 1
+        seen["non-primitive"] += any(primitive(r) != r for r in rays)
+        seen["unimodular"] += abs(D) == 1
+    monkeypatch.setattr(Cone, "_from_rays_simplicial", classmethod(lambda cls, norm: None))
+    for rays, fast in cases:
+        assert Cone.from_rays(rays, len(rays)) == fast
+    assert min(seen.values()) >= 20, seen
+
+
+def test_singular_d_list_matches_bruteforce():
+    # d distinct primitive inputs without full rank reach the exit and
+    # must fall through to the general pass
+    rng = random.Random(319)
+    shapes = set()
+    checked = 0
+    while checked < 100:
+        dim = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            basis = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim - 1)]
+            rays = [_combination(rng, basis, dim) for _ in range(dim)]
+        else:
+            # a line through the first input
+            rays = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim - 1)]
+            rays.append(tuple(-x for x in rays[0]))
+        norm = {primitive(r) for r in rays if any(r)}
+        if len(norm) != dim or rank(list(norm)) == dim:
+            continue
+        c = Cone.from_rays(rays, dim)
+        assert (c.rays, c.halfspaces, c.pointed, c.full_dim) == cone_bruteforce(rays, dim)
+        shapes.add((c.pointed, c.full_dim))
+        checked += 1
+    assert {(False, False), (True, False)} <= shapes, shapes
+
+
 def test_tall_normal_list_converts():
     # converting the 32 facets back must not take the Smith form of that
     # tall normal list: its entries grow past 40,000 bits within seconds
@@ -466,6 +543,10 @@ def test_parallelepiped_points_errors():
         parallelepiped_points(((1, 0),))
     with pytest.raises(DimensionError):
         parallelepiped_points(((1, 0), (2, 0)))
+    with pytest.raises(DimensionError):
+        parallelepiped_points(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+    with pytest.raises(DimensionError):
+        parallelepiped_points(((1, 2, 3, 4), (0, 1, 0, 1), (1, 3, 3, 5), (2, 0, 1, 1)))
 
 
 def test_parallelepiped_points_against_box_oracle():
@@ -491,6 +572,31 @@ def test_parallelepiped_points_against_box_oracle():
     pts = parallelepiped_points(columns)
     assert list(pts) == box_parallelepiped(columns)
     assert len(pts) == 8
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 2, 0), (0, 1, 0), (3, 1, 1)),
+        ((1, 0, 0), (0, 1, 0), (1, 1, 2)),
+        ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (1, 1, 1, 5)),
+    ],
+)
+def test_parallelepiped_points_checks_the_hermite_index(monkeypatch, columns):
+    # a Hermite basis whose index disagrees with |det| must be caught
+    # before anything is enumerated, also when |det| is 1
+    original = cones.hermite_basis
+
+    def doubled(vectors, dim):
+        H = [list(row) for row in original(vectors, dim)]
+        H[-1] = [2 * x for x in H[-1]]
+        return tuple(map(tuple, H))
+
+    assert len(parallelepiped_points(columns)) == abs(det(columns))
+    monkeypatch.setattr(cones, "hermite_basis", doubled)
+    with pytest.raises(RuntimeError, match="expected \\|det\\|"):
+        parallelepiped_points(columns)
 
 
 def test_hilbert_basis_fixed():
@@ -564,6 +670,33 @@ def test_hilbert_basis_against_brute_force():
                 continue
             assert list(elements) == expected
             seen["brute"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_hilbert_basis_matches_the_triangulation_route():
+    # simplicial cones skip the triangulation and index-1 pieces the box;
+    # the reference always takes the general route
+    rng = random.Random(320)
+    seen = {"unimodular": 0, "simplicial": 0, "non-simplicial": 0}
+    for i in range(270):
+        dim = 3 + i % 3
+        kind = ("unimodular", "simplicial", "non-simplicial")[i // 3 % 3]
+        if kind == "unimodular":
+            c = Cone.from_rays(zip(*_random_unimodular(rng, dim)), dim)
+        elif kind == "simplicial":
+            while True:
+                rays = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
+                if abs(det(rays)) > 1:
+                    break
+            c = Cone.from_rays(rays, dim)
+        else:
+            while True:
+                c = random_pointed_cone(rng, dim, bound=2, extra=3)
+                if len(c.rays) > dim:
+                    break
+        D = abs(det(c.rays)) if len(c.rays) == dim else 0
+        seen[("non-simplicial", "unimodular")[D == 1] if D < 2 else "simplicial"] += 1
+        assert hilbert_basis(c).elements == hilbert_basis_by_triangulation(c)
     assert min(seen.values()) >= 40, seen
 
 
