@@ -17,7 +17,13 @@ exponent is a minimal one plus an element of Γ. Conversely, by Brualdi's
 symmetric exchange (Brualdi 1969) every basis B' admits a bijection
 s: B - B' -> B' - B with every B - b + s(b) a basis, so sum B' - v is a
 sum of exchange directions. Hence Γ + <E - v> = Γ + <g - b : B - b + g a
-basis mod p>, and one walk serves both chart kinds.
+basis mod p>, and one walk serves both chart kinds. Most of Γ's generators
+are redundant there: a generator g with some exchange is b + (g - b), so
+B, the generators with no exchange (only p > 0 leaves any) and the
+directions already generate the chart.
+
+A resolution node needs the start basis and its exchanges twice, to test
+a stall and to start the walk; `walk_start` computes them once for both.
 """
 
 from dataclasses import dataclass
@@ -136,17 +142,22 @@ def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
     return tuple(charts)
 
 
-def _chart(S, v, directions, normalize, tangent=None):
+def _chart(S, v, directions, normalize, tangent=None, kept=None):
     """The chart at vertex v: with normalize, tangent ∩ Z^d for the Newton
     polyhedron's tangent cone at v, cone(σ^∨ ∪ directions) unless given;
-    without, the semigroup the parent's generators and directions generate."""
+    without, the semigroup that kept and directions generate, kept the
+    parent's minimal generators unless given. The walk keeps only its
+    basis and the generators with no exchange, which with the directions
+    generate Γ too (module docstring)."""
     try:
         if normalize:
             if tangent is None:
                 tangent = Cone.from_rays(S.cone.rays + directions, S.dim)
             chart = AffineSemigroup.from_cone(tangent)
         else:
-            chart = AffineSemigroup(S.dim, S.minimal_generators() + directions)
+            if kept is None:
+                kept = S.minimal_generators()
+            chart = AffineSemigroup(S.dim, kept + directions)
     except ToricError as exc:
         # chart cones are provably pointed and full-dimensional, chart
         # semigroups have full group; reaching this means the
@@ -157,30 +168,36 @@ def _chart(S, v, directions, normalize, tangent=None):
     return BlowupChart(v, chart, normalize)
 
 
-def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
+def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True, start=None):
     """The charts of one blowup step, in vertex order.
 
     Equal to blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)),
     normalize), up to the generator lists of unnormalized charts, but
     built by a walk on the vertices, without E. A vertex is the sum of a
-    greedy basis. Its tangent cone, the chart cone, is spanned by σ^∨ and
-    the exchange directions g - b, which with the parent's generators also
-    generate the unnormalized chart (module docstring). Each extreme ray u
+    greedy basis B. Its tangent cone, the chart cone, is spanned by σ^∨ and
+    the exchange directions g - b; the directions with B and the
+    generators that have no exchange generate the unnormalized chart
+    (module docstring). Each extreme ray u
     of that cone outside σ^∨ is a bounded edge; the sum w_e of the facet
     normals through u is least on exactly that edge, and the greedy basis
     under (w_e, -u) sits at its far end. Bounded edges connect all
     vertices of a polyhedron whose recession cone is pointed.
+
+    The walk begins at `walk_start(S, p)`; start passes that triple in when
+    the caller already has it, as resolution does from its stall test.
     """
     p = validate_characteristic(characteristic)
     gens = S.minimal_generators()
-    start = _start_basis(S, gens, p)
-    seen = {_vsum(start)}
-    # each basis comes with the edge back to where it was reached from
+    if start is None:
+        start = walk_start(S, p)
+    seen = {_vsum(start[0])}
+    # each basis comes with its exchanges and the edge back to where it
+    # was reached from
     todo = [(start, None)]
     charts = []
     while todo:
-        basis, back = todo.pop()
-        chart = _chart(S, _vsum(basis), _exchanges(basis, gens, p), normalize)
+        (basis, directions, unexchanged), back = todo.pop()
+        chart = _chart(S, _vsum(basis), directions, normalize, kept=basis + unexchanged)
         charts.append(chart)
         tangent = chart.semigroup.cone
         for u in tangent.rays:
@@ -191,8 +208,16 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
             v = _vsum(far)
             if v not in seen:
                 seen.add(v)
-                todo.append((far, vneg(u)))
+                todo.append(((far,) + _exchanges(far, gens, p), vneg(u)))
     return tuple(sorted(charts, key=lambda c: c.vertex))
+
+
+def walk_start(S: AffineSemigroup, p):
+    """The walk's start basis B with its exchanges, as the triple
+    (B, directions, unexchanged) of `_exchanges`; p already validated."""
+    gens = S.minimal_generators()
+    basis = _start_basis(S, gens, p)
+    return (basis,) + _exchanges(basis, gens, p)
 
 
 def _start_basis(S, gens, p):
@@ -218,22 +243,30 @@ def _greedy_basis(gens, key, p):
 
 
 def _exchanges(basis, gens, p):
-    """Directions g - b of the base polytope's edges at the basis.
+    """Directions g - b of the base polytope's edges at the basis, and the
+    generators outside the basis with no exchange.
 
     B - b + g is a basis exactly when det(B with b replaced by g) is
     nonzero mod p, and by Cramer's rule that determinant is the entry of
-    adj(B)·g in b's row, so one adjugate answers every exchange.
+    adj(B)·g in b's row, so one adjugate answers every exchange. A
+    generator has none when every entry of adj(B)·g vanishes mod p; over
+    Q, adj(B)·g = det(B)·B^-1·g is never zero, so only p > 0 leaves any.
     """
     adj, _ = adjugate(columns_matrix(basis))
-    out = []
+    directions = []
+    unexchanged = []
     for g in gens:
         if g in basis:
             continue
+        exchanged = False
         for row, b in zip(adj, basis):
             t = dot(row, g)
             if t % p if p else t:
-                out.append(vsub(g, b))
-    return tuple(out)
+                directions.append(vsub(g, b))
+                exchanged = True
+        if not exchanged:
+            unexchanged.append(g)
+    return tuple(directions), tuple(unexchanged)
 
 
 def is_trivial_step(N: NewtonPolyhedron, charts) -> bool:
@@ -248,16 +281,20 @@ def is_trivial_step(N: NewtonPolyhedron, charts) -> bool:
     return charts[0].semigroup.minimal_generators() == N.semigroup.minimal_generators()
 
 
-def stalls(S: AffineSemigroup, characteristic) -> bool:
-    """Is the unnormalized Nash blowup of S in characteristic p a trivial
-    step, one chart equal to S? Answered without building a chart.
+def stalls_at(S: AffineSemigroup, start) -> bool:
+    """Is the unnormalized Nash blowup of S a trivial step, one chart equal
+    to S? Answered without building a chart, from start = `walk_start(S, p)`.
 
-    Read off the exchanges at the walk's start basis B, v = sum B: S stalls
-    exactly when every direction g - b lies in Γ. Then the tangent cone at
-    v is σ^∨, the recession cone, so v is the only vertex, and its chart
+    With B the start basis and v = sum B, S stalls exactly when every
+    direction g - b lies in Γ. Then the tangent cone at v is σ^∨, the
+    recession cone, so v is the only vertex, and its chart
     Γ + <directions> is Γ. Conversely, a stall has one chart, the one at
     v, and it contains every direction.
     """
-    p = validate_characteristic(characteristic)
-    gens = S.minimal_generators()
-    return all(S.membership(u) for u in _exchanges(_start_basis(S, gens, p), gens, p))
+    return all(S.membership(u) for u in start[1])
+
+
+def stalls(S: AffineSemigroup, characteristic) -> bool:
+    """Does the unnormalized Nash blowup of S stall in characteristic p?
+    `stalls_at` the walk's start basis."""
+    return stalls_at(S, walk_start(S, validate_characteristic(characteristic)))

@@ -5,7 +5,14 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .blowup import BlowupChart, log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
+from .blowup import (
+    BlowupChart,
+    log_jacobian_ideal,
+    nash_blowup,
+    newton_polyhedron,
+    stalls_at,
+    walk_start,
+)
 from .cones import Cone
 from .linalg import cross2, mat_vec, unimodular_dual, validate_characteristic
 from .semigroups import AffineSemigroup, LatticePairing
@@ -78,7 +85,7 @@ def resolve(
     """
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
-    charts = _class_memo(lambda T: nash_blowup(T, p, normalize))
+    charts = _class_memo(lambda T, start=None: nash_blowup(T, p, normalize, start))
     root = _expand(S, 0, charts, p, normalize, max_depth)
     return ResolutionTree(root, p, normalize, max_depth)
 
@@ -101,13 +108,14 @@ def _class_memo(blowup):
 
     A semigroup S is looked up in the bucket of its `LatticePairing` key;
     if g·R == S for a stored R, the charts of S are R's charts mapped by
-    g, re-sorted by vertex. Otherwise S is blown up and stored.
+    g, re-sorted by vertex, and start is ignored. Otherwise S is blown up,
+    from start when given (`nash_blowup`), and stored.
     The minimal generators determine a semigroup and its charts, so this
     serves both chart kinds in every dimension.
     """
     buckets = {}
 
-    def charts(S):
+    def charts(S, start=None):
         pairing = LatticePairing(S)
         bucket = buckets.setdefault(pairing.key, [])
         for R, known in bucket:
@@ -119,7 +127,7 @@ def _class_memo(blowup):
                     for c in known
                 )
                 return tuple(sorted(mapped, key=lambda c: c.vertex))
-        known = blowup(S)
+        known = blowup(S, start)
         bucket.append((pairing, known))
         return known
 
@@ -131,16 +139,20 @@ def _expand(S, depth, blowup, p, normalize, max_depth) -> ResolutionNode:
 
     A node is tested in the order smooth, stall (unnormalized only), cap,
     and only then blown up: an unnormalized stall is read off the
-    exchanges at one basis (`stalls`), so neither a stall nor a node at
-    the cap builds a chart.
+    exchanges at the walk's start basis (`stalls_at`), so neither a stall
+    nor a node at the cap builds a chart, and the walk starts from that
+    basis and its exchanges.
     """
     if S.is_smooth():
         return ResolutionNode(S, depth, SMOOTH_LEAF, ())
-    if not normalize and stalls(S, p):
-        return ResolutionNode(S, depth, TRIVIAL_STALL, ())
+    start = None
+    if not normalize:
+        start = walk_start(S, p)
+        if stalls_at(S, start):
+            return ResolutionNode(S, depth, TRIVIAL_STALL, ())
     if depth == max_depth:
         return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-    charts = blowup(S)
+    charts = blowup(S, start)
     children = tuple(
         (c.vertex, _expand(c.semigroup, depth + 1, blowup, p, normalize, max_depth))
         for c in charts

@@ -363,6 +363,51 @@ def test_stall_from_exchanges_matches_the_enumerated_charts(cusp):
     assert min(outcomes.values()) >= 30, outcomes
 
 
+def test_walk_charts_keep_only_the_basis_and_unexchanged_generators(monkeypatch):
+    # an exchangeable generator g is b + (g - b), so B, the generators with
+    # no exchange and the directions generate Γ + <directions>; every
+    # basis the walk visits is checked against the chart built from all of
+    # Γ's generators, and against the walk's own chart at its vertex
+    rng = random.Random(517)
+    visited = []
+    exchanges = blowup._exchanges
+
+    def recorded(basis, gens, p):
+        out = exchanges(basis, gens, p)
+        visited.append((basis,) + out)
+        return out
+
+    monkeypatch.setattr(blowup, "_exchanges", recorded)
+    bases = with_unexchanged = needed = 0
+    for i in range(80):
+        dim = 1 + i % 4
+        S = AffineSemigroup(dim, random_unsaturated_generators(rng, dim))
+        gens = S.minimal_generators()
+        for p in (0, 2, 3, 5):
+            visited.clear()
+            charts = {c.vertex: c.semigroup for c in nash_blowup(S, p, normalize=False)}
+            assert len(visited) == len(charts)
+            for basis, directions, unexchanged in visited:
+                assert not set(unexchanged) & set(basis)
+                if p == 0:
+                    assert unexchanged == ()
+                chart = AffineSemigroup(dim, basis + unexchanged + directions)
+                oracle = AffineSemigroup(dim, gens + directions)
+                assert chart.cone == oracle.cone
+                assert chart.minimal_generators() == oracle.minimal_generators()
+                assert charts[blowup._vsum(basis)].minimal_generators() == (
+                    oracle.minimal_generators()
+                )
+                bases += 1
+                with_unexchanged += bool(unexchanged)
+                needed += bool(set(unexchanged) & set(chart.minimal_generators()))
+    # without the unexchanged generators the charts counted in needed
+    # would lose a minimal generator
+    assert bases >= 1000 and with_unexchanged >= 100 and needed >= 80, (
+        bases, with_unexchanged, needed,
+    )
+
+
 def test_charts_contain_parent_generators(threefold):
     rng = random.Random(504)
     cases = [threefold] + [random_saturated_surface(rng) for _ in range(15)]

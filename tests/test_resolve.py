@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from nashtoric import blowup
 from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron
 from nashtoric.cones import Cone
 from nashtoric.errors import CharacteristicError
@@ -146,9 +147,9 @@ def test_normalized_capped_nodes_skip_the_blowup(threefold, monkeypatch):
     module = sys.modules[resolve.__module__]
     calls = []
 
-    def counted(S, p, normalize=True):
+    def counted(S, p, normalize=True, start=None):
         calls.append(S)
-        return nash_blowup(S, p, normalize)
+        return nash_blowup(S, p, normalize, start)
 
     monkeypatch.setattr(module, "nash_blowup", counted)
     capped = resolve(threefold, 2, max_depth=1)
@@ -191,9 +192,9 @@ def test_unnormalized_capped_nodes_skip_the_blowup(cusp, monkeypatch):
     module = sys.modules[resolve.__module__]
     calls = []
 
-    def counted(T, p, normalize=True):
+    def counted(T, p, normalize=True, start=None):
         calls.append(T)
-        return nash_blowup(T, p, normalize)
+        return nash_blowup(T, p, normalize, start)
 
     def enumeration(*args, **kwargs):
         raise AssertionError("unnormalized resolve enumerated the ideal exponents")
@@ -216,6 +217,32 @@ def test_unnormalized_capped_nodes_skip_the_blowup(cusp, monkeypatch):
     assert child.semigroup.minimal_generators() == cusp.minimal_generators()
     assert child.status == TRIVIAL_STALL
     assert tree.shape() == _capped_prefix(resolve(root, 3, normalize=False).root, 1)
+
+
+def test_unnormalized_nodes_compute_one_start_basis(cusp, monkeypatch):
+    # the stall test's start basis and exchanges also start the walk, so a
+    # non-smooth node costs one start basis whether it stalls, sits at the
+    # cap, or is blown up; a node whose lattice class was blown up before
+    # takes the mapped charts and ignores its basis
+    root = AffineSemigroup.from_cone(Cone.from_rays(((1, 0, 0), (0, 1, 0), (2, 5, 7)), 3))
+    start_basis = blowup._start_basis
+    calls = []
+
+    def counted(S, gens, p):
+        calls.append(S)
+        return start_basis(S, gens, p)
+
+    monkeypatch.setattr(blowup, "_start_basis", counted)
+    expanded = 0
+    for S in (cusp, root):
+        for p in (0, 2):
+            calls.clear()
+            tree = resolve(S, p, normalize=False, max_depth=3)
+            singular = [n.semigroup for n in tree.nodes() if n.status != SMOOTH_LEAF]
+            assert len(calls) == len(singular)
+            assert {id(T) for T in calls} == {id(T) for T in singular}
+            expanded += sum(n.status == EXPANDED for n in tree.nodes())
+    assert expanded >= 3
 
 
 def test_resolve_is_deterministic(threefold):
@@ -354,9 +381,9 @@ def test_fourfold_root_blows_up_each_lattice_class_once(monkeypatch):
     module = sys.modules[resolve.__module__]
     calls = []
 
-    def counted(S, p, normalize=True):
+    def counted(S, p, normalize=True, start=None):
         calls.append(S)
-        return nash_blowup(S, p, normalize)
+        return nash_blowup(S, p, normalize, start)
 
     monkeypatch.setattr(module, "nash_blowup", counted)
     tree = resolve(parse_input(document).semigroup(), 0)
