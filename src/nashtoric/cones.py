@@ -17,6 +17,9 @@ normals, and no second conversion runs.
 Pointed full-dimensional 2D cones take their own paths: one cross-product
 scan for the two extreme rays instead of a conversion, and the
 Hirzebruch-Jung chain as the Hilbert basis instead of parallelepiped points.
+The scan reads the nonzero inputs as given, before any of them is made
+primitive, deduplicated or sorted; only the two rays it keeps are made
+primitive, and every other dimension canonicalizes the inputs first.
 A simplicial cone in any dimension costs one determinant for its facets,
 the adjugate of its d rays, and one Hermite index for its Hilbert basis: it
 is its own triangulation, and a piece of index 1 adds no point.
@@ -241,11 +244,12 @@ class Cone:
         for r in rays:
             if len(r) != dim:
                 raise DimensionError(f"ray {r} does not have length {dim}")
-        norm = sorted({primitive(r) for r in rays if any(r)})
-        if dim == 2 and len(norm) >= 2:
-            fast = cls._from_rays_2d(norm)
+        nonzero = [r for r in rays if any(r)]
+        if dim == 2 and len(nonzero) >= 2:
+            fast = cls._from_rays_2d(nonzero)
             if fast is not None:
                 return fast
+        norm = sorted({primitive(r) for r in nonzero})
         if len(norm) == dim:
             simplicial = cls._from_rays_simplicial(norm)
             if simplicial is not None:
@@ -279,22 +283,28 @@ class Cone:
         return cls(len(norm), tuple(norm), tuple(sorted(facets)), True, True)
 
     @classmethod
-    def _from_rays_2d(cls, norm):
+    def _from_rays_2d(cls, rays):
         """Pointed full-dimensional 2D cones without any conversion.
 
-        One scan keeps the most clockwise ray lo and the most
-        counterclockwise ray hi. The cone is pointed and full-dimensional
-        exactly when lo is strictly clockwise of hi and every ray lies
-        between them; otherwise return None for the generic construction.
+        One scan over the nonzero inputs, as given, keeps the most clockwise
+        ray lo and the most counterclockwise ray hi. The cone is pointed and
+        full-dimensional exactly when lo is strictly clockwise of hi and
+        every ray lies between them; otherwise return None for the generic
+        construction. A cross product's sign does not change under positive
+        scaling, and a verified lo and hi are the cone's two extreme
+        directions whatever the input order, so only they are made
+        primitive: multiples and repeats need no canonical form first.
         """
-        lo = hi = norm[0]
-        for r in norm[1:]:
+        lo = hi = rays[0]
+        for r in rays:
             if cross2(hi, r) > 0:
                 hi = r
             elif cross2(r, lo) > 0:
                 lo = r
-        if cross2(lo, hi) <= 0 or any(cross2(lo, r) < 0 or cross2(r, hi) < 0 for r in norm):
+        if cross2(lo, hi) <= 0 or any(cross2(lo, r) < 0 or cross2(r, hi) < 0 for r in rays):
             return None
+        lo = primitive(lo)
+        hi = primitive(hi)
         halfspaces = tuple(sorted(((-lo[1], lo[0]), (hi[1], -hi[0]))))
         return cls(2, tuple(sorted((lo, hi))), halfspaces, True, True)
 

@@ -2,14 +2,16 @@
 
 Vectors are tuples of ints; matrices are row-major tuples of row tuples.
 Everything is arbitrary precision, nothing here ever touches floats.
-The library runs on four exact kernels, each one pass:
+The library runs on four exact kernels, each one pass, or a closed form
+where the size is small enough to write one out:
 
 - `independent_rows`, a fraction-free echelon, answers independence, rank
   and greedy bases;
 - `hermite_basis` gives lattice bases, full-lattice tests and integer
   kernels (`kernel_basis`);
-- `adjugate`, a fraction-free Gauss-Jordan pass, returns the adjugate with
-  the determinant;
+- `adjugate` returns the adjugate with the determinant: cofactors up to
+  3x3, where most calls land (bases of surfaces and threefolds), and a
+  fraction-free Gauss-Jordan pass beyond;
 - `maximal_minors` gives all maximal minors of a vector list from one
   Laplace sweep instead of one elimination per subset.
 
@@ -25,7 +27,7 @@ from .errors import CharacteristicError, DimensionError
 
 def vec(coords):
     """Integer tuple; rejects floats and other non-integral entries."""
-    return tuple(operator.index(c) for c in coords)
+    return tuple(map(operator.index, coords))
 
 
 def vsub(a, b):
@@ -464,13 +466,36 @@ def group_is_full_lattice(vectors, dim: int) -> bool:
 def adjugate(M):
     """(adj, det) of a nonsingular M: M * adj == det * identity.
 
-    One fraction-free Gauss-Jordan pass on [M | I] (Bareiss, 1968) leaves
-    [D * identity | D * M^-1] with D the last pivot, and det(M) = ±D by the
-    sign of the row swaps; a singular M raises DimensionError.
+    Up to 3x3 the adjugate is written out by cofactors: ((s, -q), (-r, p))
+    for ((p, q), (r, s)), the nine 2x2 cofactors for d = 3, and the
+    determinant is the first row times the first adjugate column. From
+    d = 4 on, one fraction-free Gauss-Jordan pass on [M | I] (Bareiss, 1968)
+    leaves [D * identity | D * M^-1] with D the last pivot, and
+    det(M) = ±D by the sign of the row swaps. A singular M raises
+    DimensionError either way.
     """
     d = len(M)
     if any(len(row) != d for row in M):
         raise DimensionError("adjugate needs a square matrix")
+    if 0 < d <= 3:
+        if d == 2:
+            (p, q), (r, s) = M
+            adj = ((s, -q), (-r, p))
+            det_M = p * s - q * r
+        elif d == 3:
+            (a, b, c), (u, v, w), (x, y, z) = M
+            adj = (
+                (v * z - w * y, c * y - b * z, b * w - c * v),
+                (w * x - u * z, a * z - c * x, c * u - a * w),
+                (u * y - v * x, b * x - a * y, a * v - b * u),
+            )
+            det_M = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+        else:
+            adj = ((1,),)
+            det_M = M[0][0]
+        if not det_M:
+            raise DimensionError("adjugate needs a nonsingular matrix")
+        return adj, det_M
     a = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(M)]
     sign = 1
     prev = 1

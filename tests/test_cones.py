@@ -288,6 +288,9 @@ def test_2d_shortcut_matches_generic_conversion(monkeypatch):
         norm = sorted({primitive(r) for r in rays if any(r)})
         if len(norm) >= 2:
             cases.append((rays, shortcut(norm)))
+    # raw lists, which the scan reads before any canonical form, each with
+    # the cone from_rays builds while the scan is in place
+    raw_cases = [(kind, raw, Cone.from_rays(raw, 2)) for kind, raw in _raw_2d_lists(rng)]
     monkeypatch.setattr(Cone, "_from_rays_2d", classmethod(lambda cls, norm: None))
     seen = {"pointed": 0, "line": 0, "half-plane": 0, "plane": 0}
     for rays, fast in cases:
@@ -301,6 +304,45 @@ def test_2d_shortcut_matches_generic_conversion(monkeypatch):
             assert fast == ref and fast.pointed and fast.full_dim
             seen["pointed"] += 1
     assert min(seen.values()) >= 20, seen
+    raw_seen = dict.fromkeys(("multiples", "single", "opposite"), 0)
+    for kind, raw, scanned in raw_cases:
+        ref = Cone.from_rays(raw, 2)
+        assert scanned == ref, (kind, raw)
+        if kind == "multiples":
+            raw_seen[kind] += ref.pointed and ref.full_dim
+        elif kind == "single":
+            raw_seen[kind] += ref.pointed and not ref.full_dim
+        else:
+            raw_seen[kind] += not ref.pointed
+    assert min(raw_seen.values()) >= 100, raw_seen
+
+
+def _raw_2d_lists(rng):
+    """Unnormalized 2D input lists, shuffled: a few directions, each given
+    1-3 times as multiples up to 6 (so repeats and non-primitive inputs),
+    with up to 2 zero vectors mixed in. "single" lists have one direction,
+    given 2-3 times, and "opposite" lists add a negative multiple of one of
+    theirs."""
+    for i in range(1800):
+        kind = ("multiples", "single", "opposite")[i % 3]
+        bound = (3, 40)[i % 2]
+        size = 1 if kind == "single" else rng.randint(2, 4)
+        dirs = []
+        while len(dirs) < size:
+            u = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+            if any(u):
+                dirs.append(u)
+        if kind == "opposite":
+            k = rng.randint(1, 6)
+            dirs.append((-k * dirs[0][0], -k * dirs[0][1]))
+        raw = [
+            (k * u[0], k * u[1])
+            for u in dirs
+            for k in rng.sample(range(1, 7), rng.randint(2 if kind == "single" else 1, 3))
+        ]
+        raw += [(0, 0)] * rng.randint(0, 2)
+        rng.shuffle(raw)
+        yield kind, raw
 
 
 def _random_unimodular(rng, dim):

@@ -359,35 +359,59 @@ def test_hermite_basis_depends_only_on_the_lattice():
     assert full_rank > 30
 
 
+def _adjugate_case(rng, n, kind):
+    """A random n x n matrix: small entries, entries up to 10^12, or entries
+    within 9 of ±10^12, whose minors cancel down from products near 10^24."""
+    if kind == "small":
+        return [list(row) for row in random_matrix(rng, n, n)]
+    if kind == "wide":
+        return [list(row) for row in random_matrix(rng, n, n, 10**12)]
+    return [
+        [rng.choice((-1, 1)) * 10**12 + rng.randint(-9, 9) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
 def test_adjugate():
+    # d <= 3 takes the cofactor closed forms, d >= 4 the Bareiss pass
     rng = random.Random(107)
-    seen = {"nonsingular": 0, "singular": 0}
-    for t in range(200):
-        n = rng.randint(1, 4)
-        M = [list(row) for row in random_matrix(rng, n, n)]
-        if t % 3 == 0:
-            # a row that is an integer combination of the others (zero if n == 1)
-            r = rng.randrange(n)
-            M[r] = [0] * n
-            for i in range(n):
-                if i != r:
-                    c = rng.randint(-2, 2)
-                    M[r] = [a + c * b for a, b in zip(M[r], M[i])]
-        M = tuple(map(tuple, M))
-        d = permutation_det(M)
-        if d == 0:
-            seen["singular"] += 1
-            with pytest.raises(DimensionError):
-                adjugate(M)
-            continue
-        seen["nonsingular"] += 1
-        adj, det_M = adjugate(M)
-        assert det_M == d
-        assert adj == cofactor_adjugate(M)
-        assert mat_mul(M, adj) == tuple(
-            tuple(d if i == j else 0 for j in range(n)) for i in range(n)
-        )
+    for n in range(1, 6):
+        seen = {"nonsingular": 0, "singular": 0}
+        for t in range(90):
+            M = _adjugate_case(rng, n, ("small", "wide", "near")[t % 3])
+            if t % 4 == 0:
+                # a row that is an integer combination of the others (zero if n == 1)
+                r = rng.randrange(n)
+                M[r] = [0] * n
+                for i in range(n):
+                    if i != r:
+                        c = rng.randint(-2, 2)
+                        M[r] = [a + c * b for a, b in zip(M[r], M[i])]
+            M = tuple(map(tuple, M))
+            d = permutation_det(M)
+            if d == 0:
+                seen["singular"] += 1
+                with pytest.raises(DimensionError):
+                    adjugate(M)
+                continue
+            seen["nonsingular"] += 1
+            adj, det_M = adjugate(M)
+            assert det_M == d
+            assert adj == cofactor_adjugate(M)
+            assert mat_mul(M, adj) == tuple(
+                tuple(d if i == j else 0 for j in range(n)) for i in range(n)
+            )
+        assert seen["nonsingular"] >= 40 and seen["singular"] >= 15, (n, seen)
+    big = 10**12
+    for M in (
+        ((2, 4), (3, 6)),
+        ((big, big + 1), (big, big + 1)),
+        ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+        ((big, 1, 0), (0, big, 1), (big, big + 1, 1)),
+    ):
+        with pytest.raises(DimensionError):
+            adjugate(M)
     assert adjugate(()) == ((), 1)
-    with pytest.raises(DimensionError):
-        adjugate(((1, 2),))
-    assert min(seen.values()) >= 50
+    for M in (((1, 2),), ((1, 2), (3,)), ((1, 2, 3), (4, 5, 6), (7, 8))):
+        with pytest.raises(DimensionError):
+            adjugate(M)
