@@ -9,9 +9,9 @@ where the size is small enough to write one out:
   and greedy bases;
 - `hermite_basis` gives lattice bases, full-lattice tests and integer
   kernels (`kernel_basis`);
-- `adjugate` returns the adjugate with the determinant: cofactors up to
-  3x3, where most calls land (bases of surfaces and threefolds), and a
-  fraction-free Gauss-Jordan pass beyond;
+- `adjugate` returns the adjugate with the determinant: cofactors for
+  2x2 and 3x3, where most calls land (bases of surfaces and threefolds),
+  and a fraction-free Gauss-Jordan pass otherwise (`det` reads it too);
 - `maximal_minors` gives all maximal minors of a vector list from one
   Laplace sweep instead of one elimination per subset.
 
@@ -178,36 +178,15 @@ def validate_characteristic(p) -> int:
 
 
 def det(M) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant, the one `adjugate` returns; 0 for a singular M."""
     n = len(M)
     for row in M:
         if len(row) != n:
             raise DimensionError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row = a[i]
-            top = a[k]
-            for j in range(k + 1, n):
-                # exact division is guaranteed by the Bareiss identity
-                row[j] = (pivot * row[j] - aik * top[j]) // prev
-            row[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    try:
+        return adjugate(M)[1]
+    except DimensionError:
+        return 0
 
 
 def maximal_minors(vectors):
@@ -466,23 +445,23 @@ def group_is_full_lattice(vectors, dim: int) -> bool:
 def adjugate(M):
     """(adj, det) of a nonsingular M: M * adj == det * identity.
 
-    Up to 3x3 the adjugate is written out by cofactors: ((s, -q), (-r, p))
-    for ((p, q), (r, s)), the nine 2x2 cofactors for d = 3, and the
-    determinant is the first row times the first adjugate column. From
-    d = 4 on, one fraction-free Gauss-Jordan pass on [M | I] (Bareiss, 1968)
-    leaves [D * identity | D * M^-1] with D the last pivot, and
-    det(M) = ±D by the sign of the row swaps. A singular M raises
-    DimensionError either way.
+    For 2x2 and 3x3 the adjugate is written out by cofactors:
+    ((s, -q), (-r, p)) for ((p, q), (r, s)), the nine 2x2 cofactors for
+    d = 3, and the determinant is the first row times the first adjugate
+    column. Every other size takes one fraction-free Gauss-Jordan pass on
+    [M | I] (Bareiss, 1968), which leaves [D * identity | D * M^-1] with D
+    the last pivot, and det(M) = ±D by the sign of the row swaps. A
+    singular M raises DimensionError either way.
     """
     d = len(M)
     if any(len(row) != d for row in M):
         raise DimensionError("adjugate needs a square matrix")
-    if 0 < d <= 3:
+    if 1 < d < 4:
         if d == 2:
             (p, q), (r, s) = M
             adj = ((s, -q), (-r, p))
             det_M = p * s - q * r
-        elif d == 3:
+        else:
             (a, b, c), (u, v, w), (x, y, z) = M
             adj = (
                 (v * z - w * y, c * y - b * z, b * w - c * v),
@@ -490,9 +469,6 @@ def adjugate(M):
                 (u * y - v * x, b * x - a * y, a * v - b * u),
             )
             det_M = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
-        else:
-            adj = ((1,),)
-            det_M = M[0][0]
         if not det_M:
             raise DimensionError("adjugate needs a nonsingular matrix")
         return adj, det_M

@@ -190,14 +190,15 @@ class AffineSemigroup:
         return len(self.minimal_generators()) == self.dim
 
     def __eq__(self, other):
+        # the same semigroup from any generating set: the minimal one is unique
         return (
             isinstance(other, AffineSemigroup)
             and self.dim == other.dim
-            and self.generators == other.generators
+            and self.minimal_generators() == other.minimal_generators()
         )
 
     def __hash__(self):
-        return hash((self.dim, self.generators))
+        return hash((self.dim, self.minimal_generators()))
 
     def __repr__(self):
         return f"AffineSemigroup(dim={self.dim}, generators={list(self.generators)})"

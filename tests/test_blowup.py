@@ -228,8 +228,8 @@ def test_normalized_charts_match_saturated_generator_charts():
 def test_normalized_blowup_matches_enumeration(cusp, threefold):
     # the walk on the base polytope against E, its Newton polyhedron and
     # the charts built from E - v, for both chart kinds; unnormalized walk
-    # charts list exchange directions where the oracle lists E - v, so
-    # they are compared as semigroups, not as generator lists
+    # charts list exchange directions where the oracle lists E - v, and
+    # charts compare their semigroups, not their generator lists
     rng = random.Random(506)
     cases = [cusp, threefold]
     for i in range(60):
@@ -249,16 +249,8 @@ def test_normalized_blowup_matches_enumeration(cusp, threefold):
             for normalize in (True, False):
                 expected = blowup_charts(N, normalize)
                 charts = nash_blowup(S, p, normalize)
-                assert [c.vertex for c in charts] == [c.vertex for c in expected]
-                for chart, oracle in zip(charts, expected):
-                    if normalize:
-                        assert chart == oracle
-                    assert chart.normalized == normalize
-                    assert chart.semigroup.cone == oracle.semigroup.cone
-                    assert (
-                        chart.semigroup.minimal_generators()
-                        == oracle.semigroup.minimal_generators()
-                    )
+                assert charts == expected
+                assert all(c.normalized == normalize for c in charts)
             multi += len(charts) > 1
             vertex_sets.add(tuple(c.vertex for c in charts))
         depends_on_p += len(vertex_sets) > 1
@@ -290,6 +282,26 @@ def test_normalized_blowup_matches_enumeration_on_fourfold_roots():
             for chart in charts:
                 shifts = tuple(vsub(x, chart.vertex) for x in N.exponents)
                 assert chart.semigroup.cone == Cone.from_rays(S.cone.rays + shifts, 4)
+
+
+def test_blowup_matches_enumeration_on_the_33_generator_root():
+    # cone_rays e1, e2, e3, (3,5,7,11), the root of the console digests:
+    # the walk against C(33, 4) subsets, both chart kinds, and the stall
+    # read off the exchanges against the enumerated unnormalized charts
+    e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    S = AffineSemigroup.from_cone(Cone.from_rays(e + ((3, 5, 7, 11),), 4).dual())
+    assert len(S.minimal_generators()) == 33
+    for p in (0, 2):
+        N = newton_polyhedron(log_jacobian_ideal(S, p))
+        for normalize in (True, False):
+            expected = blowup_charts(N, normalize)
+            charts = nash_blowup(S, p, normalize)
+            assert len(charts) == 35
+            assert [
+                (c.vertex, c.semigroup.minimal_generators()) for c in charts
+            ] == [(c.vertex, c.semigroup.minimal_generators()) for c in expected]
+            if not normalize:
+                assert stalls(S, p) == is_trivial_step(N, expected)
 
 
 def test_greedy_basis_is_gale_minimal():

@@ -1,0 +1,117 @@
+"""The console script end to end, and two lint rules on the library.
+
+Each row runs `python -m nashtoric <command>` on one JSON document, with
+PYTHONPATH set to this checkout's src/ and a 60 s limit, and pins the exit
+code and the SHA-256 of stdout. The 4D root is cone_rays e1, e2, e3,
+(3,5,7,11), whose semigroup has 33 minimal generators.
+"""
+
+import ast
+import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+ROOT_4D_P0 = '{"dimension": 4, "characteristic": 0, "cone_rays": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[3,5,7,11]]}'
+ROOT_4D_P2 = '{"dimension": 4, "characteristic": 2, "cone_rays": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[3,5,7,11]]}'
+
+# (id, command, document, exit code, SHA-256 of stdout)
+CONSOLE = (
+    # the full normalized resolution of the 4D root
+    ("resolve-4d-p0", "resolve", ROOT_4D_P0, 0,
+     "dd0bfcceb02aeece2fc558c8433f7ecc8ccb234d1c26b1e01a0e5b99316ff707"),
+    # C(33, 4) subsets
+    ("logjac-4d-p2", "logjac", ROOT_4D_P2, 0,
+     "858ba9e9e6acd715e3ba4446bbcc06b5f8388c22db24d4dfc56b41a08a07a935"),
+    ("newton-4d-p2", "newton", ROOT_4D_P2, 0,
+     "7abd3980e76d8f3a8d67aa8d44e418422e609cdf8a4c7dbd16871b46fb5f332f"),
+    # one blowup step by enumeration, both chart kinds
+    ("blowup-4d-p0", "blowup", ROOT_4D_P0, 0,
+     "f2cef3a4dd3b3cc145e9af37bfbca660fc87758208d6baa5ed2fec84f86cf2cb"),
+    ("blowup-4d-p2", "blowup", ROOT_4D_P2, 0,
+     "d66ac3fa5d4a47e342ef39d6e46e23466c9c0317e289fe5bdc7d388ea8708e03"),
+    ("blowup-unnormalized-4d-p0", "blowup --no-normalize", ROOT_4D_P0, 0,
+     "7a555d3cf9f29a0253a5f303363ba9faa2eba1f6d4a54971436512181ab3824f"),
+    ("blowup-unnormalized-4d-p2", "blowup --no-normalize", ROOT_4D_P2, 0,
+     "9324a42494ff31ad106746065ee9f7b56b086790a22c3d6d92440256acdf2d78"),
+    # unnormalized resolutions: a depth cap (exit 3) and trivial stalls (exit 4)
+    ("resolve-unnormalized-3d-p0", "resolve",
+     '{"dimension": 3, "characteristic": 0, "dual_cone_rays": [[1,0,0],[0,1,0],[2,5,7]], "normalize": false, "max_depth": 3}',
+     3, "ee49a2a3c384b10c2e11fe2850597d148a884bc3eea86f675278861717c58b04"),
+    ("resolve-unnormalized-3d-p2", "resolve",
+     '{"dimension": 3, "characteristic": 2, "dual_cone_rays": [[1,0,0],[0,1,0],[2,5,7]], "normalize": false, "max_depth": 3}',
+     4, "5bbce1dd8e87647b56820d5983b1854b3e5419c26ca92018bedc3d162d288d09"),
+    # 23 nodes, walk bases with unexchanged generators
+    ("resolve-unnormalized-2d-p3", "resolve",
+     '{"dimension": 2, "characteristic": 3, "dual_cone_rays": [[1,0],[4,5]], "normalize": false, "max_depth": 6}',
+     4, "0a5174a8ed69c33fdc9683b72eca060ec67c6489b01b075771ee3f621e1b9279"),
+    # 2x2 and 3x3 cofactor adjugates
+    ("resolve-2d-p2", "resolve",
+     '{"dimension": 2, "characteristic": 2, "dual_cone_rays": [[1,0],[47,50]]}',
+     0, "90e0ba0c5b5b881c6f56c0d86077bae4f9483db07f7d2b27b68405e8001229f2"),
+    ("resolve-3d-p2", "resolve",
+     '{"dimension": 3, "characteristic": 2, "cone_rays": [[1,0,0],[0,1,0],[4,7,11]]}',
+     0, "5eea79a255507dd1052078c22f7c1df3329d3b7adf349f43ff5bccc47099838d"),
+    # 11^4 parallelepiped points, then a dual cone in 3 simplicial pieces
+    ("saturate-5d-simplicial", "saturate",
+     '{"dimension": 5, "characteristic": 0, "cone_rays": [[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[2,3,5,7,11]]}',
+     0, "e55b3eac926d3bf60937a38e6bd086e6e294367855ad014a3a133a77fe137940"),
+    ("saturate-5d-dual-6-rays", "saturate",
+     '{"dimension": 5, "characteristic": 0, "dual_cone_rays": [[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[1,2,3,4,7],[3,1,4,1,5]]}',
+     0, "8b476940258a3a73b9cf4d5ce8aa19548114586941ea9dceb6cc7d0873a9e6fa"),
+)
+
+
+@pytest.mark.parametrize(
+    "command, document, code, digest",
+    [pytest.param(*row[1:], id=row[0]) for row in CONSOLE],
+)
+def test_console_output_digest(command, document, code, digest):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nashtoric", *command.split()],
+        input=document.encode(),
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips asserts, so invariants raise real errors
+    pattern = re.compile(r"^\s*assert\b")
+    found = [
+        f"{path}:{n}: {line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_no_unused_imports_in_the_library():
+    # every imported name is used or listed in __all__
+    unused = []
+    for path in sorted((SRC / "nashtoric").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path}:{node.lineno}: {name} is imported but never used")
+    assert not unused, "\n".join(unused)

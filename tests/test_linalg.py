@@ -51,6 +51,10 @@ def test_det_fixed_values():
     # columns (1,0,0),(0,1,0),(1,1,2) span an index-2 sublattice
     assert det(columns_matrix(((1, 0, 0), (0, 1, 0), (1, 1, 2)))) == 2
     assert det(identity(4)) == 1
+    # singular matrices, where adjugate raises
+    assert det(((0,),)) == 0
+    assert det(((2, 4), (3, 6))) == 0
+    assert det(((1, 2, 3, 4), (2, 4, 6, 8), (0, 1, 0, 1), (1, 0, 1, 0))) == 0
 
 
 def test_det_rejects_non_square():
@@ -373,7 +377,7 @@ def _adjugate_case(rng, n, kind):
 
 
 def test_adjugate():
-    # d <= 3 takes the cofactor closed forms, d >= 4 the Bareiss pass
+    # d = 2, 3 take the cofactor closed forms, every other d the Bareiss pass
     rng = random.Random(107)
     for n in range(1, 6):
         seen = {"nonsingular": 0, "singular": 0}

@@ -2,6 +2,12 @@ import random
 
 import pytest
 
+from nashtoric.blowup import (
+    blowup_charts,
+    log_jacobian_ideal,
+    nash_blowup,
+    newton_polyhedron,
+)
 from nashtoric.cones import Cone
 from nashtoric.errors import (
     DimensionError,
@@ -229,6 +235,20 @@ def test_equality_and_hash(cusp):
     assert same == cusp
     assert hash(same) == hash(cusp)
     assert AffineSemigroup(1, [(1,)]) != cusp
+    # a redundant generator does not change the semigroup
+    redundant = AffineSemigroup(1, [(2,), (3,), (5,)])
+    assert redundant.generators != cusp.generators
+    assert redundant == cusp
+    assert hash(redundant) == hash(cusp)
+    # the walk generates the unnormalized chart at 2 from the basis and the
+    # direction 3 - 2, the enumeration from 2, 3 and E - v = {0, 1}: both are N
+    (walk,) = nash_blowup(cusp, 0, normalize=False)
+    N = newton_polyhedron(log_jacobian_ideal(cusp, 0))
+    (enumerated,) = blowup_charts(N, normalize=False)
+    assert walk.semigroup.generators == ((1,), (2,))
+    assert enumerated.semigroup.generators == ((1,), (2,), (3,))
+    assert walk == enumerated
+    assert hash(walk) == hash(enumerated)
 
 
 def test_surface_profile():
