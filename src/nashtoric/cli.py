@@ -161,11 +161,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_document(path: str) -> str:
+def _read_document(path: str) -> bytes:
+    # bytes, so that parse_input makes the only UTF-8 decode
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from None

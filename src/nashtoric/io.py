@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 from itertools import count as _counter
 
-from .blowup import BlowupChart, MonomialIdealExponents, NewtonPolyhedron
-from .cones import Cone, HilbertBasis
+from .blowup import MonomialIdealExponents, NewtonPolyhedron
+from .cones import Cone
 from .errors import (
     DimensionError,
     FormatError,
@@ -182,15 +182,6 @@ def semigroup_payload(S: AffineSemigroup) -> dict:
     }
 
 
-def hilbert_basis_payload(basis: HilbertBasis) -> dict:
-    return {
-        "kind": "hilbert-basis",
-        "dimension": basis.cone.dim,
-        "rays": _enc_vecs(basis.cone.rays),
-        "elements": _enc_vecs(basis.elements),
-    }
-
-
 def ideal_payload(ideal: MonomialIdealExponents) -> dict:
     return {
         "kind": "log-jacobian",
@@ -302,36 +293,12 @@ def suite_payload(summary: SuiteSummary) -> dict:
     }
 
 
-def to_payload(result) -> dict:
-    if isinstance(result, dict):
-        return result
-    if isinstance(result, ProblemSpec):
-        return problem_payload(result)
-    if isinstance(result, AffineSemigroup):
-        return semigroup_payload(result)
-    if isinstance(result, HilbertBasis):
-        return hilbert_basis_payload(result)
-    if isinstance(result, MonomialIdealExponents):
-        return ideal_payload(result)
-    if isinstance(result, NewtonPolyhedron):
-        return newton_payload(result)
-    if isinstance(result, ResolutionTree):
-        return tree_payload(result)
-    if isinstance(result, CharacteristicComparison):
-        return comparison_payload(result)
-    if isinstance(result, SuiteSummary):
-        return suite_payload(result)
-    if isinstance(result, (list, tuple)):
-        if result and all(isinstance(c, BlowupChart) for c in result):
-            return charts_payload(result)
-        return {"kind": "vectors", "vectors": _enc_vecs(result)}
-    raise FormatError(f"cannot serialize object of type {type(result).__name__}")
-
-
-def serialize(result, format: str = "json") -> str:
+def serialize(payload: dict, format: str = "json") -> str:
+    """Render a payload from one of the *_payload builders above."""
     if format not in FORMATS:
         raise FormatError(f"format must be one of: {', '.join(FORMATS)}")
-    payload = to_payload(result)
+    if not isinstance(payload, dict):
+        raise FormatError(f"cannot serialize object of type {type(payload).__name__}")
     if format == "json":
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if format == "dot":
@@ -395,10 +362,6 @@ def _render_text(payload: dict) -> str:
     elif kind == "semigroup":
         lines.append(f"semigroup: dimension={payload['dimension']}")
         lines.append(f"  minimal generators: {_vecs_str(payload['minimal_generators'])}")
-    elif kind == "hilbert-basis":
-        lines.append(f"hilbert basis: dimension={payload['dimension']}")
-        lines.append(f"  rays: {_vecs_str(payload['rays'])}")
-        lines.append(f"  elements: {_vecs_str(payload['elements'])}")
     elif kind == "log-jacobian":
         lines.append(
             f"log-jacobian ideal: characteristic={payload['characteristic']}"
@@ -485,8 +448,6 @@ def _render_text(payload: dict) -> str:
                     _bool_str(run["characteristic_independent"]),
                 )
             )
-    elif kind == "vectors":
-        lines.append(f"vectors: {_vecs_str(payload['vectors'])}")
     else:
         raise FormatError(f"no text rendering for kind {kind!r}")
     return "\n".join(lines)

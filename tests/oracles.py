@@ -246,6 +246,27 @@ def log_jacobian_reference(S, p):
     return kept, tuple(sorted(raw))
 
 
+def log_jacobian_by_kernel(S, p):
+    """Raw exponents of the log-Jacobian ideal from the dual matroid.
+
+    K is a saturated basis of the integer relations among the n minimal
+    generators, which span Z^d as a group. By Gale duality the d-minor of
+    the generators on T and the (n - d)-minor of K on the generators
+    outside T agree up to sign, so T is admissible mod p exactly when the
+    second one does not vanish mod p; no d-minor is computed.
+    """
+    gens = S.minimal_generators()
+    n = len(gens)
+    K = saturated_lattice_basis(frac_kernel(list(zip(*gens)), n), n)
+    raw = set()
+    for T in combinations(range(n), S.dim):
+        rest = [i for i in range(n) if i not in T]
+        m = permutation_det([[k[i] for i in rest] for k in K])
+        if m % p if p else m:
+            raw.add(tuple(map(sum, zip(*(gens[i] for i in T)))))
+    return tuple(sorted(raw))
+
+
 def frac_solve(M, rhs):
     """Solve the square system M x = rhs over Q; None when singular."""
     n = len(M)

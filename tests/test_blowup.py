@@ -18,9 +18,13 @@ from nashtoric.blowup import (
 from nashtoric.cones import Cone, polyhedron_vertices
 from nashtoric.errors import CharacteristicError, ToricError
 from nashtoric.linalg import columns_matrix, det, dot, vsub
-from nashtoric.semigroups import AffineSemigroup
+from nashtoric.semigroups import AffineSemigroup, LatticePairing
 
-from oracles import log_jacobian_reference, random_unsaturated_generators
+from oracles import (
+    log_jacobian_by_kernel,
+    log_jacobian_reference,
+    random_unsaturated_generators,
+)
 
 # charts of the threefold in characteristic 2, keyed by Newton vertex
 CHART_GENS = {
@@ -116,6 +120,20 @@ def test_ideal_matches_one_determinant_per_subset(dim, p, seed):
     S = AffineSemigroup(dim, random_unsaturated_generators(random.Random(seed), dim))
     I = log_jacobian_ideal(S, p)
     assert (I.exponents, I.raw_exponents) == log_jacobian_reference(S, p)
+
+
+def test_ideal_matches_the_dual_matroid():
+    # admissible d-subsets read off the (n - d)-minors of the relations
+    rng = random.Random(20)
+    p_dependent = 0
+    for case in range(120):
+        dim = case % 4 + 1
+        S = AffineSemigroup(dim, random_unsaturated_generators(rng, dim))
+        raws = {p: log_jacobian_ideal(S, p).raw_exponents for p in (0, 2, 3, 5)}
+        for p, raw in raws.items():
+            assert raw == log_jacobian_by_kernel(S, p), (S, p)
+        p_dependent += sum(raws[p] != raws[0] for p in (2, 3, 5))
+    assert p_dependent >= 100, p_dependent
 
 
 def test_ideal_rejects_composite_characteristic(cusp):
@@ -302,6 +320,28 @@ def test_blowup_matches_enumeration_on_the_33_generator_root():
             ] == [(c.vertex, c.semigroup.minimal_generators()) for c in expected]
             if not normalize:
                 assert stalls(S, p) == is_trivial_step(N, expected)
+
+
+# a class four levels below the dual (6,3,7,11) root whose normalized Nash
+# blowup has a chart equivalent to itself in characteristic 0, so iterated
+# blowups of that root never resolve it
+SELF_LOOP_WITNESS = (
+    (-14, 0, -9, -18), (-5, -7, -14, -18), (-4, 1, -4, -5), (2, -1, -6, -2),
+    (4, 3, 7, 10), (7, -2, 4, 7), (14, 4, 12, 23),
+)
+
+
+def test_characteristic_zero_self_loop_witness():
+    W = AffineSemigroup(4, SELF_LOOP_WITNESS)
+    key = LatticePairing(W)
+    for p, count in ((0, 11), (2, 11), (3, 10), (5, 11), (7, 11)):
+        charts = nash_blowup(W, p)
+        assert charts == blowup_charts(newton_polyhedron(log_jacobian_ideal(W, p)))
+        assert len(charts) == count
+        loops = [
+            c.vertex for c in charts if key.map_to(LatticePairing(c.semigroup)) is not None
+        ]
+        assert loops == ([] if p in (2, 3) else [(8, -7, -9, -3)]), p
 
 
 def test_greedy_basis_is_gale_minimal():

@@ -20,6 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 ROOT_4D_P0 = '{"dimension": 4, "characteristic": 0, "cone_rays": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[3,5,7,11]]}'
 ROOT_4D_P2 = '{"dimension": 4, "characteristic": 2, "cone_rays": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[3,5,7,11]]}'
+ROOT_3D_P2 = '{"dimension": 3, "characteristic": 2, "cone_rays": [[1,0,0],[0,1,0],[4,7,11]]}'
+DUAL_3D_P0 = '{"dimension": 3, "characteristic": 0, "dual_cone_rays": [[1,0,0],[0,1,0],[2,5,7]]}'
 
 # (id, command, document, exit code, SHA-256 of stdout)
 CONSOLE = (
@@ -55,9 +57,20 @@ CONSOLE = (
     ("resolve-2d-p2", "resolve",
      '{"dimension": 2, "characteristic": 2, "dual_cone_rays": [[1,0],[47,50]]}',
      0, "90e0ba0c5b5b881c6f56c0d86077bae4f9483db07f7d2b27b68405e8001229f2"),
-    ("resolve-3d-p2", "resolve",
-     '{"dimension": 3, "characteristic": 2, "cone_rays": [[1,0,0],[0,1,0],[4,7,11]]}',
-     0, "5eea79a255507dd1052078c22f7c1df3329d3b7adf349f43ff5bccc47099838d"),
+    ("resolve-3d-p2", "resolve", ROOT_3D_P2, 0,
+     "5eea79a255507dd1052078c22f7c1df3329d3b7adf349f43ff5bccc47099838d"),
+    # the text and DOT renderers
+    ("resolve-text-3d-p2", "resolve --format text", ROOT_3D_P2, 0,
+     "9faad3c079a72319508b0fcfa9f4f159cd76536464f7f5ca246397a317afd9df"),
+    ("resolve-dot-3d-p2", "resolve --format dot", ROOT_3D_P2, 0,
+     "2ce8815777c9fa7162dcc38f2c027a172166862e3d0b2dd0959c7e1f65fd5672"),
+    # p = 0, 2, 3, 5; the Newton vertices in p = 2 differ from those in p = 0
+    ("compare-3d", "compare", DUAL_3D_P0, 0,
+     "c8087817b7f697fb80170a9c0fafc45606d7ccd8a33ea17e78ff0e32fa5b471d"),
+    ("compare-text-3d", "compare --format text", DUAL_3D_P0, 0,
+     "784b18f191ad42ea5e7e43c71e2c3e29ee513580f070871d472d45441be0e931"),
+    ("check-text-3d", "check --format text", DUAL_3D_P0, 0,
+     "9dbbe64be8c3cd88d63de38eb28f864afe5fe37b9756742b69a4e80718d29d78"),
     # 11^4 parallelepiped points, then a dual cone in 3 simplicial pieces
     ("saturate-5d-simplicial", "saturate",
      '{"dimension": 5, "characteristic": 0, "cone_rays": [[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[2,3,5,7,11]]}',

@@ -21,10 +21,13 @@ from nashtoric.io import (
     ProblemSpec,
     charts_payload,
     comparison_payload,
+    ideal_payload,
+    newton_payload,
     parse_input,
     problem_payload,
+    semigroup_payload,
     serialize,
-    to_payload,
+    tree_payload,
 )
 from nashtoric.resolve import (
     DEPTH_CAPPED,
@@ -194,7 +197,7 @@ def test_problem_round_trip():
         '{"dimension": 2, "characteristic": 5, "dual_cone_rays": [[1, 0], [3, 7]],'
         ' "normalize": false, "max_depth": 9, "format": "dot"}'
     )
-    assert parse_input(serialize(spec)) == spec
+    assert parse_input(serialize(problem_payload(spec))) == spec
 
 
 def test_round_trip_preserves_huge_entries():
@@ -206,7 +209,7 @@ def test_round_trip_preserves_huge_entries():
     }
     spec = parse_input(json.dumps(doc))
     assert spec.semigroup_generators[2] == (big, -big)
-    out = serialize(spec)
+    out = serialize(problem_payload(spec))
     assert f'"{big}"' in out
     assert f'"-{big}"' in out
     assert parse_input(out) == spec
@@ -215,27 +218,27 @@ def test_round_trip_preserves_huge_entries():
 def test_canonical_json_is_key_order_insensitive():
     a = parse_input('{"dimension": 1, "characteristic": 2, "semigroup_generators": [[2], [3]]}')
     b = parse_input('{"semigroup_generators": [[2], [3]], "characteristic": 2, "dimension": 1}')
-    assert serialize(a) == serialize(b)
-    payload = json.loads(serialize(a))
+    assert serialize(problem_payload(a)) == serialize(problem_payload(b))
+    payload = json.loads(serialize(problem_payload(a)))
     assert payload == problem_payload(a)
 
 
 def test_semigroup_and_hilbert_payloads(cusp):
-    assert to_payload(cusp) == {
+    assert semigroup_payload(cusp) == {
         "kind": "semigroup",
         "dimension": 1,
         "minimal_generators": [[2], [3]],
     }
+    # no command emits a Hilbert basis, so there is no payload for one
     basis = hilbert_basis(Cone.from_rays(((1, 0), (1, 2)), 2))
-    payload = to_payload(basis)
-    assert payload["kind"] == "hilbert-basis"
-    assert payload["rays"] == [[1, 0], [1, 2]]
-    assert payload["elements"] == [[1, 0], [1, 1], [1, 2]]
+    assert basis.elements == ((1, 0), (1, 1), (1, 2))
+    with pytest.raises(FormatError):
+        serialize(basis)
 
 
 def test_ideal_and_newton_payloads(cusp):
     ideal = log_jacobian_ideal(cusp, 2)
-    assert to_payload(ideal) == {
+    assert ideal_payload(ideal) == {
         "kind": "log-jacobian",
         "dimension": 1,
         "characteristic": 2,
@@ -243,7 +246,7 @@ def test_ideal_and_newton_payloads(cusp):
         "exponents": [[3]],
     }
     N = newton_polyhedron(ideal)
-    payload = to_payload(N)
+    payload = newton_payload(N)
     assert payload["kind"] == "newton-polyhedron"
     assert payload["vertices"] == [[3]]
     assert payload["recession_rays"] == [[1]]
@@ -264,7 +267,7 @@ def test_charts_payload(threefold):
 
 def test_tree_payload_and_json(cusp):
     tree = resolve(cusp, 2)
-    assert serialize(tree) == (
+    assert serialize(tree_payload(tree)) == (
         '{"characteristic":2,"dimension":1,"kind":"resolution-tree",'
         '"max_depth":64,"normalize":true,"root":{"children":[{"node":'
         '{"children":[],"depth":1,"generators":[[1]],"status":"smooth-leaf"},'
@@ -284,16 +287,17 @@ def test_comparison_payload(cusp):
     assert serialize(comparison_payload(compare_characteristics(cusp, ()))) == "{}"
 
 
-def test_to_payload_vectors_and_errors():
-    assert to_payload([(1, 2), (3, 4)]) == {"kind": "vectors", "vectors": [[1, 2], [3, 4]]}
+def test_serialize_rejects_non_payloads(cusp):
+    # serialize renders payload dicts only, never the library objects
+    for result in ([(1, 2), (3, 4)], object(), cusp, resolve(cusp, 2)):
+        with pytest.raises(FormatError):
+            serialize(result)
     with pytest.raises(FormatError):
-        to_payload(object())
-    with pytest.raises(FormatError):
-        serialize((), format="yaml")
+        serialize({}, format="yaml")
 
 
 def test_dot_rendering(cusp, threefold):
-    out = serialize(resolve(cusp, 2), "dot")
+    out = serialize(tree_payload(resolve(cusp, 2)), "dot")
     assert out == "\n".join(
         [
             "digraph resolution {",
@@ -304,16 +308,16 @@ def test_dot_rendering(cusp, threefold):
             "}",
         ]
     )
-    big = serialize(resolve(threefold, 2), "dot")
+    big = serialize(tree_payload(resolve(threefold, 2)), "dot")
     assert big.count("->") == 15
     assert big.count("label=") == 31
 
     with pytest.raises(FormatError):
-        serialize(cusp, "dot")
+        serialize(semigroup_payload(cusp), "dot")
 
 
 def test_text_rendering(cusp, threefold):
-    tree_text = serialize(resolve(cusp, 2), "text")
+    tree_text = serialize(tree_payload(resolve(cusp, 2)), "text")
     assert tree_text == "\n".join(
         [
             "resolution tree: characteristic=2 normalize=true max_depth=64",
@@ -321,21 +325,22 @@ def test_text_rendering(cusp, threefold):
             "    via (3) [depth 1] smooth-leaf: (1)",
         ]
     )
-    assert serialize(cusp, "text") == "semigroup: dimension=1\n  minimal generators: (2) (3)"
+    assert serialize(semigroup_payload(cusp), "text") == "semigroup: dimension=1\n  minimal generators: (2) (3)"
     spec = parse_input(CUSP_DOC)
-    assert serialize(spec, "text").startswith("problem: dimension=1 characteristic=2")
-    ideal_text = serialize(log_jacobian_ideal(cusp, 2), "text")
+    assert serialize(problem_payload(spec), "text").startswith("problem: dimension=1 characteristic=2")
+    ideal_text = serialize(ideal_payload(log_jacobian_ideal(cusp, 2)), "text")
     assert "exponents: (3)" in ideal_text
-    newton_text = serialize(newton_polyhedron(log_jacobian_ideal(cusp, 2)), "text")
+    newton_text = serialize(newton_payload(newton_polyhedron(log_jacobian_ideal(cusp, 2))), "text")
     assert "vertices: (3)" in newton_text
     charts = blowup_charts(newton_polyhedron(log_jacobian_ideal(threefold, 2)), True)
     charts_text = serialize(charts_payload(charts, characteristic=2), "text")
     assert "chart at (2,2,1):" in charts_text
-    cmp_text = serialize(compare_characteristics(cusp, (2, 3)), "text")
+    cmp_text = serialize(comparison_payload(compare_characteristics(cusp, (2, 3))), "text")
     assert "vertices(2) vs vertices(3): different" in cmp_text
     assert "all equal: false" in cmp_text
-    assert serialize(compare_characteristics(cusp, ()), "text") == "(empty report)"
-    assert serialize([(1, 2)], "text") == "vectors: (1,2)"
+    assert serialize(comparison_payload(compare_characteristics(cusp, ())), "text") == "(empty report)"
+    with pytest.raises(FormatError):
+        serialize([(1, 2)], "text")
 
 
 def test_deepest_tree_serializes(cusp):
@@ -343,14 +348,14 @@ def test_deepest_tree_serializes(cusp):
     node = ResolutionNode(cusp, MAX_DEPTH, DEPTH_CAPPED, ())
     for depth in reversed(range(MAX_DEPTH)):
         node = ResolutionNode(cusp, depth, EXPANDED, (((3,), node),))
-    tree = ResolutionTree(node, 2, True, MAX_DEPTH)
-    last = json.loads(serialize(tree, "json"))["root"]
+    payload = tree_payload(ResolutionTree(node, 2, True, MAX_DEPTH))
+    last = json.loads(serialize(payload, "json"))["root"]
     for _ in range(MAX_DEPTH):
         (child,) = last["children"]
         last = child["node"]
     assert last["depth"] == MAX_DEPTH and last["status"] == DEPTH_CAPPED
-    assert serialize(tree, "dot").count("->") == MAX_DEPTH
-    text = serialize(tree, "text").splitlines()
+    assert serialize(payload, "dot").count("->") == MAX_DEPTH
+    text = serialize(payload, "text").splitlines()
     assert len(text) == MAX_DEPTH + 2
     assert text[-1].startswith("  " * (MAX_DEPTH + 1) + f"via (3) [depth {MAX_DEPTH}]")
 
@@ -387,7 +392,8 @@ def test_cli_check_and_stdin(tmp_path, capsys, monkeypatch):
         "format": "json",
         "semigroup_generators": [[2], [3]],
     }
-    monkeypatch.setattr("sys.stdin", io.StringIO(CUSP_DOC))
+    # the CLI reads sys.stdin.buffer
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CUSP_DOC.encode())))
     code2, out2, _ = run_cli(capsys, "check")
     assert code2 == 0 and out2 == out
 
@@ -543,12 +549,14 @@ def test_cli_error_reports(tmp_path, capsys):
         "error": "not-full-dimensional",
         "message": "cone_rays must span a full-dimensional cone",
     }
-    for name, text in (
-        ("nested.json", "[" * 100000 + "]" * 100000),
-        ("superscript.json", '{"dimension": "\u00b2", "characteristic": 0, "semigroup_generators": [[1]]}'),
+    for name, data in (
+        ("nested.json", ("[" * 100000 + "]" * 100000).encode()),
+        ("superscript.json", '{"dimension": "\u00b2", "characteristic": 0, "semigroup_generators": [[1]]}'.encode()),
+        # the CLI reads bytes and leaves the only UTF-8 decode to parse_input
+        ("latin.json", b"\xff{}"),
     ):
         doc = tmp_path / name
-        doc.write_text(text, encoding="utf-8")
+        doc.write_bytes(data)
         code, out, err = run_cli(capsys, "check", str(doc))
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "malformed-document"
@@ -559,6 +567,21 @@ def test_cli_error_reports(tmp_path, capsys):
         report = json.loads(err)
         assert report["error"] == "invalid-argument"
         assert extra[0] in report["message"]
+
+
+def test_cli_rejects_non_utf8_stdin():
+    # a strict text stdin would raise UnicodeDecodeError before parse_input
+    src = os.path.dirname(os.path.dirname(nashtoric.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nashtoric", "check"],
+        input=b"\xff{}",
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert json.loads(proc.stderr)["error"] == "malformed-document"
 
 
 def test_cli_help_still_prints_usage(capsys):
