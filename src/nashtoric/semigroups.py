@@ -23,6 +23,7 @@ from .linalg import (
     adjugate,
     columns_matrix,
     cross2,
+    dot,
     group_is_full_lattice,
     images,
     independent_rows,
@@ -31,23 +32,67 @@ from .linalg import (
 )
 
 
-def _generated_member(x, gens, cone, cache) -> bool:
-    """Is x a finite sum of the given generators?
+def _frame(points):
+    """(frame, extras) for points listed in grading order, or None below
+    rank d: frame = (adj(K), det(K)) with det(K) > 0 for K the first d
+    independent points, and extras the other points, in order. Usually
+    the first d points are independent, and one adjugate finds out."""
+    d = len(points[0])
+    if len(points) < d:
+        return None
+    basis = range(d)
+    try:
+        adj, det_K = adjugate(columns_matrix(points[:d]))
+    except DimensionError:
+        basis = independent_rows(points)
+        if len(basis) < d:
+            return None
+        adj, det_K = adjugate(columns_matrix([points[i] for i in basis]))
+    if det_K < 0:
+        adj = [[-a for a in row] for row in adj]
+        det_K = -det_K
+    return (adj, det_K), [x for i, x in enumerate(points) if i not in basis]
+
+
+def _generated_member(x, gens, cone, cache, frame=None) -> bool:
+    """Is x a finite sum of the given generators, and of the frame's?
+
+    frame, when given, is (adj(K), det(K)) with det(K) > 0 for d
+    independent generators K, left out of gens: x = K·a + gens·c has the
+    basis coordinates a = adj(K)·(x - gens·c) / det(K). A point w whose
+    numerators adj(K)·w are >= 0 and divisible by det(K) is in N·K and
+    ends the search, so the search steps only along gens (the extras):
+    w is generated exactly when it is in N·K or some w - g is generated.
+    Without a frame, N·K is {0}, which the cache holds.
 
     Iterative depth-first search on x minus partial sums, pruned by cone
     membership; the search is a DAG because every generator is strictly
-    positive on the cone's grading. Each frame on the stack is a point v
+    positive on the cone's grading. Each entry on the stack is a point v
     with the index of the next generator g to try. The search ends at the
     first child v - g known to lie in the semigroup, and then every point
     on the stack is in it too, so all are cached True; a point is cached
-    False once every child in the cone has come back False. cache maps
-    points to known answers and must map the origin to True; it may
-    persist across calls while every entry stays right for the generator
-    list passed.
+    False once it is outside N·K and every child in the cone has come
+    back False, which by the recursion above says it is not generated,
+    frame or not. cache maps points to known answers and must map the
+    origin to True; it may persist across calls while every entry stays
+    right for the generators passed, the frame's included.
     """
     hit = cache.get(x)
     if hit is not None:
         return hit
+    rows, det_K = frame or ((), 0)
+
+    def in_frame(w):
+        if not det_K:
+            return False
+        for row in rows:
+            q = sum(map(operator.mul, row, w))
+            if q < 0 or q % det_K:
+                return False
+        return True
+
+    if in_frame(x):
+        return True
     n = len(gens)
     path = [x]
     nexts = [0]
@@ -58,11 +103,14 @@ def _generated_member(x, gens, cone, cache) -> bool:
             w = vsub(v, gens[i])
             i += 1
             r = cache.get(w)
+            if r is None and cone.contains(w):
+                if in_frame(w):
+                    r = True
+                else:
+                    break
             if r is True:
                 cache.update(dict.fromkeys(path, True))
                 return True
-            if r is None and cone.contains(w):
-                break
         else:
             cache[v] = False
             path.pop()
@@ -82,6 +130,7 @@ class AffineSemigroup:
         "_minimal",
         "_saturated",
         "_member_cache",
+        "_frame",
     )
 
     def __init__(self, dim, generators):
@@ -112,6 +161,7 @@ class AffineSemigroup:
         self._minimal = minimal
         self._saturated = saturated
         self._member_cache = {(0,) * dim: True}
+        self._frame = None
         return self
 
     @classmethod
@@ -125,6 +175,14 @@ class AffineSemigroup:
         return self._cone
 
     def membership(self, x) -> bool:
+        """Is x in S? Saturated: x is in the cone. Otherwise the search of
+        `_generated_member` with the frame and the extras the sweep of
+        `minimal_generators` handed over: the first d independent minimal
+        generators in grading order and the rest. A semigroup whose sweep
+        searched nothing with a frame, or an image that never swept,
+        builds them the same way here. The frame and the extras generate
+        S, so every answer, and every entry the search adds to the sweep's
+        cache, says whether a point lies in S, as the sweep's own do."""
         x = vec(x)
         if len(x) != self.dim:
             raise DimensionError(f"point {x} does not have length {self.dim}")
@@ -134,7 +192,11 @@ class AffineSemigroup:
             # saturated means the semigroup is exactly cone ∩ Z^d
             return True
         gens = self.minimal_generators()
-        return _generated_member(x, gens, self._cone, self._member_cache)
+        if self._frame is None:
+            w = tuple(map(sum, zip(*self._cone.halfspaces)))
+            self._frame = _frame(sorted(gens, key=lambda x: (dot(w, x), x)))
+        frame, extras = self._frame
+        return _generated_member(x, extras, self._cone, self._member_cache, frame)
 
     def minimal_generators(self):
         """The unique minimal generating set, lexicographically sorted.
@@ -142,19 +204,38 @@ class AffineSemigroup:
         g is redundant when g - k is generated by the kept ones for a kept
         k. The searches for g look only below g in the grading, where every
         generator is already generated by the kept ones and no later kept
-        generator can change an answer. So every entry of the one cache
-        the sweep fills says whether a point lies in S, and `membership`
-        keeps using it.
+        generator can change an answer. Once the kept ones reach rank d,
+        the first d independent of them are fixed as the frame of
+        `_generated_member` and later kept ones join the extras; the frame
+        and the extras together are the kept ones, so the answers, and
+        with them the cache's meaning, are those of a frame-less search.
+        So every entry of the one cache the sweep fills says whether a
+        point lies in S. The sweep hands the cache and the frame, with
+        every other kept point as an extra, to `membership`.
         """
         if self._minimal is None:
             cone = self._cone
             cache = self._member_cache
             cache.update(dict.fromkeys(self.generators, True))
-            self._minimal = irreducible(
-                self.generators,
-                cone.halfspaces,
-                lambda g, kept: _generated_member(g, kept, cone, cache),
-            )
+            found = None
+            graded = ()
+
+            def member(g, kept):
+                nonlocal found, graded
+                graded = kept
+                if found is None:
+                    found = _frame(kept)
+                    if found is None:
+                        return _generated_member(g, kept, cone, cache)
+                frame, extras = found
+                extras.extend(kept[len(extras) + len(kept[0]) :])
+                return _generated_member(g, extras, cone, cache, frame)
+
+            self._minimal = irreducible(self.generators, cone.halfspaces, member)
+            if found is not None:
+                # the points kept after the last search join the extras too
+                found[1].extend(graded[len(found[1]) + self.dim :])
+                self._frame = found
         return self._minimal
 
     def image(self, g, dual=None) -> "AffineSemigroup":

@@ -506,3 +506,44 @@ def resolve_reference(S, characteristic, normalize=True, max_depth=64):
         return ResolutionNode(T, depth, EXPANDED, children)
 
     return ResolutionTree(expand(S, 0), characteristic, normalize, max_depth)
+
+
+def surface_blowup(S):
+    """The normalized Nash blowup of a normal 2D semigroup S in closed form,
+    in every characteristic: sorted (vertex, chart minimal generators).
+
+    With a_0, ..., a_m the Hilbert basis of S in order along the cone, the
+    Newton vertices are the sums s_i = a_i + a_{i+1} at which their chain
+    turns: s_0, s_{m-1}, and every s_i with s_i - s_{i-1} not parallel to
+    s_{i+1} - s_i. The chart at a vertex is the saturated semigroup of the
+    cone spanned by the edge directions to its two neighbouring vertices,
+    with a_0 and a_m in place of the missing neighbours at the two ends.
+    """
+    from functools import cmp_to_key
+
+    from nashtoric.cones import Cone
+    from nashtoric.semigroups import AffineSemigroup
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    # a pointed cone: the primitive basis elements have pairwise distinct
+    # directions, all in an open half-plane, so cross products order them
+    a = sorted(S.minimal_generators(), key=cmp_to_key(lambda u, v: -cross(u, v)))
+    sums = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(a, a[1:])]
+
+    def step(u, v):
+        return (v[0] - u[0], v[1] - u[1])
+
+    vertices = [
+        s
+        for i, s in enumerate(sums)
+        if i in (0, len(sums) - 1) or cross(step(sums[i - 1], s), step(s, sums[i + 1]))
+    ]
+    charts = []
+    for j, v in enumerate(vertices):
+        back = step(v, vertices[j - 1]) if j else a[0]
+        ahead = step(v, vertices[j + 1]) if j + 1 < len(vertices) else a[-1]
+        chart = AffineSemigroup.from_cone(Cone.from_rays((back, ahead), 2))
+        charts.append((v, chart.minimal_generators()))
+    return sorted(charts)

@@ -17,13 +17,15 @@ from nashtoric.blowup import (
 )
 from nashtoric.cones import Cone, polyhedron_vertices
 from nashtoric.errors import CharacteristicError, ToricError
-from nashtoric.linalg import columns_matrix, det, dot, vsub
+from nashtoric.linalg import columns_matrix, det, dot, images, vsub
+from nashtoric.resolve import resolve
 from nashtoric.semigroups import AffineSemigroup, LatticePairing
 
 from oracles import (
     log_jacobian_by_kernel,
     log_jacobian_reference,
     random_unsaturated_generators,
+    surface_blowup,
 )
 
 # charts of the threefold in characteristic 2, keyed by Newton vertex
@@ -342,6 +344,65 @@ def test_characteristic_zero_self_loop_witness():
             c.vertex for c in charts if key.map_to(LatticePairing(c.semigroup)) is not None
         ]
         assert loops == ([] if p in (2, 3) else [(8, -7, -9, -3)]), p
+
+
+def test_surface_blowup_closed_form():
+    # the surfaces draw: rays with entries in [1, 50], as
+    # `surface_termination_suite` draws them; every distinct non-smooth
+    # node of each root's tree, in each characteristic the suite runs
+    rng = random.Random(213)
+    roots = nodes = 0
+    while roots < 100:
+        a = (rng.randint(1, 50), rng.randint(1, 50))
+        b = (rng.randint(1, 50), rng.randint(1, 50))
+        if a[0] * b[1] - a[1] * b[0] == 0:
+            continue
+        roots += 1
+        S = AffineSemigroup.from_cone(Cone.from_rays((a, b), 2))
+        for p in (0, 2, 3, 5):
+            N = newton_polyhedron(log_jacobian_ideal(S, p))
+            assert sorted((c.vertex, c.semigroup.minimal_generators()) for c in blowup_charts(N)) == (
+                surface_blowup(S)
+            )
+        seen = set()
+        for node in resolve(S, 0).nodes():
+            T = node.semigroup
+            if T.is_smooth() or T.minimal_generators() in seen:
+                continue
+            seen.add(T.minimal_generators())
+            want = surface_blowup(T)
+            for p in (0, 2, 3, 5):
+                assert sorted((c.vertex, c.semigroup.minimal_generators()) for c in nash_blowup(T, p)) == want
+        nodes += len(seen)
+    assert nodes >= 500
+
+
+# a class of the normalized p = 2 graph of the cone-form (3,5,7,11) root
+# whose blowup has two charts equivalent to itself in p = 2 and none in
+# p = 0, so iterated blowups of that root never resolve it in p = 2
+P2_SELF_LOOP_WITNESS = (
+    (-10, 0, 0, 3), (-5, 1, 0, 1), (0, 2, 0, -1), (1, -3, -1, 2),
+    (1, 0, 1, -1), (6, -2, -1, 0), (10, -1, -2, -1),
+)
+
+
+def test_characteristic_two_self_loop_witness():
+    W = AffineSemigroup(4, P2_SELF_LOOP_WITNESS)
+    assert W.minimal_generators() == P2_SELF_LOOP_WITNESS and W.is_saturated()
+    key = LatticePairing(W)
+    for p in (0, 2):
+        charts = nash_blowup(W, p)
+        assert charts == blowup_charts(newton_polyhedron(log_jacobian_ideal(W, p)))
+        assert len(charts) == 8
+        loops = {}
+        for c in charts:
+            g = key.map_to(LatticePairing(c.semigroup))
+            if g is not None:
+                loops[c.vertex] = g
+                # the map itself: unimodular, and onto the chart's generators
+                assert det(g) in (1, -1)
+                assert images(g, W.minimal_generators()) == c.semigroup.minimal_generators()
+        assert sorted(loops) == ([(-13, -2, 0, 5), (-4, -3, -3, 5)] if p == 2 else []), p
 
 
 def test_greedy_basis_is_gale_minimal():

@@ -21,6 +21,8 @@ from nashtoric.resolve import (
 )
 from nashtoric.semigroups import AffineSemigroup
 
+from oracles import resolve_reference
+
 
 def random_saturated_surface(rng, bound=20):
     while True:
@@ -243,6 +245,16 @@ def test_unnormalized_nodes_compute_one_start_basis(cusp, monkeypatch):
             assert {id(T) for T in calls} == {id(T) for T in singular}
             expanded += sum(n.status == EXPANDED for n in tree.nodes())
     assert expanded >= 3
+
+
+def test_unnormalized_threefold_matches_the_plain_recursion():
+    # a 3D unsaturated semigroup with six generators, none redundant: the
+    # sweeps and stall tests of its unsaturated nodes run the framed search
+    root = AffineSemigroup(3, [(4, 2, 0), (3, 1, 2), (2, -1, -3), (4, -3, 3), (3, 0, -2), (2, -2, 0)])
+    for p, nodes in ((0, 111), (2, 3), (3, 68)):
+        tree = resolve(root, p, normalize=False, max_depth=2)
+        assert tree.shape() == resolve_reference(root, p, normalize=False, max_depth=2).shape()
+        assert len(list(tree.nodes())) == nodes
 
 
 def test_resolve_is_deterministic(threefold):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -18,6 +19,8 @@ from nashtoric.errors import (
 from nashtoric.linalg import dot, group_is_full_lattice
 from nashtoric.semigroups import (
     AffineSemigroup,
+    _frame,
+    _generated_member,
     boundary_generators_crosscheck,
     surface_profile,
 )
@@ -165,8 +168,9 @@ def test_membership_against_brute_force_sums():
     # answer alike before and after the sweep and on images
     rng = random.Random(408)
     seen = {"in": 0, "out": 0}
-    for dim in (1, 2, 3):
-        for _ in range(25):
+    # fewer 4D draws: each has about twice the sums of a 3D draw under its cap
+    for dim, count in ((1, 25), (2, 25), (3, 25), (4, 6)):
+        for _ in range(count):
             gens = random_unsaturated_generators(rng, dim)
             S = AffineSemigroup(dim, gens)
             w = tuple(map(sum, zip(*S.cone.halfspaces)))
@@ -193,6 +197,89 @@ def test_membership_against_brute_force_sums():
                     assert T.membership(tuple(dot(row, x) for row in g)) == truth[x]
             for t in truth.values():
                 seen["in" if t else "out"] += 1
+    assert min(seen.values()) >= 200, seen
+
+
+def test_frame_leaf_test_checks_sign_and_divisibility():
+    # every generator has first coordinate 1, so the points of S at level
+    # n are (n, y) for y a sum of n second coordinates; the frame K is the
+    # first two generators, and the third is the only extra
+    for gens, det_K, outside in (
+        # det(K) = 2: (n, 1) has the basis coordinates (n - 1/2, 1/2)
+        (((1, 0), (1, 2), (1, 3)), 2, ((1, 1), (2, 1), (3, 1))),
+        # det(K) = 1: (1, 2) = -(1, 0) + 2 (1, 1), (2, 5) = -3 (1, 0) + 5 (1, 1)
+        (((1, 0), (1, 1), (1, 3)), 1, ((1, 2), (2, 5), (3, 8))),
+    ):
+        (adj, d), extras = _frame(gens)
+        assert (d, extras) == (det_K, [gens[2]])
+        assert all(x[1] <= 3 * x[0] for x in outside)  # all in the cone
+        S = AffineSemigroup(2, gens)
+        assert S.minimal_generators() == gens
+        assert not any(S.membership(x) for x in outside)
+        for n in range(1, 6):
+            level = {sum(c) for c in combinations_with_replacement([g[1] for g in gens], n)}
+            for y in range(-1, 3 * n + 2):
+                assert S.membership((n, y)) == (y in level), (gens, n, y)
+
+
+def test_sweep_below_rank_d_has_no_frame():
+    # grading x + y: (3, 0) and (4, 0) are tested while the kept points lie
+    # on one ray, by frame-less searches; the first two kept points stay
+    # dependent, so the frame is the first independent pair (2, 0), (1, 5)
+    gens = [(2, 0), (3, 0), (4, 0), (1, 5), (0, 7), (4, 10)]
+    assert _frame([(2, 0)]) is None and _frame([(2, 0), (3, 0)]) is None
+    (adj, d), extras = _frame([(2, 0), (3, 0), (1, 5), (0, 7)])
+    assert (d, extras) == (10, [(3, 0), (0, 7)])
+    S = AffineSemigroup(2, gens)
+    assert S.minimal_generators() == ((0, 7), (1, 5), (2, 0), (3, 0))
+    assert list(S.minimal_generators()) == brute_force_minimal_generators(gens, 2)
+    sums = generator_sums(S.minimal_generators(), (1, 1), 20)
+    for x in range(21):
+        for y in range(21 - x):
+            assert S.membership((x, y)) == ((x, y) in sums or x == y == 0)
+
+
+def test_extras_join_after_the_frame_is_fixed():
+    # the frame (3) is fixed when 5 is tested (5 - 3 = 2 is no sum), and 5
+    # joins the extras after that: 13 - 5 = 8 = 3 + 5 needs it
+    S = AffineSemigroup(1, [(3,), (5,), (13,)])
+    assert S.minimal_generators() == ((3,), (5,))
+    assert [n for n in range(16) if not S.membership((n,))] == [1, 2, 4, 7]
+    # the frame (2, 5), (3, 0) is fixed when (5, 4) is tested, and
+    # (16, 8) - (5, 4) = (11, 4) = (5, 4) + 2 (3, 0) needs (5, 4)
+    gens = [(2, 5), (3, 0), (5, 4), (8, 4), (16, 8)]
+    T = AffineSemigroup(2, gens)
+    assert T.minimal_generators() == ((2, 5), (3, 0), (5, 4))
+    assert list(T.minimal_generators()) == brute_force_minimal_generators(gens, 2)
+
+
+def test_framed_search_answers_as_the_frameless_one():
+    # fresh caches, the generators in grading order on both sides; a point
+    # outside S makes either search visit every point it can reach, and
+    # the framed one reaches fewer (it steps along fewer generators and
+    # stops in N·K). A point in S can cost the framed search more: in
+    # <6, 7, 8, 11>, 17 caches 7 points framed against 6 frame-less.
+    rng = random.Random(410)
+    seen = {"in": 0, "out": 0, "fewer": 0}
+    for dim in (1, 2, 3, 4):
+        for _ in range(40):
+            S = AffineSemigroup(dim, random_unsaturated_generators(rng, dim))
+            w = tuple(map(sum, zip(*S.cone.halfspaces)))
+            graded = sorted(S.minimal_generators(), key=lambda x: (dot(w, x), x))
+            frame, extras = _frame(graded)
+            cap = 2 * max(dot(w, x) for x in graded)
+            for x in generator_sums(graded, w, cap // 2):
+                for g in graded:
+                    y = tuple(a - b + rng.randint(-1, 1) for a, b in zip(x, g))
+                    if not S.cone.contains(y):
+                        continue
+                    plain, framed = {(0,) * dim: True}, {(0,) * dim: True}
+                    t = _generated_member(y, graded, S.cone, plain)
+                    assert _generated_member(y, extras, S.cone, framed, frame) == t
+                    if not t:
+                        assert framed.keys() <= plain.keys()
+                        seen["fewer"] += len(framed) < len(plain)
+                    seen["in" if t else "out"] += 1
     assert min(seen.values()) >= 200, seen
 
 
