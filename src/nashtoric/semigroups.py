@@ -8,22 +8,12 @@ smoothness) is exact.
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from functools import cmp_to_key
-from math import gcd
 
-from .errors import (
-    DimensionError,
-    NotFullLatticeError,
-    NotPointedError,
-    NotSaturatedError,
-)
-from .cones import Cone, hilbert_basis, irreducible, polyhedron_vertices
+from .errors import DimensionError, NotFullLatticeError, NotPointedError
+from .cones import Cone, hilbert_basis, irreducible
 from .linalg import (
     adjugate,
     columns_matrix,
-    cross2,
-    dot,
     group_is_full_lattice,
     images,
     independent_rows,
@@ -33,10 +23,10 @@ from .linalg import (
 
 
 def _frame(points):
-    """(frame, extras) for points listed in grading order, or None below
-    rank d: frame = (adj(K), det(K)) with det(K) > 0 for K the first d
-    independent points, and extras the other points, in order. Usually
-    the first d points are independent, and one adjugate finds out."""
+    """(frame, extras) for a list of points, or None below rank d: frame
+    = (adj(K), det(K)) with det(K) > 0 for K the first d independent
+    points, and extras the other points, in order. Usually the first d
+    points are independent, and one adjugate finds out."""
     d = len(points[0])
     if len(points) < d:
         return None
@@ -175,14 +165,8 @@ class AffineSemigroup:
         return self._cone
 
     def membership(self, x) -> bool:
-        """Is x in S? Saturated: x is in the cone. Otherwise the search of
-        `_generated_member` with the frame and the extras the sweep of
-        `minimal_generators` handed over: the first d independent minimal
-        generators in grading order and the rest. A semigroup whose sweep
-        searched nothing with a frame, or an image that never swept,
-        builds them the same way here. The frame and the extras generate
-        S, so every answer, and every entry the search adds to the sweep's
-        cache, says whether a point lies in S, as the sweep's own do."""
+        """Is x in S? Saturated: x is in the cone. Otherwise `_generated`
+        over the minimal generators."""
         x = vec(x)
         if len(x) != self.dim:
             raise DimensionError(f"point {x} does not have length {self.dim}")
@@ -191,52 +175,37 @@ class AffineSemigroup:
         if self._saturated is True:
             # saturated means the semigroup is exactly cone ∩ Z^d
             return True
-        gens = self.minimal_generators()
-        if self._frame is None:
-            w = tuple(map(sum, zip(*self._cone.halfspaces)))
-            self._frame = _frame(sorted(gens, key=lambda x: (dot(w, x), x)))
-        frame, extras = self._frame
-        return _generated_member(x, extras, self._cone, self._member_cache, frame)
+        return self._generated(x, self.minimal_generators())
 
     def minimal_generators(self):
-        """The unique minimal generating set, lexicographically sorted.
-
-        g is redundant when g - k is generated by the kept ones for a kept
-        k. The searches for g look only below g in the grading, where every
-        generator is already generated by the kept ones and no later kept
-        generator can change an answer. Once the kept ones reach rank d,
-        the first d independent of them are fixed as the frame of
-        `_generated_member` and later kept ones join the extras; the frame
-        and the extras together are the kept ones, so the answers, and
-        with them the cache's meaning, are those of a frame-less search.
-        So every entry of the one cache the sweep fills says whether a
-        point lies in S. The sweep hands the cache and the frame, with
-        every other kept point as an extra, to `membership`.
-        """
+        """The unique minimal generating set, lexicographically sorted: the
+        sweep of `irreducible` with `_generated` as its member test."""
         if self._minimal is None:
-            cone = self._cone
-            cache = self._member_cache
-            cache.update(dict.fromkeys(self.generators, True))
-            found = None
-            graded = ()
-
-            def member(g, kept):
-                nonlocal found, graded
-                graded = kept
-                if found is None:
-                    found = _frame(kept)
-                    if found is None:
-                        return _generated_member(g, kept, cone, cache)
-                frame, extras = found
-                extras.extend(kept[len(extras) + len(kept[0]) :])
-                return _generated_member(g, extras, cone, cache, frame)
-
-            self._minimal = irreducible(self.generators, cone.halfspaces, member)
-            if found is not None:
-                # the points kept after the last search join the extras too
-                found[1].extend(graded[len(found[1]) + self.dim :])
-                self._frame = found
+            self._member_cache.update(dict.fromkeys(self.generators, True))
+            self._minimal = irreducible(self.generators, self._cone.halfspaces, self._generated)
         return self._minimal
+
+    def _generated(self, x, points) -> bool:
+        """Is x, a point of the cone, a sum of points? They are minimal
+        generators: the sweep's kept points in grading order, or all.
+
+        The sweep asks only about x below the generator it tests, where the
+        kept points generate every element of S, so every answer and cache
+        entry says whether a point lies in S. The first search the cache
+        does not answer whose points reach rank d fixes the frame K, the
+        first d independent points. Kept points stay kept, so K and the
+        points outside it, which later searches step along, are the points.
+        """
+        if x in self._member_cache:
+            return self._member_cache[x]
+        if self._frame is None:
+            found = _frame(points)
+            if found is None:
+                return _generated_member(x, points, self._cone, self._member_cache)
+            self._frame = found[0], set(points).difference(found[1])
+        frame, K = self._frame
+        extras = [p for p in points if p not in K]
+        return _generated_member(x, extras, self._cone, self._member_cache, frame)
 
     def image(self, g, dual=None) -> "AffineSemigroup":
         """The semigroup g·S for g in GL(d, Z) (rows), without a conversion.
@@ -372,63 +341,3 @@ class LatticePairing:
 
         return search(())
 
-
-def _ccw_cmp(a, b):
-    c = cross2(a, b)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    # same direction: shorter first
-    la = a[0] * a[0] + a[1] * a[1]
-    lb = b[0] * b[0] + b[1] * b[1]
-    if la < lb:
-        return -1
-    if la > lb:
-        return 1
-    return 0
-
-
-@dataclass(frozen=True)
-class SurfaceProfile:
-    semigroup: AffineSemigroup
-    ordered_generators: tuple
-
-    def consecutive_determinants(self):
-        gens = self.ordered_generators
-        return tuple(cross2(gens[i], gens[i + 1]) for i in range(len(gens) - 1))
-
-
-def surface_profile(S: AffineSemigroup) -> SurfaceProfile:
-    """Minimal generators in counterclockwise order, clockwise-most first.
-
-    Well defined because the cone is pointed, so all generators fit in an
-    open half-plane and the cross product comparator is a total order up to
-    collinear pairs, which are broken by length.
-    """
-    if S.dim != 2:
-        raise DimensionError("surface profile needs dimension 2")
-    ordered = sorted(S.minimal_generators(), key=cmp_to_key(_ccw_cmp))
-    return SurfaceProfile(S, tuple(ordered))
-
-
-def boundary_generators_crosscheck(S: AffineSemigroup):
-    """Lattice points on the compact edges of conv(Γ ∖ {0}), sorted.
-
-    For a saturated 2D semigroup this set must coincide with the minimal
-    generators; tests compare the two independently computed sides.
-    """
-    if S.dim != 2:
-        raise DimensionError("boundary cross-check needs dimension 2")
-    if not S.is_saturated():
-        raise NotSaturatedError("boundary cross-check is defined for saturated semigroups")
-    gens = S.minimal_generators()
-    chain = sorted(polyhedron_vertices(gens, S.cone), key=cmp_to_key(_ccw_cmp))
-    pts = set(chain)
-    for a, b in zip(chain, chain[1:]):
-        step = vsub(b, a)
-        g = gcd(step[0], step[1])
-        sx, sy = step[0] // g, step[1] // g
-        for t in range(1, g):
-            pts.add((a[0] + t * sx, a[1] + t * sy))
-    return tuple(sorted(pts))

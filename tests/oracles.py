@@ -10,7 +10,9 @@ The random unsaturated generator lists the minimal-generator oracle is
 checked on are drawn here too, so that every test draws them the same way.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, permutations, product
 from math import ceil, gcd
 
@@ -508,6 +510,76 @@ def resolve_reference(S, characteristic, normalize=True, max_depth=64):
     return ResolutionTree(expand(S, 0), characteristic, normalize, max_depth)
 
 
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _ccw_cmp(a, b):
+    c = _cross(a, b)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    # same direction: shorter first
+    la = a[0] * a[0] + a[1] * a[1]
+    lb = b[0] * b[0] + b[1] * b[1]
+    if la < lb:
+        return -1
+    if la > lb:
+        return 1
+    return 0
+
+
+@dataclass(frozen=True)
+class SurfaceProfile:
+    semigroup: object
+    ordered_generators: tuple
+
+    def consecutive_determinants(self):
+        gens = self.ordered_generators
+        return tuple(_cross(gens[i], gens[i + 1]) for i in range(len(gens) - 1))
+
+
+def surface_profile(S):
+    """Minimal generators in counterclockwise order, clockwise-most first.
+
+    Well defined because the cone is pointed, so all generators fit in an
+    open half-plane and the cross product comparator is a total order up to
+    collinear pairs, which are broken by length.
+    """
+    from nashtoric.errors import DimensionError
+
+    if S.dim != 2:
+        raise DimensionError("surface profile needs dimension 2")
+    ordered = sorted(S.minimal_generators(), key=cmp_to_key(_ccw_cmp))
+    return SurfaceProfile(S, tuple(ordered))
+
+
+def boundary_generators_crosscheck(S):
+    """Lattice points on the compact edges of conv(Γ ∖ {0}), sorted.
+
+    For a saturated 2D semigroup this set must coincide with the minimal
+    generators, which the library finds by another route.
+    """
+    from nashtoric.cones import polyhedron_vertices
+    from nashtoric.errors import DimensionError, NotSaturatedError
+
+    if S.dim != 2:
+        raise DimensionError("boundary cross-check needs dimension 2")
+    if not S.is_saturated():
+        raise NotSaturatedError("boundary cross-check is defined for saturated semigroups")
+    gens = S.minimal_generators()
+    chain = sorted(polyhedron_vertices(gens, S.cone), key=cmp_to_key(_ccw_cmp))
+    pts = set(chain)
+    for a, b in zip(chain, chain[1:]):
+        step = (b[0] - a[0], b[1] - a[1])
+        g = gcd(step[0], step[1])
+        sx, sy = step[0] // g, step[1] // g
+        for t in range(1, g):
+            pts.add((a[0] + t * sx, a[1] + t * sy))
+    return tuple(sorted(pts))
+
+
 def surface_blowup(S):
     """The normalized Nash blowup of a normal 2D semigroup S in closed form,
     in every characteristic: sorted (vertex, chart minimal generators).
@@ -519,17 +591,27 @@ def surface_blowup(S):
     cone spanned by the edge directions to its two neighbouring vertices,
     with a_0 and a_m in place of the missing neighbours at the two ends.
     """
-    from functools import cmp_to_key
+    return [(v, T.minimal_generators()) for v, T in _surface_charts(S)]
 
+
+def surface_resolution_shape(S):
+    """`ResolutionTree.shape()` of the normalized resolution of a normal 2D
+    S, unfolded from the closed form of `surface_blowup` down to smooth
+    leaves, in every characteristic."""
+    from nashtoric.resolve import EXPANDED, SMOOTH_LEAF
+
+    if S.is_smooth():
+        return (S.minimal_generators(), SMOOTH_LEAF, ())
+    children = tuple((v, surface_resolution_shape(T)) for v, T in _surface_charts(S))
+    return (S.minimal_generators(), EXPANDED, children)
+
+
+def _surface_charts(S):
+    """(vertex, chart semigroup) of `surface_blowup`, sorted by vertex."""
     from nashtoric.cones import Cone
     from nashtoric.semigroups import AffineSemigroup
 
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    # a pointed cone: the primitive basis elements have pairwise distinct
-    # directions, all in an open half-plane, so cross products order them
-    a = sorted(S.minimal_generators(), key=cmp_to_key(lambda u, v: -cross(u, v)))
+    a = surface_profile(S).ordered_generators
     sums = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(a, a[1:])]
 
     def step(u, v):
@@ -538,12 +620,11 @@ def surface_blowup(S):
     vertices = [
         s
         for i, s in enumerate(sums)
-        if i in (0, len(sums) - 1) or cross(step(sums[i - 1], s), step(s, sums[i + 1]))
+        if i in (0, len(sums) - 1) or _cross(step(sums[i - 1], s), step(s, sums[i + 1]))
     ]
     charts = []
     for j, v in enumerate(vertices):
         back = step(v, vertices[j - 1]) if j else a[0]
         ahead = step(v, vertices[j + 1]) if j + 1 < len(vertices) else a[-1]
-        chart = AffineSemigroup.from_cone(Cone.from_rays((back, ahead), 2))
-        charts.append((v, chart.minimal_generators()))
-    return sorted(charts)
+        charts.append((v, AffineSemigroup.from_cone(Cone.from_rays((back, ahead), 2))))
+    return sorted(charts, key=lambda c: c[0])

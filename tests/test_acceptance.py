@@ -15,10 +15,10 @@ from nashtoric.blowup import blowup_charts, log_jacobian_ideal, newton_polyhedro
 from nashtoric.cli import main
 from nashtoric.cones import Cone, hilbert_basis, parallelepiped_points, triangulate
 from nashtoric.linalg import det, invariant_factors, kernel_basis
-from nashtoric.resolve import surface_termination_suite
-from nashtoric.semigroups import AffineSemigroup, surface_profile
+from nashtoric.resolve import resolve, surface_termination_suite
+from nashtoric.semigroups import AffineSemigroup
 
-from oracles import brute_force_hilbert
+from oracles import brute_force_hilbert, surface_profile, surface_resolution_shape
 
 CUSP_DOC = '{"dimension": 1, "characteristic": 0, "semigroup_generators": [[2], [3]]}'
 THREEFOLD_DOC = (
@@ -164,6 +164,10 @@ def test_criterion_4_surface_resolution_suite():
         assert summary.all_terminated
         assert summary.all_leaves_smooth
         assert summary.all_characteristic_independent
+        # each tree is the one the closed form of tests/oracles unfolds
+        for run in summary.runs:
+            S = AffineSemigroup.from_cone(Cone.from_rays(run.rays, 2))
+            assert resolve(S, 0).shape() == surface_resolution_shape(S), run.rays
         assert time.monotonic() - start < 120.0
 
 

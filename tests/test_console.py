@@ -1,4 +1,4 @@
-"""The console script end to end, and two lint rules on the library.
+"""The console script end to end, and three lint rules on the library.
 
 Each row runs `python -m nashtoric <command>` on one JSON document, with
 PYTHONPATH set to this checkout's src/ and a 60 s limit, and pins the exit
@@ -71,6 +71,11 @@ CONSOLE = (
      "784b18f191ad42ea5e7e43c71e2c3e29ee513580f070871d472d45441be0e931"),
     ("check-text-3d", "check --format text", DUAL_3D_P0, 0,
      "9dbbe64be8c3cd88d63de38eb28f864afe5fe37b9756742b69a4e80718d29d78"),
+    # the minimal-generator sweep of an unsaturated semigroup: 14
+    # generators, 5 of them redundant, (0, 1, 0) in the cone but not in it
+    ("mingen-unsaturated-3d", "mingen",
+     '{"dimension": 3, "characteristic": 0, "semigroup_generators": [[3,0,0],[0,4,0],[0,0,5],[1,1,1],[2,1,0],[4,2,0],[3,2,1],[0,5,3],[6,4,2],[5,5,5],[7,1,2],[1,8,0],[2,9,4],[3,3,8]]}',
+     0, "138f36ab24a3d7996aab3a5571a3e89c13a943c9d3ad6f2f1c60ffd818873315"),
     # 11^4 parallelepiped points, then a dual cone in 3 simplicial pieces
     ("saturate-5d-simplicial", "saturate",
      '{"dimension": 5, "characteristic": 0, "cone_rays": [[1,0,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,0],[2,3,5,7,11]]}',
@@ -128,3 +133,29 @@ def test_no_unused_imports_in_the_library():
                     if name not in used:
                         unused.append(f"{path}:{node.lineno}: {name} is imported but never used")
     assert not unused, "\n".join(unused)
+
+
+def test_no_unreferenced_private_functions_in_the_library():
+    # a private function or method that nothing in the package names, as a
+    # name or as an attribute, is dead code; dunder methods are exempt
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "nashtoric").glob("*.py"))
+    }
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dead = [
+        f"{path}:{node.lineno}: {node.name} is never referenced"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    ]
+    assert not dead, "\n".join(dead)

@@ -3,13 +3,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from nashtoric import semigroups
 from nashtoric.blowup import (
     blowup_charts,
     log_jacobian_ideal,
     nash_blowup,
     newton_polyhedron,
 )
-from nashtoric.cones import Cone
+from nashtoric.cones import Cone, irreducible
 from nashtoric.errors import (
     DimensionError,
     NotFullLatticeError,
@@ -17,19 +18,15 @@ from nashtoric.errors import (
     NotSaturatedError,
 )
 from nashtoric.linalg import dot, group_is_full_lattice
-from nashtoric.semigroups import (
-    AffineSemigroup,
-    _frame,
-    _generated_member,
-    boundary_generators_crosscheck,
-    surface_profile,
-)
+from nashtoric.semigroups import AffineSemigroup, _frame, _generated_member
 
 from oracles import (
+    boundary_generators_crosscheck,
     brute_force_minimal_generators,
     generator_sums,
     permutation_det,
     random_unsaturated_generators,
+    surface_profile,
 )
 
 
@@ -240,8 +237,8 @@ def test_sweep_below_rank_d_has_no_frame():
 
 
 def test_extras_join_after_the_frame_is_fixed():
-    # the frame (3) is fixed when 5 is tested (5 - 3 = 2 is no sum), and 5
-    # joins the extras after that: 13 - 5 = 8 = 3 + 5 needs it
+    # the frame (3) is fixed when 5 is tested (5 - 3 = 2 is no sum), and
+    # later searches step along 5, kept outside it: 13 - 5 = 8 = 3 + 5
     S = AffineSemigroup(1, [(3,), (5,), (13,)])
     assert S.minimal_generators() == ((3,), (5,))
     assert [n for n in range(16) if not S.membership((n,))] == [1, 2, 4, 7]
@@ -251,6 +248,67 @@ def test_extras_join_after_the_frame_is_fixed():
     T = AffineSemigroup(2, gens)
     assert T.minimal_generators() == ((2, 5), (3, 0), (5, 4))
     assert list(T.minimal_generators()) == brute_force_minimal_generators(gens, 2)
+
+
+def test_a_semigroup_builds_at_most_one_frame(monkeypatch):
+    # the first search the cache does not answer fixes the frame, so a
+    # sweep whose searches are all cache hits builds none, and membership
+    # queries after the sweep build one only if the sweep did not
+    built = []
+    hits = []
+
+    def counting_frame(points):
+        found = _frame(points)
+        built.append(found is not None)
+        return found
+
+    def spying_irreducible(points, halfspaces, member):
+        def spy(x, kept):
+            hits.append(x in S._member_cache)
+            return member(x, kept)
+
+        return irreducible(points, halfspaces, spy)
+
+    monkeypatch.setattr(semigroups, "_frame", counting_frame)
+    monkeypatch.setattr(semigroups, "irreducible", spying_irreducible)
+    rng = random.Random(411)
+    seen = {"all hits": 0, "searched": 0, "in": 0, "out": 0}
+    for dim, count in ((1, 30), (2, 30), (3, 30), (4, 12)):
+        for t in range(count):
+            if t % 3 == 0:
+                # a lattice basis padded with sums: many searches are hits
+                basis = _random_unimodular(rng, dim)
+                gens = list(basis) + [
+                    tuple(map(sum, zip(*rng.sample(basis, rng.randint(1, dim)))))
+                    for _ in range(3)
+                ]
+            else:
+                gens = random_unsaturated_generators(rng, dim)
+            built.clear()
+            hits.clear()
+            S = AffineSemigroup(dim, gens)
+            S.minimal_generators()
+            assert sum(built) <= 1
+            if hits and all(hits):
+                assert not any(built), gens
+                seen["all hits"] += 1
+            elif hits:
+                seen["searched"] += 1
+            w = tuple(map(sum, zip(*S.cone.halfspaces)))
+            cap = max(dot(w, x) for x in S.generators)
+            sums = generator_sums(S.generators, w, cap)
+            points = set(sums)
+            for x in sums:
+                for g in S.generators:
+                    points.add(tuple(a - b + rng.randint(-1, 1) for a, b in zip(x, g)))
+            for x in sorted(points):
+                if dot(w, x) <= cap:
+                    t = not any(x) or x in sums
+                    assert S.membership(x) == t, (gens, x)
+                    seen["in" if t else "out"] += 1
+            assert sum(built) <= 1
+    assert min(seen["all hits"], seen["searched"]) >= 10, seen
+    assert min(seen["in"], seen["out"]) >= 200, seen
 
 
 def test_framed_search_answers_as_the_frameless_one():
