@@ -214,17 +214,13 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True, star
 
 def walk_start(S: AffineSemigroup, p):
     """The walk's start basis B with its exchanges, as the triple
-    (B, directions, unexchanged) of `_exchanges`; p already validated."""
+    (B, directions, unexchanged) of `_exchanges`; p already validated.
+    B is the greedy basis under (<w, g>, g), w the sum of the facet
+    normals: the walk's first vertex."""
     gens = S.minimal_generators()
-    basis = _start_basis(S, gens, p)
-    return (basis,) + _exchanges(basis, gens, p)
-
-
-def _start_basis(S, gens, p):
-    """The greedy basis under (<w, g>, g), w the sum of the facet normals:
-    the walk's first vertex."""
     w = _vsum(S.cone.halfspaces)
-    return _greedy_basis(gens, lambda g: (dot(w, g), g), p)
+    basis = _greedy_basis(gens, lambda g: (dot(w, g), g), p)
+    return (basis,) + _exchanges(basis, gens, p)
 
 
 def _greedy_basis(gens, key, p):
@@ -253,7 +249,7 @@ def _exchanges(basis, gens, p):
     Q, adj(B)·g = det(B)·B^-1·g is never zero, so only p > 0 leaves any.
     """
     adj, _ = adjugate(columns_matrix(basis))
-    directions = []
+    directions = {}  # each direction once, in first-seen order
     unexchanged = []
     for g in gens:
         if g in basis:
@@ -262,7 +258,7 @@ def _exchanges(basis, gens, p):
         for row, b in zip(adj, basis):
             t = dot(row, g)
             if t % p if p else t:
-                directions.append(vsub(g, b))
+                directions[vsub(g, b)] = None
                 exchanged = True
         if not exchanged:
             unexchanged.append(g)
@@ -274,14 +270,14 @@ def is_trivial_step(N: NewtonPolyhedron, charts) -> bool:
 
     Only meaningful for charts built without normalization. The `blowup`
     command has the charts in hand; `stalls` answers the same question
-    from the semigroup alone.
+    from the walk's start basis, without a chart.
     """
     if len(charts) != 1:
         return False
     return charts[0].semigroup.minimal_generators() == N.semigroup.minimal_generators()
 
 
-def stalls_at(S: AffineSemigroup, start) -> bool:
+def stalls(S: AffineSemigroup, start) -> bool:
     """Is the unnormalized Nash blowup of S a trivial step, one chart equal
     to S? Answered without building a chart, from start = `walk_start(S, p)`.
 
@@ -292,9 +288,3 @@ def stalls_at(S: AffineSemigroup, start) -> bool:
     v, and it contains every direction.
     """
     return all(S.membership(u) for u in start[1])
-
-
-def stalls(S: AffineSemigroup, characteristic) -> bool:
-    """Does the unnormalized Nash blowup of S stall in characteristic p?
-    `stalls_at` the walk's start basis."""
-    return stalls_at(S, walk_start(S, validate_characteristic(characteristic)))

@@ -10,7 +10,7 @@ from .blowup import (
     log_jacobian_ideal,
     nash_blowup,
     newton_polyhedron,
-    stalls_at,
+    stalls,
     walk_start,
 )
 from .cones import Cone
@@ -79,14 +79,56 @@ def resolve(
     """Blow up repeatedly until every branch is smooth, stalls, or hits
     the depth cap.
 
+    A node is tested in the order smooth, stall (unnormalized only), cap,
+    and only then blown up: an unnormalized stall is read off the
+    exchanges at the walk's start basis (`stalls`), so neither a stall
+    nor a node at the cap builds a chart, and the walk starts from that
+    basis and its exchanges.
+
     A Nash blowup commutes with GL(d, Z), so each lattice class of nodes
-    is blown up once per call: a node g·R for an earlier node R gets R's
-    charts mapped by g (`_class_memo`).
+    is blown up once per call. A node S is looked up in the bucket of its
+    `LatticePairing` key; if g·R == S for a stored R, the charts of S are
+    R's charts mapped by g, re-sorted by vertex, and its start basis goes
+    unused. Otherwise S is blown up (`nash_blowup`) and stored. The
+    minimal generators determine a semigroup and its charts, so this
+    serves both chart kinds in every dimension.
     """
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
-    charts = _class_memo(lambda T, start=None: nash_blowup(T, p, normalize, start))
-    root = _expand(S, 0, charts, p, normalize, max_depth)
+    buckets = {}  # LatticePairing key -> [(pairing, charts)], for this call
+
+    def expand(S, depth):
+        if S.is_smooth():
+            return ResolutionNode(S, depth, SMOOTH_LEAF, ())
+        start = None
+        if not normalize:
+            start = walk_start(S, p)
+            if stalls(S, start):
+                return ResolutionNode(S, depth, TRIVIAL_STALL, ())
+        if depth == max_depth:
+            return ResolutionNode(S, depth, DEPTH_CAPPED, ())
+        pairing = LatticePairing(S)
+        bucket = buckets.setdefault(pairing.key, [])
+        for R, known in bucket:
+            g = R.map_to(pairing)
+            if g is not None:
+                dual = unimodular_dual(g)
+                mapped = (
+                    BlowupChart(mat_vec(g, c.vertex), c.semigroup.image(g, dual), c.normalized)
+                    for c in known
+                )
+                charts = tuple(sorted(mapped, key=lambda c: c.vertex))
+                break
+        else:
+            charts = nash_blowup(S, p, normalize, start)
+            bucket.append((pairing, charts))
+        children = tuple((c.vertex, expand(c.semigroup, depth + 1)) for c in charts)
+        return ResolutionNode(S, depth, EXPANDED, children)
+
+    root = expand(S, 0)
+    # expand reaches itself through its closure; without the cycle the
+    # buckets are freed here, not by the cyclic garbage collector
+    del expand
     return ResolutionTree(root, p, normalize, max_depth)
 
 
@@ -101,63 +143,6 @@ def _check_max_depth(max_depth) -> int:
     if not 1 <= max_depth <= MAX_DEPTH:
         raise ValueError(f"max_depth must be between 1 and {MAX_DEPTH}")
     return max_depth
-
-
-def _class_memo(blowup):
-    """`blowup` with its charts kept per GL(d, Z) class of semigroups.
-
-    A semigroup S is looked up in the bucket of its `LatticePairing` key;
-    if g·R == S for a stored R, the charts of S are R's charts mapped by
-    g, re-sorted by vertex, and start is ignored. Otherwise S is blown up,
-    from start when given (`nash_blowup`), and stored.
-    The minimal generators determine a semigroup and its charts, so this
-    serves both chart kinds in every dimension.
-    """
-    buckets = {}
-
-    def charts(S, start=None):
-        pairing = LatticePairing(S)
-        bucket = buckets.setdefault(pairing.key, [])
-        for R, known in bucket:
-            g = R.map_to(pairing)
-            if g is not None:
-                dual = unimodular_dual(g)
-                mapped = (
-                    BlowupChart(mat_vec(g, c.vertex), c.semigroup.image(g, dual), c.normalized)
-                    for c in known
-                )
-                return tuple(sorted(mapped, key=lambda c: c.vertex))
-        known = blowup(S, start)
-        bucket.append((pairing, known))
-        return known
-
-    return charts
-
-
-def _expand(S, depth, blowup, p, normalize, max_depth) -> ResolutionNode:
-    """The subtree below S, with the charts `blowup` gives for S.
-
-    A node is tested in the order smooth, stall (unnormalized only), cap,
-    and only then blown up: an unnormalized stall is read off the
-    exchanges at the walk's start basis (`stalls_at`), so neither a stall
-    nor a node at the cap builds a chart, and the walk starts from that
-    basis and its exchanges.
-    """
-    if S.is_smooth():
-        return ResolutionNode(S, depth, SMOOTH_LEAF, ())
-    start = None
-    if not normalize:
-        start = walk_start(S, p)
-        if stalls_at(S, start):
-            return ResolutionNode(S, depth, TRIVIAL_STALL, ())
-    if depth == max_depth:
-        return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-    charts = blowup(S, start)
-    children = tuple(
-        (c.vertex, _expand(c.semigroup, depth + 1, blowup, p, normalize, max_depth))
-        for c in charts
-    )
-    return ResolutionNode(S, depth, EXPANDED, children)
 
 
 @dataclass(frozen=True)
@@ -240,6 +225,8 @@ def surface_termination_suite(
     trees agree across characteristics. The seed makes runs replayable.
     """
     chars = tuple(validate_characteristic(c) for c in characteristics)
+    if not chars:
+        raise ValueError("characteristics must name at least one characteristic")
     count = _integer(count, "count")
     if count < 0:
         raise ValueError("count must be nonnegative")

@@ -22,6 +22,7 @@ ROOT_4D_P0 = '{"dimension": 4, "characteristic": 0, "cone_rays": [[1,0,0,0],[0,1
 ROOT_4D_P2 = '{"dimension": 4, "characteristic": 2, "cone_rays": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[3,5,7,11]]}'
 ROOT_3D_P2 = '{"dimension": 3, "characteristic": 2, "cone_rays": [[1,0,0],[0,1,0],[4,7,11]]}'
 DUAL_3D_P0 = '{"dimension": 3, "characteristic": 0, "dual_cone_rays": [[1,0,0],[0,1,0],[2,5,7]]}'
+STALL_2D_P2 = '{"dimension": 2, "characteristic": 2, "semigroup_generators": [[2,0],[3,0],[0,1]]}'
 
 # (id, command, document, exit code, SHA-256 of stdout)
 CONSOLE = (
@@ -53,6 +54,12 @@ CONSOLE = (
     ("resolve-unnormalized-2d-p3", "resolve",
      '{"dimension": 2, "characteristic": 3, "dual_cone_rays": [[1,0],[4,5]], "normalize": false, "max_depth": 6}',
      4, "0a5174a8ed69c33fdc9683b72eca060ec67c6489b01b075771ee3f621e1b9279"),
+    # <(2,0), (3,0), (0,1)> stalls in p = 2: one chart at (3,1) equal to
+    # the root, so `blowup` reports a trivial step and `resolve` one node
+    ("blowup-unnormalized-stall-2d-p2", "blowup --no-normalize", STALL_2D_P2, 4,
+     "929a676a1170b8c370fc992259908e31c89e4c48c400f68f529420b4a5ee15cf"),
+    ("resolve-unnormalized-stall-2d-p2", "resolve --no-normalize", STALL_2D_P2, 4,
+     "211c33e37e0d691982fe1c282d65cfbb54e0a7a9f61f70218adbfdf86bb69e43"),
     # 2x2 and 3x3 cofactor adjugates
     ("resolve-2d-p2", "resolve",
      '{"dimension": 2, "characteristic": 2, "dual_cone_rays": [[1,0],[47,50]]}',

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from nashtoric import blowup
-from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron
+from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, walk_start
 from nashtoric.cones import Cone
 from nashtoric.errors import CharacteristicError
 from nashtoric.io import parse_input, serialize, tree_payload
@@ -227,14 +227,17 @@ def test_unnormalized_nodes_compute_one_start_basis(cusp, monkeypatch):
     # cap, or is blown up; a node whose lattice class was blown up before
     # takes the mapped charts and ignores its basis
     root = AffineSemigroup.from_cone(Cone.from_rays(((1, 0, 0), (0, 1, 0), (2, 5, 7)), 3))
-    start_basis = blowup._start_basis
+    module = sys.modules[resolve.__module__]
     calls = []
 
-    def counted(S, gens, p):
+    def counted(S, p):
         calls.append(S)
-        return start_basis(S, gens, p)
+        return walk_start(S, p)
 
-    monkeypatch.setattr(blowup, "_start_basis", counted)
+    # the resolve module's binding serves the nodes; the blowup module's
+    # would serve a walk that had to find its own start
+    for bound in (module, blowup):
+        monkeypatch.setattr(bound, "walk_start", counted)
     expanded = 0
     for S in (cusp, root):
         for p in (0, 2):
@@ -370,6 +373,10 @@ def test_suite_edge_cases():
         surface_termination_suite(0, -1)
     with pytest.raises(CharacteristicError):
         surface_termination_suite(0, 1, characteristics=(4,))
+    # no characteristic resolves nothing, so it is refused before the draw
+    for count in (0, 2):
+        with pytest.raises(ValueError, match="characteristics"):
+            surface_termination_suite(0, count, characteristics=())
     # entries in [1, 1] give only the ray (1, 1), so the draw never ends
     for bound in (1, 0, -3):
         with pytest.raises(ValueError, match="at least 2"):
