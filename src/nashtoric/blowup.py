@@ -2,7 +2,10 @@
 
 Pipeline: admissible d-subsets of minimal generators (determinant nonzero
 mod p) give the ideal exponents; their convex hull plus the semigroup's
-cone is the Newton polyhedron; each vertex yields an affine chart.
+cone is the Newton polyhedron; each vertex yields an affine chart, built
+on the tangent cone at the vertex, converted once per chart: its lattice
+points (`AffineSemigroup.from_cone`) or, unnormalized, the semigroup that
+the chart's generators span in it (`AffineSemigroup.in_cone`).
 
 The admissible subsets are the bases of the generators' matroid over F_p
 (over Q for p = 0), so conv(E) is the image of its base polytope.
@@ -27,6 +30,7 @@ a stall and to start the walk; `walk_start` computes them once for both.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ToricError
 from .cones import Cone, irreducible, polyhedron_vertices_and_facets
@@ -119,49 +123,38 @@ class BlowupChart:
 def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
     """One chart per Newton polyhedron vertex, in vertex order.
 
-    The chart at v is generated by the parent's minimal generators together
-    with e - v for every exponent e. With normalize the chart is its
-    saturation, the lattice points of the tangent cone at v,
-    cone(σ^∨ ∪ (E - v)), built as the cone cut out by the facets of N
-    through v: the normals h of N's facets with h0 + <h, v> = 0, a few per
-    vertex where E - v lists every exponent. `nash_blowup` gives the same
-    charts from the exchange directions, the cone's rays (for normalize
-    False, the same semigroups from other generators); this enumeration
-    stays for the `blowup` command and as the walk's test oracle.
+    The chart at v is Γ + <E - v>, generated by the parent's minimal
+    generators and e - v for every exponent e; with normalize, its
+    saturation. Both are built on the tangent cone at v, cone(σ^∨ ∪
+    (E - v)), cut out by N's facets through v (h0 + <h, v> = 0), a few per
+    vertex where E - v lists every exponent. `nash_blowup` builds the same
+    charts by a walk (unnormalized ones from other generators); this
+    enumeration stays for the `blowup` command and as the walk's oracle.
     """
     S = N.semigroup
+    gens = S.minimal_generators()
     charts = []
     for v in N.vertices:
-        if normalize:
-            through = [h[1:] for h in N.facets if h[0] + dot(h[1:], v) == 0]
-            tangent = Cone.from_halfspaces(through, S.dim)
-            charts.append(_chart(S, v, (), True, tangent))
-        else:
-            directions = tuple(vsub(e, v) for e in N.exponents)
-            charts.append(_chart(S, v, directions, False))
+        through = [h[1:] for h in N.facets if h[0] + dot(h[1:], v) == 0]
+        tangent = Cone.from_halfspaces(through, S.dim)
+        # only an unnormalized chart reads its generators
+        shifts = (vsub(e, v) for e in N.exponents)
+        charts.append(_chart(v, tangent, chain(gens, shifts), normalize))
     return tuple(charts)
 
 
-def _chart(S, v, directions, normalize, tangent=None, kept=None):
-    """The chart at vertex v: with normalize, tangent ∩ Z^d for the Newton
-    polyhedron's tangent cone at v, cone(σ^∨ ∪ directions) unless given;
-    without, the semigroup that kept and directions generate, kept the
-    parent's minimal generators unless given. The walk keeps only its
-    basis and the generators with no exchange, which with the directions
-    generate Γ too (module docstring)."""
+def _chart(v, tangent, generators, normalize):
+    """The chart at vertex v, tangent the Newton polyhedron's tangent cone
+    at v: with normalize, tangent ∩ Z^d; without, the semigroup the
+    generators span, whose cone is tangent."""
     try:
         if normalize:
-            if tangent is None:
-                tangent = Cone.from_rays(S.cone.rays + directions, S.dim)
             chart = AffineSemigroup.from_cone(tangent)
         else:
-            if kept is None:
-                kept = S.minimal_generators()
-            chart = AffineSemigroup(S.dim, kept + directions)
+            chart = AffineSemigroup.in_cone(tangent, generators)
     except ToricError as exc:
-        # chart cones are provably pointed and full-dimensional, chart
-        # semigroups have full group; reaching this means the
-        # construction itself is broken
+        # chart cones are provably pointed and full-dimensional and chart
+        # semigroups have full group: reaching this is a construction bug
         raise RuntimeError(
             f"blowup chart at vertex {v} violated construction invariants: {exc}"
         ) from exc
@@ -174,14 +167,14 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True, star
     Equal to blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)),
     normalize), up to the generator lists of unnormalized charts, but
     built by a walk on the vertices, without E. A vertex is the sum of a
-    greedy basis B. Its tangent cone, the chart cone, is spanned by σ^∨ and
-    the exchange directions g - b; the directions with B and the
-    generators that have no exchange generate the unnormalized chart
-    (module docstring). Each extreme ray u
-    of that cone outside σ^∨ is a bounded edge; the sum w_e of the facet
-    normals through u is least on exactly that edge, and the greedy basis
-    under (w_e, -u) sits at its far end. Bounded edges connect all
-    vertices of a polyhedron whose recession cone is pointed.
+    greedy basis B. Both chart kinds are built on its tangent cone, one
+    conversion of σ^∨'s rays and the exchange directions g - b; the
+    directions with B and the generators that have no exchange generate
+    the unnormalized chart (module docstring). Each extreme ray u of that
+    cone outside σ^∨ is a bounded edge; the sum w_e of the facet normals
+    through u is least on exactly that edge, and the greedy basis under
+    (w_e, -u) sits at its far end. Bounded edges connect all vertices of
+    a polyhedron whose recession cone is pointed.
 
     The walk begins at `walk_start(S, p)`; start passes that triple in when
     the caller already has it, as resolution does from its stall test.
@@ -197,9 +190,8 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True, star
     charts = []
     while todo:
         (basis, directions, unexchanged), back = todo.pop()
-        chart = _chart(S, _vsum(basis), directions, normalize, kept=basis + unexchanged)
-        charts.append(chart)
-        tangent = chart.semigroup.cone
+        tangent = Cone.from_rays(S.cone.rays + directions, S.dim)
+        charts.append(_chart(_vsum(basis), tangent, basis + unexchanged + directions, normalize))
         for u in tangent.rays:
             if u == back or S.cone.contains(u):
                 continue

@@ -337,6 +337,7 @@ def _render_dot(payload: dict) -> str:
         return nid
 
     walk(payload["root"])
+    del walk  # walk names itself; the del breaks that reference cycle
     lines.append("}")
     return "\n".join(lines)
 
@@ -394,16 +395,14 @@ def _render_text(payload: dict) -> str:
                 payload["max_depth"],
             )
         )
-
-        def walk(node, indent, via):
+        todo = [(payload["root"], 1, None)]  # preorder: children pushed reversed
+        while todo:
+            node, indent, via = todo.pop()
             label = f"[depth {node['depth']}] {node['status']}"
             if via is not None:
                 label = f"via {_vec_str(via)} {label}"
             lines.append("  " * indent + label + ": " + _vecs_str(node["generators"]))
-            for child in node["children"]:
-                walk(child["node"], indent + 1, child["vertex"])
-
-        walk(payload["root"], 1, None)
+            todo += [(c["node"], indent + 1, c["vertex"]) for c in reversed(node["children"])]
     elif kind == "characteristic-comparison":
         lines.append("characteristic comparison:")
         lines.append(f"  minimal generators: {_vecs_str(payload['minimal_generators'])}")

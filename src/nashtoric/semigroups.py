@@ -1,9 +1,11 @@
 """Finitely generated affine semigroups in Z^d.
 
-Construction enforces the two standing hypotheses: the cone spanned by the
+Every semigroup meets the two standing hypotheses: the cone spanned by the
 generators is pointed, and the generators span all of Z^d as a group.
-Everything downstream (membership, minimal generators, saturation,
-smoothness) is exact.
+`__init__` and `in_cone` check both (`_checked`); `from_cone` (the lattice
+points of a pointed full-dimensional cone) and `image` (a GL(d, Z) image)
+hold them by construction. Everything downstream (membership, minimal
+generators, saturation, smoothness) is exact.
 """
 
 import operator
@@ -112,6 +114,20 @@ def _generated_member(x, gens, cone, cache, frame=None) -> bool:
     return False
 
 
+def _nonzero_sorted(generators, dim):
+    """The distinct nonzero generators, sorted, each checked to have length dim."""
+    gens = set()
+    for g in generators:
+        t = vec(g)
+        if len(t) != dim:
+            raise DimensionError(f"generator {t} does not have length {dim}")
+        if any(t):
+            gens.add(t)
+    if not gens:
+        raise NotFullLatticeError("no nonzero generators")
+    return tuple(sorted(gens))
+
+
 class AffineSemigroup:
     __slots__ = (
         "dim",
@@ -127,22 +143,21 @@ class AffineSemigroup:
         dim = operator.index(dim)
         if dim < 1:
             raise DimensionError("dimension must be positive")
-        gens = set()
-        for g in generators:
-            t = vec(g)
-            if len(t) != dim:
-                raise DimensionError(f"generator {t} does not have length {dim}")
-            if any(t):
-                gens.add(t)
-        if not gens:
-            raise NotFullLatticeError("no nonzero generators")
-        gens = tuple(sorted(gens))
-        cone = Cone.from_rays(gens, dim)
+        gens = _nonzero_sorted(generators, dim)
+        self._checked(gens, Cone.from_rays(gens, dim))
+
+    @classmethod
+    def in_cone(cls, cone: Cone, generators) -> "AffineSemigroup":
+        """The semigroup the generators span, for a caller that already has
+        their cone: checked as in `__init__`, without its conversion."""
+        return cls.__new__(cls)._checked(_nonzero_sorted(generators, cone.dim), cone)
+
+    def _checked(self, gens, cone):
         if not cone.pointed:
             raise NotPointedError("generators span a cone containing a line")
-        if not group_is_full_lattice(gens, dim):
+        if not group_is_full_lattice(gens, cone.dim):
             raise NotFullLatticeError("generators do not span Z^d as a group")
-        self._set(dim, gens, cone, None, None)
+        return self._set(cone.dim, gens, cone, None, None)
 
     def _set(self, dim, generators, cone, minimal, saturated):
         self.dim = dim
@@ -316,28 +331,22 @@ class LatticePairing:
         for y, c in other.profiles.items():
             by_profile.setdefault(c, []).append(y)
 
-        def search(B):
+        todo = [()]  # partial image lists B, popped in the search's order
+        while todo:
+            B = todo.pop()
             k = len(B)
-            if k == d:
-                g = []
-                for b in zip(*B):
-                    row = []
-                    for a in adj_columns:
-                        q, r = divmod(sum(map(operator.mul, b, a)), det_A)
-                        if r:
-                            return None
-                        row.append(q)
-                    g.append(tuple(row))
-                mapped = {tuple([sum(map(operator.mul, row, x)) for row in g]) for x in self.columns}
-                return tuple(g) if mapped == target.keys() else None
             # the lookup itself matches the one-member prefix
-            for y in by_profile[self.profiles[A[k]]]:
-                if y in B or k and sorted(zip(*(target[b] for b in B + (y,)))) != prefixes[k]:
-                    continue
-                g = search(B + (y,))
-                if g is not None:
-                    return g
-            return None
-
-        return search(())
+            if k > 1 and sorted(zip(*(target[b] for b in B))) != prefixes[k - 1]:
+                continue
+            if k < d:
+                todo += [B + (y,) for y in reversed(by_profile[self.profiles[A[k]]]) if y not in B]
+                continue
+            g = [[sum(map(operator.mul, b, a)) for a in adj_columns] for b in zip(*B)]
+            if any(q % det_A for row in g for q in row):
+                continue
+            g = tuple([tuple([q // det_A for q in row]) for row in g])
+            mapped = {tuple([sum(map(operator.mul, row, x)) for row in g]) for x in self.columns}
+            if mapped == target.keys():
+                return g
+        return None
 

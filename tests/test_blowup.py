@@ -222,7 +222,8 @@ def random_generator_semigroup(rng, dim):
 
 
 def test_normalized_charts_match_saturated_generator_charts():
-    # the former construction: the checked generator semigroup, saturated
+    # the former construction: the checked generator semigroup, saturated;
+    # unnormalized charts against that semigroup itself
     rng = random.Random(505)
     unsaturated = 0
     for i in range(60):
@@ -234,15 +235,18 @@ def test_normalized_charts_match_saturated_generator_charts():
         for p in (0, 2, 3):
             N = newton_polyhedron(log_jacobian_ideal(S, p))
             charts = blowup_charts(N, normalize=True)
+            unnormalized = blowup_charts(N, normalize=False)
             assert tuple(c.vertex for c in charts) == N.vertices
-            for chart in charts:
+            assert tuple(c.vertex for c in unnormalized) == N.vertices
+            for chart, raw in zip(charts, unnormalized):
                 shifts = [vsub(e, chart.vertex) for e in N.exponents]
-                oracle = AffineSemigroup(
-                    dim, list(S.minimal_generators()) + shifts
-                ).saturate()
+                generated = AffineSemigroup(dim, list(S.minimal_generators()) + shifts)
+                oracle = generated.saturate()
                 assert chart.semigroup == oracle
                 assert chart.semigroup.cone == oracle.cone
                 assert chart.semigroup.minimal_generators() == oracle.minimal_generators()
+                assert raw.semigroup.cone == generated.cone
+                assert raw.semigroup.minimal_generators() == generated.minimal_generators()
     assert unsaturated > 10
 
 
@@ -509,6 +513,7 @@ def test_walk_charts_keep_only_the_basis_and_unexchanged_generators(monkeypatch)
                 oracle = AffineSemigroup(dim, gens + directions)
                 assert chart.cone == oracle.cone
                 assert chart.minimal_generators() == oracle.minimal_generators()
+                assert charts[blowup._vsum(basis)].cone == oracle.cone
                 assert charts[blowup._vsum(basis)].minimal_generators() == (
                     oracle.minimal_generators()
                 )

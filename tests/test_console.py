@@ -1,4 +1,4 @@
-"""The console script end to end, and three lint rules on the library.
+"""The console script end to end, and four lint rules on the library.
 
 Each row runs `python -m nashtoric <command>` on one JSON document, with
 PYTHONPATH set to this checkout's src/ and a 60 s limit, and pins the exit
@@ -43,6 +43,9 @@ CONSOLE = (
      "7a555d3cf9f29a0253a5f303363ba9faa2eba1f6d4a54971436512181ab3824f"),
     ("blowup-unnormalized-4d-p2", "blowup --no-normalize", ROOT_4D_P2, 0,
      "9324a42494ff31ad106746065ee9f7b56b086790a22c3d6d92440256acdf2d78"),
+    # 6 charts from the 3D enumeration, characteristic set on the command line
+    ("blowup-unnormalized-3d-p2", "blowup --no-normalize --char 2", DUAL_3D_P0, 0,
+     "e579b85fcb7ed342aa567e0d09766e68206b280d94738b1eeda25e61f1183de4"),
     # unnormalized resolutions: a depth cap (exit 3) and trivial stalls (exit 4)
     ("resolve-unnormalized-3d-p0", "resolve",
      '{"dimension": 3, "characteristic": 0, "dual_cone_rays": [[1,0,0],[0,1,0],[2,5,7]], "normalize": false, "max_depth": 3}',
@@ -166,3 +169,42 @@ def test_no_unreferenced_private_functions_in_the_library():
         and node.name not in referenced
     ]
     assert not dead, "\n".join(dead)
+
+
+def test_no_self_referencing_closures_in_the_library():
+    # a nested function that names itself reaches itself through its
+    # closure cell: every call of the enclosing function leaves a cycle
+    # for the cyclic garbage collector, unless that function dels the name
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def own_nodes(fn):
+        # the nodes of fn's body outside its nested functions, which are
+        # yielded but not entered
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            yield node
+            if not isinstance(node, functions):
+                todo.extend(ast.iter_child_nodes(node))
+
+    found = []
+    for path in sorted((SRC / "nashtoric").glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, functions):
+                continue
+            nodes = list(own_nodes(outer))
+            deleted = {
+                t.id
+                for node in nodes
+                if isinstance(node, ast.Delete)
+                for t in node.targets
+                if isinstance(t, ast.Name)
+            }
+            found += [
+                f"{path}:{inner.lineno}: {outer.name}.{inner.name} names itself"
+                for inner in nodes
+                if isinstance(inner, functions)
+                and inner.name not in deleted
+                and any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner))
+            ]
+    assert not found, "\n".join(found)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import sys
@@ -416,3 +417,20 @@ def test_fourfold_root_blows_up_each_lattice_class_once(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4c3fe2ea591ddee8e44165b880859e897cbf990f53a360faac6682cb598bbf03"
     )
+
+
+def test_resolution_and_rendering_leave_no_cyclic_garbage():
+    # a recursive closure is a reference cycle; with the collector off,
+    # one left behind by resolve or by a renderer shows up in gc.collect()
+    S = AffineSemigroup.from_cone(Cone.from_rays([(1, 0), (47, 50)], 2))
+    gc.collect()
+    gc.disable()
+    try:
+        tree = resolve(S, 0)
+        assert gc.collect() == 0
+        payload = tree_payload(tree)
+        for format in ("dot", "text"):
+            serialize(payload, format)
+            assert gc.collect() == 0, format
+    finally:
+        gc.enable()

@@ -54,6 +54,31 @@ def test_construction_validates():
         AffineSemigroup(0, [])
 
 
+def test_in_cone_checks_what_construction_checks():
+    # in_cone takes the generators' cone from its caller and checks the
+    # rest as __init__ does, with the same semigroup or the same error
+    cases = [
+        (2, [(1, 0), (-1, 0), (0, 1)], NotPointedError),
+        (2, [(2, 0), (0, 1)], NotFullLatticeError),
+        (1, [(2,), (4,)], NotFullLatticeError),
+        (2, [(0, 0)], NotFullLatticeError),
+        (2, [(0, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 0)], None),
+        (3, [(2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 2), (1, 1, 1)], None),
+    ]
+    for dim, gens, error in cases:
+        cone = Cone.from_rays(gens, dim)
+        if error is not None:
+            with pytest.raises(error):
+                AffineSemigroup.in_cone(cone, gens)
+            continue
+        S = AffineSemigroup(dim, gens)
+        T = AffineSemigroup.in_cone(cone, iter(gens))
+        assert T.generators == S.generators and T.cone == S.cone
+        assert T.minimal_generators() == S.minimal_generators()
+    with pytest.raises(DimensionError):
+        AffineSemigroup.in_cone(Cone.from_rays([(1, 0), (0, 1)]), [(1, 0, 0)])
+
+
 def test_zero_generators_are_dropped():
     S = AffineSemigroup(1, [(0,), (2,), (3,)])
     assert S.generators == ((2,), (3,))
