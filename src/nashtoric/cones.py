@@ -26,12 +26,17 @@ is its own triangulation, and a piece of index 1 adds no point.
 
 `irreducible` is the one reduction behind every minimal generating set: the
 Hilbert basis here, the semigroup's minimal generators and the minimal
-exponents of the log-Jacobian ideal.
+exponents of the log-Jacobian ideal. Its dominance test is a bitset one
+after Kung, Luccio & Preparata (1975): one sort per facet gives each point
+the mask of the earlier points at most it on every facet, so one AND with
+the mask of the kept points finds every kept point it might be reduced by.
+A member test is asked about those only, the latest kept first, which are
+the queries a pairwise scan of the kept points makes, in its order.
 """
 
 from dataclasses import dataclass
 from itertools import product
-from operator import ge
+from operator import mul
 
 from .errors import DimensionError, NotFullDimensionalError, NotPointedError
 from .linalg import (
@@ -483,19 +488,49 @@ def irreducible(points, halfspaces, member=None):
     of cone ∩ Z^d unless member(x - k, kept) tests it. Points are visited by
     (sum of facet values y(x), x), a grading positive on the cone minus 0;
     x is dropped when some kept k has y(x) >= y(k), that is x - k in the
-    cone, and member, if given, holds. The latest kept k come first: x - k
-    is then lowest in the grading, so a member search from it is shortest.
+    cone, and member, if given, holds.
+
+    Dominance is tested by bitsets. Each point gets the mask of the points
+    before it in the grading whose facet values are all at most its own:
+    the AND over the facets of one prefix mask per facet, from one stable
+    sort per facet, so ties count. Without member, x is dropped when that
+    mask meets the kept points, which are then the minima of the points
+    under the componentwise order of facet values (Kung, Luccio &
+    Preparata, JACM 1975). With member, x is dropped when member holds for
+    some kept k in the mask, tried from the latest kept down: x - k is then
+    lowest in the grading, so a member search from it is shortest. These
+    are the queries, in their order, of a pairwise scan of the kept points
+    from the latest down.
     """
-    values = {x: tuple(dot(h, x) for h in halfspaces) for x in points}
+    graded = []
+    for x in set(points):
+        y = tuple([sum(map(mul, h, x)) for h in halfspaces])
+        graded.append((sum(y), x, y))
+    graded.sort()
+    n = len(graded)
+    # only points before x in the grading can be kept when x is tested
+    below = [(1 << j) - 1 for j in range(n)]
+    for i in range(len(halfspaces)):
+        column = [y[i] for _, _, y in graded]
+        # the sort is stable, so a point tied with x on this facet and
+        # before it in the grading is already in the prefix mask
+        mask = 0
+        for j in sorted(range(n), key=column.__getitem__):
+            mask |= 1 << j
+            below[j] &= mask
     kept = []
-    for x in sorted(values, key=lambda x: (sum(values[x]), x)):
-        y = values[x]
-        if not any(
-            all(map(ge, y, values[k]))
-            and (member is None or member(vsub(x, k), kept))
-            for k in reversed(kept)
-        ):
+    kept_mask = 0
+    for j, (_, x, _) in enumerate(graded):
+        hits = below[j] & kept_mask
+        if member is not None:
+            while hits:
+                k = hits.bit_length() - 1
+                if member(vsub(x, graded[k][1]), kept):
+                    break
+                hits ^= 1 << k
+        if not hits:
             kept.append(x)
+            kept_mask |= 1 << j
     return tuple(sorted(kept))
 
 

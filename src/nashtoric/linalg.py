@@ -10,8 +10,9 @@ where the size is small enough to write one out:
 - `hermite_basis` gives lattice bases, full-lattice tests and integer
   kernels (`kernel_basis`);
 - `adjugate` returns the adjugate with the determinant: cofactors for
-  2x2 and 3x3, where most calls land (bases of surfaces and threefolds),
-  and a fraction-free Gauss-Jordan pass otherwise (`det` reads it too);
+  2x2, 3x3 and 4x4, where most calls land (bases of surfaces, threefolds
+  and fourfolds), and a fraction-free Gauss-Jordan pass otherwise (`det`
+  reads it too);
 - `maximal_minors` gives all maximal minors of a vector list from one
   Laplace sweep instead of one elimination per subset.
 
@@ -445,23 +446,27 @@ def group_is_full_lattice(vectors, dim: int) -> bool:
 def adjugate(M):
     """(adj, det) of a nonsingular M: M * adj == det * identity.
 
-    For 2x2 and 3x3 the adjugate is written out by cofactors:
-    ((s, -q), (-r, p)) for ((p, q), (r, s)), the nine 2x2 cofactors for
-    d = 3, and the determinant is the first row times the first adjugate
-    column. Every other size takes one fraction-free Gauss-Jordan pass on
-    [M | I] (Bareiss, 1968), which leaves [D * identity | D * M^-1] with D
-    the last pivot, and det(M) = ±D by the sign of the row swaps. A
-    singular M raises DimensionError either way.
+    For d <= 4 the adjugate is written out by cofactors:
+    ((s, -q), (-r, p)) for ((p, q), (r, s)); the nine 2x2 cofactors for
+    d = 3, with the determinant the first row times the first adjugate
+    column; for d = 4 the six 2x2 minors of rows 0, 1 and the six of rows
+    2, 3 give the determinant by Laplace expansion along those row pairs,
+    and each cofactor is three products of an entry of the other pair
+    with one of them. Every other size takes one fraction-free
+    Gauss-Jordan pass on [M | I] (Bareiss, 1968), which leaves
+    [D * identity | D * M^-1] with D the last pivot, and det(M) = ±D by
+    the sign of the row swaps. A singular M raises DimensionError either
+    way.
     """
     d = len(M)
     if any(len(row) != d for row in M):
         raise DimensionError("adjugate needs a square matrix")
-    if 1 < d < 4:
+    if 1 < d < 5:
         if d == 2:
             (p, q), (r, s) = M
             adj = ((s, -q), (-r, p))
             det_M = p * s - q * r
-        else:
+        elif d == 3:
             (a, b, c), (u, v, w), (x, y, z) = M
             adj = (
                 (v * z - w * y, c * y - b * z, b * w - c * v),
@@ -469,6 +474,49 @@ def adjugate(M):
                 (u * y - v * x, b * x - a * y, a * v - b * u),
             )
             det_M = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+        else:
+            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (e0, e1, e2, e3) = M
+            # s_ij and t_ij: the 2x2 minors of rows 0, 1 and of rows 2, 3 on
+            # columns i < j
+            s01 = a0 * b1 - a1 * b0
+            s02 = a0 * b2 - a2 * b0
+            s03 = a0 * b3 - a3 * b0
+            s12 = a1 * b2 - a2 * b1
+            s13 = a1 * b3 - a3 * b1
+            s23 = a2 * b3 - a3 * b2
+            t01 = c0 * e1 - c1 * e0
+            t02 = c0 * e2 - c2 * e0
+            t03 = c0 * e3 - c3 * e0
+            t12 = c1 * e2 - c2 * e1
+            t13 = c1 * e3 - c3 * e1
+            t23 = c2 * e3 - c3 * e2
+            det_M = s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01
+            adj = (
+                (
+                    b1 * t23 - b2 * t13 + b3 * t12,
+                    a2 * t13 - a1 * t23 - a3 * t12,
+                    e1 * s23 - e2 * s13 + e3 * s12,
+                    c2 * s13 - c1 * s23 - c3 * s12,
+                ),
+                (
+                    b2 * t03 - b0 * t23 - b3 * t02,
+                    a0 * t23 - a2 * t03 + a3 * t02,
+                    e2 * s03 - e0 * s23 - e3 * s02,
+                    c0 * s23 - c2 * s03 + c3 * s02,
+                ),
+                (
+                    b0 * t13 - b1 * t03 + b3 * t01,
+                    a1 * t03 - a0 * t13 - a3 * t01,
+                    e0 * s13 - e1 * s03 + e3 * s01,
+                    c1 * s03 - c0 * s13 - c3 * s01,
+                ),
+                (
+                    b1 * t02 - b0 * t12 - b2 * t01,
+                    a0 * t12 - a1 * t02 + a2 * t01,
+                    e1 * s02 - e0 * s12 - e2 * s01,
+                    c0 * s12 - c1 * s02 + c2 * s01,
+                ),
+            )
         if not det_M:
             raise DimensionError("adjugate needs a nonsingular matrix")
         return adj, det_M

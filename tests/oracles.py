@@ -8,6 +8,8 @@ reference runs that general route on every cone, so that the shortcuts for
 simplicial cones and for pieces that add no point are checked against it.
 The random unsaturated generator lists the minimal-generator oracle is
 checked on are drawn here too, so that every test draws them the same way.
+`pairwise_irreducible` is the minimal-set sweep as a pairwise scan of the
+kept points, the reference for the bitset sweep of `cones.irreducible`.
 """
 
 from dataclasses import dataclass
@@ -232,6 +234,33 @@ def hilbert_basis_by_triangulation(cone):
     for piece in _simplicial_pieces(cone.rays, cone.halfspaces):
         candidates.update(x for x in parallelepiped_points(piece) if any(x))
     return irreducible(candidates, cone.halfspaces)
+
+
+def pairwise_irreducible(points, halfspaces, member=None):
+    """Sorted points that are no kept point plus an element of the semigroup.
+
+    The semigroup lies in the pointed cone cut out by halfspaces, and is all
+    of cone ∩ Z^d unless member(x - k, kept) tests it. Points are visited by
+    (sum of facet values y(x), x), a grading positive on the cone minus 0;
+    x is dropped when some kept k has y(x) >= y(k), that is x - k in the
+    cone, and member, if given, holds. The latest kept k come first: x - k
+    is then lowest in the grading, so a member search from it is shortest.
+    """
+    from operator import ge
+
+    from nashtoric.linalg import dot, vsub
+
+    values = {x: tuple(dot(h, x) for h in halfspaces) for x in points}
+    kept = []
+    for x in sorted(values, key=lambda x: (sum(values[x]), x)):
+        y = values[x]
+        if not any(
+            all(map(ge, y, values[k]))
+            and (member is None or member(vsub(x, k), kept))
+            for k in reversed(kept)
+        ):
+            kept.append(x)
+    return tuple(sorted(kept))
 
 
 def log_jacobian_reference(S, p):

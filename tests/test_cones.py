@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashtoric import cones
+from nashtoric import cones, semigroups
 from nashtoric.cones import (
     Cone,
     hilbert_basis,
@@ -29,6 +29,7 @@ from nashtoric.linalg import (
     rank,
     vsub,
 )
+from nashtoric.semigroups import AffineSemigroup
 
 from oracles import (
     box_parallelepiped,
@@ -39,6 +40,8 @@ from oracles import (
     in_cone_2d,
     interior_point,
     mat_mul,
+    pairwise_irreducible,
+    random_unsaturated_generators,
     vertices_via_lp,
 )
 
@@ -740,6 +743,80 @@ def test_hilbert_basis_matches_the_triangulation_route():
         seen[("non-simplicial", "unimodular")[D == 1] if D < 2 else "simplicial"] += 1
         assert hilbert_basis(c).elements == hilbert_basis_by_triangulation(c)
     assert min(seen.values()) >= 40, seen
+
+
+def _recorded(log, answer=None):
+    """A member test that logs every query with the kept points it sees
+    and answers by answer(x, kept), or without it by a rule on x alone."""
+
+    def member(x, kept):
+        log.append((x, tuple(kept)))
+        if answer is None:
+            return sum(x) % 3 != 1
+        return answer(x, kept)
+
+    return member
+
+
+def test_irreducible_matches_the_pairwise_sweep(monkeypatch):
+    # the bitset sweep keeps what the pairwise scan keeps and makes its
+    # member queries, with the same kept list, in the same order
+    rng = random.Random(325)
+    seen = {"ties": 0, "duplicates": 0, "queries": 0, "dropped": 0}
+    for t in range(240):
+        dim = 2 + t % 3
+        if t % 4 == 0:
+            # the orthant: facet values are coordinates, ties everywhere
+            halfspaces = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        else:
+            halfspaces = random_pointed_cone(rng, dim, bound=3).halfspaces
+        cone = Cone.from_halfspaces(halfspaces, dim)
+        points = []
+        size = rng.randint(3, 40)
+        while len(points) < size:
+            x = tuple(
+                sum(rng.randint(0, 2) * r[i] for r in cone.rays) for i in range(dim)
+            )
+            if any(x):
+                points.append(x)
+        points += rng.sample(points, rng.randint(0, 3))
+        values = [tuple(dot(h, x) for h in halfspaces) for x in set(points)]
+        seen["ties"] += any(len(set(col)) < len(col) for col in zip(*values))
+        seen["duplicates"] += len(set(points)) < len(points)
+        expected = pairwise_irreducible(points, halfspaces)
+        assert cones.irreducible(points, halfspaces) == expected
+        seen["dropped"] += len(expected) < len(set(points))
+        logs = ([], [])
+        kept = [
+            f(list(points), halfspaces, _recorded(log))
+            for f, log in zip((cones.irreducible, pairwise_irreducible), logs)
+        ]
+        assert kept[0] == kept[1] and logs[0] == logs[1]
+        seen["queries"] += len(logs[0])
+    assert cones.irreducible((), ((1, 0), (0, 1))) == ()
+    assert min(seen.values()) >= 60, seen
+    # minimal generators: two copies of one semigroup, one swept by each,
+    # make the same queries and end with the same cache and frame
+    rng = random.Random(326)
+    searched = 0
+    for dim, count in ((2, 30), (3, 30), (4, 12)):
+        for _ in range(count):
+            gens = random_unsaturated_generators(rng, dim)
+            runs = []
+            for sweep in (cones.irreducible, pairwise_irreducible):
+                log = []
+                monkeypatch.setattr(
+                    semigroups,
+                    "irreducible",
+                    lambda points, halfspaces, member, sweep=sweep, log=log: sweep(
+                        points, halfspaces, _recorded(log, member)
+                    ),
+                )
+                S = AffineSemigroup(dim, gens)
+                runs.append((S.minimal_generators(), log, S._member_cache, S._frame))
+            assert runs[0] == runs[1], gens
+            searched += bool(runs[0][1])
+    assert searched >= 40, searched
 
 
 def test_polyhedron_vertices_fixed():

@@ -32,6 +32,10 @@ CONSOLE = (
     # C(33, 4) subsets
     ("logjac-4d-p2", "logjac", ROOT_4D_P2, 0,
      "858ba9e9e6acd715e3ba4446bbcc06b5f8388c22db24d4dfc56b41a08a07a935"),
+    # 4584 raw exponents, the largest minimal-set sweep here
+    ("logjac-4d-6-3-7-11-p0", "logjac",
+     '{"dimension": 4, "characteristic": 0, "cone_rays": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[6,3,7,11]]}',
+     0, "a996c3cc2155622b6fad97c861d6c55d75b3eddd4314eece26e64e5ad993d975"),
     ("newton-4d-p2", "newton", ROOT_4D_P2, 0,
      "7abd3980e76d8f3a8d67aa8d44e418422e609cdf8a4c7dbd16871b46fb5f332f"),
     # one blowup step by enumeration, both chart kinds

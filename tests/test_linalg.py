@@ -377,9 +377,10 @@ def _adjugate_case(rng, n, kind):
 
 
 def test_adjugate():
-    # d = 2, 3 take the cofactor closed forms, every other d the Bareiss pass
+    # d = 2, 3, 4 take the cofactor closed forms, every other d the Bareiss
+    # pass, here at d = 1, 5 and 6
     rng = random.Random(107)
-    for n in range(1, 6):
+    for n in range(1, 7):
         seen = {"nonsingular": 0, "singular": 0}
         for t in range(90):
             M = _adjugate_case(rng, n, ("small", "wide", "near")[t % 3])
@@ -412,6 +413,13 @@ def test_adjugate():
         ((big, big + 1), (big, big + 1)),
         ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
         ((big, 1, 0), (0, big, 1), (big, big + 1, 1)),
+        # the last row is the first plus the second minus the third
+        (
+            (big, big + 1, -big, 3),
+            (big - 7, 2, big + 5, -big),
+            (1, -big, big, big + 9),
+            (2 * big - 8, 2 * big + 3, -big + 5, -2 * big - 6),
+        ),
     ):
         with pytest.raises(DimensionError):
             adjugate(M)
