@@ -62,7 +62,6 @@ class MonomialIdealExponents:
     semigroup: AffineSemigroup
     characteristic: int
     exponents: tuple
-    raw_exponents: tuple
 
 
 def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExponents:
@@ -70,10 +69,9 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
 
     E = sums of d distinct minimal generators whose determinant does not
     vanish mod p (p = 0 reads as: does not vanish over Z), all determinants
-    from one `maximal_minors` sweep. The public
-    exponents are the ideal's minimal generators, those that are no other
-    exponent plus an element of S (`irreducible`); the raw list is kept
-    for invariance checks.
+    from one `maximal_minors` sweep. The exponents kept are the ideal's
+    minimal generators, those that are no other exponent plus an element
+    of S (`irreducible`).
     """
     p = validate_characteristic(characteristic)
     gens = S.minimal_generators()
@@ -85,7 +83,7 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
     if not raw:
         raise RuntimeError(_EMPTY_IDEAL)
     kept = irreducible(raw, S.cone.halfspaces, lambda g, _: S.membership(g))
-    return MonomialIdealExponents(S, p, kept, tuple(sorted(raw)))
+    return MonomialIdealExponents(S, p, kept)
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,6 @@ class NotFullLatticeError(ToricError):
     code = "not-full-lattice"
 
 
-class NotSaturatedError(ToricError):
-    """Operation requires a saturated semigroup."""
-
-    code = "not-saturated"
-
-
 class FormatError(ToricError):
     """Requested output format cannot render this payload."""
 

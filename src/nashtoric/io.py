@@ -246,8 +246,6 @@ def tree_payload(tree: ResolutionTree) -> dict:
 
 
 def comparison_payload(report: CharacteristicComparison) -> dict:
-    if not report.entries:
-        return {}
     return {
         "kind": "characteristic-comparison",
         "dimension": report.semigroup.dim,
@@ -346,8 +344,6 @@ def _render_text(payload: dict) -> str:
     kind = payload.get("kind")
     lines = []
     if kind is None:
-        if not payload:
-            return "(empty report)"
         lines.append(
             "problem: dimension={} characteristic={} normalize={} max_depth={} format={}".format(
                 payload["dimension"],

@@ -16,7 +16,8 @@ where the size is small enough to write one out:
 - `maximal_minors` gives all maximal minors of a vector list from one
   Laplace sweep instead of one elimination per subset.
 
-`det`, `smith_normal_form` and `invariant_factors` are public API only.
+`det` and `smith_normal_form` are public API only; no library path calls
+them.
 """
 
 import operator
@@ -368,15 +369,6 @@ def smith_normal_form(M):
             U[t] = [-x for x in U[t]]
     to_t = lambda rows: tuple(tuple(r) for r in rows)
     return to_t(U), to_t(A), to_t(V)
-
-
-def invariant_factors(M):
-    _, D, _ = smith_normal_form(M)
-    out = []
-    for t in range(min(len(D), len(D[0]) if D else 0)):
-        if D[t][t]:
-            out.append(D[t][t])
-    return tuple(out)
 
 
 def kernel_basis(A):

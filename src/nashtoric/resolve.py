@@ -166,6 +166,9 @@ class CharacteristicComparison:
 def compare_characteristics(S: AffineSemigroup, characteristics) -> CharacteristicComparison:
     """Newton polyhedron vertices of S over several characteristics, with
     pairwise equality verdicts."""
+    characteristics = tuple(characteristics)
+    if not characteristics:
+        raise ValueError("characteristics must name at least one characteristic")
     entries = []
     for ch in characteristics:
         ideal = log_jacobian_ideal(S, ch)

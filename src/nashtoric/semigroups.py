@@ -297,14 +297,15 @@ class LatticePairing:
         self._frame = None
 
     def _basis(self):
-        """d independent minimal generators A, rarest profile first, with
-        the columns of adj(A), det(A) and, for each prefix of A, the sorted
-        facet value tuples of its members."""
+        """The first d independent minimal generators A, rarest profile
+        first, with the columns of adj(A), det(A) > 0 (`_frame`) and, for
+        each prefix of A, the sorted facet value tuples of its members."""
         if self._frame is None:
             count = Counter(self.profiles.values())
             order = sorted(self.columns, key=lambda x: (count[self.profiles[x]], x))
-            A = tuple(order[i] for i in independent_rows(order))
-            adj, det_A = adjugate(columns_matrix(A))
+            (adj, det_A), extras = _frame(order)
+            extras = set(extras)
+            A = tuple(x for x in order if x not in extras)
             prefixes = [sorted(zip(*(self.columns[a] for a in A[: k + 1]))) for k in range(self.dim)]
             self._frame = A, tuple(zip(*adj)), det_A, prefixes
         return self._frame

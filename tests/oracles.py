@@ -591,12 +591,12 @@ def boundary_generators_crosscheck(S):
     generators, which the library finds by another route.
     """
     from nashtoric.cones import polyhedron_vertices
-    from nashtoric.errors import DimensionError, NotSaturatedError
+    from nashtoric.errors import DimensionError
 
     if S.dim != 2:
         raise DimensionError("boundary cross-check needs dimension 2")
     if not S.is_saturated():
-        raise NotSaturatedError("boundary cross-check is defined for saturated semigroups")
+        raise ValueError("boundary cross-check is defined for saturated semigroups")
     gens = S.minimal_generators()
     chain = sorted(polyhedron_vertices(gens, S.cone), key=cmp_to_key(_ccw_cmp))
     pts = set(chain)

@@ -56,8 +56,8 @@ def test_numerical_semigroup_ideal(cusp):
     assert log_jacobian_ideal(cusp, 2).exponents == ((3,),)
     assert log_jacobian_ideal(cusp, 3).exponents == ((2,),)
     assert log_jacobian_ideal(cusp, 5).exponents == ((2,), (3,))
-    assert log_jacobian_ideal(cusp, 2).raw_exponents == ((3,),)
-    assert log_jacobian_ideal(cusp, 0).raw_exponents == ((2,), (3,))
+    assert log_jacobian_reference(cusp, 2)[1] == ((3,),)
+    assert log_jacobian_reference(cusp, 0)[1] == ((2,), (3,))
 
 
 def test_threefold_ideal(threefold):
@@ -66,8 +66,8 @@ def test_threefold_ideal(threefold):
     assert I0.exponents == ((2, 2, 1), (2, 2, 2), (2, 3, 3), (3, 2, 3))
     assert I2.exponents == ((2, 2, 1), (2, 3, 3), (3, 2, 3))
     # every 3-subset determinant is odd except the one giving (2,2,2)
-    assert I0.raw_exponents == I0.exponents
-    assert I2.raw_exponents == I2.exponents
+    assert log_jacobian_reference(threefold, 0)[1] == I0.exponents
+    assert log_jacobian_reference(threefold, 2)[1] == I2.exponents
     assert I0.characteristic == 0 and I2.characteristic == 2
 
 
@@ -75,14 +75,12 @@ def test_ideal_minimalization_drops_reachable_exponents():
     # (4,-13) = (2,-7) + 2*(1,-3) is reachable, so it leaves the minimal set
     S = AffineSemigroup.from_cone(Cone.from_rays(((1, -5), (3, -8)), 2))
     assert S.minimal_generators() == ((1, -5), (1, -4), (1, -3), (3, -8))
-    I = log_jacobian_ideal(S, 0)
-    assert I.raw_exponents == (
+    assert log_jacobian_reference(S, 0)[1] == (
         (2, -9), (2, -8), (2, -7), (4, -13), (4, -12), (4, -11),
     )
-    assert I.exponents == ((2, -9), (2, -8), (2, -7), (4, -12), (4, -11))
-    I2 = log_jacobian_ideal(S, 2)
-    assert I2.raw_exponents == ((2, -9), (2, -7), (4, -13), (4, -11))
-    assert I2.exponents == ((2, -9), (2, -7), (4, -11))
+    assert log_jacobian_ideal(S, 0).exponents == ((2, -9), (2, -8), (2, -7), (4, -12), (4, -11))
+    assert log_jacobian_reference(S, 2)[1] == ((2, -9), (2, -7), (4, -13), (4, -11))
+    assert log_jacobian_ideal(S, 2).exponents == ((2, -9), (2, -7), (4, -11))
 
 
 def test_ideal_minimalization_contract():
@@ -98,10 +96,10 @@ def test_ideal_minimalization_contract():
     only_cone = 0
     for S, chars in cases:
         for p in chars:
-            I = log_jacobian_ideal(S, p)
-            kept = set(I.exponents)
-            assert kept <= set(I.raw_exponents)
-            for e in I.raw_exponents:
+            kept = set(log_jacobian_ideal(S, p).exponents)
+            raw = log_jacobian_reference(S, p)[1]
+            assert kept <= set(raw)
+            for e in raw:
                 steps = [vsub(e, k) for k in kept if k != e]
                 reachable = any(S.membership(g) for g in steps)
                 assert reachable == (e not in kept)
@@ -121,8 +119,7 @@ def test_ideal_minimalization_contract():
 @given(st.integers(1, 4), st.sampled_from((0, 2, 3, 5)), st.integers(0, 2**32))
 def test_ideal_matches_one_determinant_per_subset(dim, p, seed):
     S = AffineSemigroup(dim, random_unsaturated_generators(random.Random(seed), dim))
-    I = log_jacobian_ideal(S, p)
-    assert (I.exponents, I.raw_exponents) == log_jacobian_reference(S, p)
+    assert log_jacobian_ideal(S, p).exponents == log_jacobian_reference(S, p)[0]
 
 
 def test_ideal_matches_the_dual_matroid():
@@ -132,7 +129,7 @@ def test_ideal_matches_the_dual_matroid():
     for case in range(120):
         dim = case % 4 + 1
         S = AffineSemigroup(dim, random_unsaturated_generators(rng, dim))
-        raws = {p: log_jacobian_ideal(S, p).raw_exponents for p in (0, 2, 3, 5)}
+        raws = {p: log_jacobian_reference(S, p)[1] for p in (0, 2, 3, 5)}
         for p, raw in raws.items():
             assert raw == log_jacobian_by_kernel(S, p), (S, p)
         p_dependent += sum(raws[p] != raws[0] for p in (2, 3, 5))
@@ -175,9 +172,8 @@ def test_vertices_same_from_raw_exponents():
     rng = random.Random(502)
     for _ in range(40):
         S = random_saturated_surface(rng)
-        I = log_jacobian_ideal(S, 2)
-        N = newton_polyhedron(I)
-        assert polyhedron_vertices(I.raw_exponents, S.cone) == N.vertices
+        N = newton_polyhedron(log_jacobian_ideal(S, 2))
+        assert polyhedron_vertices(log_jacobian_reference(S, 2)[1], S.cone) == N.vertices
 
 
 def test_vertex_sets_characteristic_independent_for_surfaces():
@@ -382,6 +378,20 @@ def test_surface_blowup_closed_form():
     assert nodes >= 500
 
 
+def _charts_in(charts, S):
+    """The sorted vertices of the charts g·S in the class of S, each map g
+    checked: unimodular, and onto the chart's minimal generators."""
+    key = LatticePairing(S)
+    found = []
+    for c in charts:
+        g = key.map_to(LatticePairing(c.semigroup))
+        if g is not None:
+            assert det(g) in (1, -1)
+            assert images(g, S.minimal_generators()) == c.semigroup.minimal_generators()
+            found.append(c.vertex)
+    return sorted(found)
+
+
 # a class of the normalized p = 2 graph of the cone-form (3,5,7,11) root
 # whose blowup has two charts equivalent to itself in p = 2 and none in
 # p = 0, so iterated blowups of that root never resolve it in p = 2
@@ -394,20 +404,60 @@ P2_SELF_LOOP_WITNESS = (
 def test_characteristic_two_self_loop_witness():
     W = AffineSemigroup(4, P2_SELF_LOOP_WITNESS)
     assert W.minimal_generators() == P2_SELF_LOOP_WITNESS and W.is_saturated()
-    key = LatticePairing(W)
     for p in (0, 2):
         charts = nash_blowup(W, p)
         assert charts == blowup_charts(newton_polyhedron(log_jacobian_ideal(W, p)))
         assert len(charts) == 8
-        loops = {}
-        for c in charts:
-            g = key.map_to(LatticePairing(c.semigroup))
-            if g is not None:
-                loops[c.vertex] = g
-                # the map itself: unimodular, and onto the chart's generators
-                assert det(g) in (1, -1)
-                assert images(g, W.minimal_generators()) == c.semigroup.minimal_generators()
-        assert sorted(loops) == ([(-13, -2, 0, 5), (-4, -3, -3, 5)] if p == 2 else []), p
+        assert _charts_in(charts, W) == ([(-13, -2, 0, 5), (-4, -3, -3, 5)] if p == 2 else []), p
+
+
+# two classes of the normalized p = 3 graph of the dual-form (4,1,2,7)
+# root, at depths 2 and 3, each with two charts in the other: a 2-cycle,
+# so iterated blowups of that root never resolve it in p = 3
+P3_CYCLE_7 = (
+    (-2, -1, 0, -3), (-2, 0, -1, -5), (-1, 0, 0, -1), (-1, 1, 0, 0),
+    (1, 1, 0, 1), (2, 2, 0, 3), (3, 0, 1, 5),
+)
+P3_CYCLE_9 = (
+    (-2, -1, 0, -3), (-2, 0, -1, -5), (-1, 0, 0, -1), (0, 1, 0, 1),
+    (1, 2, 0, 3), (2, 1, 0, 2), (3, 0, 1, 5), (3, 2, 0, 4), (4, 3, 0, 6),
+)
+
+
+def test_characteristic_three_two_cycle_witness():
+    A, B = AffineSemigroup(4, P3_CYCLE_7), AffineSemigroup(4, P3_CYCLE_9)
+    assert A.minimal_generators() == P3_CYCLE_7 and A.is_saturated()
+    assert B.minimal_generators() == P3_CYCLE_9 and B.is_saturated()
+    for S, other, count, edges in (
+        (A, B, 6, [(-2, -1, 0, -4), (-1, 1, 0, -1)]),
+        (B, A, 8, [(3, 6, -1, 5), (8, 6, 1, 15)]),
+    ):
+        charts = nash_blowup(S, 3)
+        assert charts == blowup_charts(newton_polyhedron(log_jacobian_ideal(S, 3)))
+        assert len(charts) == count
+        assert _charts_in(charts, other) == edges
+        assert _charts_in(charts, S) == []
+    # only p = 3 closes the cycle: elsewhere B has no chart in A's class
+    for p in (0, 2, 5):
+        assert _charts_in(nash_blowup(B, p), A) == [], p
+
+
+# a class of the normalized p = 2 graph of the cone-form (4,1,2,7) root
+# with two charts equivalent to itself in p = 2 and none in p = 0
+P2_CONE_4127_SELF_LOOP = (
+    (-2, -1, 2, 1), (-1, 1, -3, 2), (0, 2, 3, -2), (1, -3, -2, 1),
+    (2, 1, -4, 0), (2, 5, 4, -5), (4, 4, -3, -3),
+)
+
+
+def test_characteristic_two_self_loop_on_the_4127_cone():
+    W = AffineSemigroup(4, P2_CONE_4127_SELF_LOOP)
+    assert W.minimal_generators() == P2_CONE_4127_SELF_LOOP and W.is_saturated()
+    for p in (0, 2):
+        charts = nash_blowup(W, p)
+        assert charts == blowup_charts(newton_polyhedron(log_jacobian_ideal(W, p)))
+        assert len(charts) == 8
+        assert _charts_in(charts, W) == ([(5, 12, 1, -8), (7, 8, 2, -9)] if p == 2 else []), p
 
 
 def test_greedy_basis_is_gale_minimal():

@@ -15,7 +15,6 @@ from nashtoric.linalg import (
     hermite_basis,
     identity,
     independent_rows,
-    invariant_factors,
     _strong_lucas,
     is_prime,
     kernel_basis,
@@ -209,6 +208,10 @@ def test_smith_normal_form_fixed():
     assert D == ((1, 0), (0, 6))
     U, D, V = smith_normal_form(((0, 0), (0, 0)))
     assert D == ((0, 0), (0, 0))
+    U, D, V = smith_normal_form(((1, 0), (0, 1)))
+    assert D == ((1, 0), (0, 1))
+    U, D, V = smith_normal_form(((2, 4), (4, 8)))
+    assert D == ((2, 0), (0, 0))
 
 
 def test_smith_normal_form_random():
@@ -232,12 +235,6 @@ def test_smith_normal_form_random():
                 assert b % a == 0
             else:
                 assert b == 0
-
-
-def test_invariant_factors():
-    assert invariant_factors(((2, 0), (0, 3))) == (1, 6)
-    assert invariant_factors(((1, 0), (0, 1))) == (1, 1)
-    assert invariant_factors(((2, 4), (4, 8))) == (2,)
 
 
 def test_vec_rejects_non_integers():
@@ -295,8 +292,9 @@ def test_group_is_full_lattice():
         vecs = tuple(
             tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(k)
         )
-        invs = invariant_factors(vecs)
-        expected = len(invs) == d and all(f == 1 for f in invs)
+        # the Smith form's diagonal: d invariant factors, all 1
+        D = smith_normal_form(vecs)[1]
+        expected = k >= d and all(D[t][t] == 1 for t in range(d))
         assert group_is_full_lattice(vecs, d) == expected
 
 

@@ -320,10 +320,9 @@ def test_compare_characteristics_surfaces_agree():
 
 
 def test_compare_characteristics_empty(cusp):
-    cmp = compare_characteristics(cusp, ())
-    assert cmp.entries == ()
-    assert cmp.pairs == ()
-    assert cmp.all_equal
+    # as `surface_termination_suite`: an empty list is an error, not a report
+    with pytest.raises(ValueError, match="at least one characteristic"):
+        compare_characteristics(cusp, ())
 
 
 def test_two_chart_surface_resolution():
