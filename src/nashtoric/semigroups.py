@@ -25,25 +25,24 @@ from .linalg import (
 
 
 def _frame(points):
-    """(frame, extras) for a list of points, or None below rank d: frame
-    = (adj(K), det(K)) with det(K) > 0 for K the first d independent
-    points, and extras the other points, in order. Usually the first d
-    points are independent, and one adjugate finds out."""
+    """(K, (adj(K), det(K))) for a list of points, or None below rank d:
+    K the first d independent points, in order, and det(K) > 0. Usually
+    the first d points are independent, and one adjugate finds out."""
     d = len(points[0])
     if len(points) < d:
         return None
-    basis = range(d)
+    K = tuple(points[:d])
     try:
-        adj, det_K = adjugate(columns_matrix(points[:d]))
+        adj, det_K = adjugate(columns_matrix(K))
     except DimensionError:
-        basis = independent_rows(points)
-        if len(basis) < d:
+        K = tuple(points[i] for i in independent_rows(points))
+        if len(K) < d:
             return None
-        adj, det_K = adjugate(columns_matrix([points[i] for i in basis]))
+        adj, det_K = adjugate(columns_matrix(K))
     if det_K < 0:
         adj = [[-a for a in row] for row in adj]
         det_K = -det_K
-    return (adj, det_K), [x for i, x in enumerate(points) if i not in basis]
+    return K, (adj, det_K)
 
 
 def _generated_member(x, gens, cone, cache, frame=None) -> bool:
@@ -217,7 +216,7 @@ class AffineSemigroup:
             found = _frame(points)
             if found is None:
                 return _generated_member(x, points, self._cone, self._member_cache)
-            self._frame = found[0], set(points).difference(found[1])
+            self._frame = found[1], set(found[0])
         frame, K = self._frame
         extras = [p for p in points if p not in K]
         return _generated_member(x, extras, self._cone, self._member_cache, frame)
@@ -303,9 +302,7 @@ class LatticePairing:
         if self._frame is None:
             count = Counter(self.profiles.values())
             order = sorted(self.columns, key=lambda x: (count[self.profiles[x]], x))
-            (adj, det_A), extras = _frame(order)
-            extras = set(extras)
-            A = tuple(x for x in order if x not in extras)
+            A, (adj, det_A) = _frame(order)
             prefixes = [sorted(zip(*(self.columns[a] for a in A[: k + 1]))) for k in range(self.dim)]
             self._frame = A, tuple(zip(*adj)), det_A, prefixes
         return self._frame

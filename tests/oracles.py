@@ -10,6 +10,10 @@ The random unsaturated generator lists the minimal-generator oracle is
 checked on are drawn here too, so that every test draws them the same way.
 `pairwise_irreducible` is the minimal-set sweep as a pairwise scan of the
 kept points, the reference for the bitset sweep of `cones.irreducible`.
+`fourier_motzkin_feasible` is rational feasibility by elimination, the
+reference for the cone conversion of `lp.rational_feasible`, and the LP of
+the vertex oracle `vertices_via_lp`, which so never runs the
+double-description pass that `polyhedron_vertices` is checked for.
 """
 
 from dataclasses import dataclass
@@ -489,10 +493,140 @@ def _cone_points(halfspaces, w, cap, exts, dim):
     return points
 
 
-def vertices_via_lp(points, rays, dim):
-    """Vertex test straight from the definition, one LP per candidate."""
-    from nashtoric.lp import rational_feasible
+def _fm_normalized(constraints, dim):
+    """Scale to primitive int directions; returns dir -> bound, or None."""
+    from nashtoric.errors import DimensionError
 
+    by_dir = {}
+    for direction, bound in constraints:
+        if len(direction) != dim:
+            raise DimensionError(
+                f"constraint direction has length {len(direction)}, expected {dim}"
+            )
+        entries = [Fraction(x) for x in direction]
+        scale = 1
+        for f in entries:
+            scale = scale * f.denominator // gcd(scale, f.denominator)
+        d = tuple(int(f * scale) for f in entries)
+        b = Fraction(bound) * scale
+        g = 0
+        for x in d:
+            g = gcd(g, x)
+        if g == 0:
+            if b > 0:
+                return None
+            continue
+        if g > 1:
+            d = tuple(x // g for x in d)
+            b = b / g
+        prev = by_dir.get(d)
+        if prev is None or b > prev:
+            by_dir[d] = b
+    return by_dir
+
+
+def fourier_motzkin_feasible(constraints, dim: int):
+    """A rational point with <direction, x> >= bound for every constraint
+    (direction, bound), or None, by Fourier-Motzkin elimination: the
+    reference for `lp.rational_feasible`, which converts one cone instead.
+
+    Every constraint is scaled to a primitive integer direction with a
+    Fraction bound, parallel ones collapse to the tightest bound, and the
+    variable spawning the fewest pairwise combinations goes first. The
+    witness is built back level by level and checked.
+    """
+    from nashtoric.errors import DimensionError
+
+    if dim < 0:
+        raise DimensionError("dimension must be nonnegative")
+    system = _fm_normalized(constraints, dim)
+    if system is None:
+        return None
+    active = dict(system)
+    remaining = list(range(dim))
+    levels = []
+    while remaining:
+        # eliminate the variable spawning the fewest pairwise combinations
+        best_v = None
+        best_cost = None
+        for v in remaining:
+            pos = neg = 0
+            for d in active:
+                if d[v] > 0:
+                    pos += 1
+                elif d[v] < 0:
+                    neg += 1
+            cost = pos * neg
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_v = v
+        v = best_v
+        remaining.remove(v)
+        pos = []
+        neg = []
+        keep = {}
+        for d, b in active.items():
+            if d[v] > 0:
+                pos.append((d, b))
+            elif d[v] < 0:
+                neg.append((d, b))
+            else:
+                keep[d] = b
+        levels.append((v, pos + neg))
+        for dp, bp in pos:
+            cp = dp[v]
+            for dn, bn in neg:
+                cn = -dn[v]
+                nd = tuple(cn * dp[k] + cp * dn[k] for k in range(dim))
+                nb = cn * bp + cp * bn
+                g = 0
+                for x in nd:
+                    g = gcd(g, x)
+                if g == 0:
+                    if nb > 0:
+                        return None
+                    continue
+                if g > 1:
+                    nd = tuple(x // g for x in nd)
+                    nb = nb / g
+                prev = keep.get(nd)
+                if prev is None or nb > prev:
+                    keep[nd] = nb
+        active = keep
+    point = [Fraction(0)] * dim
+    for v, involved in reversed(levels):
+        lo = None
+        hi = None
+        for d, b in involved:
+            rest = b - sum(d[k] * point[k] for k in range(dim) if k != v)
+            val = rest / d[v]
+            if d[v] > 0:
+                if lo is None or val > lo:
+                    lo = val
+            else:
+                if hi is None or val < hi:
+                    hi = val
+        if lo is None and hi is None:
+            continue
+        if lo is None:
+            point[v] = hi
+        elif hi is None:
+            point[v] = lo
+        else:
+            point[v] = (lo + hi) / 2
+    witness = tuple(point)
+    for d, b in system.items():
+        if sum(dk * xk for dk, xk in zip(d, witness)) < b:
+            raise RuntimeError(
+                f"Fourier-Motzkin witness violates constraint {d} >= {b}"
+            )
+    return witness
+
+
+def vertices_via_lp(points, rays, dim):
+    """Vertex test straight from the definition, one Fourier-Motzkin
+    feasibility problem per candidate, never a cone conversion: v is a
+    vertex when some functional is positive on every p - v and every ray."""
     pts = sorted(set(points))
     out = []
     for v in pts:
@@ -500,7 +634,7 @@ def vertices_via_lp(points, rays, dim):
             (tuple(p[i] - v[i] for i in range(dim)), 1) for p in pts if p != v
         ]
         cons += [(r, 1) for r in rays]
-        if rational_feasible(cons, dim) is not None:
+        if fourier_motzkin_feasible(cons, dim) is not None:
             out.append(v)
     return tuple(out)
 

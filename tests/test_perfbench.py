@@ -1,0 +1,89 @@
+"""The benchmark's contract with the package, without running the benchmark.
+
+`perfbench/` looks library functions up by name: `tracing.TARGETS` and
+`linalg.det` are rebound on the modules of `pipeline.library()`, and
+`pipeline.solve` follows the CLI's `blowup` and `resolve` commands. A name
+the package drops would otherwise fail only in a traced run. The three
+harness files are loaded by path, as they are, under private module names.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from nashtoric.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, PERFBENCH / (name + ".py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pipeline = _load("pipeline")
+tracing = _load("tracing")
+workloads = _load("workloads")
+
+
+def test_every_traced_name_resolves_on_the_library():
+    lib = pipeline.library()
+    for module, path, _, _ in tracing.TARGETS:
+        owner = lib[module]
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, path)
+    assert callable(lib["linalg"].det)
+
+
+# (command, document fields, the exit code of the CLI)
+DOCUMENTS = (
+    (
+        "blowup",
+        {"dimension": 3, "characteristic": 2, "cone_rays": [[1, 0, 0], [0, 1, 0], [1, 1, 2]]},
+        0,
+    ),
+    # one chart equal to the parent: the is_trivial_step branch
+    (
+        "blowup",
+        {
+            "dimension": 2,
+            "characteristic": 2,
+            "semigroup_generators": [[2, 0], [3, 0], [0, 1]],
+            "normalize": False,
+        },
+        pipeline.EXIT_TRIVIAL_STALL,
+    ),
+    (
+        "resolve",
+        {
+            "dimension": 2,
+            "characteristic": 0,
+            "dual_cone_rays": [[2, 7], [5, 3]],
+            "normalize": False,
+            "max_depth": 6,
+        },
+        0,
+    ),
+)
+
+
+@pytest.mark.parametrize("command, fields, code", DOCUMENTS)
+def test_solve_follows_the_cli_and_passes_its_checks(command, fields, code, tmp_path, capsys):
+    document = json.dumps(fields, sort_keys=True)
+    problem = workloads.Problem(
+        0, 0, command, document, fields["dimension"], fields.get("normalize", True)
+    )
+    text, exit_code, objects = pipeline.solve(pipeline.library(), problem)
+    assert exit_code == code
+    assert pipeline.check(problem, objects, json.loads(text)) == []
+    path = tmp_path / "problem.json"
+    path.write_text(document)
+    assert main([command, str(path)]) == code
+    assert capsys.readouterr().out == text + "\n"

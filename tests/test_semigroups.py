@@ -231,7 +231,8 @@ def test_frame_leaf_test_checks_sign_and_divisibility():
         # det(K) = 1: (1, 2) = -(1, 0) + 2 (1, 1), (2, 5) = -3 (1, 0) + 5 (1, 1)
         (((1, 0), (1, 1), (1, 3)), 1, ((1, 2), (2, 5), (3, 8))),
     ):
-        (adj, d), extras = _frame(gens)
+        K, (adj, d) = _frame(gens)
+        extras = [x for x in gens if x not in K]
         assert (d, extras) == (det_K, [gens[2]])
         assert all(x[1] <= 3 * x[0] for x in outside)  # all in the cone
         S = AffineSemigroup(2, gens)
@@ -249,7 +250,9 @@ def test_sweep_below_rank_d_has_no_frame():
     # dependent, so the frame is the first independent pair (2, 0), (1, 5)
     gens = [(2, 0), (3, 0), (4, 0), (1, 5), (0, 7), (4, 10)]
     assert _frame([(2, 0)]) is None and _frame([(2, 0), (3, 0)]) is None
-    (adj, d), extras = _frame([(2, 0), (3, 0), (1, 5), (0, 7)])
+    points = [(2, 0), (3, 0), (1, 5), (0, 7)]
+    K, (adj, d) = _frame(points)
+    extras = [x for x in points if x not in K]
     assert (d, extras) == (10, [(3, 0), (0, 7)])
     S = AffineSemigroup(2, gens)
     assert S.minimal_generators() == ((0, 7), (1, 5), (2, 0), (3, 0))
@@ -348,7 +351,8 @@ def test_framed_search_answers_as_the_frameless_one():
             S = AffineSemigroup(dim, random_unsaturated_generators(rng, dim))
             w = tuple(map(sum, zip(*S.cone.halfspaces)))
             graded = sorted(S.minimal_generators(), key=lambda x: (dot(w, x), x))
-            frame, extras = _frame(graded)
+            K, frame = _frame(graded)
+            extras = [x for x in graded if x not in K]
             cap = 2 * max(dot(w, x) for x in graded)
             for x in generator_sums(graded, w, cap // 2):
                 for g in graded:
