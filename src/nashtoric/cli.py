@@ -35,6 +35,8 @@ from .io import (
 )
 from .linalg import validate_characteristic
 from .resolve import (
+    DEFAULT_CHARACTERISTICS,
+    DEFAULT_MAX_DEPTH,
     DEPTH_CAPPED,
     TRIVIAL_STALL,
     compare_characteristics,
@@ -154,9 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="P",
-        help="characteristic to test; repeat for several (default: 0 2 3 5)",
+        help="characteristic to test; repeat for several "
+        f"(default: {' '.join(map(str, DEFAULT_CHARACTERISTICS))})",
     )
-    p.add_argument("--max-depth", type=int, default=64, metavar="N")
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH, metavar="N")
 
     return parser
 
@@ -174,7 +177,7 @@ def _read_document(path: str) -> bytes:
 
 def _dispatch(args) -> int:
     if args.command == "suite":
-        chars = tuple(args.char) if args.char else (0, 2, 3, 5)
+        chars = tuple(args.char) if args.char else DEFAULT_CHARACTERISTICS
         summary = surface_termination_suite(
             args.seed,
             args.count,
@@ -205,7 +208,7 @@ def _dispatch(args) -> int:
         elif spec.characteristic:
             chars = (0, spec.characteristic)
         else:
-            chars = (0, 2, 3, 5)
+            chars = DEFAULT_CHARACTERISTICS
         print(serialize(comparison_payload(compare_characteristics(S, chars)), fmt))
         return EXIT_OK
 

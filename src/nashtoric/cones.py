@@ -318,14 +318,15 @@ class Cone:
         # canonicalize the normal set as generators of the dual cone
         return cls.from_rays(normals, dim).dual()
 
-    def image(self, g, dual=None):
+    def image(self, g):
         """The cone g·C for g in GL(d, Z) (rows), without a conversion.
 
         Defined for pointed full-dimensional cones, whose lists are just
         their primitive extreme rays and inward facet normals. A unimodular
         g keeps vectors primitive and <g^-T h, g x> = <h, x>, so the rays
-        map by g, the normals by dual = g^-T (computed when not given), and
-        re-sorting gives the lists `from_rays` builds from the mapped rays.
+        map by g, the normals by g^-T, and re-sorting gives the lists
+        `from_rays` builds from the mapped rays. A g that is not unimodular
+        raises ValueError.
         """
         if not self.pointed:
             raise NotPointedError("image needs a pointed cone")
@@ -333,9 +334,8 @@ class Cone:
             raise NotFullDimensionalError("image needs a full-dimensional cone")
         if len(g) != self.dim:
             raise DimensionError(f"map has {len(g)} rows, expected {self.dim}")
-        if dual is None:
-            dual = unimodular_dual(g)
-        return Cone(self.dim, images(g, self.rays), images(dual, self.halfspaces), True, True)
+        halfspaces = images(unimodular_dual(g), self.halfspaces)
+        return Cone(self.dim, images(g, self.rays), halfspaces, True, True)
 
     def contains(self, point) -> bool:
         for n in self.halfspaces:

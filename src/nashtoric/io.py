@@ -21,7 +21,8 @@ from .errors import (
     NotPointedError,
 )
 from .linalg import validate_characteristic
-from .resolve import MAX_DEPTH, CharacteristicComparison, ResolutionTree, SuiteSummary
+from .resolve import DEFAULT_MAX_DEPTH, MAX_DEPTH
+from .resolve import CharacteristicComparison, ResolutionTree, SuiteSummary
 from .semigroups import AffineSemigroup
 
 INT64_MIN = -(2**63)
@@ -41,7 +42,7 @@ class ProblemSpec:
     dual_cone_rays: tuple = None
     cone_rays: tuple = None
     normalize: bool = True
-    max_depth: int = 64
+    max_depth: int = DEFAULT_MAX_DEPTH
     format: str = "json"
 
     def semigroup(self) -> AffineSemigroup:
@@ -131,7 +132,7 @@ def parse_input(document) -> ProblemSpec:
     normalize = data.get("normalize", True)
     if not isinstance(normalize, bool):
         raise MalformedInputError("normalize must be a boolean")
-    max_depth = _as_int(data.get("max_depth", 64), "max_depth")
+    max_depth = _as_int(data.get("max_depth", DEFAULT_MAX_DEPTH), "max_depth")
     if not 1 <= max_depth <= MAX_DEPTH:
         raise MalformedInputError(f"max_depth must be between 1 and {MAX_DEPTH}")
     fmt = data.get("format", "json")

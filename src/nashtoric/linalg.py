@@ -7,8 +7,9 @@ where the size is small enough to write one out:
 
 - `independent_rows`, a fraction-free echelon, answers independence, rank
   and greedy bases;
-- `hermite_basis` gives lattice bases, full-lattice tests and integer
-  kernels (`kernel_basis`);
+- `hermite_basis` gives lattice bases, full-lattice tests, integer
+  kernels (`kernel_basis`) and, in alternating row and column passes,
+  the Smith form;
 - `adjugate` returns the adjugate with the determinant: cofactors for
   2x2, 3x3 and 4x4, where most calls land (bases of surfaces, threefolds
   and fourfolds), and a fraction-free Gauss-Jordan pass otherwise (`det`
@@ -16,8 +17,8 @@ where the size is small enough to write one out:
 - `maximal_minors` gives all maximal minors of a vector list from one
   Laplace sweep instead of one elimination per subset.
 
-`det` and `smith_normal_form` are public API only; no library path calls
-them.
+`det` and `smith_normal_form` are public API only, thin readings of
+`adjugate` and `hermite_basis`; no library path calls them.
 """
 
 import operator
@@ -280,95 +281,38 @@ def smith_normal_form(M):
     """Return (U, D, V) with U*M*V = D.
 
     U and V are unimodular; D is diagonal with nonnegative entries and
-    each diagonal entry divides the next.
+    each diagonal entry divides the next. Row and column Hermite passes
+    alternate (Kannan & Bachem, 1979). A pass replaces the corner entry by
+    the gcd of its column or row, a proper divisor unless it divides them
+    all, when the next pass clears them for good; then the same holds for
+    the block below, so the passes reach a diagonal. If d_i does not
+    divide d_i+1, column i+1 is added to column i, and the passes make d_i
+    a proper divisor of itself, keeping d_0 to d_i-1. The product of the
+    nonzero d_i is fixed, so the diagonal falls lexicographically in a
+    finite set, and the repairs end.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    for row in M:
-        if len(row) != n:
-            raise DimensionError("ragged matrix")
-    A = [list(row) for row in M]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        srow = A[src]
-        drow = A[dst]
-        for k in range(n):
-            drow[k] += c * srow[k]
-        srow = U[src]
-        drow = U[dst]
-        for k in range(m):
-            drow[k] += c * srow[k]
-
-    def add_col(src, dst, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    for t in range(min(m, n)):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = A[i][j]
-                if x and (best is None or abs(x) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            changed = False
-            for i in range(t + 1, m):
-                x = A[i][t]
-                if x:
-                    add_row(t, i, -(x // A[t][t]))
-                    if A[i][t]:
-                        # remainder became the smaller pivot
-                        swap_rows(t, i)
-                        changed = True
-            if changed:
-                continue
-            for j in range(t + 1, n):
-                x = A[t][j]
-                if x:
-                    add_col(t, j, -(x // A[t][t]))
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        changed = True
-            if changed:
-                continue
-            pivot = A[t][t]
-            violator = None
-            for i in range(t + 1, m):
-                row = A[i]
-                for j in range(t + 1, n):
-                    if row[j] % pivot:
-                        violator = i
-                        break
-                if violator is not None:
-                    break
-            if violator is None:
-                break
-            # pull the non-divisible row up so the pivot shrinks to a gcd
-            add_row(violator, t, 1)
-    for t in range(min(m, n)):
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
-    to_t = lambda rows: tuple(tuple(r) for r in rows)
-    return to_t(U), to_t(A), to_t(V)
+    if any(len(row) != n for row in M):
+        raise DimensionError("ragged matrix")
+    # B = (A U / V 0), from A = M and U, V identities. The Hermite basis of
+    # its first m rows (A_i | U_i) is (W*A | W*U) with W unimodular, a row
+    # pass, and the transpose (A^T V^T / U^T 0) has the same shape, so the
+    # same step on it is a column pass.
+    I = identity(m + n)
+    B = tuple(tuple(r) + e[n:] for r, e in zip(M, I[n:])) + I[:n]
+    while True:
+        for k in (m, n):
+            B = tuple(zip(*(hermite_basis(B[:k], m + n) + B[k:])))
+        A = tuple(r[:n] for r in B[:m])
+        if any(x for i, r in enumerate(A) for j, x in enumerate(r) if i != j):
+            continue
+        d = [A[i][i] for i in range(min(m, n))]
+        i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+        if i is None:
+            return tuple(r[n:] for r in B[:m]), A, tuple(r[:n] for r in B[m:])
+        # add column i + 1 to column i, in A and in V
+        B = tuple(r[:i] + (r[i] + r[i + 1],) + r[i + 1 :] for r in B)
 
 
 def kernel_basis(A):
@@ -397,8 +341,11 @@ def hermite_basis(vectors, dim: int):
     lattice. Each vector is inserted into a triangular basis by xgcd row
     operations; once the basis has dim unit pivots the lattice is all of
     Z^dim and the remaining vectors are skipped, which keeps long generator
-    lists cheap.
+    lists cheap. A vector of another length raises DimensionError.
     """
+    vectors = tuple(vectors)
+    if any(len(v) != dim for v in vectors):
+        raise DimensionError(f"hermite_basis needs vectors of length {dim}")
     basis = {}
     for cand in vectors:
         v = list(cand)

@@ -14,7 +14,7 @@ from .blowup import (
     walk_start,
 )
 from .cones import Cone
-from .linalg import cross2, mat_vec, unimodular_dual, validate_characteristic
+from .linalg import cross2, mat_vec, validate_characteristic
 from .semigroups import AffineSemigroup, LatticePairing
 
 SMOOTH_LEAF = "smooth-leaf"
@@ -25,6 +25,10 @@ DEPTH_CAPPED = "depth-capped"
 # serializing a tree recurses once per level, and Python's default recursion
 # limit stops JSON output near depth 330
 MAX_DEPTH = 200
+# the depth cap when a caller or a document names none, and the
+# characteristics the suite and `compare` run when none are named
+DEFAULT_MAX_DEPTH = 64
+DEFAULT_CHARACTERISTICS = (0, 2, 3, 5)
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ def resolve(
     S: AffineSemigroup,
     characteristic,
     normalize: bool = True,
-    max_depth: int = 64,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> ResolutionTree:
     """Blow up repeatedly until every branch is smooth, stalls, or hits
     the depth cap.
@@ -112,9 +116,8 @@ def resolve(
         for R, known in bucket:
             g = R.map_to(pairing)
             if g is not None:
-                dual = unimodular_dual(g)
                 mapped = (
-                    BlowupChart(mat_vec(g, c.vertex), c.semigroup.image(g, dual), c.normalized)
+                    BlowupChart(mat_vec(g, c.vertex), c.semigroup.image(g), c.normalized)
                     for c in known
                 )
                 charts = tuple(sorted(mapped, key=lambda c: c.vertex))
@@ -216,8 +219,8 @@ def surface_termination_suite(
     seed: int,
     count: int,
     entry_bound: int = 50,
-    characteristics=(0, 2, 3, 5),
-    max_depth: int = 64,
+    characteristics=DEFAULT_CHARACTERISTICS,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SuiteSummary:
     """Resolve random normal surface semigroups over several characteristics.
 

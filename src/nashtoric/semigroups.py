@@ -221,12 +221,11 @@ class AffineSemigroup:
         extras = [p for p in points if p not in K]
         return _generated_member(x, extras, self._cone, self._member_cache, frame)
 
-    def image(self, g, dual=None) -> "AffineSemigroup":
+    def image(self, g) -> "AffineSemigroup":
         """The semigroup g·S for g in GL(d, Z) (rows), without a conversion.
 
         g keeps the standing hypotheses, saturation and minimality, so both
         generator lists map by g, re-sorted, and the saturation flag stays.
-        dual is g^-T for the cone's `Cone.image`, when the caller has it.
         """
         gens = images(g, self.generators)
         if self._minimal == self.generators:
@@ -234,7 +233,7 @@ class AffineSemigroup:
         else:
             minimal = None if self._minimal is None else images(g, self._minimal)
         return AffineSemigroup.__new__(AffineSemigroup)._set(
-            self.dim, gens, self._cone.image(g, dual), minimal, self._saturated
+            self.dim, gens, self._cone.image(g), minimal, self._saturated
         )
 
     def saturate(self) -> "AffineSemigroup":

@@ -1,11 +1,12 @@
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nashtoric import linalg
 from nashtoric.errors import CharacteristicError, DimensionError
 from nashtoric.linalg import (
     adjugate,
@@ -237,6 +238,76 @@ def test_smith_normal_form_random():
                 assert b == 0
 
 
+def determinantal_divisors(M):
+    """The gcd of the k x k minors of M, for k = 1 to min(m, n)."""
+    m, n = len(M), len(M[0])
+    out = []
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for R in combinations(range(m), k):
+            for C in combinations(range(n), k):
+                g = gcd(g, permutation_det([[M[r][c] for c in C] for r in R]))
+        out.append(g)
+    return out
+
+
+def test_smith_normal_form_matches_determinantal_divisors(monkeypatch):
+    # U*M*V = D with U, V unimodular keeps the gcd of the k x k minors, and
+    # for a diagonal D with each entry dividing the next it is d_1 * ... * d_k
+    passes = []
+
+    def recorded(vectors, dim):
+        vectors = tuple(vectors)
+        passes.append(vectors)
+        return hermite_basis(vectors, dim)
+
+    def check(M, U, D, V):
+        assert mat_mul(mat_mul(U, M), V) == D
+        assert abs(det(U)) == abs(det(V)) == 1
+        assert all(x == 0 for i, row in enumerate(D) for j, x in enumerate(row) if i != j)
+
+    monkeypatch.setattr(linalg, "hermite_basis", recorded)
+    rng = random.Random(104)
+    repaired = 0
+    for t in range(400):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        M = [list(row) for row in random_matrix(rng, m, n, bound=rng.choice((1, 3, 9)))]
+        if t % 4 == 0:
+            M[rng.randrange(m)] = [0] * n
+        elif t % 4 == 1 and m > 1:
+            i, j = rng.sample(range(m), 2)
+            M[i] = [2 * x for x in M[j]]
+        M = tuple(map(tuple, M))
+        passes.clear()
+        U, D, V = smith_normal_form(M)
+        check(M, U, D, V)
+        for k, divisor in enumerate(determinantal_divisors(M), 1):
+            assert prod(D[i][i] for i in range(k)) == divisor
+        # a row pass after the first starts from a column pass's output, in
+        # column Hermite form, unless the divisibility repair changed it
+        for rows in passes[2::2]:
+            cols = tuple(c for c in zip(*(r[:n] for r in rows)) if any(c))
+            if hermite_basis(cols, m) != cols:
+                repaired += 1
+                break
+    assert repaired >= 10, repaired
+
+    # pairwise coprime: each of the 11 repairs moves one prime down the
+    # diagonal, and a round of passes runs after each
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    M = tuple(tuple(p * (i == j) for j in range(12)) for i, p in enumerate(primes))
+    passes.clear()
+    U, D, V = smith_normal_form(M)
+    assert len(passes) >= 2 * 12
+    check(M, U, D, V)
+    assert [D[i][i] for i in range(12)] == [1] * 11 + [prod(primes)]
+
+    assert smith_normal_form(()) == ((), (), ())
+    assert smith_normal_form(((),)) == (((1,),), ((),), ())
+    assert smith_normal_form(((), ())) == (identity(2), ((), ()), ())
+
+
 def test_vec_rejects_non_integers():
     assert vec([True, 2, -3]) == (1, 2, -3)
     with pytest.raises(TypeError):
@@ -292,9 +363,10 @@ def test_group_is_full_lattice():
         vecs = tuple(
             tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(k)
         )
-        # the Smith form's diagonal: d invariant factors, all 1
-        D = smith_normal_form(vecs)[1]
-        expected = k >= d and all(D[t][t] == 1 for t in range(d))
+        # the index of the lattice of k >= d vectors is the gcd of their
+        # d x d minors
+        minors = [permutation_det(S) for S in combinations(vecs, d)]
+        expected = k >= d and gcd(*minors) == 1
         assert group_is_full_lattice(vecs, d) == expected
 
 
@@ -306,6 +378,20 @@ def test_hermite_basis_fixed():
     assert hermite_basis(((2, 1), (1, 1)), 2) == identity(2)
     assert hermite_basis(((0, 3, 1), (0, 0, 2)), 3) == ((0, 3, 1), (0, 0, 2))
     assert hermite_basis(((0, 3, 5), (0, 0, 2)), 3) == ((0, 3, 1), (0, 0, 2))
+
+
+def test_hermite_basis_rejects_vectors_of_another_length():
+    for vectors, dim in (
+        (((1, 0, 5),), 1),
+        (((1,),), 2),
+        (((2, 0, 7), (0, 1, 1)), 2),
+        # after the unit pivots of all of Z^2
+        (((1, 0), (0, 1), (3,)), 2),
+    ):
+        with pytest.raises(DimensionError):
+            hermite_basis(vectors, dim)
+    with pytest.raises(DimensionError):
+        group_is_full_lattice(((1, 0, 5),), 1)
 
 
 def _in_hermite_lattice(H, v):
