@@ -71,7 +71,10 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
     vanish mod p (p = 0 reads as: does not vanish over Z), all determinants
     from one `maximal_minors` sweep. The exponents kept are the ideal's
     minimal generators, those that are no other exponent plus an element
-    of S (`irreducible`).
+    of S (`irreducible`). A semigroup known to be saturated is all of
+    its cone's lattice points, and `irreducible` asks only about points
+    of the cone, so it gets no member test; the flag is read, never
+    computed.
     """
     p = validate_characteristic(characteristic)
     gens = S.minimal_generators()
@@ -82,7 +85,8 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
     }
     if not raw:
         raise RuntimeError(_EMPTY_IDEAL)
-    kept = irreducible(raw, S.cone.halfspaces, lambda g, _: S.membership(g))
+    member = None if S._saturated is True else (lambda g, _: S.membership(g))
+    kept = irreducible(raw, S.cone.halfspaces, member)
     return MonomialIdealExponents(S, p, kept)
 
 

@@ -328,14 +328,21 @@ class Cone:
         `from_rays` builds from the mapped rays. A g that is not unimodular
         raises ValueError.
         """
+        halfspaces = images(self.image_dual(g), self.halfspaces)
+        return Cone(self.dim, images(g, self.rays), halfspaces, True, True)
+
+    def image_dual(self, g):
+        """g^-T, the map of the normals in `image`, after every check image
+        makes: the cone is pointed and full-dimensional, and g has d rows
+        and is unimodular. `AffineSemigroup.image` checks with it and
+        defers the conversion."""
         if not self.pointed:
             raise NotPointedError("image needs a pointed cone")
         if not self.full_dim:
             raise NotFullDimensionalError("image needs a full-dimensional cone")
         if len(g) != self.dim:
             raise DimensionError(f"map has {len(g)} rows, expected {self.dim}")
-        halfspaces = images(unimodular_dual(g), self.halfspaces)
-        return Cone(self.dim, images(g, self.rays), halfspaces, True, True)
+        return unimodular_dual(g)
 
     def contains(self, point) -> bool:
         for n in self.halfspaces:

@@ -49,6 +49,12 @@ def mat_vec(M, x):
     return tuple([dot(row, x) for row in M])
 
 
+def mat_mul(A, B):
+    """The product A·B of matrices given as tuples of rows."""
+    columns = tuple(zip(*B))
+    return tuple(tuple([dot(row, col) for col in columns]) for row in A)
+
+
 def images(M, vectors):
     """The images M·x of the vectors, sorted."""
     out = [tuple([sum(map(operator.mul, row, x)) for row in M]) for x in vectors]

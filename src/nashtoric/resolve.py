@@ -6,7 +6,6 @@ import random
 from dataclasses import dataclass
 
 from .blowup import (
-    BlowupChart,
     log_jacobian_ideal,
     nash_blowup,
     newton_polyhedron,
@@ -14,7 +13,7 @@ from .blowup import (
     walk_start,
 )
 from .cones import Cone
-from .linalg import cross2, mat_vec, validate_characteristic
+from .linalg import cross2, mat_mul, mat_vec, validate_characteristic
 from .semigroups import AffineSemigroup, LatticePairing
 
 SMOOTH_LEAF = "smooth-leaf"
@@ -74,6 +73,20 @@ def _shape(node: ResolutionNode):
     )
 
 
+class _Class:
+    """One lattice class met in a `resolve` call: its representative R's
+    pairing and charts, and for chart i of R its link (class, h), h·Q ==
+    that chart for Q the class's representative (h None when it is Q), or
+    None until the chart's own lookup returns."""
+
+    __slots__ = ("pairing", "charts", "links")
+
+    def __init__(self, pairing, charts):
+        self.pairing = pairing
+        self.charts = charts
+        self.links = [None] * len(charts)
+
+
 def resolve(
     S: AffineSemigroup,
     characteristic,
@@ -90,18 +103,41 @@ def resolve(
     basis and its exchanges.
 
     A Nash blowup commutes with GL(d, Z), so each lattice class of nodes
-    is blown up once per call. A node S is looked up in the bucket of its
-    `LatticePairing` key; if g·R == S for a stored R, the charts of S are
-    R's charts mapped by g, re-sorted by vertex, and its start basis goes
-    unused. Otherwise S is blown up (`nash_blowup`) and stored. The
-    minimal generators determine a semigroup and its charts, so this
-    serves both chart kinds in every dimension.
+    is blown up once per call, and the classes met form a graph. A node S
+    is looked up in the bucket of its `LatticePairing` key; if g·R == S
+    for a stored representative R, S is expanded from R's class with the
+    map g and its start basis goes unused. Otherwise S is blown up
+    (`nash_blowup`) and stored as a new class. Expanded from its class
+    with g, S has R's charts mapped by g, re-sorted by vertex, each
+    converting its cone only when it is read (`AffineSemigroup.image`).
+    The lookup of R's own chart i links the class to the chart's class
+    and the map h from its representative, so the chart g·(R's chart i)
+    of S is expanded from that class with the map g·h: only a chart
+    without a link (smooth, capped, or met again while its class was
+    still being expanded) is keyed and matched. The minimal generators
+    determine a semigroup and its charts, so this serves both chart
+    kinds in every dimension.
     """
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
-    buckets = {}  # LatticePairing key -> [(pairing, charts)], for this call
+    buckets = {}  # LatticePairing key -> [_Class], for this call
 
-    def expand(S, depth):
+    def lookup(S, start):
+        """(class, g) with g·R == S for the class's representative R, g
+        None when S is R, blown up here."""
+        pairing = LatticePairing(S)
+        bucket = buckets.setdefault(pairing.key, [])
+        for known in bucket:
+            g = known.pairing.map_to(pairing)
+            if g is not None:
+                return known, g
+        known = _Class(pairing, nash_blowup(S, p, normalize, start))
+        bucket.append(known)
+        return known, None
+
+    def expand(S, depth, link=None, links=None, i=None):
+        """The node of S: link is (class, g) when S's class is known, and
+        links[i] is where its lookup links its parent's class."""
         if S.is_smooth():
             return ResolutionNode(S, depth, SMOOTH_LEAF, ())
         start = None
@@ -111,27 +147,36 @@ def resolve(
                 return ResolutionNode(S, depth, TRIVIAL_STALL, ())
         if depth == max_depth:
             return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-        pairing = LatticePairing(S)
-        bucket = buckets.setdefault(pairing.key, [])
-        for R, known in bucket:
-            g = R.map_to(pairing)
-            if g is not None:
-                mapped = (
-                    BlowupChart(mat_vec(g, c.vertex), c.semigroup.image(g), c.normalized)
-                    for c in known
-                )
-                charts = tuple(sorted(mapped, key=lambda c: c.vertex))
-                break
-        else:
-            charts = nash_blowup(S, p, normalize, start)
-            bucket.append((pairing, charts))
-        children = tuple((c.vertex, expand(c.semigroup, depth + 1)) for c in charts)
-        return ResolutionNode(S, depth, EXPANDED, children)
+        if link is None:
+            link = lookup(S, start)
+            if links is not None:
+                links[i] = link
+        known, g = link
+        charts = known.charts
+        if g is None:
+            children = tuple(
+                (c.vertex, expand(c.semigroup, depth + 1, None, known.links, j))
+                for j, c in enumerate(charts)
+            )
+            return ResolutionNode(S, depth, EXPANDED, children)
+        children = []
+        for v, j in sorted((mat_vec(g, c.vertex), j) for j, c in enumerate(charts)):
+            child = known.links[j]
+            if child is not None:
+                child = child[0], g if child[1] is None else mat_mul(g, child[1])
+            children.append((v, expand(charts[j].semigroup.image(g), depth + 1, child)))
+        return ResolutionNode(S, depth, EXPANDED, tuple(children))
 
-    root = expand(S, 0)
-    # expand reaches itself through its closure; without the cycle the
-    # buckets are freed here, not by the cyclic garbage collector
-    del expand
+    try:
+        root = expand(S, 0)
+    finally:
+        # expand reaches itself through its closure, and a class whose
+        # charts lead back to it links to itself; without these cycles the
+        # buckets are freed here, not by the cyclic garbage collector
+        del expand
+        for bucket in buckets.values():
+            for known in bucket:
+                known.links = None
     return ResolutionTree(root, p, normalize, max_depth)
 
 

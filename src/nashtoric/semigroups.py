@@ -4,8 +4,9 @@ Every semigroup meets the two standing hypotheses: the cone spanned by the
 generators is pointed, and the generators span all of Z^d as a group.
 `__init__` and `in_cone` check both (`_checked`); `from_cone` (the lattice
 points of a pointed full-dimensional cone) and `image` (a GL(d, Z) image)
-hold them by construction. Everything downstream (membership, minimal
-generators, saturation, smoothness) is exact.
+hold them by construction. An image converts its cone when `cone` is first
+read. Everything downstream (membership, minimal generators, saturation,
+smoothness) is exact.
 """
 
 import operator
@@ -132,6 +133,7 @@ class AffineSemigroup:
         "dim",
         "generators",
         "_cone",
+        "_image_of",
         "_minimal",
         "_saturated",
         "_member_cache",
@@ -143,18 +145,26 @@ class AffineSemigroup:
         if dim < 1:
             raise DimensionError("dimension must be positive")
         gens = _nonzero_sorted(generators, dim)
-        self._checked(gens, Cone.from_rays(gens, dim))
+        self._checked(gens, Cone.from_rays(gens, dim), gens)
 
     @classmethod
     def in_cone(cls, cone: Cone, generators) -> "AffineSemigroup":
         """The semigroup the generators span, for a caller that already has
-        their cone: checked as in `__init__`, without its conversion."""
-        return cls.__new__(cls)._checked(_nonzero_sorted(generators, cone.dim), cone)
+        their cone: checked as in `__init__`, without its conversion.
 
-    def _checked(self, gens, cone):
+        The group check reads the generators in the caller's order, so a
+        caller that lists a lattice basis first ends it after d vectors
+        (`hermite_basis`), as a blowup chart does with its basis B."""
+        generators = tuple(generators)
+        gens = _nonzero_sorted(generators, cone.dim)
+        return cls.__new__(cls)._checked(gens, cone, generators)
+
+    def _checked(self, gens, cone, order):
+        """Check the standing hypotheses; the group check reads order, gens
+        as the caller listed them."""
         if not cone.pointed:
             raise NotPointedError("generators span a cone containing a line")
-        if not group_is_full_lattice(gens, cone.dim):
+        if not group_is_full_lattice(order, cone.dim):
             raise NotFullLatticeError("generators do not span Z^d as a group")
         return self._set(cone.dim, gens, cone, None, None)
 
@@ -162,6 +172,7 @@ class AffineSemigroup:
         self.dim = dim
         self.generators = generators
         self._cone = cone
+        self._image_of = None
         self._minimal = minimal
         self._saturated = saturated
         self._member_cache = {(0,) * dim: True}
@@ -176,6 +187,10 @@ class AffineSemigroup:
 
     @property
     def cone(self) -> Cone:
+        if self._cone is None:
+            base, g = self._image_of
+            self._cone = base.image(g)
+            self._image_of = None
         return self._cone
 
     def membership(self, x) -> bool:
@@ -184,7 +199,7 @@ class AffineSemigroup:
         x = vec(x)
         if len(x) != self.dim:
             raise DimensionError(f"point {x} does not have length {self.dim}")
-        if not self._cone.contains(x):
+        if not self.cone.contains(x):
             return False
         if self._saturated is True:
             # saturated means the semigroup is exactly cone ∩ Z^d
@@ -196,7 +211,7 @@ class AffineSemigroup:
         sweep of `irreducible` with `_generated` as its member test."""
         if self._minimal is None:
             self._member_cache.update(dict.fromkeys(self.generators, True))
-            self._minimal = irreducible(self.generators, self._cone.halfspaces, self._generated)
+            self._minimal = irreducible(self.generators, self.cone.halfspaces, self._generated)
         return self._minimal
 
     def _generated(self, x, points) -> bool:
@@ -215,35 +230,44 @@ class AffineSemigroup:
         if self._frame is None:
             found = _frame(points)
             if found is None:
-                return _generated_member(x, points, self._cone, self._member_cache)
+                return _generated_member(x, points, self.cone, self._member_cache)
             self._frame = found[1], set(found[0])
         frame, K = self._frame
         extras = [p for p in points if p not in K]
-        return _generated_member(x, extras, self._cone, self._member_cache, frame)
+        return _generated_member(x, extras, self.cone, self._member_cache, frame)
 
     def image(self, g) -> "AffineSemigroup":
         """The semigroup g·S for g in GL(d, Z) (rows), without a conversion.
 
         g keeps the standing hypotheses, saturation and minimality, so both
         generator lists map by g, re-sorted, and the saturation flag stays.
+        The image's cone, rays by g and normals by g^-T (`Cone.image` of
+        S's cone), is made when its `cone` is first read, but every check
+        of that conversion runs here: the cone is pointed and
+        full-dimensional, and g has d rows and is unimodular, or this
+        raises as `Cone.image` would.
         """
+        cone = self.cone
+        cone.image_dual(g)
         gens = images(g, self.generators)
         if self._minimal == self.generators:
             minimal = gens
         else:
             minimal = None if self._minimal is None else images(g, self._minimal)
-        return AffineSemigroup.__new__(AffineSemigroup)._set(
-            self.dim, gens, self._cone.image(g), minimal, self._saturated
+        T = AffineSemigroup.__new__(AffineSemigroup)._set(
+            self.dim, gens, None, minimal, self._saturated
         )
+        T._image_of = cone, g
+        return T
 
     def saturate(self) -> "AffineSemigroup":
         if self._saturated is True:
             return self
-        return AffineSemigroup.from_cone(self._cone)
+        return AffineSemigroup.from_cone(self.cone)
 
     def is_saturated(self) -> bool:
         if self._saturated is None:
-            sat = AffineSemigroup.from_cone(self._cone)
+            sat = AffineSemigroup.from_cone(self.cone)
             self._saturated = self.minimal_generators() == sat.minimal_generators()
         return self._saturated
 

@@ -325,6 +325,30 @@ def test_blowup_matches_enumeration_on_the_33_generator_root():
                 assert stalls(S, walk_start(S, p)) == is_trivial_step(N, expected)
 
 
+def test_saturated_ideal_needs_no_member_test(monkeypatch):
+    # the root is known to be saturated, so its sweep asks no membership;
+    # the same semigroup from its generators is not known to be, and its
+    # sweep asks `membership` about every dominated pair, with the same
+    # exponents
+    e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    S = AffineSemigroup.from_cone(Cone.from_rays(e + ((3, 5, 7, 11),), 4).dual())
+    queries = []
+    membership = AffineSemigroup.membership
+
+    def counted(T, x):
+        queries.append(T)
+        return membership(T, x)
+
+    monkeypatch.setattr(AffineSemigroup, "membership", counted)
+    for p, count in ((0, 313), (2, 303)):
+        exponents = log_jacobian_ideal(S, p).exponents
+        assert len(exponents) == count and not queries
+        T = AffineSemigroup(4, S.minimal_generators())
+        assert log_jacobian_ideal(T, p).exponents == exponents
+        assert queries and set(map(id, queries)) == {id(T)}
+        queries.clear()
+
+
 # a class four levels below the dual (6,3,7,11) root whose normalized Nash
 # blowup has a chart equivalent to itself in characteristic 0, so iterated
 # blowups of that root never resolve it

@@ -71,6 +71,10 @@ CONSOLE = (
     ("resolve-2d-p2", "resolve",
      '{"dimension": 2, "characteristic": 2, "dual_cone_rays": [[1,0],[47,50]]}',
      0, "90e0ba0c5b5b881c6f56c0d86077bae4f9483db07f7d2b27b68405e8001229f2"),
+    # 71 nodes, 11 blowups: most nodes are expanded from a class met before
+    ("resolve-2d-33-16-p5", "resolve",
+     '{"dimension": 2, "characteristic": 5, "dual_cone_rays": [[33,16],[16,49]]}',
+     0, "c44e100ad74a5230efd4f844974200d34ea7da16962c592ada51e319aab81bff"),
     ("resolve-3d-p2", "resolve", ROOT_3D_P2, 0,
      "5eea79a255507dd1052078c22f7c1df3329d3b7adf349f43ff5bccc47099838d"),
     # the text and DOT renderers

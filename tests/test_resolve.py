@@ -20,9 +20,10 @@ from nashtoric.resolve import (
     resolve,
     surface_termination_suite,
 )
-from nashtoric.semigroups import AffineSemigroup
+from nashtoric.semigroups import AffineSemigroup, LatticePairing
 
 from oracles import resolve_reference
+from test_blowup import P2_SELF_LOOP_WITNESS
 
 
 def random_saturated_surface(rng, bound=20):
@@ -419,9 +420,12 @@ def test_fourfold_root_blows_up_each_lattice_class_once(monkeypatch):
 
 
 def test_resolution_and_rendering_leave_no_cyclic_garbage():
-    # a recursive closure is a reference cycle; with the collector off,
-    # one left behind by resolve or by a renderer shows up in gc.collect()
+    # a recursive closure is a reference cycle, and so is a lattice class
+    # whose chart links back to it, as the p = 2 self-loop witness's does;
+    # with the collector off, one left behind by resolve or by a renderer
+    # shows up in gc.collect()
     S = AffineSemigroup.from_cone(Cone.from_rays([(1, 0), (47, 50)], 2))
+    W = AffineSemigroup(4, P2_SELF_LOOP_WITNESS)
     gc.collect()
     gc.disable()
     try:
@@ -431,5 +435,54 @@ def test_resolution_and_rendering_leave_no_cyclic_garbage():
         for format in ("dot", "text"):
             serialize(payload, format)
             assert gc.collect() == 0, format
+        assert len(list(resolve(W, 2, max_depth=2).nodes())) == 41
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _dual_root(a, b):
+    return AffineSemigroup.from_cone(Cone.from_rays([a, b], 2))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((33, 16), (16, 49)), ((47, 48), (27, 25)), ((43, 44), (47, 8)), ((11, 35), (35, 11))],
+    ids=lambda ray: "-".join(map(str, ray)),
+)
+def test_class_links_give_the_plain_recursion(a, b):
+    # a child expanded through its class link gets the map g·h from the
+    # link instead of the one map_to finds; the (11,35) root is its own
+    # image under the swap, and two of the linked children in its tree
+    # get a g·h other than map_to's, in each characteristic
+    S = _dual_root(a, b)
+    if a == b[::-1]:
+        assert S.image(((0, 1), (1, 0))) == S
+    for p in (0, 2, 3, 5):
+        assert resolve(S, p).shape() == resolve_reference(S, p).shape(), p
+
+
+def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch):
+    # 71 nodes in 11 classes: only the root, the charts of a blowup and
+    # the children without a link are keyed, and no mapped chart reads
+    # its cone; keying every expanded node took 27 keys, 16 matches and
+    # 38 chart cone images
+    module = sys.modules[resolve.__module__]
+    calls = {"blowup": 0, "key": 0, "match": 0, "image": 0}
+
+    def counter(name, f):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(module, "nash_blowup", counter("blowup", nash_blowup))
+    monkeypatch.setattr(module, "LatticePairing", counter("key", LatticePairing))
+    monkeypatch.setattr(LatticePairing, "map_to", counter("match", LatticePairing.map_to))
+    monkeypatch.setattr(Cone, "image", counter("image", Cone.image))
+    tree = resolve(_dual_root((33, 16), (16, 49)), 5)
+    nodes = list(tree.nodes())
+    assert len(nodes) == 71
+    assert sum(node.status == EXPANDED for node in nodes) == 27
+    assert calls == {"blowup": 11, "key": 19, "match": 8, "image": 0}
