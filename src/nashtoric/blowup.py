@@ -25,8 +25,11 @@ are redundant there: a generator g with some exchange is b + (g - b), so
 B, the generators with no exchange (only p > 0 leaves any) and the
 directions already generate the chart.
 
-A resolution node needs the start basis and its exchanges twice, to test
-a stall and to start the walk; `walk_start` computes them once for both.
+At a basis B mod p, adj(B)·g vanishes mod p exactly when g does, so the
+generators with no exchange are those outside B that are 0 mod p, and no
+direction lies in Γ. An unnormalized step therefore stalls exactly when
+all but d minimal generators are 0 mod p (`stalls`), read off residues
+without a basis.
 """
 
 from dataclasses import dataclass
@@ -163,7 +166,7 @@ def _chart(v, tangent, generators, normalize):
     return BlowupChart(v, chart, normalize)
 
 
-def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True, start=None):
+def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
     """The charts of one blowup step, in vertex order.
 
     Equal to blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)),
@@ -176,19 +179,17 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True, star
     cone outside σ^∨ is a bounded edge; the sum w_e of the facet normals
     through u is least on exactly that edge, and the greedy basis under
     (w_e, -u) sits at its far end. Bounded edges connect all vertices of
-    a polyhedron whose recession cone is pointed.
-
-    The walk begins at `walk_start(S, p)`; start passes that triple in when
-    the caller already has it, as resolution does from its stall test.
+    a polyhedron whose recession cone is pointed. The walk begins at the
+    greedy basis under (<w, g>, g), w the sum of σ^∨'s facet normals.
     """
     p = validate_characteristic(characteristic)
     gens = S.minimal_generators()
-    if start is None:
-        start = walk_start(S, p)
-    seen = {_vsum(start[0])}
+    w = _vsum(S.cone.halfspaces)
+    start = _greedy_basis(gens, lambda g: (dot(w, g), g), p)
+    seen = {_vsum(start)}
     # each basis comes with its exchanges and the edge back to where it
     # was reached from
-    todo = [(start, None)]
+    todo = [((start,) + _exchanges(start, gens, p), None)]
     charts = []
     while todo:
         (basis, directions, unexchanged), back = todo.pop()
@@ -204,17 +205,6 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True, star
                 seen.add(v)
                 todo.append(((far,) + _exchanges(far, gens, p), vneg(u)))
     return tuple(sorted(charts, key=lambda c: c.vertex))
-
-
-def walk_start(S: AffineSemigroup, p):
-    """The walk's start basis B with its exchanges, as the triple
-    (B, directions, unexchanged) of `_exchanges`; p already validated.
-    B is the greedy basis under (<w, g>, g), w the sum of the facet
-    normals: the walk's first vertex."""
-    gens = S.minimal_generators()
-    w = _vsum(S.cone.halfspaces)
-    basis = _greedy_basis(gens, lambda g: (dot(w, g), g), p)
-    return (basis,) + _exchanges(basis, gens, p)
 
 
 def _greedy_basis(gens, key, p):
@@ -239,8 +229,10 @@ def _exchanges(basis, gens, p):
     B - b + g is a basis exactly when det(B with b replaced by g) is
     nonzero mod p, and by Cramer's rule that determinant is the entry of
     adj(B)·g in b's row, so one adjugate answers every exchange. A
-    generator has none when every entry of adj(B)·g vanishes mod p; over
-    Q, adj(B)·g = det(B)·B^-1·g is never zero, so only p > 0 leaves any.
+    generator has none when every entry of adj(B)·g vanishes mod p, and
+    since B·adj(B) = det(B)·I with det(B) a unit mod p, that happens
+    exactly when g ≡ 0 mod p: the unexchanged generators are those outside
+    B that are 0 mod p, and none over Q.
     """
     adj, _ = adjugate(columns_matrix(basis))
     directions = {}  # each direction once, in first-seen order
@@ -264,21 +256,37 @@ def is_trivial_step(N: NewtonPolyhedron, charts) -> bool:
 
     Only meaningful for charts built without normalization. The `blowup`
     command has the charts in hand; `stalls` answers the same question
-    from the walk's start basis, without a chart.
+    from residues mod p, without a chart.
     """
     if len(charts) != 1:
         return False
     return charts[0].semigroup.minimal_generators() == N.semigroup.minimal_generators()
 
 
-def stalls(S: AffineSemigroup, start) -> bool:
-    """Is the unnormalized Nash blowup of S a trivial step, one chart equal
-    to S? Answered without building a chart, from start = `walk_start(S, p)`.
+def stalls(S: AffineSemigroup, characteristic) -> bool:
+    """Is the unnormalized Nash blowup of S in characteristic p a trivial
+    step, one chart equal to S? True exactly when d minimal generators
+    have a coordinate not divisible by p (for p = 0, every generator
+    counts), answered without a basis or a chart.
 
-    With B the start basis and v = sum B, S stalls exactly when every
-    direction g - b lies in Γ. Then the tangent cone at v is σ^∨, the
-    recession cone, so v is the only vertex, and its chart
-    Γ + <directions> is Γ. Conversely, a stall has one chart, the one at
-    v, and it contains every direction.
+    Let B be a greedy basis mod p, such as the walk's start, and v = sum B.
+    S stalls exactly when every direction g - b lies in Γ: then the tangent
+    cone at v is σ^∨, v is the only vertex and its chart Γ + <directions>
+    is Γ; conversely, a stall has one chart, the one at v, containing
+    every direction. Three steps reduce this to residues:
+
+    1. No direction g - b lies in Γ, or g = b + (g - b) would not be a
+       minimal generator; so S stalls exactly when B has no exchanges.
+    2. g has no exchange when adj(B)·g ≡ 0 mod p, and as B·adj(B) =
+       det(B)·I with det(B) a unit mod p, that holds exactly when g ≡ 0
+       mod p.
+    3. The generators span Z^d, so at least d of them are nonzero mod p,
+       and the generators outside B all vanish exactly when d are
+       nonzero. For p = 0 that is n = d: only a smooth S stalls, the
+       toric case of Nobile's theorem.
     """
-    return all(S.membership(u) for u in start[1])
+    p = validate_characteristic(characteristic)
+    gens = S.minimal_generators()
+    if not p:
+        return len(gens) == S.dim
+    return sum(any(x % p for x in g) for g in gens) == S.dim

@@ -5,13 +5,7 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .blowup import (
-    log_jacobian_ideal,
-    nash_blowup,
-    newton_polyhedron,
-    stalls,
-    walk_start,
-)
+from .blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
 from .cones import Cone
 from .linalg import cross2, mat_mul, mat_vec, validate_characteristic
 from .semigroups import AffineSemigroup, LatticePairing
@@ -97,19 +91,20 @@ def resolve(
     the depth cap.
 
     A node is tested in the order smooth, stall (unnormalized only), cap,
-    and only then blown up: an unnormalized stall is read off the
-    exchanges at the walk's start basis (`stalls`), so neither a stall
-    nor a node at the cap builds a chart, and the walk starts from that
-    basis and its exchanges.
+    and only then blown up: an unnormalized stall is read off the minimal
+    generators' residues mod p (`stalls`), so neither a stall nor a node
+    at the cap computes a basis or builds a chart.
 
     A Nash blowup commutes with GL(d, Z), so each lattice class of nodes
     is blown up once per call, and the classes met form a graph. A node S
     is looked up in the bucket of its `LatticePairing` key; if g·R == S
     for a stored representative R, S is expanded from R's class with the
-    map g and its start basis goes unused. Otherwise S is blown up
-    (`nash_blowup`) and stored as a new class. Expanded from its class
-    with g, S has R's charts mapped by g, re-sorted by vertex, each
-    converting its cone only when it is read (`AffineSemigroup.image`).
+    map g. Otherwise S is blown up (`nash_blowup`) and stored as a new
+    class. Expanded from its class with g, S has R's charts mapped by g,
+    re-sorted by vertex, each converting its cone only when it is read
+    (`AffineSemigroup.image`). The smooth and stall tests read only
+    minimal generators, which an image maps from R's chart once that chart
+    is expanded, so a linked node converts no cone.
     The lookup of R's own chart i links the class to the chart's class
     and the map h from its representative, so the chart g·(R's chart i)
     of S is expanded from that class with the map g·h: only a chart
@@ -122,7 +117,7 @@ def resolve(
     max_depth = _check_max_depth(max_depth)
     buckets = {}  # LatticePairing key -> [_Class], for this call
 
-    def lookup(S, start):
+    def lookup(S):
         """(class, g) with g·R == S for the class's representative R, g
         None when S is R, blown up here."""
         pairing = LatticePairing(S)
@@ -131,7 +126,7 @@ def resolve(
             g = known.pairing.map_to(pairing)
             if g is not None:
                 return known, g
-        known = _Class(pairing, nash_blowup(S, p, normalize, start))
+        known = _Class(pairing, nash_blowup(S, p, normalize))
         bucket.append(known)
         return known, None
 
@@ -140,15 +135,12 @@ def resolve(
         links[i] is where its lookup links its parent's class."""
         if S.is_smooth():
             return ResolutionNode(S, depth, SMOOTH_LEAF, ())
-        start = None
-        if not normalize:
-            start = walk_start(S, p)
-            if stalls(S, start):
-                return ResolutionNode(S, depth, TRIVIAL_STALL, ())
+        if not normalize and stalls(S, p):
+            return ResolutionNode(S, depth, TRIVIAL_STALL, ())
         if depth == max_depth:
             return ResolutionNode(S, depth, DEPTH_CAPPED, ())
         if link is None:
-            link = lookup(S, start)
+            link = lookup(S)
             if links is not None:
                 links[i] = link
         known, g = link

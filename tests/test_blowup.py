@@ -14,7 +14,6 @@ from nashtoric.blowup import (
     nash_blowup,
     newton_polyhedron,
     stalls,
-    walk_start,
 )
 from nashtoric.cones import Cone, polyhedron_vertices
 from nashtoric.errors import CharacteristicError, ToricError
@@ -308,7 +307,7 @@ def test_normalized_blowup_matches_enumeration_on_fourfold_roots():
 def test_blowup_matches_enumeration_on_the_33_generator_root():
     # cone_rays e1, e2, e3, (3,5,7,11), the root of the console digests:
     # the walk against C(33, 4) subsets, both chart kinds, and the stall
-    # read off the exchanges against the enumerated unnormalized charts
+    # read off residues mod p against the enumerated unnormalized charts
     e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     S = AffineSemigroup.from_cone(Cone.from_rays(e + ((3, 5, 7, 11),), 4).dual())
     assert len(S.minimal_generators()) == 33
@@ -322,7 +321,7 @@ def test_blowup_matches_enumeration_on_the_33_generator_root():
                 (c.vertex, c.semigroup.minimal_generators()) for c in charts
             ] == [(c.vertex, c.semigroup.minimal_generators()) for c in expected]
             if not normalize:
-                assert stalls(S, walk_start(S, p)) == is_trivial_step(N, expected)
+                assert stalls(S, p) == is_trivial_step(N, expected)
 
 
 def test_saturated_ideal_needs_no_member_test(monkeypatch):
@@ -535,10 +534,11 @@ def test_trivial_step_on_numerical_semigroup(cusp):
     assert not is_trivial_step(N, normalized)
 
 
-def test_stall_from_exchanges_matches_the_enumerated_charts(cusp):
-    # stalls reads the answer off one basis's exchanges, the enumeration
-    # compares the one chart built from E - v with the parent; a smooth
-    # semigroup stalls trivially, so only singular ones are counted
+def test_stall_from_residues_matches_the_enumerated_charts(cusp):
+    # stalls counts the minimal generators that are nonzero mod p, the
+    # enumeration compares the one chart built from E - v with the parent;
+    # a smooth semigroup stalls trivially, so only singular ones are
+    # counted, and in p = 0 none of them stalls
     rng = random.Random(515)
     cases = [cusp]
     for i in range(150):
@@ -546,10 +546,12 @@ def test_stall_from_exchanges_matches_the_enumerated_charts(cusp):
         cases.append(AffineSemigroup(dim, random_unsaturated_generators(rng, dim)))
     outcomes = {True: 0, False: 0}
     for S in cases:
-        for p in (0, 2, 3):
+        for p in (0, 2, 3, 5, 7):
             N = newton_polyhedron(log_jacobian_ideal(S, p))
             expected = is_trivial_step(N, blowup_charts(N, normalize=False))
-            assert stalls(S, walk_start(S, p)) == expected, (S, p)
+            assert stalls(S, p) == expected, (S, p)
+            if p == 0:
+                assert expected == S.is_smooth(), S
             if not S.is_smooth():
                 outcomes[expected] += 1
     assert min(outcomes.values()) >= 30, outcomes
@@ -557,9 +559,10 @@ def test_stall_from_exchanges_matches_the_enumerated_charts(cusp):
 
 def test_walk_charts_keep_only_the_basis_and_unexchanged_generators(monkeypatch):
     # an exchangeable generator g is b + (g - b), so B, the generators with
-    # no exchange and the directions generate Γ + <directions>; every
-    # basis the walk visits is checked against the chart built from all of
-    # Γ's generators, and against the walk's own chart at its vertex
+    # no exchange (those outside B that are 0 mod p) and the directions
+    # generate Γ + <directions>, and no direction lies in Γ; every basis
+    # the walk visits is checked against the chart built from all of Γ's
+    # generators, and against the walk's own chart at its vertex
     rng = random.Random(517)
     visited = []
     exchanges = blowup._exchanges
@@ -580,9 +583,10 @@ def test_walk_charts_keep_only_the_basis_and_unexchanged_generators(monkeypatch)
             charts = {c.vertex: c.semigroup for c in nash_blowup(S, p, normalize=False)}
             assert len(visited) == len(charts)
             for basis, directions, unexchanged in visited:
-                assert not set(unexchanged) & set(basis)
-                if p == 0:
-                    assert unexchanged == ()
+                assert unexchanged == tuple(
+                    g for g in gens if g not in basis and p and not any(x % p for x in g)
+                )
+                assert not any(S.membership(u) for u in directions)
                 chart = AffineSemigroup(dim, basis + unexchanged + directions)
                 oracle = AffineSemigroup(dim, gens + directions)
                 assert chart.cone == oracle.cone

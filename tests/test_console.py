@@ -61,6 +61,11 @@ CONSOLE = (
     ("resolve-unnormalized-2d-p3", "resolve",
      '{"dimension": 2, "characteristic": 3, "dual_cone_rays": [[1,0],[4,5]], "normalize": false, "max_depth": 6}',
      4, "0a5174a8ed69c33fdc9683b72eca060ec67c6489b01b075771ee3f621e1b9279"),
+    # 153 nodes from 32 blowups, many expanded from their lattice class:
+    # their stall tests read residues, not their image cones
+    ("resolve-unnormalized-2d-15-14-p0", "resolve",
+     '{"dimension": 2, "characteristic": 0, "dual_cone_rays": [[15,14],[12,18]], "normalize": false, "max_depth": 6}',
+     3, "298a77653b7635263048c324e7e793d246a5355a7af463b4ba0621382f7f0aaa"),
     # <(2,0), (3,0), (0,1)> stalls in p = 2: one chart at (3,1) equal to
     # the root, so `blowup` reports a trivial step and `resolve` one node
     ("blowup-unnormalized-stall-2d-p2", "blowup --no-normalize", STALL_2D_P2, 4,

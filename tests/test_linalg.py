@@ -394,6 +394,33 @@ def test_hermite_basis_rejects_vectors_of_another_length():
         group_is_full_lattice(((1, 0, 5),), 1)
 
 
+def test_hermite_basis_in_the_plane_matches_the_generic_pass():
+    # the written-out Z^2 pass against the generic one, reached through
+    # Z^3: L x Z has the Hermite basis of L, each row with a 0 appended,
+    # then (0, 0, 1)
+    rng = random.Random(109)
+    ranks = [0, 0, 0]
+    for _ in range(20000):
+        bound = rng.choice((1, 2, 5, 40))
+        vs = [(rng.randint(-bound, bound), rng.randint(-bound, bound))
+              for _ in range(rng.randint(0, 5))]
+        kind = rng.random()
+        if kind < 0.15:
+            # rank 1: multiples of one vector, zero included
+            w = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+            vs = [(c * w[0], c * w[1]) for c in (rng.randint(-4, 4) for _ in vs)]
+        elif kind < 0.3 and vs:
+            vs += [rng.choice(vs), (0, 0)]
+        rng.shuffle(vs)
+        H = hermite_basis(vs, 2)
+        lifted = hermite_basis([v + (0,) for v in vs] + [(0, 0, 1)], 3)
+        assert H == tuple(row[:2] for row in lifted[:-1]), vs
+        ranks[len(H)] += 1
+    assert min(ranks) >= 500, ranks
+    with pytest.raises(DimensionError):
+        hermite_basis(((1, 2), (0, 1, 0)), 2)
+
+
 def _in_hermite_lattice(H, v):
     v = list(v)
     for row in H:

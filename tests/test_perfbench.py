@@ -71,6 +71,18 @@ DOCUMENTS = (
         },
         0,
     ),
+    # depth caps, and linked nodes whose cones the check reads first
+    (
+        "resolve",
+        {
+            "dimension": 2,
+            "characteristic": 0,
+            "dual_cone_rays": [[15, 14], [12, 18]],
+            "normalize": False,
+            "max_depth": 6,
+        },
+        pipeline.EXIT_DEPTH_CAPPED,
+    ),
 )
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from nashtoric import blowup
-from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, walk_start
+from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron
 from nashtoric.cones import Cone
 from nashtoric.errors import CharacteristicError
 from nashtoric.io import parse_input, serialize, tree_payload
@@ -151,9 +151,9 @@ def test_normalized_capped_nodes_skip_the_blowup(threefold, monkeypatch):
     module = sys.modules[resolve.__module__]
     calls = []
 
-    def counted(S, p, normalize=True, start=None):
+    def counted(S, p, normalize=True):
         calls.append(S)
-        return nash_blowup(S, p, normalize, start)
+        return nash_blowup(S, p, normalize)
 
     monkeypatch.setattr(module, "nash_blowup", counted)
     capped = resolve(threefold, 2, max_depth=1)
@@ -196,9 +196,9 @@ def test_unnormalized_capped_nodes_skip_the_blowup(cusp, monkeypatch):
     module = sys.modules[resolve.__module__]
     calls = []
 
-    def counted(T, p, normalize=True, start=None):
+    def counted(T, p, normalize=True):
         calls.append(T)
-        return nash_blowup(T, p, normalize, start)
+        return nash_blowup(T, p, normalize)
 
     def enumeration(*args, **kwargs):
         raise AssertionError("unnormalized resolve enumerated the ideal exponents")
@@ -207,8 +207,8 @@ def test_unnormalized_capped_nodes_skip_the_blowup(cusp, monkeypatch):
     for name in ("log_jacobian_ideal", "newton_polyhedron", "blowup_charts"):
         monkeypatch.setattr(module, name, enumeration, raising=False)
     capped = resolve(S, 2, normalize=False, max_depth=1)
-    # only the root is blown up; a stall at the cap is read off the
-    # exchanges and a capped node builds no chart
+    # only the root is blown up; a stall at the cap is read off residues
+    # mod p and a capped node builds no chart
     assert calls == [S]
     assert capped.shape() == _capped_prefix(full.root, 1)
     assert {c.status for _, c in capped.root.children} == {TRIVIAL_STALL, DEPTH_CAPPED}
@@ -223,33 +223,72 @@ def test_unnormalized_capped_nodes_skip_the_blowup(cusp, monkeypatch):
     assert tree.shape() == _capped_prefix(resolve(root, 3, normalize=False).root, 1)
 
 
-def test_unnormalized_nodes_compute_one_start_basis(cusp, monkeypatch):
-    # the stall test's start basis and exchanges also start the walk, so a
-    # non-smooth node costs one start basis whether it stalls, sits at the
-    # cap, or is blown up; a node whose lattice class was blown up before
-    # takes the mapped charts and ignores its basis
+def test_unnormalized_exchanges_run_once_per_chart_built(cusp, monkeypatch):
+    # a stall is read off residues mod p, so only a walk computes exchanges,
+    # once per chart it builds: a node that stalls, sits at the cap, or is
+    # expanded from a lattice class met before computes none
     root = AffineSemigroup.from_cone(Cone.from_rays(((1, 0, 0), (0, 1, 0), (2, 5, 7)), 3))
     module = sys.modules[resolve.__module__]
-    calls = []
+    exchanges = blowup._exchanges
+    walks = []  # (semigroup, charts built)
+    calls = {"walk": 0, "elsewhere": 0}
+    inside = [False]
 
-    def counted(S, p):
-        calls.append(S)
-        return walk_start(S, p)
+    def counted_exchanges(basis, gens, p):
+        calls["walk" if inside[0] else "elsewhere"] += 1
+        return exchanges(basis, gens, p)
 
-    # the resolve module's binding serves the nodes; the blowup module's
-    # would serve a walk that had to find its own start
-    for bound in (module, blowup):
-        monkeypatch.setattr(bound, "walk_start", counted)
-    expanded = 0
-    for S in (cusp, root):
-        for p in (0, 2):
-            calls.clear()
+    def counted_blowup(S, p, normalize=True):
+        inside[0] = True
+        try:
+            charts = nash_blowup(S, p, normalize)
+        finally:
+            inside[0] = False
+        walks.append((S, len(charts)))
+        return charts
+
+    monkeypatch.setattr(blowup, "_exchanges", counted_exchanges)
+    monkeypatch.setattr(module, "nash_blowup", counted_blowup)
+    unwalked = {TRIVIAL_STALL: 0, DEPTH_CAPPED: 0, EXPANDED: 0}
+    for S in (cusp, root, _dual_root((15, 14), (12, 18))):
+        for p in (0, 2, 3):
+            walks.clear()
+            calls.update(walk=0, elsewhere=0)
             tree = resolve(S, p, normalize=False, max_depth=3)
-            singular = [n.semigroup for n in tree.nodes() if n.status != SMOOTH_LEAF]
-            assert len(calls) == len(singular)
-            assert {id(T) for T in calls} == {id(T) for T in singular}
-            expanded += sum(n.status == EXPANDED for n in tree.nodes())
-    assert expanded >= 3
+            assert calls == {"walk": sum(n for _, n in walks), "elsewhere": 0}
+            walked = {id(T) for T, _ in walks}
+            for node in tree.nodes():
+                if id(node.semigroup) not in walked and node.status != SMOOTH_LEAF:
+                    unwalked[node.status] += 1
+            assert len(walked) == len(walks)
+    # the expanded nodes counted here are linked: expanded from their class
+    assert min(unwalked.values()) >= 5, unwalked
+
+
+def test_unnormalized_stall_test_reads_no_basis_and_no_cone(monkeypatch):
+    # dual (15,14),(12,18), p = 0, to depth 6: 153 nodes and 32 blowups.
+    # Reading a stall off the start basis's exchanges took 186 exchanges,
+    # 141 membership searches and 69 image cone conversions, for nodes
+    # that stall, sit at the cap or are expanded from their class
+    module = sys.modules[resolve.__module__]
+    calls = {"blowup": 0, "exchanges": 0, "membership": 0, "image": 0}
+
+    def counter(name, f):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(module, "nash_blowup", counter("blowup", nash_blowup))
+    monkeypatch.setattr(blowup, "_exchanges", counter("exchanges", blowup._exchanges))
+    monkeypatch.setattr(
+        AffineSemigroup, "membership", counter("membership", AffineSemigroup.membership)
+    )
+    monkeypatch.setattr(Cone, "image", counter("image", Cone.image))
+    tree = resolve(_dual_root((15, 14), (12, 18)), 0, normalize=False, max_depth=6)
+    assert len(list(tree.nodes())) == 153
+    assert calls == {"blowup": 32, "exchanges": 77, "membership": 0, "image": 0}
 
 
 def test_unnormalized_threefold_matches_the_plain_recursion():
@@ -401,9 +440,9 @@ def test_fourfold_root_blows_up_each_lattice_class_once(monkeypatch):
     module = sys.modules[resolve.__module__]
     calls = []
 
-    def counted(S, p, normalize=True, start=None):
+    def counted(S, p, normalize=True):
         calls.append(S)
-        return nash_blowup(S, p, normalize, start)
+        return nash_blowup(S, p, normalize)
 
     monkeypatch.setattr(module, "nash_blowup", counted)
     tree = resolve(parse_input(document).semigroup(), 0)
