@@ -142,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="P",
         help="characteristic to include; repeat for several "
-        "(default: 0 and the document's characteristic)",
+        "(default: 0 and the document's characteristic, or "
+        f"{' '.join(map(str, DEFAULT_CHARACTERISTICS))} when that is 0)",
     )
 
     p = sub.add_parser("suite", help="random normal-surface termination suite")

@@ -204,8 +204,10 @@ def newton_payload(N: NewtonPolyhedron) -> dict:
     }
 
 
-def charts_payload(charts, characteristic=None) -> dict:
-    out = {
+def charts_payload(charts, characteristic) -> dict:
+    """The charts of one blowup, never empty: E is nonempty and σ̌ is
+    pointed, so the Newton polyhedron has a vertex."""
+    return {
         "kind": "blowup",
         "charts": [
             {
@@ -214,13 +216,10 @@ def charts_payload(charts, characteristic=None) -> dict:
             }
             for c in charts
         ],
+        "dimension": charts[0].semigroup.dim,
+        "normalize": charts[0].normalized,
+        "characteristic": characteristic,
     }
-    if charts:
-        out["dimension"] = charts[0].semigroup.dim
-        out["normalize"] = charts[0].normalized
-    if characteristic is not None:
-        out["characteristic"] = characteristic
-    return out
 
 
 def _node_payload(node) -> dict:
@@ -374,12 +373,10 @@ def _render_text(payload: dict) -> str:
         lines.append(f"  recession rays: {_vecs_str(payload['recession_rays'])}")
         lines.append(f"  vertices: {_vecs_str(payload['vertices'])}")
     elif kind == "blowup":
-        header = "blowup charts:"
-        if "characteristic" in payload:
-            header += f" characteristic={payload['characteristic']}"
-        if "normalize" in payload:
-            header += f" normalize={_bool_str(payload['normalize'])}"
-        lines.append(header)
+        lines.append(
+            f"blowup charts: characteristic={payload['characteristic']}"
+            f" normalize={_bool_str(payload['normalize'])}"
+        )
         for chart in payload["charts"]:
             lines.append(
                 f"  chart at {_vec_str(chart['vertex'])}: {_vecs_str(chart['generators'])}"

@@ -67,20 +67,6 @@ def _shape(node: ResolutionNode):
     )
 
 
-class _Class:
-    """One lattice class met in a `resolve` call: its representative R's
-    pairing and charts, and for chart i of R its link (class, h), h·Q ==
-    that chart for Q the class's representative (h None when it is Q), or
-    None until the chart's own lookup returns."""
-
-    __slots__ = ("pairing", "charts", "links")
-
-    def __init__(self, pairing, charts):
-        self.pairing = pairing
-        self.charts = charts
-        self.links = [None] * len(charts)
-
-
 def resolve(
     S: AffineSemigroup,
     characteristic,
@@ -96,80 +82,85 @@ def resolve(
     at the cap computes a basis or builds a chart.
 
     A Nash blowup commutes with GL(d, Z), so each lattice class of nodes
-    is blown up once per call, and the classes met form a graph. A node S
-    is looked up in the bucket of its `LatticePairing` key; if g·R == S
-    for a stored representative R, S is expanded from R's class with the
-    map g. Otherwise S is blown up (`nash_blowup`) and stored as a new
-    class. Expanded from its class with g, S has R's charts mapped by g,
+    is blown up once per call (`_Classes`). A node S that is g·R for a
+    class's representative R is expanded with R's charts mapped by g,
     re-sorted by vertex, each converting its cone only when it is read
     (`AffineSemigroup.image`). The smooth and stall tests read only
-    minimal generators, which an image maps from R's chart once that chart
-    is expanded, so a linked node converts no cone.
-    The lookup of R's own chart i links the class to the chart's class
-    and the map h from its representative, so the chart g·(R's chart i)
-    of S is expanded from that class with the map g·h: only a chart
-    without a link (smooth, capped, or met again while its class was
-    still being expanded) is keyed and matched. The minimal generators
-    determine a semigroup and its charts, so this serves both chart
-    kinds in every dimension.
+    minimal generators, which an image maps from R's chart, so a mapped
+    node converts no cone. The minimal generators determine a semigroup
+    and its charts, so this serves both chart kinds in every dimension.
     """
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
-    buckets = {}  # LatticePairing key -> [_Class], for this call
+    root = _Classes(p, normalize, max_depth).expand(S, 0)
+    return ResolutionTree(root, p, normalize, max_depth)
 
-    def lookup(S):
-        """(class, g) with g·R == S for the class's representative R, g
-        None when S is R, blown up here."""
+
+class _Classes:
+    """The lattice classes met in one `resolve` call, as a graph.
+
+    Class k is (pairing, charts, links): its representative R's
+    `LatticePairing` and charts, and for chart j of R the link (k', h),
+    h·Q == that chart for Q the representative of class k' (h None when
+    the chart is Q), or None until a node first expands chart j. Only the
+    root and R's own charts are keyed, each at most once: a chart's
+    image g·(chart j) under any node g·R of class k is expanded from the
+    link with the map g·h. Links are indices, so a class whose chart lies
+    in its own class makes no reference cycle.
+    """
+
+    __slots__ = ("p", "normalize", "max_depth", "buckets", "classes")
+
+    def __init__(self, p, normalize, max_depth):
+        self.p = p
+        self.normalize = normalize
+        self.max_depth = max_depth
+        self.buckets = {}  # LatticePairing key -> [class index]
+        self.classes = []
+
+    def lookup(self, S):
+        """(k, g) with g·R == S for class k's representative R, g None
+        when S is R, blown up here."""
         pairing = LatticePairing(S)
-        bucket = buckets.setdefault(pairing.key, [])
-        for known in bucket:
-            g = known.pairing.map_to(pairing)
+        bucket = self.buckets.setdefault(pairing.key, [])
+        for k in bucket:
+            g = self.classes[k][0].map_to(pairing)
             if g is not None:
-                return known, g
-        known = _Class(pairing, nash_blowup(S, p, normalize))
-        bucket.append(known)
-        return known, None
+                return k, g
+        charts = nash_blowup(S, self.p, self.normalize)
+        bucket.append(len(self.classes))
+        self.classes.append((pairing, charts, [None] * len(charts)))
+        return len(self.classes) - 1, None
 
-    def expand(S, depth, link=None, links=None, i=None):
-        """The node of S: link is (class, g) when S's class is known, and
-        links[i] is where its lookup links its parent's class."""
+    def expand(self, S, depth, parent=None):
+        """The node of S; parent (k, j, f) means S == f·(chart j of class
+        k's representative), f None when S is that chart."""
         if S.is_smooth():
             return ResolutionNode(S, depth, SMOOTH_LEAF, ())
-        if not normalize and stalls(S, p):
+        if not self.normalize and stalls(S, self.p):
             return ResolutionNode(S, depth, TRIVIAL_STALL, ())
-        if depth == max_depth:
+        if depth == self.max_depth:
             return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-        if link is None:
-            link = lookup(S)
-            if links is not None:
-                links[i] = link
-        known, g = link
-        charts = known.charts
-        if g is None:
-            children = tuple(
-                (c.vertex, expand(c.semigroup, depth + 1, None, known.links, j))
-                for j, c in enumerate(charts)
-            )
-            return ResolutionNode(S, depth, EXPANDED, children)
-        children = []
-        for v, j in sorted((mat_vec(g, c.vertex), j) for j, c in enumerate(charts)):
-            child = known.links[j]
-            if child is not None:
-                child = child[0], g if child[1] is None else mat_mul(g, child[1])
-            children.append((v, expand(charts[j].semigroup.image(g), depth + 1, child)))
-        return ResolutionNode(S, depth, EXPANDED, tuple(children))
-
-    try:
-        root = expand(S, 0)
-    finally:
-        # expand reaches itself through its closure, and a class whose
-        # charts lead back to it links to itself; without these cycles the
-        # buckets are freed here, not by the cyclic garbage collector
-        del expand
-        for bucket in buckets.values():
-            for known in bucket:
-                known.links = None
-    return ResolutionTree(root, p, normalize, max_depth)
+        if parent is None:
+            k, g = self.lookup(S)
+        else:
+            k, j, g = parent
+            _, charts, links = self.classes[k]
+            if links[j] is None:
+                links[j] = self.lookup(charts[j].semigroup)
+            k, h = links[j]
+            if h is not None:
+                g = h if g is None else mat_mul(g, h)
+        charts = self.classes[k][1]
+        children = ((c.vertex, j, c.semigroup) for j, c in enumerate(charts))
+        if g is not None:
+            children = sorted((mat_vec(g, v), j, T.image(g)) for v, j, T in children)
+        return ResolutionNode(
+            S,
+            depth,
+            EXPANDED,
+            tuple((v, self.expand(T, depth + 1, (k, j, g))) for v, j, T in children),
+        )
 
 
 def _integer(value, name) -> int:

@@ -262,7 +262,6 @@ def test_charts_payload(threefold):
     assert [c["vertex"] for c in payload["charts"]] == [[2, 2, 1], [2, 3, 3], [3, 2, 3]]
     for chart in payload["charts"]:
         assert len(chart["generators"]) == 5
-    assert charts_payload([]) == {"kind": "blowup", "charts": []}
 
 
 def test_tree_payload_and_json(cusp):
@@ -587,6 +586,22 @@ def test_cli_help_still_prints_usage(capsys):
         main(["resolve", "-h"])
     assert exc.value.code == 0
     assert "--max-depth" in capsys.readouterr().out
+
+
+def test_cli_compare_help_names_both_defaults(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "-h"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert (
+        "(default: 0 and the document's characteristic, or 0 2 3 5 when that is 0)"
+        in help_text
+    )
+    document = tmp_path / "p0.json"
+    document.write_text(CUSP_DOC.replace('"characteristic": 2', '"characteristic": 0'))
+    code, out, _ = run_cli(capsys, "compare", str(document))
+    assert code == 0
+    assert [e["characteristic"] for e in json.loads(out)["entries"]] == [0, 2, 3, 5]
 
 
 def test_cli_internal_error_report(tmp_path, capsys, monkeypatch):

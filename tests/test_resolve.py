@@ -459,10 +459,10 @@ def test_fourfold_root_blows_up_each_lattice_class_once(monkeypatch):
 
 
 def test_resolution_and_rendering_leave_no_cyclic_garbage():
-    # a recursive closure is a reference cycle, and so is a lattice class
-    # whose chart links back to it, as the p = 2 self-loop witness's does;
-    # with the collector off, one left behind by resolve or by a renderer
-    # shows up in gc.collect()
+    # resolve's class memo links classes by index, so a class whose chart
+    # lies in its own class, as the p = 2 self-loop witness's does, is no
+    # reference cycle and needs no cleanup; with the collector off, a
+    # cycle left behind by resolve or by a renderer shows up in gc.collect()
     S = AffineSemigroup.from_cone(Cone.from_rays([(1, 0), (47, 50)], 2))
     W = AffineSemigroup(4, P2_SELF_LOOP_WITNESS)
     gc.collect()
@@ -502,10 +502,9 @@ def test_class_links_give_the_plain_recursion(a, b):
 
 
 def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch):
-    # 71 nodes in 11 classes: only the root, the charts of a blowup and
-    # the children without a link are keyed, and no mapped chart reads
-    # its cone; keying every expanded node took 27 keys, 16 matches and
-    # 38 chart cone images
+    # 71 nodes in 11 classes: only the root and the charts of a blowup
+    # are keyed, and no mapped chart reads its cone; keying every
+    # expanded node took 27 keys, 16 matches and 38 chart cone images
     module = sys.modules[resolve.__module__]
     calls = {"blowup": 0, "key": 0, "match": 0, "image": 0}
 
@@ -525,3 +524,55 @@ def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch):
     assert len(nodes) == 71
     assert sum(node.status == EXPANDED for node in nodes) == 27
     assert calls == {"blowup": 11, "key": 19, "match": 8, "image": 0}
+
+
+def _dual_1224():
+    return AffineSemigroup.from_cone(
+        Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 2, 4)], 4)
+    )
+
+
+@pytest.mark.parametrize(
+    "make_root, max_depth, nodes, counts",
+    [
+        (lambda: AffineSemigroup(4, P2_SELF_LOOP_WITNESS), 4, 371, (6, 12, 6)),
+        (_dual_1224, 5, 1703, (9, 30, 21)),
+    ],
+    ids=["self-loop-witness", "dual-1224"],
+)
+def test_only_the_root_and_built_charts_are_keyed(
+    monkeypatch, make_root, max_depth, nodes, counts
+):
+    # p = 2 roots whose classes form cycles. Keying each chart image whose
+    # chart had no link yet took 46 and 63 keys, 40 and 37 of them of no
+    # built chart, and 40 and 54 matches; now each chart is keyed at most
+    # once, on its representative, never as an image
+    S = make_root()
+    module = sys.modules[resolve.__module__]
+    built, keyed, matches = [], [], []
+    map_to = LatticePairing.map_to
+
+    def counted_blowup(T, p, normalize=True):
+        charts = nash_blowup(T, p, normalize)
+        built.append(charts)
+        return charts
+
+    def counted_key(T):
+        keyed.append(T)
+        return LatticePairing(T)
+
+    def counted_match(self, other):
+        matches.append(other)
+        return map_to(self, other)
+
+    monkeypatch.setattr(module, "nash_blowup", counted_blowup)
+    monkeypatch.setattr(module, "LatticePairing", counted_key)
+    monkeypatch.setattr(LatticePairing, "map_to", counted_match)
+    tree = resolve(S, 2, max_depth=max_depth)
+    monkeypatch.undo()
+    assert len(list(tree.nodes())) == nodes
+    charts = {id(c.semigroup) for made in built for c in made}
+    assert [T for T in keyed if id(T) not in charts] == [S]
+    assert len({id(T) for T in keyed}) == len(keyed)
+    assert (len(built), len(keyed), len(matches)) == counts
+    assert tree.shape() == resolve_reference(S, 2, max_depth=max_depth).shape()
