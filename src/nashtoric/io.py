@@ -48,16 +48,18 @@ class ProblemSpec:
     def semigroup(self) -> AffineSemigroup:
         if self.semigroup_generators is not None:
             return AffineSemigroup(self.dimension, self.semigroup_generators)
+        # σ is pointed and full-dimensional exactly when σ̌ is, so the cone
+        # of either field is checked as given, before any Hilbert basis
         if self.dual_cone_rays is not None:
-            cone = Cone.from_rays(self.dual_cone_rays, self.dimension)
+            field, rays = "dual_cone_rays", self.dual_cone_rays
         else:
-            cone = Cone.from_rays(self.cone_rays, self.dimension)
-            if not cone.pointed:
-                raise NotPointedError("cone_rays must span a pointed cone")
-            if not cone.full_dim:
-                raise NotFullDimensionalError(
-                    "cone_rays must span a full-dimensional cone"
-                )
+            field, rays = "cone_rays", self.cone_rays
+        cone = Cone.from_rays(rays, self.dimension)
+        if not cone.pointed:
+            raise NotPointedError(f"{field} must span a pointed cone")
+        if not cone.full_dim:
+            raise NotFullDimensionalError(f"{field} must span a full-dimensional cone")
+        if field == "cone_rays":
             cone = cone.dual()
         return AffineSemigroup.from_cone(cone)
 

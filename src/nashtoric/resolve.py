@@ -256,11 +256,13 @@ def surface_termination_suite(
     takes the saturated semigroup of the spanned cone, and resolves it with
     normalization once per characteristic. Reported per run: tree depths,
     termination below the cap, smoothness of all leaves, and whether the
-    trees agree across characteristics. The seed makes runs replayable.
+    trees agree across characteristics. The seed, an integer, makes runs
+    replayable.
     """
     chars = tuple(validate_characteristic(c) for c in characteristics)
     if not chars:
         raise ValueError("characteristics must name at least one characteristic")
+    seed = _integer(seed, "seed")
     count = _integer(count, "count")
     if count < 0:
         raise ValueError("count must be nonnegative")

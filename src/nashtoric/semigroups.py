@@ -6,7 +6,9 @@ generators is pointed, and the generators span all of Z^d as a group.
 points of a pointed full-dimensional cone) and `image` (a GL(d, Z) image)
 hold them by construction. An image converts its cone when `cone` is first
 read. Everything downstream (membership, minimal generators, saturation,
-smoothness) is exact.
+smoothness) is exact. Membership in a semigroup that is not known to be
+saturated is one depth-first search, `AffineSemigroup._generated`, in the
+basis coordinates of d independent minimal generators.
 """
 
 import operator
@@ -17,6 +19,7 @@ from .cones import Cone, hilbert_basis, irreducible
 from .linalg import (
     adjugate,
     columns_matrix,
+    dot,
     group_is_full_lattice,
     images,
     independent_rows,
@@ -44,74 +47,6 @@ def _frame(points):
         adj = [[-a for a in row] for row in adj]
         det_K = -det_K
     return K, (adj, det_K)
-
-
-def _generated_member(x, gens, cone, cache, frame=None) -> bool:
-    """Is x a finite sum of the given generators, and of the frame's?
-
-    frame, when given, is (adj(K), det(K)) with det(K) > 0 for d
-    independent generators K, left out of gens: x = K·a + gens·c has the
-    basis coordinates a = adj(K)·(x - gens·c) / det(K). A point w whose
-    numerators adj(K)·w are >= 0 and divisible by det(K) is in N·K and
-    ends the search, so the search steps only along gens (the extras):
-    w is generated exactly when it is in N·K or some w - g is generated.
-    Without a frame, N·K is {0}, which the cache holds.
-
-    Iterative depth-first search on x minus partial sums, pruned by cone
-    membership; the search is a DAG because every generator is strictly
-    positive on the cone's grading. Each entry on the stack is a point v
-    with the index of the next generator g to try. The search ends at the
-    first child v - g known to lie in the semigroup, and then every point
-    on the stack is in it too, so all are cached True; a point is cached
-    False once it is outside N·K and every child in the cone has come
-    back False, which by the recursion above says it is not generated,
-    frame or not. cache maps points to known answers and must map the
-    origin to True; it may persist across calls while every entry stays
-    right for the generators passed, the frame's included.
-    """
-    hit = cache.get(x)
-    if hit is not None:
-        return hit
-    rows, det_K = frame or ((), 0)
-
-    def in_frame(w):
-        if not det_K:
-            return False
-        for row in rows:
-            q = sum(map(operator.mul, row, w))
-            if q < 0 or q % det_K:
-                return False
-        return True
-
-    if in_frame(x):
-        return True
-    n = len(gens)
-    path = [x]
-    nexts = [0]
-    while path:
-        v = path[-1]
-        i = nexts[-1]
-        while i < n:
-            w = vsub(v, gens[i])
-            i += 1
-            r = cache.get(w)
-            if r is None and cone.contains(w):
-                if in_frame(w):
-                    r = True
-                else:
-                    break
-            if r is True:
-                cache.update(dict.fromkeys(path, True))
-                return True
-        else:
-            cache[v] = False
-            path.pop()
-            nexts.pop()
-            continue
-        nexts[-1] = i
-        path.append(w)
-        nexts.append(0)
-    return False
 
 
 def _nonzero_sorted(generators, dim):
@@ -220,21 +155,78 @@ class AffineSemigroup:
 
         The sweep asks only about x below the generator it tests, where the
         kept points generate every element of S, so every answer and cache
-        entry says whether a point lies in S. The first search the cache
-        does not answer whose points reach rank d fixes the frame K, the
-        first d independent points. Kept points stay kept, so K and the
-        points outside it, which later searches step along, are the points.
+        entry says whether a point lies in S.
+
+        The search runs in the basis coordinates of a frame, d independent
+        minimal generators K with det(K) > 0 (`_frame`). x = K·a + F·c, for
+        F the points outside K, has a = adj(K)·(x - F·c) / det(K), so a
+        point w whose numerators adj(K)·w are >= 0 and divisible by det(K)
+        is in N·K and ends the search, which steps only along F: w is in S
+        exactly when it is in N·K or some w - f is. The first search the
+        cache does not answer fixes K: the first d independent points or,
+        when those are below rank d, the first d independent generators in
+        the grading order of `irreducible`. A generator independent of
+        those before it is minimal, so in the sweep both are the first d
+        independent minimal generators in grading order, and kept points
+        stay kept.
+
+        Iterative depth-first search on x minus partial sums, pruned by cone
+        membership; the search is a DAG because every generator is strictly
+        positive on the grading. Each stack entry is a point v with the
+        index of the next f to try. The search ends at the first child
+        v - f known to lie in S, and then every point on the stack is in S
+        too, so all are cached True; a point is cached False once it is
+        outside N·K and every child in the cone has come back False.
         """
-        if x in self._member_cache:
-            return self._member_cache[x]
+        cache = self._member_cache
+        if x in cache:
+            return cache[x]
+        cone = self.cone
         if self._frame is None:
             found = _frame(points)
             if found is None:
-                return _generated_member(x, points, self.cone, self._member_cache)
+                grading = [sum(c) for c in zip(*cone.halfspaces)]
+                found = _frame(sorted(self.generators, key=lambda g: (dot(grading, g), g)))
             self._frame = found[1], set(found[0])
-        frame, K = self._frame
+        (rows, det_K), K = self._frame
         extras = [p for p in points if p not in K]
-        return _generated_member(x, extras, self.cone, self._member_cache, frame)
+        n = len(extras)
+
+        def in_frame(w):
+            for row in rows:
+                q = sum(map(operator.mul, row, w))
+                if q < 0 or q % det_K:
+                    return False
+            return True
+
+        if in_frame(x):
+            return True
+        path = [x]
+        nexts = [0]
+        while path:
+            v = path[-1]
+            i = nexts[-1]
+            while i < n:
+                w = vsub(v, extras[i])
+                i += 1
+                r = cache.get(w)
+                if r is None and cone.contains(w):
+                    if in_frame(w):
+                        r = True
+                    else:
+                        break
+                if r is True:
+                    cache.update(dict.fromkeys(path, True))
+                    return True
+            else:
+                cache[v] = False
+                path.pop()
+                nexts.pop()
+                continue
+            nexts[-1] = i
+            path.append(w)
+            nexts.append(0)
+        return False
 
     def image(self, g) -> "AffineSemigroup":
         """The semigroup g·S for g in GL(d, Z) (rows), without a conversion.

@@ -533,19 +533,17 @@ def test_cli_error_reports(tmp_path, capsys):
     code, out, err = run_cli(capsys, "resolve", str(deep))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "malformed-document"
-    pointless = tmp_path / "line.json"
-    pointless.write_text('{"dimension": 2, "characteristic": 0, "cone_rays": [[1, 0], [-1, 0]]}')
-    code, _, err = run_cli(capsys, "mingen", str(pointless))
-    assert code == 2
-    assert json.loads(err)["error"] == "non-pointed"
-    flat = tmp_path / "flat.json"
-    flat.write_text('{"dimension": 3, "characteristic": 0, "cone_rays": [[1, 0, 0], [0, 1, 0]]}')
-    code, out, err = run_cli(capsys, "mingen", str(flat))
-    assert code == 2 and out == ""
-    assert json.loads(err) == {
-        "error": "not-full-dimensional",
-        "message": "cone_rays must span a full-dimensional cone",
-    }
+    # either cone field is checked before any Hilbert basis, by its name
+    for field in ("cone_rays", "dual_cone_rays"):
+        for dim, rays, error, shape in (
+            (2, [[1, 0], [-1, 0], [0, 1]], "non-pointed", "a pointed cone"),
+            (3, [[1, 0, 0], [0, 1, 0]], "not-full-dimensional", "a full-dimensional cone"),
+        ):
+            cone = tmp_path / "cone.json"
+            cone.write_text(json.dumps({"dimension": dim, "characteristic": 0, field: rays}))
+            code, out, err = run_cli(capsys, "mingen", str(cone))
+            assert code == 2 and out == ""
+            assert json.loads(err) == {"error": error, "message": f"{field} must span {shape}"}
     for name, data in (
         ("nested.json", ("[" * 100000 + "]" * 100000).encode()),
         ("superscript.json", '{"dimension": "\u00b2", "characteristic": 0, "semigroup_generators": [[1]]}'.encode()),

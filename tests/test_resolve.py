@@ -402,6 +402,13 @@ def test_suite_reproducible():
     a = surface_termination_suite(7, 4, entry_bound=10)
     b = surface_termination_suite(7, 4, entry_bound=10)
     assert a == b
+    assert [r.rays for r in a.runs] == [
+        ((2, 1), (7, 1)),
+        ((1, 3), (2, 9)),
+        ((9, 4), (10, 1)),
+        ((1, 1), (1, 2)),
+    ]
+    assert [r.depths for r in a.runs] == [(1,) * 4, (2,) * 4, (1,) * 4, (0,) * 4]
 
 
 def test_suite_edge_cases():
@@ -411,6 +418,11 @@ def test_suite_edge_cases():
     assert empty.all_terminated
     with pytest.raises(ValueError):
         surface_termination_suite(0, -1)
+    # a seed of None would draw from the OS and report "seed": null, so
+    # no run could be replayed; the others would be printed as the seed
+    for seed in (None, True, "abc", 1.5):
+        with pytest.raises(TypeError):
+            surface_termination_suite(seed, 1)
     with pytest.raises(CharacteristicError):
         surface_termination_suite(0, 1, characteristics=(4,))
     # no characteristic resolves nothing, so it is refused before the draw

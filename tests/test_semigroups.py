@@ -1,6 +1,7 @@
 import random
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from nashtoric import semigroups
@@ -17,7 +18,7 @@ from nashtoric.errors import (
     NotPointedError,
 )
 from nashtoric.linalg import dot, group_is_full_lattice
-from nashtoric.semigroups import AffineSemigroup, _frame, _generated_member
+from nashtoric.semigroups import AffineSemigroup, _frame
 
 from oracles import (
     boundary_generators_crosscheck,
@@ -244,19 +245,32 @@ def test_frame_leaf_test_checks_sign_and_divisibility():
                 assert S.membership((n, y)) == (y in level), (gens, n, y)
 
 
-def test_sweep_below_rank_d_has_no_frame():
-    # grading x + y: (3, 0) and (4, 0) are tested while the kept points lie
-    # on one ray, by frame-less searches; the first two kept points stay
-    # dependent, so the frame is the first independent pair (2, 0), (1, 5)
+def test_sweep_below_rank_d_frames_by_the_generators_in_grading_order(monkeypatch):
+    # grading x + y: (3, 0) is tested while the only kept point is (2, 0),
+    # below rank d, so the first search, for (1, 0), fixes the frame from
+    # the generators in grading order, (2, 0), (3, 0), (4, 0), (1, 5), ...:
+    # K is (2, 0) and (1, 5), the first independent pair, and every later
+    # search runs in its coordinates
     gens = [(2, 0), (3, 0), (4, 0), (1, 5), (0, 7), (4, 10)]
     assert _frame([(2, 0)]) is None and _frame([(2, 0), (3, 0)]) is None
-    points = [(2, 0), (3, 0), (1, 5), (0, 7)]
-    K, (adj, d) = _frame(points)
-    extras = [x for x in points if x not in K]
-    assert (d, extras) == (10, [(3, 0), (0, 7)])
+    searches = []
+
+    def spying_irreducible(points, halfspaces, member):
+        def spy(x, kept):
+            t = member(x, kept)
+            searches.append((x, S._frame and S._frame[1]))
+            return t
+
+        return irreducible(points, halfspaces, spy)
+
+    monkeypatch.setattr(semigroups, "irreducible", spying_irreducible)
     S = AffineSemigroup(2, gens)
     assert S.minimal_generators() == ((0, 7), (1, 5), (2, 0), (3, 0))
     assert list(S.minimal_generators()) == brute_force_minimal_generators(gens, 2)
+    K = {(2, 0), (1, 5)}
+    assert searches[0] == ((1, 0), K)
+    assert all(frame == K for _, frame in searches)
+    assert S._frame[0][1] == 10  # det of (2, 0), (1, 5)
     sums = generator_sums(S.minimal_generators(), (1, 1), 20)
     for x in range(21):
         for y in range(21 - x):
@@ -338,35 +352,55 @@ def test_a_semigroup_builds_at_most_one_frame(monkeypatch):
     assert min(seen["in"], seen["out"]) >= 200, seen
 
 
-def test_framed_search_answers_as_the_frameless_one():
-    # fresh caches, the generators in grading order on both sides; a point
-    # outside S makes either search visit every point it can reach, and
-    # the framed one reaches fewer (it steps along fewer generators and
-    # stops in N·K). A point in S can cost the framed search more: in
-    # <6, 7, 8, 11>, 17 caches 7 points framed against 6 frame-less.
-    rng = random.Random(410)
-    seen = {"in": 0, "out": 0, "fewer": 0}
+def test_a_searching_sweep_frames_by_the_first_independent_minimal_generators(monkeypatch):
+    # whatever rank the kept points have at the first search, the frame K
+    # is the first d independent minimal generators in grading order, and
+    # membership in its coordinates agrees with the sums of the generators;
+    # searched holds the rank of the kept points at each search
+    searched = []
+
+    def spying_irreducible(points, halfspaces, member):
+        def spy(x, kept):
+            if x not in S._member_cache:
+                searched.append(int(np.linalg.matrix_rank(np.array(kept))))
+            return member(x, kept)
+
+        return irreducible(points, halfspaces, spy)
+
+    monkeypatch.setattr(semigroups, "irreducible", spying_irreducible)
+    rng = random.Random(412)
+    seen = {"framed": 0, "below rank d": 0, "in": 0, "out": 0}
     for dim in (1, 2, 3, 4):
-        for _ in range(40):
-            S = AffineSemigroup(dim, random_unsaturated_generators(rng, dim))
+        for _ in range(60):
+            gens = random_unsaturated_generators(rng, dim)
+            searched.clear()
+            S = AffineSemigroup(dim, gens)
             w = tuple(map(sum, zip(*S.cone.halfspaces)))
             graded = sorted(S.minimal_generators(), key=lambda x: (dot(w, x), x))
-            K, frame = _frame(graded)
-            extras = [x for x in graded if x not in K]
-            cap = 2 * max(dot(w, x) for x in graded)
-            for x in generator_sums(graded, w, cap // 2):
-                for g in graded:
-                    y = tuple(a - b + rng.randint(-1, 1) for a, b in zip(x, g))
-                    if not S.cone.contains(y):
-                        continue
-                    plain, framed = {(0,) * dim: True}, {(0,) * dim: True}
-                    t = _generated_member(y, graded, S.cone, plain)
-                    assert _generated_member(y, extras, S.cone, framed, frame) == t
-                    if not t:
-                        assert framed.keys() <= plain.keys()
-                        seen["fewer"] += len(framed) < len(plain)
+            if not searched:
+                assert S._frame is None
+                continue
+            K = []
+            for x in graded:
+                if np.linalg.matrix_rank(np.array(K + [x])) > len(K):
+                    K.append(x)
+            assert len(K) == dim and S._frame[1] == set(K), gens
+            seen["framed"] += 1
+            # the kept points of the first search were below rank d
+            seen["below rank d"] += searched[0] < dim
+            cap = max(dot(w, x) for x in S.generators)
+            sums = generator_sums(S.generators, w, cap)
+            points = set(sums)
+            for x in sums:
+                for g in S.generators:
+                    points.add(tuple(a - b + rng.randint(-1, 1) for a, b in zip(x, g)))
+            for x in sorted(points):
+                if dot(w, x) <= cap:
+                    t = not any(x) or x in sums
+                    assert S.membership(x) == t, (gens, x)
                     seen["in" if t else "out"] += 1
-    assert min(seen.values()) >= 200, seen
+    assert seen["framed"] >= 100 and seen["below rank d"] >= 10, seen
+    assert min(seen["in"], seen["out"]) >= 200, seen
 
 
 def test_is_smooth():
