@@ -179,8 +179,10 @@ def _strong_lucas(n: int) -> bool:
 
 
 def validate_characteristic(p) -> int:
-    if isinstance(p, bool) or not isinstance(p, int):
+    """p as a plain int, 0 or a prime; any integer type but bool is read."""
+    if isinstance(p, bool) or not hasattr(p, "__index__"):
         raise CharacteristicError(f"characteristic must be an integer, got {p!r}")
+    p = operator.index(p)
     if p == 0:
         return 0
     if p < 0 or not is_prime(p):

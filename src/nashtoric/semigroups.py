@@ -6,9 +6,11 @@ generators is pointed, and the generators span all of Z^d as a group.
 points of a pointed full-dimensional cone) and `image` (a GL(d, Z) image)
 hold them by construction. An image converts its cone when `cone` is first
 read. Everything downstream (membership, minimal generators, saturation,
-smoothness) is exact. Membership in a semigroup that is not known to be
-saturated is one depth-first search, `AffineSemigroup._generated`, in the
-basis coordinates of d independent minimal generators.
+smoothness) is exact and reads a semigroup through its minimal
+generators. Membership in a semigroup that is not known to be saturated is
+one depth-first search, `AffineSemigroup._generated`, in the basis
+coordinates of the first d independent generators in grading order, which
+are minimal.
 """
 
 import operator
@@ -29,19 +31,14 @@ from .linalg import (
 
 
 def _frame(points):
-    """(K, (adj(K), det(K))) for a list of points, or None below rank d:
-    K the first d independent points, in order, and det(K) > 0. Usually
-    the first d points are independent, and one adjugate finds out."""
-    d = len(points[0])
-    if len(points) < d:
-        return None
-    K = tuple(points[:d])
+    """(K, (adj(K), det(K))) for a full-rank list of points: K the first d
+    independent points, in order, and det(K) > 0. Usually the first d
+    points are independent, and one adjugate finds out."""
+    K = tuple(points[: len(points[0])])
     try:
         adj, det_K = adjugate(columns_matrix(K))
     except DimensionError:
         K = tuple(points[i] for i in independent_rows(points))
-        if len(K) < d:
-            return None
         adj, det_K = adjugate(columns_matrix(K))
     if det_K < 0:
         adj = [[-a for a in row] for row in adj]
@@ -158,17 +155,16 @@ class AffineSemigroup:
         entry says whether a point lies in S.
 
         The search runs in the basis coordinates of a frame, d independent
-        minimal generators K with det(K) > 0 (`_frame`). x = K·a + F·c, for
+        generators K with det(K) > 0 (`_frame`). x = K·a + F·c, for
         F the points outside K, has a = adj(K)·(x - F·c) / det(K), so a
         point w whose numerators adj(K)·w are >= 0 and divisible by det(K)
         is in N·K and ends the search, which steps only along F: w is in S
         exactly when it is in N·K or some w - f is. The first search the
-        cache does not answer fixes K: the first d independent points or,
-        when those are below rank d, the first d independent generators in
-        the grading order of `irreducible`. A generator independent of
-        those before it is minimal, so in the sweep both are the first d
-        independent minimal generators in grading order, and kept points
-        stay kept.
+        cache does not answer fixes K: the first d independent generators
+        in the grading order of `irreducible`. A generator independent of
+        those before it is minimal, so K is the first d independent
+        minimal generators in grading order. The sweep may search before it
+        has kept all of K; N·K still lies in S, so its answers stay exact.
 
         Iterative depth-first search on x minus partial sums, pruned by cone
         membership; the search is a DAG because every generator is strictly
@@ -183,11 +179,9 @@ class AffineSemigroup:
             return cache[x]
         cone = self.cone
         if self._frame is None:
-            found = _frame(points)
-            if found is None:
-                grading = [sum(c) for c in zip(*cone.halfspaces)]
-                found = _frame(sorted(self.generators, key=lambda g: (dot(grading, g), g)))
-            self._frame = found[1], set(found[0])
+            grading = [sum(c) for c in zip(*cone.halfspaces)]
+            K, frame = _frame(sorted(self.generators, key=lambda g: (dot(grading, g), g)))
+            self._frame = frame, set(K)
         (rows, det_K), K = self._frame
         extras = [p for p in points if p not in K]
         n = len(extras)
@@ -231,8 +225,10 @@ class AffineSemigroup:
     def image(self, g) -> "AffineSemigroup":
         """The semigroup g·S for g in GL(d, Z) (rows), without a conversion.
 
-        g keeps the standing hypotheses, saturation and minimality, so both
-        generator lists map by g, re-sorted, and the saturation flag stays.
+        g keeps the standing hypotheses, saturation and minimality, so the
+        image is generated by S's minimal generators mapped by g, re-sorted,
+        one tuple that is both its generators and its minimal generators,
+        and the saturation flag stays.
         The image's cone, rays by g and normals by g^-T (`Cone.image` of
         S's cone), is made when its `cone` is first read, but every check
         of that conversion runs here: the cone is pointed and
@@ -241,13 +237,9 @@ class AffineSemigroup:
         """
         cone = self.cone
         cone.image_dual(g)
-        gens = images(g, self.generators)
-        if self._minimal == self.generators:
-            minimal = gens
-        else:
-            minimal = None if self._minimal is None else images(g, self._minimal)
+        gens = images(g, self.minimal_generators())
         T = AffineSemigroup.__new__(AffineSemigroup)._set(
-            self.dim, gens, None, minimal, self._saturated
+            self.dim, gens, None, gens, self._saturated
         )
         T._image_of = cone, g
         return T

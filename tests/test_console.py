@@ -1,4 +1,4 @@
-"""The console script end to end, and four lint rules on the library.
+"""The console script end to end, and five lint rules on the library.
 
 Each row runs `python -m nashtoric <command>` on one JSON document, with
 PYTHONPATH set to this checkout's src/ and a 60 s limit, and pins the exit
@@ -156,6 +156,26 @@ def test_no_unused_imports_in_the_library():
                     if name not in used:
                         unused.append(f"{path}:{node.lineno}: {name} is imported but never used")
     assert not unused, "\n".join(unused)
+
+
+def test_library_imports_only_the_standard_library():
+    # the library has no dependencies (pyproject lists none): every absolute
+    # import names a top-level module of the standard library
+    foreign = []
+    for path in sorted((SRC / "nashtoric").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path}:{node.lineno}: {name} is not in the standard library"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not foreign, "\n".join(foreign)
 
 
 def test_no_unreferenced_private_functions_in_the_library():

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,8 +107,12 @@ def test_validate_characteristic():
     for bad in (1, 4, 6, 9, -2, -7):
         with pytest.raises(CharacteristicError):
             validate_characteristic(bad)
-    with pytest.raises(CharacteristicError):
-        validate_characteristic(True)
+    for bad in (True, 2.0, "2", None):
+        with pytest.raises(CharacteristicError):
+            validate_characteristic(bad)
+    for p in (np.int64(2), np.uint8(3), np.int32(0)):
+        q = validate_characteristic(p)
+        assert type(q) is int and q == p
 
 
 def test_xgcd():

@@ -3,6 +3,7 @@ import hashlib
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from nashtoric import blowup
@@ -130,6 +131,24 @@ def test_resolve_argument_validation(cusp):
         surface_termination_suite(0, 0, max_depth=MAX_DEPTH + 1)
     with pytest.raises(CharacteristicError):
         resolve(cusp, 4)
+
+
+def test_characteristic_reads_any_integer_type_but_bool():
+    # numpy integers are read through operator.index, as max_depth is, and
+    # the results carry a plain int
+    S = AffineSemigroup.from_cone(Cone.from_rays(((1, 0), (13, 47)), 2))
+    for p in (2, 3):
+        ideal = log_jacobian_ideal(S, np.int64(p))
+        assert type(ideal.characteristic) is int and ideal.characteristic == p
+        assert ideal.exponents == log_jacobian_ideal(S, p).exponents
+        tree = resolve(S, np.int64(p))
+        assert type(tree.characteristic) is int
+        assert tree.shape() == resolve(S, p).shape()
+    for bad in (2.0, "2", None, True):
+        with pytest.raises(CharacteristicError):
+            resolve(S, bad)
+        with pytest.raises(CharacteristicError):
+            log_jacobian_ideal(S, bad)
 
 
 def test_max_depth_must_be_an_integer():

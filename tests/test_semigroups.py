@@ -17,7 +17,7 @@ from nashtoric.errors import (
     NotFullLatticeError,
     NotPointedError,
 )
-from nashtoric.linalg import dot, group_is_full_lattice
+from nashtoric.linalg import dot, group_is_full_lattice, images
 from nashtoric.semigroups import AffineSemigroup, _frame
 
 from oracles import (
@@ -247,12 +247,11 @@ def test_frame_leaf_test_checks_sign_and_divisibility():
 
 def test_sweep_below_rank_d_frames_by_the_generators_in_grading_order(monkeypatch):
     # grading x + y: (3, 0) is tested while the only kept point is (2, 0),
-    # below rank d, so the first search, for (1, 0), fixes the frame from
+    # below rank d, and the first search, for (1, 0), fixes the frame from
     # the generators in grading order, (2, 0), (3, 0), (4, 0), (1, 5), ...:
     # K is (2, 0) and (1, 5), the first independent pair, and every later
     # search runs in its coordinates
     gens = [(2, 0), (3, 0), (4, 0), (1, 5), (0, 7), (4, 10)]
-    assert _frame([(2, 0)]) is None and _frame([(2, 0), (3, 0)]) is None
     searches = []
 
     def spying_irreducible(points, halfspaces, member):
@@ -275,6 +274,20 @@ def test_sweep_below_rank_d_frames_by_the_generators_in_grading_order(monkeypatc
     for x in range(21):
         for y in range(21 - x):
             assert S.membership((x, y)) == ((x, y) in sums or x == y == 0)
+
+
+def test_a_query_after_a_searchless_sweep_frames_by_the_grading():
+    # the facet normals (1, 0) and (-4, 5) grade (5, 4), (4, 4), (0, 3) by
+    # 5, 8, 15, and no generator minus an earlier one is in the cone, so
+    # the sweep makes no search and fixes no frame; the first query the
+    # cache does not answer fixes K = (5, 4), (4, 4) from that order, not
+    # the first independent minimal generators in lexicographic order
+    S = AffineSemigroup(2, [(0, 3), (4, 4), (5, 4)])
+    assert S.minimal_generators() == ((0, 3), (4, 4), (5, 4))
+    assert S._frame is None
+    assert S.cone.contains((5, 8)) and not S.membership((5, 8))
+    (_, det_K), K = S._frame
+    assert K == {(4, 4), (5, 4)} and det_K == 4
 
 
 def test_extras_join_after_the_frame_is_fixed():
@@ -353,10 +366,11 @@ def test_a_semigroup_builds_at_most_one_frame(monkeypatch):
 
 
 def test_a_searching_sweep_frames_by_the_first_independent_minimal_generators(monkeypatch):
-    # whatever rank the kept points have at the first search, the frame K
-    # is the first d independent minimal generators in grading order, and
-    # membership in its coordinates agrees with the sums of the generators;
-    # searched holds the rank of the kept points at each search
+    # whatever rank the kept points have at the first search, and whether
+    # the sweep or a later query fixes it, the frame K is the first d
+    # independent minimal generators in grading order, and membership in
+    # its coordinates agrees with the sums of the generators; searched
+    # holds the rank of the kept points at each search
     searched = []
 
     def spying_irreducible(points, halfspaces, member):
@@ -368,39 +382,61 @@ def test_a_searching_sweep_frames_by_the_first_independent_minimal_generators(mo
         return irreducible(points, halfspaces, spy)
 
     monkeypatch.setattr(semigroups, "irreducible", spying_irreducible)
-    rng = random.Random(412)
-    seen = {"framed": 0, "below rank d": 0, "in": 0, "out": 0}
+    # the sets are drawn from their own stream, apart from the query points
+    rng, jitter = random.Random(412), random.Random(413)
+    seen = {"framed": 0, "below rank d": 0, "framed later": 0, "in": 0, "out": 0}
     for dim in (1, 2, 3, 4):
-        for _ in range(60):
+        for _ in range(100):
             gens = random_unsaturated_generators(rng, dim)
             searched.clear()
             S = AffineSemigroup(dim, gens)
             w = tuple(map(sum, zip(*S.cone.halfspaces)))
             graded = sorted(S.minimal_generators(), key=lambda x: (dot(w, x), x))
-            if not searched:
-                assert S._frame is None
-                continue
             K = []
             for x in graded:
                 if np.linalg.matrix_rank(np.array(K + [x])) > len(K):
                     K.append(x)
-            assert len(K) == dim and S._frame[1] == set(K), gens
-            seen["framed"] += 1
-            # the kept points of the first search were below rank d
-            seen["below rank d"] += searched[0] < dim
+            assert len(K) == dim
+            if searched:
+                assert S._frame[1] == set(K), gens
+                seen["framed"] += 1
+                # the kept points of the first search were below rank d
+                seen["below rank d"] += searched[0] < dim
+            else:
+                assert S._frame is None
             cap = max(dot(w, x) for x in S.generators)
             sums = generator_sums(S.generators, w, cap)
             points = set(sums)
             for x in sums:
                 for g in S.generators:
-                    points.add(tuple(a - b + rng.randint(-1, 1) for a, b in zip(x, g)))
+                    points.add(tuple(a - b + jitter.randint(-1, 1) for a, b in zip(x, g)))
             for x in sorted(points):
                 if dot(w, x) <= cap:
                     t = not any(x) or x in sums
                     assert S.membership(x) == t, (gens, x)
                     seen["in" if t else "out"] += 1
+            if not searched and S._frame is not None:
+                assert S._frame[1] == set(K), gens
+                seen["framed later"] += 1
     assert seen["framed"] >= 100 and seen["below rank d"] >= 10, seen
+    assert seen["framed later"] >= 50, seen
     assert min(seen["in"], seen["out"]) >= 200, seen
+
+
+def test_an_image_carries_one_list_the_mapped_minimal_generators():
+    # (4, 0) = 2 (2, 0) and (4, 10) = 2 (1, 5) + (2, 0) are not minimal;
+    # the image of S, swept or not, is generated by the images of the
+    # minimal ones alone, and is the semigroup of all the images
+    gens = [(2, 0), (3, 0), (4, 0), (1, 5), (0, 7), (4, 10)]
+    g = ((2, 1), (1, 1))
+    swept = AffineSemigroup(2, gens)
+    swept.minimal_generators()
+    for S in (AffineSemigroup(2, gens), swept):
+        T = S.image(g)
+        assert T.generators == T.minimal_generators() == images(g, S.minimal_generators())
+        assert len(T.generators) == 4
+        assert T == AffineSemigroup(2, images(g, S.generators))
+        assert not T.is_saturated()
 
 
 def test_is_smooth():
