@@ -46,13 +46,12 @@ from .linalg import (
     dot,
     hermite_basis,
     identity,
-    images,
     independent_rows,
+    integer,
     kernel_basis,
     mat_vec,
     primitive,
     rank,
-    unimodular_dual,
     vec,
     vneg,
     vsub,
@@ -244,6 +243,7 @@ class Cone:
             if not rays:
                 raise DimensionError("cannot infer dimension from an empty ray list")
             dim = len(rays[0])
+        dim = integer(dim, "dimension")
         if dim < 1:
             raise DimensionError("dimension must be positive")
         for r in rays:
@@ -317,32 +317,6 @@ class Cone:
     def from_halfspaces(cls, normals, dim=None):
         # canonicalize the normal set as generators of the dual cone
         return cls.from_rays(normals, dim).dual()
-
-    def image(self, g):
-        """The cone g·C for g in GL(d, Z) (rows), without a conversion.
-
-        Defined for pointed full-dimensional cones, whose lists are just
-        their primitive extreme rays and inward facet normals. A unimodular
-        g keeps vectors primitive and <g^-T h, g x> = <h, x>, so the rays
-        map by g, the normals by g^-T, and re-sorting gives the lists
-        `from_rays` builds from the mapped rays. A g that is not unimodular
-        raises ValueError.
-        """
-        halfspaces = images(self.image_dual(g), self.halfspaces)
-        return Cone(self.dim, images(g, self.rays), halfspaces, True, True)
-
-    def image_dual(self, g):
-        """g^-T, the map of the normals in `image`, after every check image
-        makes: the cone is pointed and full-dimensional, and g has d rows
-        and is unimodular. `AffineSemigroup.image` checks with it and
-        defers the conversion."""
-        if not self.pointed:
-            raise NotPointedError("image needs a pointed cone")
-        if not self.full_dim:
-            raise NotFullDimensionalError("image needs a full-dimensional cone")
-        if len(g) != self.dim:
-            raise DimensionError(f"map has {len(g)} rows, expected {self.dim}")
-        return unimodular_dual(g)
 
     def contains(self, point) -> bool:
         for n in self.halfspaces:

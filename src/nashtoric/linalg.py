@@ -178,6 +178,13 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+def integer(value, name) -> int:
+    """value as a plain int; any integer type but bool is read."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    return operator.index(value)
+
+
 def validate_characteristic(p) -> int:
     """p as a plain int, 0 or a prime; any integer type but bool is read."""
     if isinstance(p, bool) or not hasattr(p, "__index__"):
@@ -513,15 +520,3 @@ def adjugate(M):
                 a[i] = [(pivot * x - aik * y) // prev for x, y in zip(row, top)]
         prev = pivot
     return tuple(tuple(sign * x for x in row[d:]) for row in a), sign * prev
-
-
-def unimodular_dual(g):
-    """g^-T = det(g)·adj(g)^T for g in GL(d, Z), the map that keeps every
-    pairing <h, x> when x maps by g; any other g raises ValueError."""
-    try:
-        adj, sign = adjugate(g)
-    except DimensionError:
-        sign = 0
-    if sign not in (1, -1):
-        raise ValueError("a unimodular map needs determinant ±1")
-    return tuple(tuple(sign * a for a in col) for col in zip(*adj))

@@ -1,13 +1,12 @@
 """Iterated Nash blowups: resolution trees, characteristic comparison,
 and a randomized termination suite for normal surface singularities."""
 
-import operator
 import random
 from dataclasses import dataclass
 
 from .blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
 from .cones import Cone
-from .linalg import cross2, mat_mul, mat_vec, validate_characteristic
+from .linalg import cross2, integer, mat_mul, mat_vec, validate_characteristic
 from .semigroups import AffineSemigroup, LatticePairing
 
 SMOOTH_LEAF = "smooth-leaf"
@@ -84,11 +83,12 @@ def resolve(
     A Nash blowup commutes with GL(d, Z), so each lattice class of nodes
     is blown up once per call (`_Classes`). A node S that is g·R for a
     class's representative R is expanded with R's charts mapped by g,
-    re-sorted by vertex, each converting its cone only when it is read
-    (`AffineSemigroup.image`). The smooth and stall tests read only
-    minimal generators, which an image maps from R's chart, so a mapped
-    node converts no cone. The minimal generators determine a semigroup
-    and its charts, so this serves both chart kinds in every dimension.
+    re-sorted by vertex: each is its chart's minimal generators mapped by g,
+    with no cone (`AffineSemigroup.image`). The smooth and stall tests read
+    only minimal generators, and a mapped node is expanded from its class
+    link, so none converts its cone. The minimal generators determine a
+    semigroup and its charts, so this serves both chart kinds in every
+    dimension.
     """
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
@@ -163,14 +163,8 @@ class _Classes:
         )
 
 
-def _integer(value, name) -> int:
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, not a bool")
-    return operator.index(value)
-
-
 def _check_max_depth(max_depth) -> int:
-    max_depth = _integer(max_depth, "max_depth")
+    max_depth = integer(max_depth, "max_depth")
     if not 1 <= max_depth <= MAX_DEPTH:
         raise ValueError(f"max_depth must be between 1 and {MAX_DEPTH}")
     return max_depth
@@ -262,11 +256,11 @@ def surface_termination_suite(
     chars = tuple(validate_characteristic(c) for c in characteristics)
     if not chars:
         raise ValueError("characteristics must name at least one characteristic")
-    seed = _integer(seed, "seed")
-    count = _integer(count, "count")
+    seed = integer(seed, "seed")
+    count = integer(count, "count")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    entry_bound = _integer(entry_bound, "entry_bound")
+    entry_bound = integer(entry_bound, "entry_bound")
     # below 2 the only ray is (1, 1), and two rays are never independent
     if entry_bound < 2:
         raise ValueError("entry bound must be at least 2")

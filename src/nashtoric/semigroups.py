@@ -4,10 +4,11 @@ Every semigroup meets the two standing hypotheses: the cone spanned by the
 generators is pointed, and the generators span all of Z^d as a group.
 `__init__` and `in_cone` check both (`_checked`); `from_cone` (the lattice
 points of a pointed full-dimensional cone) and `image` (a GL(d, Z) image)
-hold them by construction. An image converts its cone when `cone` is first
-read. Everything downstream (membership, minimal generators, saturation,
-smoothness) is exact and reads a semigroup through its minimal
-generators. Membership in a semigroup that is not known to be saturated is
+hold them by construction. An image is its mapped minimal generators and
+no cone: a semigroup built without one converts its generators' cone
+(`Cone.from_rays`) when `cone` is first read. Everything downstream
+(membership, minimal generators, saturation, smoothness) is exact and
+reads a semigroup through its minimal generators. Membership in a semigroup that is not known to be saturated is
 one depth-first search, `AffineSemigroup._generated`, in the basis
 coordinates of the first d independent generators in grading order, which
 are minimal.
@@ -25,6 +26,7 @@ from .linalg import (
     group_is_full_lattice,
     images,
     independent_rows,
+    integer,
     vec,
     vsub,
 )
@@ -65,7 +67,6 @@ class AffineSemigroup:
         "dim",
         "generators",
         "_cone",
-        "_image_of",
         "_minimal",
         "_saturated",
         "_member_cache",
@@ -73,7 +74,7 @@ class AffineSemigroup:
     )
 
     def __init__(self, dim, generators):
-        dim = operator.index(dim)
+        dim = integer(dim, "dimension")
         if dim < 1:
             raise DimensionError("dimension must be positive")
         gens = _nonzero_sorted(generators, dim)
@@ -104,7 +105,6 @@ class AffineSemigroup:
         self.dim = dim
         self.generators = generators
         self._cone = cone
-        self._image_of = None
         self._minimal = minimal
         self._saturated = saturated
         self._member_cache = {(0,) * dim: True}
@@ -119,10 +119,9 @@ class AffineSemigroup:
 
     @property
     def cone(self) -> Cone:
+        """The generators' cone, converted on first read if built without one."""
         if self._cone is None:
-            base, g = self._image_of
-            self._cone = base.image(g)
-            self._image_of = None
+            self._cone = Cone.from_rays(self.generators, self.dim)
         return self._cone
 
     def membership(self, x) -> bool:
@@ -223,26 +222,22 @@ class AffineSemigroup:
         return False
 
     def image(self, g) -> "AffineSemigroup":
-        """The semigroup g·S for g in GL(d, Z) (rows), without a conversion.
-
-        g keeps the standing hypotheses, saturation and minimality, so the
-        image is generated by S's minimal generators mapped by g, re-sorted,
-        one tuple that is both its generators and its minimal generators,
-        and the saturation flag stays.
-        The image's cone, rays by g and normals by g^-T (`Cone.image` of
-        S's cone), is made when its `cone` is first read, but every check
-        of that conversion runs here: the cone is pointed and
-        full-dimensional, and g has d rows and is unimodular, or this
-        raises as `Cone.image` would.
-        """
-        cone = self.cone
-        cone.image_dual(g)
+        """g·S for g in GL(d, Z) (rows): S's minimal generators mapped by g,
+        both its generators and its minimal generators, with S's saturation
+        flag and no cone. g needs d rows of integers and determinant ±1."""
+        g = tuple(map(vec, g))
+        if len(g) != self.dim:
+            raise DimensionError(f"map has {len(g)} rows, expected {self.dim}")
+        try:
+            det_g = adjugate(g)[1]
+        except DimensionError:
+            det_g = 0
+        if det_g not in (1, -1):
+            raise ValueError("a unimodular map needs determinant ±1")
         gens = images(g, self.minimal_generators())
-        T = AffineSemigroup.__new__(AffineSemigroup)._set(
+        return AffineSemigroup.__new__(AffineSemigroup)._set(
             self.dim, gens, None, gens, self._saturated
         )
-        T._image_of = cone, g
-        return T
 
     def saturate(self) -> "AffineSemigroup":
         if self._saturated is True:

@@ -4,6 +4,21 @@ from nashtoric import AffineSemigroup, Cone
 
 
 @pytest.fixture
+def cone_conversions(monkeypatch):
+    """A one-item list counting the semigroups that convert their cone on
+    first read: those built without one, the images."""
+    count = [0]
+    read = AffineSemigroup.cone.fget
+
+    def cone(S):
+        count[0] += S._cone is None
+        return read(S)
+
+    monkeypatch.setattr(AffineSemigroup, "cone", property(cone))
+    return count
+
+
+@pytest.fixture
 def threefold():
     """Non-normal threefold whose char-2 ideal loses an exponent."""
     return AffineSemigroup.from_cone(

@@ -409,6 +409,20 @@ def brute_force_hilbert(rays, halfspaces, dim, volume_limit=None):
     return sorted(irr)
 
 
+def random_saturated_surface(rng, bound=20):
+    """The saturated semigroup of the cone on two independent rays with
+    entries in [-bound, bound]."""
+    from nashtoric.cones import Cone
+    from nashtoric.semigroups import AffineSemigroup
+
+    while True:
+        a = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        b = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if a[0] * b[1] - a[1] * b[0] == 0:
+            continue
+        return AffineSemigroup.from_cone(Cone.from_rays((a, b), 2))
+
+
 def random_unsaturated_generators(rng, dim):
     """Generators in the positive orthant, some of them sums of others,
     under a random unimodular map; redrawn until the gcd of their maximal

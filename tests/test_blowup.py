@@ -24,6 +24,7 @@ from nashtoric.semigroups import AffineSemigroup, LatticePairing
 from oracles import (
     log_jacobian_by_kernel,
     log_jacobian_reference,
+    random_saturated_surface,
     random_unsaturated_generators,
     surface_blowup,
 )
@@ -39,15 +40,6 @@ SATURATED_GENS = {
     (3, 2, 3): {(1, 0, 0), (-1, 1, 0), (0, 0, -1), (-1, 0, -2), (1, 1, 2), (0, 1, 1)},
     (2, 3, 3): {(1, -1, 0), (0, 1, 0), (0, 0, -1), (0, -1, -2), (1, 1, 2), (1, 0, 1)},
 }
-
-
-def random_saturated_surface(rng, bound=20):
-    while True:
-        a = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        b = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if a[0] * b[1] - a[1] * b[0] == 0:
-            continue
-        return AffineSemigroup.from_cone(Cone.from_rays((a, b), 2))
 
 
 def test_numerical_semigroup_ideal(cusp):

@@ -86,6 +86,14 @@ def test_from_rays_dimension_checks():
         Cone.from_rays((), None)
 
 
+def test_dimension_is_an_integer():
+    # a dimension follows the integer rule of max_depth and seed
+    with pytest.raises(TypeError):
+        Cone.from_rays([(1, 0, 0), (0, 1, 0)], 3.0)
+    with pytest.raises(TypeError):
+        Cone.from_halfspaces([(1, 0), (0, 1)], True)
+
+
 def test_dual_fixed():
     c = Cone.from_rays(((1, 0), (1, 2)), 2)
     assert c.dual().rays == ((0, 1), (2, -1))

@@ -3,8 +3,8 @@
 A unimodular g maps every d-subset determinant to ± itself, so the same
 subsets stay admissible mod p; the ideal exponents, the Newton vertices,
 the charts and whole resolution trees must map by g. `resolve` relies on
-this to blow up each lattice class once, so its images of cones and
-semigroups, its class matcher and its trees are checked here too.
+this to blow up each lattice class once, so its images of semigroups, its
+class matcher and its trees are checked here too.
 """
 
 import random
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron
 from nashtoric.cones import Cone
+from nashtoric.errors import DimensionError
 from nashtoric.io import serialize, tree_payload
 from nashtoric.linalg import dot, group_is_full_lattice, identity
 from nashtoric.resolve import resolve
@@ -132,7 +133,7 @@ def test_images_equal_fresh_construction(case, data):
     fresh = AffineSemigroup.from_cone(Cone.from_rays(_mapped(g, S.cone.rays), dim))
     assert saturated.image(g) == fresh
     assert saturated.image(g).minimal_generators() == fresh.minimal_generators()
-    assert S.cone.image(g).halfspaces == fresh.cone.halfspaces
+    assert S.image(g).cone == fresh.cone
 
 
 def test_images_need_a_unimodular_map():
@@ -140,7 +141,16 @@ def test_images_need_a_unimodular_map():
     with pytest.raises(ValueError):
         S.image(((2, 0), (0, 1)))
     with pytest.raises(ValueError):
-        S.cone.image(((1, 1), (1, 1)))
+        S.image(((1, 1), (1, 1)))
+    with pytest.raises(DimensionError):
+        S.image(((1, 0),))
+
+
+def test_images_need_an_integer_map():
+    # det 1 but not integral: it would take (1, 0) to (0.5, 0)
+    S = AffineSemigroup.from_cone(Cone.from_rays([(1, 0), (1, 3)], 2))
+    with pytest.raises(TypeError):
+        S.image(((0.5, 0), (0, 2)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -3,7 +3,8 @@
 `perfbench/` looks library functions up by name: `tracing.TARGETS` and
 `linalg.det` are rebound on the modules of `pipeline.library()`, and
 `pipeline.solve` follows the CLI's `blowup` and `resolve` commands. A name
-the package drops would otherwise fail only in a traced run. The three
+the package drops would otherwise fail only in a traced run, and an image
+that converts its cone on the timed path would only show as time. The three
 harness files are loaded by path, as they are, under private module names.
 """
 
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from nashtoric.cli import main
+from nashtoric.semigroups import AffineSemigroup
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -99,3 +101,24 @@ def test_solve_follows_the_cli_and_passes_its_checks(command, fields, code, tmp_
     path.write_text(document)
     assert main([command, str(path)]) == code
     assert capsys.readouterr().out == text + "\n"
+
+
+def test_no_image_converts_its_cone_while_solve_runs(monkeypatch, cone_conversions):
+    # resolve expands a node g·R from R's class, so the images it makes are
+    # read through their minimal generators only; one that read its cone
+    # would pay a conversion per node
+    made = [0]
+    image = AffineSemigroup.image
+
+    def counted(S, g):
+        made[0] += 1
+        return image(S, g)
+
+    monkeypatch.setattr(AffineSemigroup, "image", counted)
+    lib = pipeline.library()
+    for name, groups in (("surfaces", 20), ("threefolds", 4), ("unnormalized", 20)):
+        made[0] = 0
+        for problem in workloads.corpus(workloads.WORKLOADS[name], 0, groups):
+            pipeline.solve(lib, problem)
+        assert made[0] > 0, name
+        assert cone_conversions == [0], name

@@ -284,13 +284,13 @@ def test_unnormalized_exchanges_run_once_per_chart_built(cusp, monkeypatch):
     assert min(unwalked.values()) >= 5, unwalked
 
 
-def test_unnormalized_stall_test_reads_no_basis_and_no_cone(monkeypatch):
+def test_unnormalized_stall_test_reads_no_basis_and_no_cone(monkeypatch, cone_conversions):
     # dual (15,14),(12,18), p = 0, to depth 6: 153 nodes and 32 blowups.
     # Reading a stall off the start basis's exchanges took 186 exchanges,
     # 141 membership searches and 69 image cone conversions, for nodes
     # that stall, sit at the cap or are expanded from their class
     module = sys.modules[resolve.__module__]
-    calls = {"blowup": 0, "exchanges": 0, "membership": 0, "image": 0}
+    calls = {"blowup": 0, "exchanges": 0, "membership": 0}
 
     def counter(name, f):
         def counted(*args, **kwargs):
@@ -304,10 +304,10 @@ def test_unnormalized_stall_test_reads_no_basis_and_no_cone(monkeypatch):
     monkeypatch.setattr(
         AffineSemigroup, "membership", counter("membership", AffineSemigroup.membership)
     )
-    monkeypatch.setattr(Cone, "image", counter("image", Cone.image))
     tree = resolve(_dual_root((15, 14), (12, 18)), 0, normalize=False, max_depth=6)
     assert len(list(tree.nodes())) == 153
-    assert calls == {"blowup": 32, "exchanges": 77, "membership": 0, "image": 0}
+    assert calls == {"blowup": 32, "exchanges": 77, "membership": 0}
+    assert cone_conversions == [0]
 
 
 def test_unnormalized_threefold_matches_the_plain_recursion():
@@ -532,12 +532,12 @@ def test_class_links_give_the_plain_recursion(a, b):
         assert resolve(S, p).shape() == resolve_reference(S, p).shape(), p
 
 
-def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch):
+def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch, cone_conversions):
     # 71 nodes in 11 classes: only the root and the charts of a blowup
     # are keyed, and no mapped chart reads its cone; keying every
     # expanded node took 27 keys, 16 matches and 38 chart cone images
     module = sys.modules[resolve.__module__]
-    calls = {"blowup": 0, "key": 0, "match": 0, "image": 0}
+    calls = {"blowup": 0, "key": 0, "match": 0}
 
     def counter(name, f):
         def counted(*args, **kwargs):
@@ -549,12 +549,12 @@ def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch):
     monkeypatch.setattr(module, "nash_blowup", counter("blowup", nash_blowup))
     monkeypatch.setattr(module, "LatticePairing", counter("key", LatticePairing))
     monkeypatch.setattr(LatticePairing, "map_to", counter("match", LatticePairing.map_to))
-    monkeypatch.setattr(Cone, "image", counter("image", Cone.image))
     tree = resolve(_dual_root((33, 16), (16, 49)), 5)
     nodes = list(tree.nodes())
     assert len(nodes) == 71
     assert sum(node.status == EXPANDED for node in nodes) == 27
-    assert calls == {"blowup": 11, "key": 19, "match": 8, "image": 0}
+    assert calls == {"blowup": 11, "key": 19, "match": 8}
+    assert cone_conversions == [0]
 
 
 def _dual_1224():

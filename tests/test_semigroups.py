@@ -25,18 +25,10 @@ from oracles import (
     brute_force_minimal_generators,
     generator_sums,
     permutation_det,
+    random_saturated_surface,
     random_unsaturated_generators,
     surface_profile,
 )
-
-
-def random_saturated_surface(rng, bound=20):
-    while True:
-        a = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        b = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if a[0] * b[1] - a[1] * b[0] == 0:
-            continue
-        return AffineSemigroup.from_cone(Cone.from_rays((a, b), 2))
 
 
 def test_construction_validates():
@@ -52,6 +44,9 @@ def test_construction_validates():
         AffineSemigroup(2, [(1, 0, 0)])
     with pytest.raises(DimensionError):
         AffineSemigroup(0, [])
+    # a dimension follows the integer rule of max_depth and seed
+    with pytest.raises(TypeError):
+        AffineSemigroup(True, [(2,), (3,)])
 
 
 def test_in_cone_checks_what_construction_checks():
