@@ -1,20 +1,17 @@
-"""Rational polyhedral cones with synchronized V- and H-descriptions.
+"""Pointed full-dimensional rational cones, as the paper's σ and σ̌.
 
-A Cone stores primitive generator rays and primitive inward facet normals.
-For pointed cones the rays are exactly the extreme rays; for cones with
-lineality the stored generators are +-pairs of the Hermite basis of the
-lineality lattice plus the extreme rays of the pointed part, the cone
-intersected with the span of its facet normals. Both depend only on the
-cone, so each cone has one description and `==` is exact. Halfspace lists
-follow the same convention on the dual side, so `halfspaces` always
-generates the dual cone and `contains` is a plain sign check in every case.
+A Cone stores its sorted primitive extreme rays and sorted primitive inward
+facet normals. Both depend only on the cone, so `==` is exact, and the
+normals are the extreme rays of the dual cone, which `dual` makes by
+swapping the two lists. `Cone.from_rays` builds no other cone: inputs that
+span a cone containing a line raise NotPointedError, and otherwise inputs
+of rank < d raise NotFullDimensionalError.
 
 `Cone.from_rays` makes one double-description pass for every cone: the
 facets come out of it with the inputs on each, the extreme rays are the
-inputs with maximal facet sets, projected onto the span of the facet
-normals, and no second conversion runs.
+inputs with maximal facet sets, and no second conversion runs.
 
-Pointed full-dimensional 2D cones take their own paths: one cross-product
+2D cones take their own paths: one cross-product
 scan for the two extreme rays instead of a conversion, and the
 Hirzebruch-Jung chain as the Hilbert basis instead of parallelepiped points.
 The scan reads the nonzero inputs as given, before any of them is made
@@ -135,19 +132,16 @@ def _kernel_lattice(normals, dim):
     return tuple(zip(*kernel_basis(normals)))
 
 
-def _extreme_inputs(inputs, facets, halfspaces, dim):
-    """(lines, rays) of cone(inputs): the Hermite basis of its lineality
-    lattice and the extreme rays of its pointed part, read off its facets,
-    (normal, mask) pairs with bit i of mask set when inputs[i] lies on the
-    facet, and its halfspaces.
+def _extreme_inputs(inputs, facets):
+    """The extreme rays of cone(inputs), read off its facets relative to
+    its span, (normal, mask) pairs with bit i of mask set when inputs[i]
+    lies on the facet.
 
     The face an input generates is cut out by the facets through it. The
-    lineality space is the least face, generated by the inputs in it, so it
-    is 0 unless some input lies on every facet, and only then is the kernel
-    of the halfspaces computed. An input whose set of facets is maximal
-    among the others lies on an extreme ray modulo the lines; projected
-    orthogonally onto the span of the facet normals, the complement of the
-    lines, and made primitive, it is that ray.
+    lineality space is the least face, generated by the inputs in it, so
+    an input on every facet lies on a line of the cone: NotPointedError.
+    Otherwise an input whose set of facets is maximal among the others
+    spans an extreme ray.
     """
     on = [0] * len(inputs)
     inputs_mask = (1 << len(inputs)) - 1
@@ -157,35 +151,14 @@ def _extreme_inputs(inputs, facets, halfspaces, dim):
             low = z & -z
             on[low.bit_length() - 1] |= 1 << j
             z ^= low
-    everything = (1 << len(facets)) - 1
+    if (1 << len(facets)) - 1 in on:
+        raise NotPointedError("cone contains a line")
     maximal = []
-    for f in sorted(set(on) - {everything}, key=int.bit_count, reverse=True):
+    for f in sorted(set(on), key=int.bit_count, reverse=True):
         if all(f & m != f for m in maximal):
             maximal.append(f)
     maximal = set(maximal)
-    extreme = [r for r, f in zip(inputs, on) if f in maximal]
-    if everything not in on:
-        return (), extreme
-    lines = _kernel_lattice(halfspaces, dim)
-    # with Gram matrix G of the lines, det(G)*x - lines^T adj(G) (lines x)
-    # is det(G) > 0 times the projection of x
-    gram = tuple(tuple(dot(a, b) for b in lines) for a in lines)
-    adj, det_gram = adjugate(gram)
-    columns = tuple(zip(*lines))
-    out = []
-    for r in extreme:
-        c = mat_vec(adj, mat_vec(lines, r))
-        x = tuple(det_gram * a - dot(col, c) for a, col in zip(r, columns))
-        out.append(primitive(x))
-    return lines, out
-
-
-def _with_line_pairs(lines, rays):
-    out = set(rays)
-    for line in lines:
-        out.add(line)
-        out.add(vneg(line))
-    return tuple(sorted(out))
+    return tuple(r for r, f in zip(inputs, on) if f in maximal)
 
 
 def _hirzebruch_jung(u1, u2):
@@ -215,24 +188,24 @@ def _hirzebruch_jung(u1, u2):
 
 
 class Cone:
-    __slots__ = ("dim", "rays", "halfspaces", "pointed", "full_dim")
+    __slots__ = ("dim", "rays", "halfspaces")
 
-    def __init__(self, dim, rays, halfspaces, pointed, full_dim):
+    def __init__(self, dim, rays, halfspaces):
         self.dim = dim
         self.rays = rays
         self.halfspaces = halfspaces
-        self.pointed = pointed
-        self.full_dim = full_dim
 
     @classmethod
     def from_rays(cls, rays, dim=None):
-        """The cone the rays generate, by one double-description pass.
+        """The cone the rays generate, by one double-description pass, if
+        it is pointed and full-dimensional.
 
-        The facet normals are the extreme rays of the dual cone's pointed
-        part, each with the inputs on it. The lines are the Hermite basis
-        of the normals' kernel, and the extreme rays are the inputs whose
-        facet sets are maximal under inclusion, projected onto the span of
-        the facet normals and made primitive.
+        The facet normals are the extreme rays of the dual cone, each with
+        the inputs on it, and the extreme rays are the inputs whose facet
+        sets are maximal under inclusion. Inputs of rank < d convert the
+        dual cone cut down to their span by its ± lines, so that a line
+        in their cone is reported first (`_extreme_inputs`), and otherwise
+        raise NotFullDimensionalError.
 
         Exactly d independent primitive inputs (after the 2D scan) stop at
         the pass's seed: one adjugate gives the facets, and the inputs are
@@ -268,10 +241,10 @@ class Cone:
             tuple(norm) + dual_lines + tuple(map(vneg, dual_lines)),
             basis + tuple(range(n, n + len(dual_lines))),
         )
-        halfspaces = _with_line_pairs(dual_lines, [h for h, _ in facets])
-        lines, rays = _extreme_inputs(norm, facets, halfspaces, dim)
-        rays = _with_line_pairs(lines, rays)
-        return cls(dim, rays, halfspaces, not lines, not dual_lines)
+        rays = _extreme_inputs(norm, facets)
+        if dual_lines:
+            raise NotFullDimensionalError("cone is not full-dimensional")
+        return cls(dim, rays, tuple(h for h, _ in facets))
 
     @classmethod
     def _from_rays_simplicial(cls, norm):
@@ -285,11 +258,11 @@ class Cone:
             facets = _simplicial_facets(norm)
         except DimensionError:
             return None
-        return cls(len(norm), tuple(norm), tuple(sorted(facets)), True, True)
+        return cls(len(norm), tuple(norm), tuple(sorted(facets)))
 
     @classmethod
     def _from_rays_2d(cls, rays):
-        """Pointed full-dimensional 2D cones without any conversion.
+        """2D cones without any conversion.
 
         One scan over the nonzero inputs, as given, keeps the most clockwise
         ray lo and the most counterclockwise ray hi. The cone is pointed and
@@ -311,12 +284,20 @@ class Cone:
         lo = primitive(lo)
         hi = primitive(hi)
         halfspaces = tuple(sorted(((-lo[1], lo[0]), (hi[1], -hi[0]))))
-        return cls(2, tuple(sorted((lo, hi))), halfspaces, True, True)
+        return cls(2, tuple(sorted((lo, hi))), halfspaces)
 
     @classmethod
     def from_halfspaces(cls, normals, dim=None):
-        # canonicalize the normal set as generators of the dual cone
-        return cls.from_rays(normals, dim).dual()
+        """The cone {x : <n, x> >= 0} the normals cut out, the dual of the
+        cone they generate. Normals whose cone has a line cut out a cone
+        that is not full-dimensional, and normals of rank < d one with a
+        line; the line in the normals' cone is reported first."""
+        try:
+            return cls.from_rays(normals, dim).dual()
+        except NotPointedError:
+            raise NotFullDimensionalError("halfspaces cut out a lower-dimensional cone") from None
+        except NotFullDimensionalError:
+            raise NotPointedError("halfspaces cut out a cone containing a line") from None
 
     def contains(self, point) -> bool:
         for n in self.halfspaces:
@@ -325,8 +306,8 @@ class Cone:
         return True
 
     def dual(self):
-        # both lists follow one convention, so dualizing swaps them
-        return Cone(self.dim, self.halfspaces, self.rays, self.full_dim, self.pointed)
+        # the facet normals are the dual's extreme rays, and the reverse
+        return Cone(self.dim, self.halfspaces, self.rays)
 
     def __eq__(self, other):
         return (
@@ -346,7 +327,7 @@ class Cone:
 def _simplicial_pieces(rays, halfspaces):
     """Placing triangulation anchored at the lexicographically smallest ray.
 
-    rays are the extreme rays of a face of a pointed cone whose facet
+    rays are the extreme rays of a face of a cone whose facet
     normals are halfspaces. A facet of the face is its set of rays on some
     normal's hyperplane that has rank one less. Each output tuple spans a
     simplicial cone; the union is the whole face with pairwise disjoint
@@ -373,10 +354,6 @@ def _simplicial_pieces(rays, halfspaces):
 
 
 def triangulate(cone: Cone):
-    if not cone.pointed:
-        raise NotPointedError("triangulation needs a pointed cone")
-    if not cone.full_dim:
-        raise NotFullDimensionalError("triangulation needs a full-dimensional cone")
     return tuple(
         Cone.from_rays(piece, cone.dim)
         for piece in _simplicial_pieces(cone.rays, cone.halfspaces)
@@ -424,23 +401,19 @@ class HilbertBasis:
 
 
 def hilbert_basis(cone: Cone) -> HilbertBasis:
-    """Unique minimal generating set of cone ∩ Z^d for a pointed cone.
+    """Unique minimal generating set of cone ∩ Z^d.
 
     In dimension 2 it is the Hirzebruch-Jung chain between the two rays; in
     higher dimensions `irreducible` reduces the rays and the parallelepiped
     points of a triangulation, which a simplicial cone is of itself.
     """
-    if not cone.pointed:
-        raise NotPointedError("Hilbert basis needs a pointed cone")
-    if not cone.full_dim:
-        raise NotFullDimensionalError("Hilbert basis needs a full-dimensional cone")
     if cone.dim == 2:
         return HilbertBasis(cone, _hirzebruch_jung(*cone.rays))
     return HilbertBasis(cone, _hilbert_basis_by_pieces(cone))
 
 
 def _hilbert_basis_by_pieces(cone: Cone):
-    """Sorted Hilbert basis of a pointed full-dimensional cone of any dimension.
+    """Sorted Hilbert basis of a cone of any dimension.
 
     The rays and the nonzero parallelepiped points of every simplicial piece
     generate cone ∩ Z^d; the irreducible ones are the basis. A simplicial
@@ -519,13 +492,12 @@ def polyhedron_vertices_and_facets(points, cone: Cone):
     """(vertices, facets) of P = conv(points) + cone, both sorted.
 
     One conversion answers both: the homogenized cone generated by (1, p)
-    for the points and (0, r) for the recession rays has the extreme rays
-    (1, v) exactly at the vertices v, and its halfspaces are the normals
-    (h0, h) with h0 + <h, x> >= 0 cutting out P (± pairs when P is not
-    full-dimensional, and (1, 0) when the far face x0 = 0 is a facet).
-    The tangent cone of P at v is cut out by the h with h0 + <h, v> = 0.
-    A recession cone with a line leaves P without vertices; no points leave
-    it empty, with neither.
+    for the points and (0, r) for the recession rays is pointed and
+    full-dimensional with the recession cone. Its extreme rays are (1, v)
+    exactly at the vertices v, and its halfspaces are the normals (h0, h)
+    with h0 + <h, x> >= 0 cutting out P, among them (1, 0) for the far
+    face x0 = 0. The tangent cone of P at v is cut out by the h with
+    h0 + <h, v> = 0. No points leave P empty, with neither.
     """
     pts = sorted({vec(p) for p in points})
     for p in pts:
@@ -535,8 +507,7 @@ def polyhedron_vertices_and_facets(points, cone: Cone):
         return (), ()
     lifted = [(1,) + p for p in pts] + [(0,) + r for r in cone.rays]
     hom = Cone.from_rays(lifted, cone.dim + 1)
-    vertices = sorted(r[1:] for r in hom.rays if r[0] > 0) if cone.pointed else ()
-    return tuple(vertices), hom.halfspaces
+    return tuple(sorted(r[1:] for r in hom.rays if r[0] > 0)), hom.halfspaces
 
 
 def polyhedron_vertices(points, cone: Cone):

@@ -54,11 +54,12 @@ class ProblemSpec:
             field, rays = "dual_cone_rays", self.dual_cone_rays
         else:
             field, rays = "cone_rays", self.cone_rays
-        cone = Cone.from_rays(rays, self.dimension)
-        if not cone.pointed:
-            raise NotPointedError(f"{field} must span a pointed cone")
-        if not cone.full_dim:
-            raise NotFullDimensionalError(f"{field} must span a full-dimensional cone")
+        try:
+            cone = Cone.from_rays(rays, self.dimension)
+        except NotPointedError:
+            raise NotPointedError(f"{field} must span a pointed cone") from None
+        except NotFullDimensionalError:
+            raise NotFullDimensionalError(f"{field} must span a full-dimensional cone") from None
         if field == "cone_rays":
             cone = cone.dual()
         return AffineSemigroup.from_cone(cone)

@@ -1,20 +1,22 @@
 """Exact rational feasibility as one cone conversion.
 
 A constraint is a pair (direction, bound) meaning <direction, x> >= bound;
-directions may mix ints and Fractions. The system is feasible exactly when
-its homogenized cone {(x, t) : <a, x> - b t >= 0, t >= 0} has a point with
-t > 0 (Schrijver, Theory of Linear and Integer Programming, 1986, ch. 7).
-The cone is generated by its rays, so then one of them has t > 0, and x / t
-is an exact witness. Each constraint becomes the integer normal s (a, -b),
-s the lcm of its denominators, and `Cone.from_halfspaces` converts them.
+directions may mix ints and Fractions. Written x = u - w with u, w >= 0,
+the system is feasible exactly when the pointed cone {(u, w, t) >= 0 :
+<a, u - w> - b t >= 0} has a point with t > 0 (Schrijver, Theory of Linear
+and Integer Programming, 1986, ch. 7). The cone is generated by its
+extreme rays, so then one of them has t > 0, and (u - w) / t is an exact
+witness. Each constraint becomes the integer normal s (a, -a, -b), s the
+lcm of its denominators, and one double-description pass seeded by the
+2n + 1 unit normals finds the rays.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .cones import Cone
+from .cones import _pointed_extreme_rays
 from .errors import DimensionError
-from .linalg import dot
+from .linalg import dot, identity, vneg
 
 
 def rational_feasible(constraints, dim: int):
@@ -33,10 +35,11 @@ def rational_feasible(constraints, dim: int):
         entries = [Fraction(x) for x in direction] + [-Fraction(bound)]
         s = lcm(*(f.denominator for f in entries))
         rows.append(tuple(int(f * s) for f in entries))
-    rows.append((0,) * dim + (1,))
-    for *x, t in Cone.from_halfspaces(rows, dim + 1).rays:
-        if t > 0:
-            witness = tuple(Fraction(a, t) for a in x)
+    n = 2 * dim + 1
+    normals = identity(n) + tuple(r[:dim] + vneg(r[:dim]) + r[dim:] for r in rows)
+    for ray, _ in _pointed_extreme_rays(normals, tuple(range(n))):
+        if ray[-1] > 0:
+            witness = tuple(Fraction(u - w, ray[-1]) for u, w in zip(ray[:dim], ray[dim:-1]))
             for row in rows:
                 if dot(row, witness + (1,)) < 0:
                     raise RuntimeError(f"cone witness violates constraint {row} >= 0")

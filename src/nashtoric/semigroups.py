@@ -2,8 +2,9 @@
 
 Every semigroup meets the two standing hypotheses: the cone spanned by the
 generators is pointed, and the generators span all of Z^d as a group.
-`__init__` and `in_cone` check both (`_checked`); `from_cone` (the lattice
-points of a pointed full-dimensional cone) and `image` (a GL(d, Z) image)
+`__init__` converts the generators' cone, which rejects a line, and it and
+`in_cone`, given the cone by its caller, check the group (`_checked`);
+`from_cone` (the lattice points of a cone) and `image` (a GL(d, Z) image)
 hold them by construction. An image is its mapped minimal generators and
 no cone: a semigroup built without one converts its generators' cone
 (`Cone.from_rays`) when `cone` is first read. Everything downstream
@@ -17,7 +18,7 @@ are minimal.
 import operator
 from collections import Counter
 
-from .errors import DimensionError, NotFullLatticeError, NotPointedError
+from .errors import DimensionError, NotFullDimensionalError, NotFullLatticeError, NotPointedError
 from .cones import Cone, hilbert_basis, irreducible
 from .linalg import (
     adjugate,
@@ -30,6 +31,9 @@ from .linalg import (
     vec,
     vsub,
 )
+
+
+_NOT_FULL_LATTICE = "generators do not span Z^d as a group"
 
 
 def _frame(points):
@@ -78,7 +82,13 @@ class AffineSemigroup:
         if dim < 1:
             raise DimensionError("dimension must be positive")
         gens = _nonzero_sorted(generators, dim)
-        self._checked(gens, Cone.from_rays(gens, dim), gens)
+        try:
+            cone = Cone.from_rays(gens, dim)
+        except NotPointedError:
+            raise NotPointedError("generators span a cone containing a line") from None
+        except NotFullDimensionalError:
+            raise NotFullLatticeError(_NOT_FULL_LATTICE) from None
+        self._checked(gens, cone, gens)
 
     @classmethod
     def in_cone(cls, cone: Cone, generators) -> "AffineSemigroup":
@@ -93,12 +103,9 @@ class AffineSemigroup:
         return cls.__new__(cls)._checked(gens, cone, generators)
 
     def _checked(self, gens, cone, order):
-        """Check the standing hypotheses; the group check reads order, gens
-        as the caller listed them."""
-        if not cone.pointed:
-            raise NotPointedError("generators span a cone containing a line")
+        """Check the group; it reads order, gens as the caller listed them."""
         if not group_is_full_lattice(order, cone.dim):
-            raise NotFullLatticeError("generators do not span Z^d as a group")
+            raise NotFullLatticeError(_NOT_FULL_LATTICE)
         return self._set(cone.dim, gens, cone, None, None)
 
     def _set(self, dim, generators, cone, minimal, saturated):

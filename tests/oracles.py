@@ -214,13 +214,9 @@ def cone_bruteforce(rays, dim):
 def interior_point(cone):
     """Integer point strictly inside every facet halfspace: the ray sum.
 
-    Every stored normal is nonzero and >= 0 on every stored ray, line pairs
-    cancel, and the rays span Q^d, so each normal is > 0 on the sum.
+    Every stored normal is nonzero and >= 0 on every stored ray, and the
+    rays span Q^d, so each normal is > 0 on the sum.
     """
-    from nashtoric.errors import NotFullDimensionalError
-
-    if not cone.full_dim:
-        raise NotFullDimensionalError("interior point needs a full-dimensional cone")
     w = tuple(map(sum, zip(*cone.rays)))
     if not all(sum(a * b for a, b in zip(n, w)) > 0 for n in cone.halfspaces):
         raise RuntimeError("full-dimensional cone has no interior point")

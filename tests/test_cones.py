@@ -27,6 +27,7 @@ from nashtoric.linalg import (
     independent_rows,
     primitive,
     rank,
+    vneg,
     vsub,
 )
 from nashtoric.semigroups import AffineSemigroup
@@ -46,23 +47,40 @@ from oracles import (
 )
 
 
-def random_cone(rng, dim, bound=6, extra=2):
-    """Random cone from dim..dim+extra rays; may be lower-dim or non-pointed."""
+def random_pointed_cone(rng, dim, bound=6, extra=2):
+    """The cone of dim..dim+extra random rays, redrawn until they span a
+    pointed full-dimensional cone."""
     while True:
         k = rng.randint(dim, dim + extra)
         rays = [
             tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(k)
         ]
         rays = [r for r in rays if any(r)]
-        if rays:
+        try:
             return Cone.from_rays(rays, dim)
+        except (NotPointedError, NotFullDimensionalError):
+            continue
 
 
-def random_pointed_cone(rng, dim, bound=6, extra=2):
-    while True:
-        cone = random_cone(rng, dim, bound, extra)
-        if cone.pointed and cone.full_dim:
-            return cone
+def _outcome(rays, dim):
+    """The cone the rays generate, or the type of the error they raise."""
+    try:
+        return Cone.from_rays(rays, dim)
+    except (NotPointedError, NotFullDimensionalError) as exc:
+        return type(exc)
+
+
+def _check_against_bruteforce(rays, dim):
+    """Cone.from_rays against the oracle: its two lists, or the error its
+    flags name, a line first. Returns the flags (pointed, full_dim)."""
+    want_rays, want_halfspaces, pointed, full_dim = cone_bruteforce(rays, dim)
+    if pointed and full_dim:
+        c = Cone.from_rays(rays, dim)
+        assert (c.rays, c.halfspaces) == (want_rays, want_halfspaces)
+    else:
+        with pytest.raises(NotFullDimensionalError if pointed else NotPointedError):
+            Cone.from_rays(rays, dim)
+    return pointed, full_dim
 
 
 def _combination(rng, span, dim):
@@ -75,7 +93,6 @@ def test_from_rays_canonicalizes():
     c = Cone.from_rays(((2, 0), (0, 3), (1, 1)), 2)
     # (1,1) is interior, rays are primitivized
     assert c.rays == ((0, 1), (1, 0))
-    assert c.pointed and c.full_dim
     assert c == Cone.from_rays(((0, 1), (1, 0)), 2)
 
 
@@ -101,29 +118,43 @@ def test_dual_fixed():
 
 
 def test_halfplane_is_not_pointed():
-    c = Cone.from_rays(((1, 0), (-1, 0), (0, 1)), 2)
-    assert not c.pointed
-    assert c.full_dim
+    with pytest.raises(NotPointedError, match="line"):
+        Cone.from_rays(((1, 0), (-1, 0), (0, 1)), 2)
+    # the half-plane cut out by one normal has the same line
+    with pytest.raises(NotPointedError):
+        Cone.from_halfspaces(((0, 1),), 2)
 
 
 def test_halfline_is_not_full_dim():
-    c = Cone.from_rays(((2, 4),), 2)
-    assert c.pointed
-    assert not c.full_dim
-    assert c.contains((1, 2)) and not c.contains((1, 3))
+    with pytest.raises(NotFullDimensionalError):
+        Cone.from_rays(((2, 4),), 2)
+    # no inputs, or only zero, span the cone {0}
+    for rays in ((), ((0, 0),), ((0, 0), (0, 0))):
+        with pytest.raises(NotFullDimensionalError):
+            Cone.from_rays(rays, 2)
+    # a line among the normals cuts out a lower-dimensional cone
+    with pytest.raises(NotFullDimensionalError):
+        Cone.from_halfspaces(((1, 0), (-1, 0), (0, 1)), 2)
 
 
 def test_whole_plane():
-    c = Cone.from_rays(((1, 0), (-1, 0), (0, 1), (0, -1)), 2)
-    assert not c.pointed
-    assert c.contains((-5, 7))
+    with pytest.raises(NotPointedError):
+        Cone.from_rays(((1, 0), (-1, 0), (0, 1), (0, -1)), 2)
+    # a line is reported before a missing dimension
+    for rays, dim in (
+        (((1, 0), (-1, 0)), 2),
+        (((1, 0, 0), (-1, 0, 0), (0, 1, 0)), 3),
+        (((1, 2, 0), (2, 4, 0), (-1, -2, 0)), 3),
+    ):
+        with pytest.raises(NotPointedError):
+            Cone.from_rays(rays, dim)
 
 
 def test_halfspaces_are_valid_and_tight():
     rng = random.Random(301)
     for _ in range(150):
         dim = rng.randint(2, 3)
-        c = random_cone(rng, dim)
+        c = random_pointed_cone(rng, dim)
         for h in c.halfspaces:
             for r in c.rays:
                 assert dot(h, r) >= 0
@@ -140,9 +171,10 @@ def test_biduality_random():
 
 
 def test_dual_swaps_the_two_descriptions():
-    # the former dual(): a fresh conversion of the halfspaces
+    # the former dual(): a fresh conversion of the halfspaces; inputs that
+    # raise cut out, as normals, a cone with the other error
     rng = random.Random(303)
-    seen = {"lineality": 0, "lower": 0}
+    seen = {"cone": 0, "lineality": 0, "lower": 0}
     for _ in range(300):
         dim = rng.randint(1, 5)
         span = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
@@ -150,17 +182,24 @@ def test_dual_swaps_the_two_descriptions():
         rays = [_combination(rng, span, dim) for _ in range(rng.randint(1, dim + 3))]
         if rng.random() < 0.3:
             rays.append(tuple(-x for x in rays[0]))
-        c = Cone.from_rays(rays, dim)
+        c = _outcome(rays, dim)
+        if c is NotPointedError:
+            with pytest.raises(NotFullDimensionalError):
+                Cone.from_halfspaces(rays, dim)
+            seen["lineality"] += 1
+            continue
+        if c is NotFullDimensionalError:
+            with pytest.raises(NotPointedError):
+                Cone.from_halfspaces(rays, dim)
+            seen["lower"] += 1
+            continue
         d = c.dual()
-        old = Cone.from_rays(c.halfspaces, dim)
         assert (d.rays, d.halfspaces) == (c.halfspaces, c.rays)
-        assert d == old
-        assert (d.pointed, d.full_dim) == (old.pointed, old.full_dim)
-        assert (d.pointed, d.full_dim) == (c.full_dim, c.pointed)
-        seen["lineality"] += not c.pointed
-        seen["lower"] += not c.full_dim
+        assert d == Cone.from_rays(c.halfspaces, dim)
+        assert d == Cone.from_halfspaces(rays, dim)
         assert d.dual() == c
-    assert seen["lineality"] > 30 and seen["lower"] > 30
+        seen["cone"] += 1
+    assert min(seen.values()) > 30, seen
 
 
 @st.composite
@@ -182,16 +221,19 @@ def _ray_lists(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_ray_lists(), st.data())
 def test_cone_descriptions_are_canonical(case, data):
+    # a cone, or an error, depends on the cone the inputs generate only
     dim, rays = case
-    c = Cone.from_rays(rays, dim)
+    c = _outcome(rays, dim)
     shuffled = data.draw(st.permutations(rays))
-    assert Cone.from_rays(shuffled, dim) == c
+    assert _outcome(shuffled, dim) == c
     extra = data.draw(st.lists(st.sampled_from(rays), max_size=4))
-    assert Cone.from_rays(rays + extra, dim) == c
+    assert _outcome(rays + extra, dim) == c
     n = len(rays)
     scales = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
     scaled = [tuple(s * x for x in r) for s, r in zip(scales, rays)]
-    assert Cone.from_rays(scaled, dim) == c
+    assert _outcome(scaled, dim) == c
+    if not isinstance(c, Cone):
+        return
     assert Cone.from_rays(c.rays, dim) == c
     assert c.dual().dual() == c
     assert Cone.from_halfspaces(c.halfspaces, dim) == c.dual().dual()
@@ -249,40 +291,34 @@ def test_from_rays_matches_bruteforce_conversion():
     ]
     shapes = set()
     for rays, dim in cases:
-        c = Cone.from_rays(rays, dim)
-        assert (c.rays, c.halfspaces, c.pointed, c.full_dim) == cone_bruteforce(rays, dim)
-        shapes.add((dim > 2, c.pointed, c.full_dim))
+        shapes.add((dim > 2,) + _check_against_bruteforce(rays, dim))
     # lineality and lower-dimensional inputs both occur beyond the plane
     assert {(True, False, True), (True, True, False), (True, True, True)} <= shapes
 
 
 def test_from_rays_ignores_added_combinations_of_rays():
     # nonnegative combinations of the rays are no new extreme rays: the
-    # single conversion must drop them by their facet sets, and with
-    # lineality project the kept inputs onto the span of the facet normals
+    # single conversion must drop them by their facet sets, and they
+    # change no error either
     rng = random.Random(317)
-    kinds = {"pointed": 0, "lower-dimensional": 0, "lineality": 0}
+    kinds = {Cone: 0, NotFullDimensionalError: 0, NotPointedError: 0}
     for dim in range(1, 6):
         for _ in range(60):
             rays = _random_ray_set(rng, dim)
-            c = Cone.from_rays(rays, dim)
-            if not c.rays:
+            c = _outcome(rays, dim)
+            gens = c.rays if isinstance(c, Cone) else [r for r in rays if any(r)]
+            if not gens:
                 continue
             extra = []
             for _ in range(rng.randint(1, 4)):
-                picked = rng.sample(c.rays, rng.randint(1, len(c.rays)))
+                picked = rng.sample(gens, rng.randint(1, len(gens)))
                 coeffs = [rng.randint(0, 3) for _ in picked]
                 extra.append(
                     tuple(sum(a * r[i] for a, r in zip(coeffs, picked)) for i in range(dim))
                 )
-            assert Cone.from_rays(rays + extra, dim) == c
-            assert Cone.from_rays(extra + list(c.rays), dim) == c
-            if not c.pointed:
-                kinds["lineality"] += 1
-            elif not c.full_dim:
-                kinds["lower-dimensional"] += 1
-            else:
-                kinds["pointed"] += 1
+            assert _outcome(rays + extra, dim) == c
+            assert _outcome(extra + list(gens), dim) == c
+            kinds[type(c) if isinstance(c, Cone) else c] += 1
     assert min(kinds.values()) >= 60, kinds
 
 
@@ -301,30 +337,25 @@ def test_2d_shortcut_matches_generic_conversion(monkeypatch):
             cases.append((rays, shortcut(norm)))
     # raw lists, which the scan reads before any canonical form, each with
     # the cone from_rays builds while the scan is in place
-    raw_cases = [(kind, raw, Cone.from_rays(raw, 2)) for kind, raw in _raw_2d_lists(rng)]
+    raw_cases = [(kind, raw, _outcome(raw, 2)) for kind, raw in _raw_2d_lists(rng)]
     monkeypatch.setattr(Cone, "_from_rays_2d", classmethod(lambda cls, norm: None))
     seen = {"pointed": 0, "line": 0, "half-plane": 0, "plane": 0}
     for rays, fast in cases:
-        ref = Cone.from_rays(rays, 2)
         if fast is None:
             # with two distinct primitive rays only lineality can decline
-            assert not ref.pointed
-            seen[("plane", "half-plane", "line")[len(ref.halfspaces)]] += 1
+            with pytest.raises(NotPointedError):
+                Cone.from_rays(rays, 2)
+            seen[("plane", "half-plane", "line")[len(cone_bruteforce(rays, 2)[1])]] += 1
         else:
-            assert ref.pointed and ref.full_dim
-            assert fast == ref and fast.pointed and fast.full_dim
+            assert fast == Cone.from_rays(rays, 2)
             seen["pointed"] += 1
     assert min(seen.values()) >= 20, seen
     raw_seen = dict.fromkeys(("multiples", "single", "opposite"), 0)
+    expected = {"multiples": Cone, "single": NotFullDimensionalError, "opposite": NotPointedError}
     for kind, raw, scanned in raw_cases:
-        ref = Cone.from_rays(raw, 2)
+        ref = _outcome(raw, 2)
         assert scanned == ref, (kind, raw)
-        if kind == "multiples":
-            raw_seen[kind] += ref.pointed and ref.full_dim
-        elif kind == "single":
-            raw_seen[kind] += ref.pointed and not ref.full_dim
-        else:
-            raw_seen[kind] += not ref.pointed
+        raw_seen[kind] += (type(ref) if isinstance(ref, Cone) else ref) is expected[kind]
     assert min(raw_seen.values()) >= 100, raw_seen
 
 
@@ -392,7 +423,7 @@ def test_simplicial_exit_matches_general_pass(monkeypatch):
             rays[j] = [rng.randint(2, 3) * x for x in rays[j]]
         rays = [tuple(r) for r in rays]
         fast = Cone.from_rays(rays, dim)
-        assert fast.pointed and fast.full_dim and len(fast.rays) == dim
+        assert len(fast.rays) == dim
         cases.append((rays, fast))
         if dim > 1:
             total = tuple(map(sum, zip(*rays)))
@@ -425,9 +456,7 @@ def test_singular_d_list_matches_bruteforce():
         norm = {primitive(r) for r in rays if any(r)}
         if len(norm) != dim or rank(list(norm)) == dim:
             continue
-        c = Cone.from_rays(rays, dim)
-        assert (c.rays, c.halfspaces, c.pointed, c.full_dim) == cone_bruteforce(rays, dim)
-        shapes.add((c.pointed, c.full_dim))
+        shapes.add(_check_against_bruteforce(rays, dim))
         checked += 1
     assert {(False, False), (True, False)} <= shapes, shapes
 
@@ -448,7 +477,6 @@ def test_tall_normal_list_converts():
         (1, 5, -3, 0, -1, 2),
     )
     c = Cone.from_rays(rays, 6)
-    assert c.pointed and c.full_dim
     assert len(c.halfspaces) == 32
     assert c.rays == tuple(sorted(rays))
     for h in c.halfspaces:
@@ -477,35 +505,26 @@ def test_interior_point():
     thin = Cone.from_rays(((5, 6), (6, 5)), 2)
     w = interior_point(thin)
     assert all(dot(h, w) > 0 for h in thin.halfspaces)
-    with pytest.raises(NotFullDimensionalError):
-        interior_point(Cone.from_rays(((1, 1),), 2))
 
 
 def test_interior_point_raises_on_broken_invariant():
     # a hand-built cone whose halfspaces contradict each other
-    broken = Cone(2, ((0, 1), (1, 0)), ((-1, 0), (1, 0)), True, True)
+    broken = Cone(2, ((0, 1), (1, 0)), ((-1, 0), (1, 0)))
     with pytest.raises(RuntimeError, match="interior point"):
         interior_point(broken)
 
 
 def test_interior_point_random():
     rng = random.Random(304)
-    with_lineality = 0
     for _ in range(250):
         dim = rng.randint(1, 5)
-        c = random_cone(rng, dim)
-        if rng.random() < 0.3:
-            # force a line through the first ray
-            c = Cone.from_rays(c.rays + (tuple(-x for x in c.rays[0]),), dim)
-        if not c.full_dim:
-            with pytest.raises(NotFullDimensionalError):
-                interior_point(c)
-            continue
-        with_lineality += not c.pointed
+        c = random_pointed_cone(rng, dim)
         w = interior_point(c)
         assert w == tuple(map(sum, zip(*c.rays)))
         assert all(dot(h, w) > 0 for h in c.halfspaces)
-    assert with_lineality > 0
+        # a line through the first ray leaves no cone to convert
+        with pytest.raises(NotPointedError):
+            Cone.from_rays(c.rays + (vneg(c.rays[0]),), dim)
 
 
 def test_triangulate_square_cone():
@@ -528,10 +547,11 @@ def test_triangulate_simplicial_passthrough():
 
 
 def test_triangulate_errors():
+    # the cones triangulate once refused are not built
     with pytest.raises(NotPointedError):
-        triangulate(Cone.from_rays(((1, 0), (-1, 0), (0, 1)), 2))
+        Cone.from_rays(((1, 0), (-1, 0), (0, 1)), 2)
     with pytest.raises(NotFullDimensionalError):
-        triangulate(Cone.from_rays(((1, 0, 0),), 3))
+        Cone.from_rays(((1, 0, 0),), 3)
 
 
 def test_triangulate_random():
@@ -546,9 +566,11 @@ def test_triangulate_random():
                     tuple(rng.randint(0, 1) for _ in range(dim - 1)) + (1,)
                     for _ in range(rng.randint(dim + 1, dim + 5))
                 ]
-                c = Cone.from_rays(rays, dim)
-                if c.full_dim:
+                try:
+                    c = Cone.from_rays(rays, dim)
                     break
+                except NotFullDimensionalError:
+                    continue
         else:
             c = random_pointed_cone(rng, dim, extra=4)
         if dim >= 4 and any(
@@ -665,10 +687,11 @@ def test_hilbert_basis_fixed():
 
 
 def test_hilbert_basis_errors():
+    # the cones hilbert_basis once refused are not built
     with pytest.raises(NotPointedError):
-        hilbert_basis(Cone.from_rays(((1, 0), (-1, 0), (0, 1)), 2))
+        Cone.from_rays(((1, 0), (-1, 0), (0, 1)), 2)
     with pytest.raises(NotFullDimensionalError):
-        hilbert_basis(Cone.from_rays(((1, 1),), 2))
+        Cone.from_rays(((1, 1),), 2)
 
 
 def test_hilbert_basis_against_brute_force():
@@ -865,32 +888,21 @@ def test_polyhedron_vertices_3d_sanity():
 
 
 def test_polyhedron_vertices_degenerate_recession_cones():
+    # a recession cone of rank < d, or with a line, is not built
     rng = random.Random(312)
     checked = 0
     while checked < 60:
         dim = rng.randint(3, 5)
         k = rng.randint(0, dim - 1)
         rays = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(k)]
-        c = Cone.from_rays(rays, dim)
-        if not c.pointed:
-            continue
-        assert not c.full_dim
-        pts = tuple(
-            tuple(rng.randint(-5, 5) for _ in range(dim))
-            for _ in range(rng.randint(1, 8))
-        )
-        assert polyhedron_vertices(pts, c) == vertices_via_lp(pts, c.rays, dim)
-        checked += 1
-    # two rays in Z^5, points on a plane through the origin
-    plane = Cone.from_rays(((1, 0, 2, 0, -1), (0, 1, -1, 3, 0)), 5)
-    pts = ((2, 1, 3, 3, -2), (1, 1, 1, 3, -1), (0, 2, -2, 6, 0), (3, 3, 3, 9, -3))
-    assert polyhedron_vertices(pts, plane) == vertices_via_lp(pts, plane.rays, 5)
-    # a recession cone with a line leaves no vertex
-    slab = Cone.from_rays(((1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0)), 4)
-    assert not slab.pointed
-    pts = ((0, 0, 0, 0), (1, 2, 3, 4), (0, 1, 0, 1))
-    assert polyhedron_vertices(pts, slab) == ()
-    assert vertices_via_lp(pts, slab.rays, 4) == ()
+        pointed, full_dim = _check_against_bruteforce(rays, dim)
+        if pointed:
+            assert not full_dim
+            checked += 1
+    with pytest.raises(NotFullDimensionalError):
+        Cone.from_rays(((1, 0, 2, 0, -1), (0, 1, -1, 3, 0)), 5)
+    with pytest.raises(NotPointedError):
+        Cone.from_rays(((1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0)), 4)
 
 
 def test_polyhedron_vertices_checks_point_lengths():
@@ -903,23 +915,14 @@ def test_polyhedron_vertices_checks_point_lengths():
 
 def test_polyhedron_facets_cut_out_every_tangent_cone():
     """Every facet (h0, h) holds on the points and the recession rays and is
-    tight on one of them, unless P is one point (the homogenized cone is a
-    ray, whose one facet is its apex). At every vertex v the facets through
-    v cut out the tangent cone cone(rays + (P - v)), the V-description's."""
+    tight on one of them, and the far face x0 = 0 of the full-dimensional
+    recession cone is one. At every vertex v the facets through v cut out
+    the tangent cone cone(rays + (P - v)), the V-description's."""
     rng = random.Random(313)
-    seen = {"full": 0, "lower": 0, "far facet": 0, "several vertices": 0}
-    cases = 0
-    while cases < 320:
+    seen = {"one point": 0, "points of rank < d": 0, "several vertices": 0}
+    for cases in range(320):
         dim = 1 + cases % 5
-        if rng.random() < 0.5:
-            cone = random_pointed_cone(rng, dim, bound=4)
-        else:
-            k = rng.randint(0, dim - 1)
-            cone = Cone.from_rays(
-                [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(k)], dim
-            )
-            if not cone.pointed:
-                continue
+        cone = random_pointed_cone(rng, dim, bound=4)
         pts = [
             tuple(rng.randint(-4, 4) for _ in range(dim))
             for _ in range(rng.randint(1, 7))
@@ -927,16 +930,15 @@ def test_polyhedron_facets_cut_out_every_tangent_cone():
         vertices, facets = polyhedron_vertices_and_facets(pts, cone)
         assert vertices == polyhedron_vertices(pts, cone)
         assert vertices and set(vertices) <= set(pts)
+        assert (1,) + (0,) * dim in facets
         for h in facets:
             values = [h[0] + dot(h[1:], p) for p in pts] + [dot(h[1:], r) for r in cone.rays]
-            one_point = len(set(pts)) == 1 and not cone.rays
-            assert min(values) == 0 or (one_point and min(values) > 0)
+            assert min(values) == 0
         for v in vertices:
             through = [h[1:] for h in facets if h[0] + dot(h[1:], v) == 0]
             tangent = Cone.from_rays(list(cone.rays) + [vsub(p, v) for p in pts], dim)
             assert Cone.from_halfspaces(through, dim) == tangent
-        seen["full" if cone.full_dim else "lower"] += 1
-        seen["far facet"] += (1,) + (0,) * dim in facets
+        seen["one point"] += len(set(pts)) == 1
+        seen["points of rank < d"] += rank([vsub(p, pts[0]) for p in pts]) < dim
         seen["several vertices"] += len(vertices) > 1
-        cases += 1
     assert min(seen.values()) >= 40, seen

@@ -1,20 +1,25 @@
-"""The console script end to end, and five lint rules on the library.
+"""The console script end to end, and six lint rules on the library.
 
 Each row runs `python -m nashtoric <command>` on one JSON document, with
 PYTHONPATH set to this checkout's src/ and a 60 s limit, and pins the exit
 code and the SHA-256 of stdout. The 4D root is cone_rays e1, e2, e3,
-(3,5,7,11), whose semigroup has 33 minimal generators.
+(3,5,7,11), whose semigroup has 33 minimal generators. A seeded digest pins
+what `mingen` answers, errors included, on 600 small random documents.
 """
 
 import ast
 import hashlib
+import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from nashtoric import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -126,6 +131,32 @@ def test_console_output_digest(command, document, code, digest):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+# SHA-256 of the JSON list of (exit code, stdout, stderr) below
+MINGEN_ERROR_DIGEST = "8141df3e158819ff5c325172ea9866386b24552577f7dd6773c28c3437818bff"
+
+
+def test_mingen_error_contract_digest(tmp_path, capsys):
+    # random documents, most of them rejected: every field's cone and
+    # semigroup errors, in the order they are reported, are pinned
+    rng = random.Random(36)
+    path = tmp_path / "doc.json"
+    results = []
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        field = rng.choice(("semigroup_generators", "dual_cone_rays", "cone_rays"))
+        vectors = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(1, 5))]
+        path.write_text(json.dumps({"dimension": dim, "characteristic": 0, field: vectors}))
+        code = cli.main(["mingen", str(path)])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    errors = [json.loads(err)["error"] for code, _, err in results if code]
+    for kind in ("non-pointed", "not-full-dimensional", "not-full-lattice"):
+        assert errors.count(kind) >= 100, (kind, errors.count(kind))
+    assert len(errors) <= len(results) - 100
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == MINGEN_ERROR_DIGEST
+
+
 def test_no_assert_statements_in_the_library():
     # python -O strips asserts, so invariants raise real errors
     pattern = re.compile(r"^\s*assert\b")
@@ -202,6 +233,23 @@ def test_no_unreferenced_private_functions_in_the_library():
         and node.name not in referenced
     ]
     assert not dead, "\n".join(dead)
+
+
+def test_only_cones_builds_a_cone_directly():
+    # every other module builds a Cone through from_rays, from_halfspaces
+    # or dual, so every cone is pointed and full-dimensional
+    found = [
+        f"{path}:{node.lineno}: calls Cone(...)"
+        for path in sorted((SRC / "nashtoric").glob("*.py"))
+        if path.name != "cones.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "Cone"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "Cone"
+        )
+    ]
+    assert not found, "\n".join(found)
 
 
 def test_no_self_referencing_closures_in_the_library():

@@ -538,6 +538,10 @@ def test_cli_error_reports(tmp_path, capsys):
         for dim, rays, error, shape in (
             (2, [[1, 0], [-1, 0], [0, 1]], "non-pointed", "a pointed cone"),
             (3, [[1, 0, 0], [0, 1, 0]], "not-full-dimensional", "a full-dimensional cone"),
+            # a line is reported before a missing dimension
+            (2, [[1, 0], [-1, 0]], "non-pointed", "a pointed cone"),
+            (3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0]], "non-pointed", "a pointed cone"),
+            (2, [[0, 0], [0, 0]], "not-full-dimensional", "a full-dimensional cone"),
         ):
             cone = tmp_path / "cone.json"
             cone.write_text(json.dumps({"dimension": dim, "characteristic": 0, field: rays}))

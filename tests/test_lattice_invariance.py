@@ -184,6 +184,16 @@ def test_matcher_separates_a_pair_with_equal_keys():
     assert LatticePairing(S).map_to(LatticePairing(R)) is None
 
 
+def test_matcher_passes_over_a_non_integral_candidate():
+    # the search's first full candidate B gives g = B·adj(A)/det(A) with
+    # non-integral entries; the next one is the map
+    S = AffineSemigroup.from_cone(Cone.from_rays([(1, 2, 2), (2, 0, 3), (3, 4, 1)], 3))
+    T = S.image(((-1, -1, -1), (-1, 0, -1), (-1, -1, 0)))
+    g = LatticePairing(S).map_to(LatticePairing(T))
+    assert g == ((2, -2, -3), (0, -1, -1), (3, -2, -3))
+    assert S.image(g).minimal_generators() == T.minimal_generators()
+
+
 # the deepest tree drawn per (dim, saturated root, normalize): unnormalized
 # and unsaturated 4D trees take seconds per level
 _DEPTH_LIMIT = {

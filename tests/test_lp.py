@@ -4,8 +4,8 @@ from math import lcm
 
 import pytest
 
-from nashtoric.cones import Cone
 from nashtoric.errors import DimensionError
+from nashtoric.linalg import rank
 from nashtoric.lp import rational_feasible
 from oracles import fourier_motzkin_feasible
 
@@ -138,25 +138,22 @@ def test_dimension_zero_and_one_pass_over_the_input():
         rational_feasible([], -1)
 
 
-def _homogenized_normals(cons, dim):
-    """The integer normals s (a, -b) and (0, ..., 0, 1) of the cone whose
-    rays with t > 0 are the solutions x / t."""
-    rows = [(0,) * dim + (1,)]
-    for d, b in cons:
-        entries = list(d) + [-b]
-        s = lcm(*(Fraction(f).denominator for f in entries))
-        rows.append(tuple(int(f * s) for f in entries))
-    return rows
+def _rank(directions):
+    """Rank of Fraction vectors, each scaled to integers first."""
+    rows = []
+    for d in directions:
+        s = lcm(*(Fraction(x).denominator for x in d))
+        rows.append(tuple(int(x * s) for x in d))
+    return rank(rows)
 
 
 def test_agrees_with_fourier_motzkin():
     # the same verdict as elimination on random Fraction systems, and both
     # witnesses satisfy the system; a quarter carry an equality as two
-    # opposite constraints. The normal cone of the homogenized system has
-    # a line (an equality, or an infeasible pair) or is not full-dimensional
-    # (an unbounded direction): the lineality branches of `Cone.from_rays`
+    # opposite constraints, and directions of rank < dim leave an
+    # unbounded direction, a line of solutions when there are any
     rng = random.Random(204)
-    seen = {"feasible": 0, "infeasible": 0, "normals with a line": 0, "normals not full": 0}
+    seen = {"feasible": 0, "infeasible": 0, "opposite pair": 0, "rank < dim": 0}
 
     def frac():
         return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
@@ -175,10 +172,12 @@ def test_agrees_with_fourier_motzkin():
         for x in (point, reference):
             if x is not None:
                 assert len(x) == dim and satisfies(x, cons), (cons, dim, x)
-        normals = Cone.from_rays(_homogenized_normals(cons, dim), dim + 1)
+        directions = [d for d, _ in cons]
         seen["feasible" if point is not None else "infeasible"] += 1
-        seen["normals with a line"] += not normals.pointed
-        seen["normals not full"] += not normals.full_dim
-    # seed 204 gives 254, 146, 199 and 110
-    floors = {"feasible": 150, "infeasible": 80, "normals with a line": 120, "normals not full": 60}
+        seen["opposite pair"] += any(
+            any(d) and tuple(-x for x in d) in directions for d in directions
+        )
+        seen["rank < dim"] += _rank(directions) < dim
+    # seed 204 gives 254, 146, 91 and 110
+    floors = {"feasible": 150, "infeasible": 80, "opposite pair": 55, "rank < dim": 60}
     assert all(seen[k] >= n for k, n in floors.items()), seen

@@ -14,6 +14,7 @@ from nashtoric.blowup import (
 from nashtoric.cones import Cone, irreducible
 from nashtoric.errors import (
     DimensionError,
+    NotFullDimensionalError,
     NotFullLatticeError,
     NotPointedError,
 )
@@ -57,15 +58,25 @@ def test_in_cone_checks_what_construction_checks():
         (2, [(2, 0), (0, 1)], NotFullLatticeError),
         (1, [(2,), (4,)], NotFullLatticeError),
         (2, [(0, 0)], NotFullLatticeError),
+        # a line is reported before a missing dimension
+        (2, [(1, 0), (-1, 0)], NotPointedError),
+        (2, [(1, 0), (2, 0)], NotFullLatticeError),
         (2, [(0, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 0)], None),
         (3, [(2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 2), (1, 1, 1)], None),
     ]
     for dim, gens, error in cases:
-        cone = Cone.from_rays(gens, dim)
         if error is not None:
+            with pytest.raises(error):
+                AffineSemigroup(dim, gens)
+            # a cone with a line or of rank < d is not built at all
+            try:
+                cone = Cone.from_rays(gens, dim)
+            except (NotPointedError, NotFullDimensionalError):
+                continue
             with pytest.raises(error):
                 AffineSemigroup.in_cone(cone, gens)
             continue
+        cone = Cone.from_rays(gens, dim)
         S = AffineSemigroup(dim, gens)
         T = AffineSemigroup.in_cone(cone, iter(gens))
         assert T.generators == S.generators and T.cone == S.cone
