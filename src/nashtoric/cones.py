@@ -289,15 +289,20 @@ class Cone:
     @classmethod
     def from_halfspaces(cls, normals, dim=None):
         """The cone {x : <n, x> >= 0} the normals cut out, the dual of the
-        cone they generate. Normals whose cone has a line cut out a cone
-        that is not full-dimensional, and normals of rank < d one with a
-        line; the line in the normals' cone is reported first."""
+        cone they generate. Normals of rank < d cut out a cone with a line,
+        the orthogonal complement of their span, and otherwise normals
+        whose cone has a line cut out a cone that is not full-dimensional;
+        as in `from_rays`, the line in the cut-out cone is reported first."""
+        normals = list(normals)
         try:
             return cls.from_rays(normals, dim).dual()
         except NotPointedError:
-            raise NotFullDimensionalError("halfspaces cut out a lower-dimensional cone") from None
+            # a line needs two nonzero normals, so normals[0] gives d
+            if len(independent_rows([vec(n) for n in normals])) == len(normals[0]):
+                raise NotFullDimensionalError("halfspaces cut out a lower-dimensional cone") from None
         except NotFullDimensionalError:
-            raise NotPointedError("halfspaces cut out a cone containing a line") from None
+            pass
+        raise NotPointedError("halfspaces cut out a cone containing a line") from None
 
     def contains(self, point) -> bool:
         for n in self.halfspaces:

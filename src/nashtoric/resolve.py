@@ -80,45 +80,63 @@ def resolve(
     generators' residues mod p (`stalls`), so neither a stall nor a node
     at the cap computes a basis or builds a chart.
 
-    A Nash blowup commutes with GL(d, Z), so each lattice class of nodes
-    is blown up once per call (`_Classes`). A node S that is g·R for a
-    class's representative R is expanded with R's charts mapped by g,
-    re-sorted by vertex: each is its chart's minimal generators mapped by g,
-    with no cone (`AffineSemigroup.image`). The smooth and stall tests read
-    only minimal generators, and a mapped node is expanded from its class
-    link, so none converts its cone. The minimal generators determine a
-    semigroup and its charts, so this serves both chart kinds in every
-    dimension.
+    A Nash blowup commutes with GL(d, Z), so the call first builds the
+    graph of the lattice classes below S (`_ClassGraph`), which blows up
+    each class and tests each of its charts once, then unfolds the tree
+    from it read-only. A node S that is g·R for a class's representative
+    R gets R's charts mapped by g, re-sorted by vertex: each is its
+    chart's minimal generators mapped by g, with no cone
+    (`AffineSemigroup.image`). A mapped node takes its status and charts
+    from its class's links, so none converts its cone. The minimal
+    generators determine a semigroup and its charts, so this serves both
+    chart kinds in every dimension.
     """
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
-    root = _Classes(p, normalize, max_depth).expand(S, 0)
-    return ResolutionTree(root, p, normalize, max_depth)
+    graph = _ClassGraph(S, p, normalize, max_depth)
+    return ResolutionTree(graph.unfold(S, 0, graph.root), p, normalize, max_depth)
 
 
-class _Classes:
-    """The lattice classes met in one `resolve` call, as a graph.
+class _ClassGraph:
+    """The lattice classes below one `resolve` root, built breadth first.
 
-    Class k is (pairing, charts, links): its representative R's
-    `LatticePairing` and charts, and for chart j of R the link (k', h),
-    h·Q == that chart for Q the representative of class k' (h None when
-    the chart is Q), or None until a node first expands chart j. Only the
-    root and R's own charts are keyed, each at most once: a chart's
-    image g·(chart j) under any node g·R of class k is expanded from the
-    link with the map g·h. Links are indices, so a class whose chart lies
-    in its own class makes no reference cycle.
+    Class k is (pairing, level, charts, links): its representative R's
+    `LatticePairing`, the least depth of its nodes, R's charts, and per
+    chart j of R a link, `_link(chart j, level + 1)`: a status, or (k', h)
+    with h·Q == chart j for Q class k''s representative (h None when chart
+    j is Q). `root` is the root's link. The class list is walked in order
+    while it grows, so a class is first met at its least depth, and only
+    the root and R's own charts are keyed, each at most once. A status
+    link is its class's: smooth counts minimal generators, and a stall
+    counts those nonzero mod p, which any g ∈ GL(d, Z) keeps, being
+    invertible mod p. Links are indices, so a class whose chart lies in
+    its own class makes no reference cycle.
     """
 
-    __slots__ = ("p", "normalize", "max_depth", "buckets", "classes")
+    __slots__ = ("p", "normalize", "max_depth", "buckets", "classes", "root")
 
-    def __init__(self, p, normalize, max_depth):
+    def __init__(self, S, p, normalize, max_depth):
         self.p = p
         self.normalize = normalize
         self.max_depth = max_depth
         self.buckets = {}  # LatticePairing key -> [class index]
         self.classes = []
+        self.root = self._link(S, 0)
+        for _, level, charts, links in self.classes:
+            links.extend(self._link(c.semigroup, level + 1) for c in charts)
 
-    def lookup(self, S):
+    def _link(self, S, depth):
+        """S's status as a node at depth, tested in the order smooth,
+        stall, cap; else `_key(S, depth)`."""
+        if S.is_smooth():
+            return SMOOTH_LEAF
+        if not self.normalize and stalls(S, self.p):
+            return TRIVIAL_STALL
+        if depth == self.max_depth:
+            return DEPTH_CAPPED
+        return self._key(S, depth)
+
+    def _key(self, S, level):
         """(k, g) with g·R == S for class k's representative R, g None
         when S is R, blown up here."""
         pairing = LatticePairing(S)
@@ -127,40 +145,27 @@ class _Classes:
             g = self.classes[k][0].map_to(pairing)
             if g is not None:
                 return k, g
-        charts = nash_blowup(S, self.p, self.normalize)
         bucket.append(len(self.classes))
-        self.classes.append((pairing, charts, [None] * len(charts)))
+        self.classes.append((pairing, level, nash_blowup(S, self.p, self.normalize), []))
         return len(self.classes) - 1, None
 
-    def expand(self, S, depth, parent=None):
-        """The node of S; parent (k, j, f) means S == f·(chart j of class
-        k's representative), f None when S is that chart."""
-        if S.is_smooth():
-            return ResolutionNode(S, depth, SMOOTH_LEAF, ())
-        if not self.normalize and stalls(S, self.p):
-            return ResolutionNode(S, depth, TRIVIAL_STALL, ())
+    def unfold(self, S, depth, link, g=None):
+        """The node of S == g·T for T the chart or root whose link is
+        `link` (g None when S is T), read off the graph: it makes no key,
+        no blowup and no status test."""
+        if isinstance(link, str):
+            return ResolutionNode(S, depth, link, ())
         if depth == self.max_depth:
             return ResolutionNode(S, depth, DEPTH_CAPPED, ())
-        if parent is None:
-            k, g = self.lookup(S)
-        else:
-            k, j, g = parent
-            _, charts, links = self.classes[k]
-            if links[j] is None:
-                links[j] = self.lookup(charts[j].semigroup)
-            k, h = links[j]
-            if h is not None:
-                g = h if g is None else mat_mul(g, h)
-        charts = self.classes[k][1]
+        k, h = link
+        if h is not None:
+            g = h if g is None else mat_mul(g, h)
+        _, _, charts, links = self.classes[k]
         children = ((c.vertex, j, c.semigroup) for j, c in enumerate(charts))
         if g is not None:
             children = sorted((mat_vec(g, v), j, T.image(g)) for v, j, T in children)
-        return ResolutionNode(
-            S,
-            depth,
-            EXPANDED,
-            tuple((v, self.expand(T, depth + 1, (k, j, g))) for v, j, T in children),
-        )
+        nodes = tuple((v, self.unfold(T, depth + 1, links[j], g)) for v, j, T in children)
+        return ResolutionNode(S, depth, EXPANDED, nodes)
 
 
 def _check_max_depth(max_depth) -> int:

@@ -120,9 +120,15 @@ def test_dual_fixed():
 def test_halfplane_is_not_pointed():
     with pytest.raises(NotPointedError, match="line"):
         Cone.from_rays(((1, 0), (-1, 0), (0, 1)), 2)
-    # the half-plane cut out by one normal has the same line
-    with pytest.raises(NotPointedError):
-        Cone.from_halfspaces(((0, 1),), 2)
+    # the half-plane cut out by one normal has the same line, and so does
+    # what normals of rank < d cut out, a line among them or not
+    for normals, dim in (
+        (((0, 1),), 2),
+        (((1, 0), (-1, 0)), 2),
+        (((1, 0, 0), (-1, 0, 0), (0, 1, 0)), 3),
+    ):
+        with pytest.raises(NotPointedError):
+            Cone.from_halfspaces(normals, dim)
 
 
 def test_halfline_is_not_full_dim():
@@ -172,9 +178,10 @@ def test_biduality_random():
 
 def test_dual_swaps_the_two_descriptions():
     # the former dual(): a fresh conversion of the halfspaces; inputs that
-    # raise cut out, as normals, a cone with the other error
+    # raise cut out, as normals, a cone with the other error, except that
+    # inputs with a line and of rank < d cut out a cone with a line too
     rng = random.Random(303)
-    seen = {"cone": 0, "lineality": 0, "lower": 0}
+    seen = {"cone": 0, "lineality": 0, "lower": 0, "both": 0}
     for _ in range(300):
         dim = rng.randint(1, 5)
         span = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
@@ -183,6 +190,11 @@ def test_dual_swaps_the_two_descriptions():
         if rng.random() < 0.3:
             rays.append(tuple(-x for x in rays[0]))
         c = _outcome(rays, dim)
+        if c is NotPointedError and rank(rays) < dim:
+            with pytest.raises(NotPointedError):
+                Cone.from_halfspaces(rays, dim)
+            seen["both"] += 1
+            continue
         if c is NotPointedError:
             with pytest.raises(NotFullDimensionalError):
                 Cone.from_halfspaces(rays, dim)

@@ -515,21 +515,55 @@ def _dual_root(a, b):
     return AffineSemigroup.from_cone(Cone.from_rays([a, b], 2))
 
 
+def _witness():
+    return AffineSemigroup(4, P2_SELF_LOOP_WITNESS)
+
+
+def _dual_1224():
+    return AffineSemigroup.from_cone(
+        Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 2, 4)], 4)
+    )
+
+
 @pytest.mark.parametrize(
-    "a, b",
-    [((33, 16), (16, 49)), ((47, 48), (27, 25)), ((43, 44), (47, 8)), ((11, 35), (35, 11))],
-    ids=lambda ray: "-".join(map(str, ray)),
+    "root, characteristics, normalize, max_depths",
+    [
+        (((33, 16), (16, 49)), (0, 2, 3, 5), True, (64,)),
+        (((47, 48), (27, 25)), (0, 2, 3, 5), True, (64,)),
+        (((43, 44), (47, 8)), (0, 2, 3, 5), True, (64,)),
+        (((11, 35), (35, 11)), (0, 2, 3, 5), True, (64,)),
+        (_witness, (2,), True, range(1, 6)),
+        (_dual_1224, (2,), True, range(1, 6)),
+        (((1, 7), (12, 11)), (0, 2, 3), False, (6,)),
+        (((15, 14), (12, 18)), (0, 2, 3), False, (6,)),
+    ],
+    ids=[
+        "33-16-16-49",
+        "47-48-27-25",
+        "43-44-47-8",
+        "11-35-35-11",
+        "self-loop-witness-depths-1-5",
+        "dual-1224-depths-1-5",
+        "unnormalized-1-7-12-11",
+        "unnormalized-15-14-12-18",
+    ],
 )
-def test_class_links_give_the_plain_recursion(a, b):
+def test_class_links_give_the_plain_recursion(root, characteristics, normalize, max_depths):
     # a child expanded through its class link gets the map g·h from the
     # link instead of the one map_to finds; the (11,35) root is its own
     # image under the swap, and two of the linked children in its tree
-    # get a g·h other than map_to's, in each characteristic
-    S = _dual_root(a, b)
-    if a == b[::-1]:
+    # get a g·h other than map_to's, in each characteristic. The p = 2
+    # roots with cyclic class graphs run every cap from 1 to 5, so each
+    # class level meets the cap; the unnormalized roots end in stalls
+    # and caps, tested once per class
+    S = root() if callable(root) else _dual_root(*root)
+    if not callable(root) and root[0] == root[1][::-1]:
         assert S.image(((0, 1), (1, 0))) == S
-    for p in (0, 2, 3, 5):
-        assert resolve(S, p).shape() == resolve_reference(S, p).shape(), p
+    for p in characteristics:
+        for max_depth in max_depths:
+            tree = resolve(S, p, normalize=normalize, max_depth=max_depth)
+            reference = resolve_reference(S, p, normalize=normalize, max_depth=max_depth)
+            assert tree.shape() == reference.shape(), (p, max_depth)
 
 
 def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch, cone_conversions):
@@ -557,19 +591,15 @@ def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch, cone_conversio
     assert cone_conversions == [0]
 
 
-def _dual_1224():
-    return AffineSemigroup.from_cone(
-        Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 2, 4)], 4)
-    )
-
-
 @pytest.mark.parametrize(
     "make_root, max_depth, nodes, counts",
     [
-        (lambda: AffineSemigroup(4, P2_SELF_LOOP_WITNESS), 4, 371, (6, 12, 6)),
-        (_dual_1224, 5, 1703, (9, 30, 21)),
+        (_witness, 4, 371, (6, 12, 6, 44)),
+        (_dual_1224, 5, 1703, (9, 30, 21, 70)),
+        (_witness, 1, 9, (1, 1, 0, 9)),
+        (_dual_1224, 1, 7, (1, 1, 0, 7)),
     ],
-    ids=["self-loop-witness", "dual-1224"],
+    ids=["self-loop-witness", "dual-1224", "self-loop-witness-depth-1", "dual-1224-depth-1"],
 )
 def test_only_the_root_and_built_charts_are_keyed(
     monkeypatch, make_root, max_depth, nodes, counts
@@ -577,33 +607,56 @@ def test_only_the_root_and_built_charts_are_keyed(
     # p = 2 roots whose classes form cycles. Keying each chart image whose
     # chart had no link yet took 46 and 63 keys, 40 and 37 of them of no
     # built chart, and 40 and 54 matches; now each chart is keyed at most
-    # once, on its representative, never as an image
+    # once, on its representative, never as an image. Testing each node's
+    # status took 371 and 1703 smooth tests, one per node; now the root and
+    # each built chart are tested once, and the tree is unfolded only after
+    # the last key, match, blowup and test. At the cap 1 only the root is
+    # keyed
     S = make_root()
     module = sys.modules[resolve.__module__]
-    built, keyed, matches = [], [], []
+    built, keyed, matches, events = [], [], [], []
     map_to = LatticePairing.map_to
+    is_smooth = AffineSemigroup.is_smooth
+    node = module.ResolutionNode
 
     def counted_blowup(T, p, normalize=True):
+        events.append("blowup")
         charts = nash_blowup(T, p, normalize)
         built.append(charts)
         return charts
 
     def counted_key(T):
+        events.append("key")
         keyed.append(T)
         return LatticePairing(T)
 
     def counted_match(self, other):
+        events.append("match")
         matches.append(other)
         return map_to(self, other)
+
+    def counted_smooth(self):
+        events.append("smooth")
+        return is_smooth(self)
+
+    def logged_node(*args):
+        events.append("node")
+        return node(*args)
 
     monkeypatch.setattr(module, "nash_blowup", counted_blowup)
     monkeypatch.setattr(module, "LatticePairing", counted_key)
     monkeypatch.setattr(LatticePairing, "map_to", counted_match)
+    monkeypatch.setattr(AffineSemigroup, "is_smooth", counted_smooth)
+    monkeypatch.setattr(module, "ResolutionNode", logged_node)
     tree = resolve(S, 2, max_depth=max_depth)
     monkeypatch.undo()
     assert len(list(tree.nodes())) == nodes
     charts = {id(c.semigroup) for made in built for c in made}
     assert [T for T in keyed if id(T) not in charts] == [S]
     assert len({id(T) for T in keyed}) == len(keyed)
-    assert (len(built), len(keyed), len(matches)) == counts
+    smooth_tests = events.count("smooth")
+    assert smooth_tests == 1 + len(charts)
+    assert (len(built), len(keyed), len(matches), smooth_tests) == counts
+    first_node = events.index("node")
+    assert set(events[first_node:]) == {"node"} and events.count("node") == nodes
     assert tree.shape() == resolve_reference(S, 2, max_depth=max_depth).shape()
