@@ -27,7 +27,6 @@ from .cones import (
     parallelepiped_points,
     polyhedron_vertices,
     polyhedron_vertices_and_facets,
-    triangulate,
 )
 from .semigroups import AffineSemigroup
 from .blowup import (
@@ -74,7 +73,6 @@ __all__ = [
     "rational_feasible",
     "Cone",
     "HilbertBasis",
-    "triangulate",
     "parallelepiped_points",
     "hilbert_basis",
     "polyhedron_vertices",

@@ -5,7 +5,7 @@ mod p) give the ideal exponents; their convex hull plus the semigroup's
 cone is the Newton polyhedron; each vertex yields an affine chart, built
 on the tangent cone at the vertex, converted once per chart: its lattice
 points (`AffineSemigroup.from_cone`) or, unnormalized, the semigroup that
-the chart's generators span in it (`AffineSemigroup.in_cone`).
+the chart's generators span in it (`AffineSemigroup._in_cone`).
 
 The admissible subsets are the bases of the generators' matroid over F_p
 (over Q for p = 0), so conv(E) is the image of its base polytope.
@@ -132,16 +132,17 @@ def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
     generators and e - v for every exponent e; with normalize, its
     saturation. Both are built on the tangent cone at v, cone(σ^∨ ∪
     (E - v)), cut out by N's facets through v (h0 + <h, v> = 0), a few per
-    vertex where E - v lists every exponent. `nash_blowup` builds the same
-    charts by a walk (unnormalized ones from other generators); this
-    enumeration stays for the `blowup` command and as the walk's oracle.
+    vertex where E - v lists every exponent: the dual of the cone their
+    normals generate. `nash_blowup` builds the same charts by a walk
+    (unnormalized ones from other generators); this enumeration stays for
+    the `blowup` command and as the walk's oracle.
     """
     S = N.semigroup
     gens = S.minimal_generators()
     charts = []
     for v in N.vertices:
         through = [h[1:] for h in N.facets if h[0] + dot(h[1:], v) == 0]
-        tangent = Cone.from_halfspaces(through, S.dim)
+        tangent = Cone.from_rays(through, S.dim).dual()
         # only an unnormalized chart reads its generators
         shifts = (vsub(e, v) for e in N.exponents)
         charts.append(_chart(v, tangent, chain(gens, shifts), normalize))
@@ -151,12 +152,15 @@ def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
 def _chart(v, tangent, generators, normalize):
     """The chart at vertex v, tangent the Newton polyhedron's tangent cone
     at v: with normalize, tangent ∩ Z^d; without, the semigroup the
-    generators span, whose cone is tangent."""
+    generators span, whose cone is tangent. The generators are integer
+    tuples made in this module, so `_in_cone` reads them without `vec`; it
+    checks their length, drops zeros and checks the group, and a failed
+    check is a construction bug, raised as RuntimeError."""
     try:
         if normalize:
             chart = AffineSemigroup.from_cone(tangent)
         else:
-            chart = AffineSemigroup.in_cone(tangent, generators)
+            chart = AffineSemigroup._in_cone(tangent, generators)
     except ToricError as exc:
         # chart cones are provably pointed and full-dimensional and chart
         # semigroups have full group: reaching this is a construction bug

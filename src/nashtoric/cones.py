@@ -3,9 +3,10 @@
 A Cone stores its sorted primitive extreme rays and sorted primitive inward
 facet normals. Both depend only on the cone, so `==` is exact, and the
 normals are the extreme rays of the dual cone, which `dual` makes by
-swapping the two lists. `Cone.from_rays` builds no other cone: inputs that
-span a cone containing a line raise NotPointedError, and otherwise inputs
-of rank < d raise NotFullDimensionalError.
+swapping the two lists. `Cone.from_rays(rays, d)` is the one constructor:
+inputs that span a cone containing a line raise NotPointedError, and
+otherwise inputs of rank < d raise NotFullDimensionalError. A cone given by
+facet normals is the dual of the cone they generate.
 
 `Cone.from_rays` makes one double-description pass for every cone: the
 facets come out of it with the inputs on each, the extreme rays are the
@@ -196,9 +197,10 @@ class Cone:
         self.halfspaces = halfspaces
 
     @classmethod
-    def from_rays(cls, rays, dim=None):
-        """The cone the rays generate, by one double-description pass, if
-        it is pointed and full-dimensional.
+    def from_rays(cls, rays, dim):
+        """The cone the rays generate in dimension dim, by one
+        double-description pass, if it is pointed and full-dimensional. The
+        cone that facet normals cut out is `from_rays(normals, dim).dual()`.
 
         The facet normals are the extreme rays of the dual cone, each with
         the inputs on it, and the extreme rays are the inputs whose facet
@@ -212,10 +214,6 @@ class Cone:
         the rays.
         """
         rays = [vec(r) for r in rays]
-        if dim is None:
-            if not rays:
-                raise DimensionError("cannot infer dimension from an empty ray list")
-            dim = len(rays[0])
         dim = integer(dim, "dimension")
         if dim < 1:
             raise DimensionError("dimension must be positive")
@@ -286,25 +284,9 @@ class Cone:
         halfspaces = tuple(sorted(((-lo[1], lo[0]), (hi[1], -hi[0]))))
         return cls(2, tuple(sorted((lo, hi))), halfspaces)
 
-    @classmethod
-    def from_halfspaces(cls, normals, dim=None):
-        """The cone {x : <n, x> >= 0} the normals cut out, the dual of the
-        cone they generate. Normals of rank < d cut out a cone with a line,
-        the orthogonal complement of their span, and otherwise normals
-        whose cone has a line cut out a cone that is not full-dimensional;
-        as in `from_rays`, the line in the cut-out cone is reported first."""
-        normals = list(normals)
-        try:
-            return cls.from_rays(normals, dim).dual()
-        except NotPointedError:
-            # a line needs two nonzero normals, so normals[0] gives d
-            if len(independent_rows([vec(n) for n in normals])) == len(normals[0]):
-                raise NotFullDimensionalError("halfspaces cut out a lower-dimensional cone") from None
-        except NotFullDimensionalError:
-            pass
-        raise NotPointedError("halfspaces cut out a cone containing a line") from None
-
     def contains(self, point) -> bool:
+        if len(point) != self.dim:
+            raise DimensionError(f"point {point} does not have length {self.dim}")
         for n in self.halfspaces:
             if dot(n, point) < 0:
                 return False
@@ -356,13 +338,6 @@ def _simplicial_pieces(rays, halfspaces):
             for sub in _simplicial_pieces(facet, halfspaces):
                 pieces.add(tuple(sorted(sub + (r0,))))
     return tuple(sorted(pieces))
-
-
-def triangulate(cone: Cone):
-    return tuple(
-        Cone.from_rays(piece, cone.dim)
-        for piece in _simplicial_pieces(cone.rays, cone.halfspaces)
-    )
 
 
 def parallelepiped_points(vectors):

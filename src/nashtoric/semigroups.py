@@ -3,16 +3,16 @@
 Every semigroup meets the two standing hypotheses: the cone spanned by the
 generators is pointed, and the generators span all of Z^d as a group.
 `__init__` converts the generators' cone, which rejects a line, and it and
-`in_cone`, given the cone by its caller, check the group (`_checked`);
-`from_cone` (the lattice points of a cone) and `image` (a GL(d, Z) image)
-hold them by construction. An image is its mapped minimal generators and
-no cone: a semigroup built without one converts its generators' cone
-(`Cone.from_rays`) when `cone` is first read. Everything downstream
-(membership, minimal generators, saturation, smoothness) is exact and
-reads a semigroup through its minimal generators. Membership in a semigroup that is not known to be saturated is
-one depth-first search, `AffineSemigroup._generated`, in the basis
-coordinates of the first d independent generators in grading order, which
-are minimal.
+`_in_cone`, the blowup chart constructor given the cone by its caller,
+check the group (`_checked`); `from_cone` (the lattice points of a cone)
+and `image` (a GL(d, Z) image) hold them by construction. An image is its
+mapped minimal generators and no cone: a semigroup built without one
+converts its generators' cone (`Cone.from_rays`) when `cone` is first
+read. Everything downstream (membership, minimal generators, saturation,
+smoothness) is exact and reads a semigroup through its minimal generators.
+Membership in a semigroup that is not known to be saturated is one
+depth-first search, `AffineSemigroup._generated`, in the basis coordinates
+of the first d independent generators in grading order, which are minimal.
 """
 
 import operator
@@ -53,14 +53,14 @@ def _frame(points):
 
 
 def _nonzero_sorted(generators, dim):
-    """The distinct nonzero generators, sorted, each checked to have length dim."""
+    """The distinct nonzero generators, integer tuples, sorted, each checked
+    to have length dim."""
     gens = set()
     for g in generators:
-        t = vec(g)
-        if len(t) != dim:
-            raise DimensionError(f"generator {t} does not have length {dim}")
-        if any(t):
-            gens.add(t)
+        if len(g) != dim:
+            raise DimensionError(f"generator {g} does not have length {dim}")
+        if any(g):
+            gens.add(g)
     if not gens:
         raise NotFullLatticeError("no nonzero generators")
     return tuple(sorted(gens))
@@ -81,7 +81,7 @@ class AffineSemigroup:
         dim = integer(dim, "dimension")
         if dim < 1:
             raise DimensionError("dimension must be positive")
-        gens = _nonzero_sorted(generators, dim)
+        gens = _nonzero_sorted(map(vec, generators), dim)
         try:
             cone = Cone.from_rays(gens, dim)
         except NotPointedError:
@@ -91,9 +91,10 @@ class AffineSemigroup:
         self._checked(gens, cone, gens)
 
     @classmethod
-    def in_cone(cls, cone: Cone, generators) -> "AffineSemigroup":
-        """The semigroup the generators span, for a caller that already has
-        their cone: checked as in `__init__`, without its conversion.
+    def _in_cone(cls, cone: Cone, generators) -> "AffineSemigroup":
+        """The semigroup the generators, integer tuples, span, for a caller
+        that already has their cone: checked as in `__init__`, without its
+        conversion or its `vec` pass.
 
         The group check reads the generators in the caller's order, so a
         caller that lists a lattice basis first ends it after d vectors
@@ -231,10 +232,13 @@ class AffineSemigroup:
     def image(self, g) -> "AffineSemigroup":
         """g·S for g in GL(d, Z) (rows): S's minimal generators mapped by g,
         both its generators and its minimal generators, with S's saturation
-        flag and no cone. g needs d rows of integers and determinant ±1."""
+        flag and no cone. g needs d rows of d integers and determinant ±1."""
         g = tuple(map(vec, g))
         if len(g) != self.dim:
             raise DimensionError(f"map has {len(g)} rows, expected {self.dim}")
+        for row in g:
+            if len(row) != self.dim:
+                raise DimensionError(f"map row {row} does not have length {self.dim}")
         try:
             det_g = adjugate(g)[1]
         except DimensionError:

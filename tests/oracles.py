@@ -5,7 +5,9 @@ dense Fraction solves, exhaustive lattice scans. The Hilbert basis oracle
 enumerates irreducible lattice points directly from a graded bounding box
 and never calls the triangulation-based algorithm under test; a second
 reference runs that general route on every cone, so that the shortcuts for
-simplicial cones and for pieces that add no point are checked against it.
+simplicial cones and for pieces that add no point are checked against it;
+`triangulate` lists that route's pieces as cones, for tests of the
+triangulation itself.
 The random unsaturated generator lists the minimal-generator oracle is
 checked on are drawn here too, so that every test draws them the same way.
 `pairwise_irreducible` is the minimal-set sweep as a pairwise scan of the
@@ -221,6 +223,17 @@ def interior_point(cone):
     if not all(sum(a * b for a, b in zip(n, w)) > 0 for n in cone.halfspaces):
         raise RuntimeError("full-dimensional cone has no interior point")
     return w
+
+
+def triangulate(cone):
+    """The simplicial cones of the library's placing triangulation, the
+    pieces `_hilbert_basis_by_pieces` enumerates parallelepipeds in."""
+    from nashtoric.cones import Cone, _simplicial_pieces
+
+    return tuple(
+        Cone.from_rays(piece, cone.dim)
+        for piece in _simplicial_pieces(cone.rays, cone.halfspaces)
+    )
 
 
 def hilbert_basis_by_triangulation(cone):

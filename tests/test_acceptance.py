@@ -13,13 +13,13 @@ from itertools import combinations
 
 from nashtoric.blowup import blowup_charts, log_jacobian_ideal, newton_polyhedron
 from nashtoric.cli import main
-from nashtoric.cones import Cone, hilbert_basis, parallelepiped_points, triangulate
+from nashtoric.cones import Cone, hilbert_basis, parallelepiped_points
 from nashtoric.errors import NotFullDimensionalError, NotPointedError
 from nashtoric.linalg import det, group_is_full_lattice, kernel_basis
 from nashtoric.resolve import resolve, surface_termination_suite
 from nashtoric.semigroups import AffineSemigroup
 
-from oracles import brute_force_hilbert, surface_profile, surface_resolution_shape
+from oracles import brute_force_hilbert, surface_profile, surface_resolution_shape, triangulate
 
 CUSP_DOC = '{"dimension": 1, "characteristic": 0, "semigroup_generators": [[2], [3]]}'
 THREEFOLD_DOC = (

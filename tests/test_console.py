@@ -1,4 +1,4 @@
-"""The console script end to end, and six lint rules on the library.
+"""The console script end to end, and five lint rules on the library.
 
 Each row runs `python -m nashtoric <command>` on one JSON document, with
 PYTHONPATH set to this checkout's src/ and a 60 s limit, and pins the exit
@@ -169,24 +169,51 @@ def test_no_assert_statements_in_the_library():
     assert not found, "\n".join(found)
 
 
-def test_no_unused_imports_in_the_library():
-    # every imported name is used or listed in __all__
-    unused = []
-    for path in sorted((SRC / "nashtoric").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
+def test_no_orphans_in_the_library():
+    # every name a module imports is used in it, __init__'s by __all__, and
+    # every private (single-underscore) function, class, method or
+    # module-level constant is read somewhere in the package outside its
+    # own definition; dunder names are exempt
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "nashtoric").glob("*.py"))
+    }
+    orphans = []
+    reads = {}
+    for path, tree in trees.items():
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
             if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 used |= {e.value for e in node.value.elts}
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(getattr(node, "id", None) or node.attr, []).append(node)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
-                        unused.append(f"{path}:{node.lineno}: {name} is imported but never used")
-    assert not unused, "\n".join(unused)
+                        orphans.append(f"{path}:{node.lineno}: {name} is imported but never used")
+
+    definitions = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((path, node, node.name))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                definitions += [(path, node, t.id) for t in targets if isinstance(t, ast.Name)]
+    for path, definition, name in definitions:
+        if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
+            continue
+        inside = {id(node) for node in ast.walk(definition)}
+        if all(id(node) in inside for node in reads.get(name, ())):
+            orphans.append(f"{path}:{definition.lineno}: {name} is never read outside its definition")
+    assert not orphans, "\n".join(orphans)
 
 
 def test_library_imports_only_the_standard_library():
@@ -209,35 +236,9 @@ def test_library_imports_only_the_standard_library():
     assert not foreign, "\n".join(foreign)
 
 
-def test_no_unreferenced_private_functions_in_the_library():
-    # a private function or method that nothing in the package names, as a
-    # name or as an attribute, is dead code; dunder methods are exempt
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted((SRC / "nashtoric").glob("*.py"))
-    }
-    referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    dead = [
-        f"{path}:{node.lineno}: {node.name} is never referenced"
-        for path, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_")
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in referenced
-    ]
-    assert not dead, "\n".join(dead)
-
-
 def test_only_cones_builds_a_cone_directly():
-    # every other module builds a Cone through from_rays, from_halfspaces
-    # or dual, so every cone is pointed and full-dimensional
+    # every other module builds a Cone through from_rays or dual, so every
+    # cone is pointed and full-dimensional
     found = [
         f"{path}:{node.lineno}: calls Cone(...)"
         for path in sorted((SRC / "nashtoric").glob("*.py"))

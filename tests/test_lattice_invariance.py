@@ -144,6 +144,10 @@ def test_images_need_a_unimodular_map():
         S.image(((1, 1), (1, 1)))
     with pytest.raises(DimensionError):
         S.image(((1, 0),))
+    # d rows of the wrong length are a shape error, not a determinant one
+    for g in (((1, 0, 0), (0, 1, 0)), ((1,), (0, 1))):
+        with pytest.raises(DimensionError, match="length 2"):
+            S.image(g)
 
 
 def test_images_need_an_integer_map():

@@ -51,7 +51,7 @@ def test_construction_validates():
 
 
 def test_in_cone_checks_what_construction_checks():
-    # in_cone takes the generators' cone from its caller and checks the
+    # _in_cone takes the generators' cone from its caller and checks the
     # rest as __init__ does, with the same semigroup or the same error
     cases = [
         (2, [(1, 0), (-1, 0), (0, 1)], NotPointedError),
@@ -74,15 +74,15 @@ def test_in_cone_checks_what_construction_checks():
             except (NotPointedError, NotFullDimensionalError):
                 continue
             with pytest.raises(error):
-                AffineSemigroup.in_cone(cone, gens)
+                AffineSemigroup._in_cone(cone, gens)
             continue
         cone = Cone.from_rays(gens, dim)
         S = AffineSemigroup(dim, gens)
-        T = AffineSemigroup.in_cone(cone, iter(gens))
+        T = AffineSemigroup._in_cone(cone, iter(gens))
         assert T.generators == S.generators and T.cone == S.cone
         assert T.minimal_generators() == S.minimal_generators()
     with pytest.raises(DimensionError):
-        AffineSemigroup.in_cone(Cone.from_rays([(1, 0), (0, 1)]), [(1, 0, 0)])
+        AffineSemigroup._in_cone(Cone.from_rays([(1, 0), (0, 1)], 2), [(1, 0, 0)])
 
 
 def test_zero_generators_are_dropped():
