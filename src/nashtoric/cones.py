@@ -10,7 +10,10 @@ facet normals is the dual of the cone they generate.
 
 `Cone.from_rays` makes one double-description pass for every cone: the
 facets come out of it with the inputs on each, the extreme rays are the
-inputs with maximal facet sets, and no second conversion runs.
+inputs with maximal facet sets, and no second conversion runs. Inputs of
+rank r < d are first completed by d - r unit vectors, which leave the cone
+pointed exactly when the inputs' cone is, so every pass has full-rank
+normals.
 
 2D cones take their own paths: one cross-product
 scan for the two extreme rays instead of a conversion, and the
@@ -46,12 +49,10 @@ from .linalg import (
     identity,
     independent_rows,
     integer,
-    kernel_basis,
     mat_vec,
     primitive,
     rank,
     vec,
-    vneg,
     vsub,
     xgcd,
 )
@@ -69,7 +70,7 @@ def _simplicial_facets(rows):
 def _pointed_extreme_rays(normals, basis):
     """Extreme rays of {x : <n,x> >= 0 for all n} as sorted (ray, mask)
     pairs, bit i of mask set when <normals[i], ray> is 0; basis holds the
-    indices of dim independent normals.
+    indices of dim independent normals, so the normals have full rank.
 
     Incremental double description (Motzkin et al. 1953; Fukuda & Prodon,
     1996). The basis normals cut out a simplicial cone whose rays are
@@ -119,24 +120,14 @@ def _pointed_extreme_rays(normals, basis):
                 w = primitive(tuple(sn * a + sp * b for a, b in zip(rp, rn)))
                 kept.append((w, common | bit))
         rays = kept
-        if not rays:
-            break
     # every normal has been tested against every ray, so each mask is the
     # ray's whole zero set
     return tuple(sorted(dict(rays).items()))
 
 
-def _kernel_lattice(normals, dim):
-    """Hermite basis of the lattice of {x : <n,x> = 0 for all n}."""
-    if not normals:
-        return identity(dim)
-    return tuple(zip(*kernel_basis(normals)))
-
-
 def _extreme_inputs(inputs, facets):
-    """The extreme rays of cone(inputs), read off its facets relative to
-    its span, (normal, mask) pairs with bit i of mask set when inputs[i]
-    lies on the facet.
+    """The extreme rays of cone(inputs), read off its facets, (normal,
+    mask) pairs with bit i of mask set when inputs[i] lies on the facet.
 
     The face an input generates is cut out by the facets through it. The
     lineality space is the least face, generated by the inputs in it, so
@@ -145,9 +136,7 @@ def _extreme_inputs(inputs, facets):
     spans an extreme ray.
     """
     on = [0] * len(inputs)
-    inputs_mask = (1 << len(inputs)) - 1
     for j, (_, z) in enumerate(facets):
-        z &= inputs_mask
         while z:
             low = z & -z
             on[low.bit_length() - 1] |= 1 << j
@@ -204,10 +193,10 @@ class Cone:
 
         The facet normals are the extreme rays of the dual cone, each with
         the inputs on it, and the extreme rays are the inputs whose facet
-        sets are maximal under inclusion. Inputs of rank < d convert the
-        dual cone cut down to their span by its ± lines, so that a line
-        in their cone is reported first (`_extreme_inputs`), and otherwise
-        raise NotFullDimensionalError.
+        sets are maximal under inclusion. Inputs of rank r < d convert
+        with the d - r unit vectors `independent_rows` keeps after them, so
+        that a line in their cone is reported first (`_extreme_inputs`),
+        and otherwise raise NotFullDimensionalError.
 
         Exactly d independent primitive inputs (after the 2D scan) stop at
         the pass's seed: one adjugate gives the facets, and the inputs are
@@ -230,17 +219,20 @@ class Cone:
             simplicial = cls._from_rays_simplicial(norm)
             if simplicial is not None:
                 return simplicial
-        # the dual's ± lines, independent of the inputs, cut it down to
-        # its pointed part
-        basis = independent_rows(norm)
         n = len(norm)
-        dual_lines = _kernel_lattice(norm, dim) if len(basis) < dim else ()
-        facets = _pointed_extreme_rays(
-            tuple(norm) + dual_lines + tuple(map(vneg, dual_lines)),
-            basis + tuple(range(n, n + len(dual_lines))),
-        )
+        basis = independent_rows(norm)
+        units = []
+        if len(basis) < dim:
+            # a functional positive on the inputs' cone minus 0 extends by
+            # 1 on a complement of unit vectors, so the completed cone has
+            # a line exactly when the inputs' cone does
+            eye = list(identity(dim))
+            units = [eye[i - n] for i in independent_rows(norm + eye)[len(basis):]]
+            basis += tuple(range(n, n + len(units)))
+            norm += units
+        facets = _pointed_extreme_rays(norm, basis)
         rays = _extreme_inputs(norm, facets)
-        if dual_lines:
+        if units:
             raise NotFullDimensionalError("cone is not full-dimensional")
         return cls(dim, rays, tuple(h for h, _ in facets))
 

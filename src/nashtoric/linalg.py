@@ -7,11 +7,10 @@ where the size is small enough to write one out:
 
 - `independent_rows`, a fraction-free echelon, answers independence, rank
   and greedy bases;
-- `hermite_basis` gives lattice bases, full-lattice tests, integer
-  kernels (`kernel_basis`) and, in alternating row and column passes,
-  the Smith form: the rows (a, b) and (0, c) written out in Z^2, where
-  every unnormalized surface chart checks its group, and one xgcd pass
-  otherwise;
+- `hermite_basis` gives lattice bases, full-lattice tests and, in
+  alternating row and column passes, the Smith form: the rows (a, b) and
+  (0, c) written out in Z^2, where every unnormalized surface chart checks
+  its group, and one xgcd pass otherwise;
 - `adjugate` returns the adjugate with the determinant: cofactors for
   2x2, 3x3 and 4x4, where most calls land (bases of surfaces, threefolds
   and fourfolds), and a fraction-free Gauss-Jordan pass otherwise (`det`
@@ -19,8 +18,9 @@ where the size is small enough to write one out:
 - `maximal_minors` gives all maximal minors of a vector list from one
   Laplace sweep instead of one elimination per subset.
 
-`det` and `smith_normal_form` are public API only, thin readings of
-`adjugate` and `hermite_basis`; no library path calls them.
+`det`, `smith_normal_form` and the integer kernels of `kernel_basis` are
+public API only, thin readings of `adjugate` and `hermite_basis`; no
+library path calls them.
 """
 
 import operator

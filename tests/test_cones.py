@@ -125,6 +125,16 @@ def test_halfline_is_not_full_dim():
     for rays in ((), ((0, 0),), ((0, 0), (0, 0))):
         with pytest.raises(NotFullDimensionalError):
             Cone.from_rays(rays, 2)
+    # beyond the brute-force oracle's d <= 5; -e1 lies in the second cone,
+    # so completing it by every unit vector would report a line
+    for rays in (
+        ((-1, 0, 0, 0, 0, 0),),
+        ((-2, -3, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)),
+        (),
+        ((0,) * 6,),
+    ):
+        with pytest.raises(NotFullDimensionalError):
+            Cone.from_rays(rays, 6)
 
 
 def test_whole_plane():
@@ -135,6 +145,9 @@ def test_whole_plane():
         (((1, 0), (-1, 0)), 2),
         (((1, 0, 0), (-1, 0, 0), (0, 1, 0)), 3),
         (((1, 2, 0), (2, 4, 0), (-1, -2, 0)), 3),
+        # a line, though no two inputs are opposite
+        (((1, 1, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0)), 6),
+        (((1, 2, 3, 0, 0, 0), (-1, -2, -3, 0, 0, 0), (0, 0, 0, 1, 0, 0)), 6),
     ):
         with pytest.raises(NotPointedError):
             Cone.from_rays(rays, dim)
@@ -278,8 +291,15 @@ def test_from_rays_matches_bruteforce_conversion():
     shapes = set()
     for rays, dim in cases:
         shapes.add((dim > 2,) + _check_against_bruteforce(rays, dim))
-    # lineality and lower-dimensional inputs both occur beyond the plane
-    assert {(True, False, True), (True, True, False), (True, True, True)} <= shapes
+    # lineality and lower-dimensional inputs occur beyond the plane, alone
+    # and together: a line in inputs of rank < d is the case the unit
+    # vector completion must report first
+    assert {
+        (True, False, True),
+        (True, True, False),
+        (True, True, True),
+        (True, False, False),
+    } <= shapes
 
 
 def test_from_rays_ignores_added_combinations_of_rays():
