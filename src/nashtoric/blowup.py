@@ -7,12 +7,14 @@ on the tangent cone at the vertex, converted once per chart: its lattice
 points (`AffineSemigroup.from_cone`) or, unnormalized, the semigroup that
 the chart's generators span in it (`AffineSemigroup._in_cone`).
 
-The admissible subsets are the bases of the generators' matroid over F_p
-(over Q for p = 0), so conv(E) is the image of its base polytope.
-`nash_blowup` uses that to build the charts without the C(n, d)
-enumeration: Edmonds' greedy algorithm finds a vertex, the single
-exchanges B - b + g of its basis span the chart cone, and a walk along the
-bounded edges reaches every other vertex.
+`nash_blowup` builds the charts without the C(n, d) enumeration. For a
+normal surface, normalized, it reads them off the Hilbert basis in closed
+form (`_surface_charts`). Otherwise it walks (`_walk`): the admissible
+subsets are the bases of the generators' matroid over F_p (over Q for
+p = 0), so conv(E) is the image of its base polytope; Edmonds' greedy
+algorithm finds a vertex, the single exchanges B - b + g of its basis span
+the chart cone, and a walk along the bounded edges reaches every other
+vertex.
 
 The exchanges also generate the unnormalized chart Γ + <E - v>, Γ the
 semigroup and v = sum B. Each g - b is a raw exponent minus v, and a raw
@@ -40,6 +42,7 @@ from .cones import Cone, irreducible, polyhedron_vertices_and_facets
 from .linalg import (
     adjugate,
     columns_matrix,
+    cross2,
     dot,
     independent_rows,
     maximal_minors,
@@ -133,9 +136,9 @@ def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
     saturation. Both are built on the tangent cone at v, cone(σ^∨ ∪
     (E - v)), cut out by N's facets through v (h0 + <h, v> = 0), a few per
     vertex where E - v lists every exponent: the dual of the cone their
-    normals generate. `nash_blowup` builds the same charts by a walk
+    normals generate. `nash_blowup` builds the same charts without E
     (unnormalized ones from other generators); this enumeration stays for
-    the `blowup` command and as the walk's oracle.
+    the `blowup` command and as its oracle.
     """
     S = N.semigroup
     gens = S.minimal_generators()
@@ -171,22 +174,56 @@ def _chart(v, tangent, generators, normalize):
 
 
 def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
-    """The charts of one blowup step, in vertex order.
-
-    Equal to blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)),
-    normalize), up to the generator lists of unnormalized charts, but
-    built by a walk on the vertices, without E. A vertex is the sum of a
-    greedy basis B. Both chart kinds are built on its tangent cone, one
-    conversion of σ^∨'s rays and the exchange directions g - b; the
-    directions with B and the generators that have no exchange generate
-    the unnormalized chart (module docstring). Each extreme ray u of that
-    cone outside σ^∨ is a bounded edge; the sum w_e of the facet normals
-    through u is least on exactly that edge, and the greedy basis under
-    (w_e, -u) sits at its far end. Bounded edges connect all vertices of
-    a polyhedron whose recession cone is pointed. The walk begins at the
-    greedy basis under (<w, g>, g), w the sum of σ^∨'s facet normals.
+    """The charts of one blowup step, in vertex order: equal to
+    blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)), normalize),
+    up to the generator lists of unnormalized charts, but built without E.
+    Normalized charts of a semigroup known to be a normal surface (the flag
+    is read, never computed) come in closed form; all else walks (`_walk`).
     """
     p = validate_characteristic(characteristic)
+    if normalize and S.dim == 2 and S._saturated is True:
+        return _surface_charts(S)
+    return _walk(S, p, normalize)
+
+
+def _surface_charts(S):
+    """The normalized charts of a normal surface, in every characteristic.
+
+    Along the Hilbert basis a_0, ..., a_m, ordered by a facet normal (the
+    order `_hirzebruch_jung` proves strict), the Newton vertices are the
+    sums s_i = a_i + a_{i+1} where their chain turns, and s_0 and s_{m-1}.
+    Each chart is the cone of the edges to its neighbouring vertices, with
+    a_0 and a_m at the two ends (README, "Surfaces in closed form").
+    """
+    h = S.cone.halfspaces[0]
+    a = sorted(S.minimal_generators(), key=lambda g: dot(h, g))
+    s = [_vsum(pair) for pair in zip(a, a[1:])]
+    turns = [t for r, t, u in zip(s, s[1:], s[2:]) if cross2(vsub(t, r), vsub(u, t))]
+    vertices = list(dict.fromkeys((s[0], *turns, s[-1])))  # s_0 is s_{m-1} if m = 1
+    charts = []
+    for j, v in enumerate(vertices):
+        back = vsub(vertices[j - 1], v) if j else a[0]
+        ahead = vsub(vertices[j + 1], v) if j < len(vertices) - 1 else a[-1]
+        charts.append(_chart(v, Cone.from_rays((back, ahead), 2), (), True))
+    return tuple(sorted(charts, key=lambda c: c.vertex))
+
+
+def _walk(S: AffineSemigroup, p, normalize):
+    """`nash_blowup` in a validated characteristic p by a walk on the
+    vertices: the path for unnormalized charts, d >= 3 and semigroups not
+    known to be saturated, and the tests' reference for the closed form.
+
+    A vertex is the sum of a greedy basis B. Both chart kinds are built on
+    its tangent cone, one conversion of σ^∨'s rays and the exchange
+    directions g - b; the directions with B and the generators that have
+    no exchange generate the unnormalized chart (module docstring). Each
+    extreme ray u of that cone outside σ^∨ is a bounded edge; the sum w_e
+    of the facet normals through u is least on exactly that edge, and the
+    greedy basis under (w_e, -u) sits at its far end. Bounded edges
+    connect all vertices of a polyhedron whose recession cone is pointed.
+    The walk begins at the greedy basis under (<w, g>, g), w the sum of
+    σ^∨'s facet normals.
+    """
     gens = S.minimal_generators()
     w = _vsum(S.cone.halfspaces)
     start = _greedy_basis(gens, lambda g: (dot(w, g), g), p)

@@ -386,6 +386,8 @@ def test_surface_blowup_closed_form():
             assert sorted((c.vertex, c.semigroup.minimal_generators()) for c in blowup_charts(N)) == (
                 surface_blowup(S)
             )
+        # every p against the proof: the closed form `nash_blowup` takes on
+        # a normal surface, the walk and the oracle's cross-product order
         seen = set()
         for node in resolve(S, 0).nodes():
             T = node.semigroup
@@ -394,9 +396,43 @@ def test_surface_blowup_closed_form():
             seen.add(T.minimal_generators())
             want = surface_blowup(T)
             for p in (0, 2, 3, 5):
-                assert sorted((c.vertex, c.semigroup.minimal_generators()) for c in nash_blowup(T, p)) == want
+                assert _vertex_gens(nash_blowup(T, p)) == want
+                assert _vertex_gens(blowup._walk(T, p, True)) == want
         nodes += len(seen)
     assert nodes >= 500
+
+
+def _vertex_gens(charts):
+    return [(c.vertex, c.semigroup.minimal_generators()) for c in charts]
+
+
+def test_normal_surfaces_take_the_closed_form(monkeypatch, threefold):
+    # the selection reads dimension, normalize and the saturation flag:
+    # the walk computes greedy bases, the closed form none
+    walked = []
+    greedy = blowup._greedy_basis
+
+    def counted(gens, key, p):
+        walked.append(gens)
+        return greedy(gens, key, p)
+
+    monkeypatch.setattr(blowup, "_greedy_basis", counted)
+    S = AffineSemigroup.from_cone(Cone.from_rays(((1, 0), (7, 11)), 2))
+    G = AffineSemigroup(2, S.minimal_generators())
+    for p in (0, 2):
+        walked.clear()
+        tree = resolve(S, p)
+        assert tree.depth() >= 2 and walked == []
+        # the same semigroup, not known to be saturated: only the root walks
+        assert G._saturated is None
+        assert resolve(G, p).shape() == tree.shape()
+        assert walked and set(walked) == {G.minimal_generators()}
+        walked.clear()
+        resolve(S, p, normalize=False)
+        assert walked
+        walked.clear()
+        resolve(threefold, p)
+        assert walked
 
 
 def _charts_in(charts, S):

@@ -122,3 +122,27 @@ def test_no_image_converts_its_cone_while_solve_runs(monkeypatch, cone_conversio
             pipeline.solve(lib, problem)
         assert made[0] > 0, name
         assert cone_conversions == [0], name
+
+
+def test_the_benchmark_has_a_workload_on_each_side_of_the_closed_form(monkeypatch):
+    # normalized normal surfaces take `nash_blowup`'s closed form and every
+    # other blowup the walk, which computes greedy bases: `surfaces` must
+    # stay on one side of that selection and two workloads on the other
+    lib = pipeline.library()
+    walked = [0]
+    greedy = lib["blowup"]._greedy_basis
+
+    def counted(gens, key, p):
+        walked[0] += 1
+        return greedy(gens, key, p)
+
+    monkeypatch.setattr(lib["blowup"], "_greedy_basis", counted)
+    for name, groups, closed in (
+        ("surfaces", 10, True),
+        ("unnormalized", 2, False),
+        ("threefolds", 1, False),
+    ):
+        walked[0] = 0
+        for problem in workloads.corpus(workloads.WORKLOADS[name], 0, groups):
+            pipeline.solve(lib, problem)
+        assert (walked[0] == 0) == closed, (name, walked[0])

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import random
 import sys
 
@@ -394,6 +395,24 @@ def test_two_chart_surface_resolution():
         assert all(c.status == SMOOTH_LEAF for _, c in tree.root.children)
         shapes.add(tree.shape())
     assert len(shapes) == 1
+
+
+def test_surface_height_is_at_most_log2_of_the_index():
+    # every normal 2D class of index n is the lattice points of the cone
+    # on (1,0), (a,n), 0 <= a < n, gcd(a, n) = 1; its tree's height is at
+    # most ceil(log2 n), and exactly that at a = n - 1
+    roots = 0
+    for n in range(2, 41):
+        bound = (n - 1).bit_length()
+        for a in range(n):
+            if math.gcd(a, n) != 1:
+                continue
+            S = AffineSemigroup.from_cone(Cone.from_rays(((1, 0), (a, n)), 2))
+            depth = resolve(S, 0).depth()
+            assert depth <= bound, (a, n)
+            assert a < n - 1 or depth == bound, (a, n)
+            roots += 1
+    assert roots == 489
 
 
 def test_suite_summary_coherent():
