@@ -46,8 +46,8 @@ from .linalg import (
     dot,
     independent_rows,
     maximal_minors,
+    primitive,
     validate_characteristic,
-    vneg,
     vsub,
 )
 from .semigroups import AffineSemigroup
@@ -223,28 +223,34 @@ def _walk(S: AffineSemigroup, p, normalize):
     connect all vertices of a polyhedron whose recession cone is pointed.
     The walk begins at the greedy basis under (<w, g>, g), w the sum of
     σ^∨'s facet normals.
+
+    A polyhedron meets the ray v + t·u, t > 0, of a bounded edge in that
+    edge and nothing more, so a vertex already seen on the open ray is the
+    edge's far end, and the edge computes no greedy basis: the edge back
+    to where the walk came from is one of these. The far ends found from
+    v lie on v's other rays, so the primitive directions from v to the
+    vertices seen when v's chart is built answer for all of v's edges, and
+    each vertex costs one greedy basis, the one that finds it.
     """
     gens = S.minimal_generators()
     w = _vsum(S.cone.halfspaces)
-    start = _greedy_basis(gens, lambda g: (dot(w, g), g), p)
-    seen = {_vsum(start)}
-    # each basis comes with its exchanges and the edge back to where it
-    # was reached from
-    todo = [((start,) + _exchanges(start, gens, p), None)]
+    todo = [_greedy_basis(gens, lambda g: (dot(w, g), g), p)]
+    seen = {_vsum(todo[0])}
     charts = []
     while todo:
-        (basis, directions, unexchanged), back = todo.pop()
+        basis = todo.pop()
+        v = _vsum(basis)
+        directions, unexchanged = _exchanges(basis, gens, p)
         tangent = Cone.from_rays(S.cone.rays + directions, S.dim)
-        charts.append(_chart(_vsum(basis), tangent, basis + unexchanged + directions, normalize))
+        charts.append(_chart(v, tangent, basis + unexchanged + directions, normalize))
+        ahead = {primitive(vsub(x, v)) for x in seen if x != v}
         for u in tangent.rays:
-            if u == back or S.cone.contains(u):
+            if u in ahead or S.cone.contains(u):
                 continue
             w_e = _vsum([h for h in tangent.halfspaces if not dot(h, u)])
             far = _greedy_basis(gens, lambda g: (dot(w_e, g), -dot(u, g), g), p)
-            v = _vsum(far)
-            if v not in seen:
-                seen.add(v)
-                todo.append(((far,) + _exchanges(far, gens, p), vneg(u)))
+            seen.add(_vsum(far))
+            todo.append(far)
     return tuple(sorted(charts, key=lambda c: c.vertex))
 
 

@@ -37,6 +37,7 @@ the queries a pairwise scan of the kept points makes, in its order.
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from operator import mul
 
 from .errors import DimensionError, NotFullDimensionalError, NotPointedError
@@ -97,7 +98,7 @@ def _pointed_extreme_rays(normals, basis):
         neg = []
         kept = []
         for r, z in rays:
-            s = dot(n, r)
+            s = sum(map(mul, n, r))
             if s > 0:
                 pos.append((r, z, s))
                 kept.append((r, z))
@@ -117,8 +118,9 @@ def _pointed_extreme_rays(normals, basis):
                 # distinct extreme rays have distinct zero sets
                 if any(z & common == common for z in masks if z != zp and z != zn):
                     continue
-                w = primitive(tuple(sn * a + sp * b for a, b in zip(rp, rn)))
-                kept.append((w, common | bit))
+                w = [sn * a + sp * b for a, b in zip(rp, rn)]
+                g = gcd(*w)  # w != 0: rp and rn lie on opposite sides of n
+                kept.append((tuple([a // g for a in w]), common | bit))
         rays = kept
     # every normal has been tested against every ray, so each mask is the
     # ray's whole zero set

@@ -81,9 +81,7 @@ def columns_matrix(vectors):
 
 def primitive(v):
     """Divide a vector by the gcd of its entries, keeping direction."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
 from .cones import Cone
 from .linalg import cross2, integer, mat_mul, mat_vec, validate_characteristic
-from .semigroups import AffineSemigroup, LatticePairing
+from .semigroups import _CONE_DIM, AffineSemigroup, LatticePairing
 
 SMOOTH_LEAF = "smooth-leaf"
 EXPANDED = "expanded"
@@ -89,7 +89,9 @@ def resolve(
     (`AffineSemigroup.image`). A mapped node takes its status and charts
     from its class's links, so none converts its cone. The minimal
     generators determine a semigroup and its charts, so this serves both
-    chart kinds in every dimension.
+    chart kinds in every dimension. A normalized chart in d >= 3 is keyed
+    on its cone instead, which determines it, so only the semigroups blown
+    up and the charts at the cap compute a Hilbert basis (`_ClassGraph`).
     """
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
@@ -100,8 +102,8 @@ def resolve(
 class _ClassGraph:
     """The lattice classes below one `resolve` root, built breadth first.
 
-    Class k is (pairing, level, charts, links): its representative R's
-    `LatticePairing`, the least depth of its nodes, R's charts, and per
+    Class k is (R, pairing, level, charts, links): its representative R,
+    R's `LatticePairing`, the least depth of its nodes, R's charts, and per
     chart j of R a link, `_link(chart j, level + 1)`: a status, or (k', h)
     with h·Q == chart j for Q class k''s representative (h None when chart
     j is Q). `root` is the root's link. The class list is walked in order
@@ -111,6 +113,12 @@ class _ClassGraph:
     counts those nonzero mod p, which any g ∈ GL(d, Z) keeps, being
     invertible mod p. Links are indices, so a class whose chart lies in
     its own class makes no reference cycle.
+
+    A normalized chart in d >= 3 is keyed on its cone and tested for
+    smoothness on its rays, so only a representative, which is blown up,
+    computes its Hilbert basis. A root of a normalized graph in d >= 3
+    whose saturation is not known is tested once, so that a saturated
+    root keys on its cone as its charts do.
     """
 
     __slots__ = ("p", "normalize", "max_depth", "buckets", "classes", "root")
@@ -121,8 +129,10 @@ class _ClassGraph:
         self.max_depth = max_depth
         self.buckets = {}  # LatticePairing key -> [class index]
         self.classes = []
+        if normalize and S.dim >= _CONE_DIM and S._saturated is None:
+            S.is_saturated()
         self.root = self._link(S, 0)
-        for _, level, charts, links in self.classes:
+        for _, _, level, charts, links in self.classes:
             links.extend(self._link(c.semigroup, level + 1) for c in charts)
 
     def _link(self, S, depth):
@@ -142,17 +152,24 @@ class _ClassGraph:
         pairing = LatticePairing(S)
         bucket = self.buckets.setdefault(pairing.key, [])
         for k in bucket:
-            g = self.classes[k][0].map_to(pairing)
+            g = self.classes[k][1].map_to(pairing)
             if g is not None:
                 return k, g
         bucket.append(len(self.classes))
-        self.classes.append((pairing, level, nash_blowup(S, self.p, self.normalize), []))
+        self.classes.append((S, pairing, level, nash_blowup(S, self.p, self.normalize), []))
         return len(self.classes) - 1, None
 
     def unfold(self, S, depth, link, g=None):
         """The node of S == g·T for T the chart or root whose link is
         `link` (g None when S is T), read off the graph: it makes no key,
-        no blowup and no status test."""
+        no blowup and no status test.
+
+        A child g·(chart j) whose chart never computed its minimal
+        generators (a lattice-point chart keyed on its cone, `from_cone`)
+        but is h·Q for a class representative Q is read off Q instead, as
+        the image of Q under g·h, so the chart's Hilbert basis is never
+        computed.
+        """
         if isinstance(link, str):
             return ResolutionNode(S, depth, link, ())
         if depth == self.max_depth:
@@ -160,11 +177,21 @@ class _ClassGraph:
         k, h = link
         if h is not None:
             g = h if g is None else mat_mul(g, h)
-        _, _, charts, links = self.classes[k]
-        children = ((c.vertex, j, c.semigroup) for j, c in enumerate(charts))
+        _, _, _, charts, links = self.classes[k]
+        children = []
+        for c, link_j in zip(charts, links):
+            # the child is f·T, linked by link_j
+            v, T, f = c.vertex, c.semigroup, g
+            if T.generators is None and not isinstance(link_j, str) and link_j[1] is not None:
+                k_j, h_j = link_j
+                T, link_j = self.classes[k_j][0], (k_j, None)
+                f = h_j if g is None else mat_mul(g, h_j)
+            if g is not None:
+                v = mat_vec(g, v)
+            children.append((v, T if f is None else T.image(f), link_j, f))
         if g is not None:
-            children = sorted((mat_vec(g, v), j, T.image(g)) for v, j, T in children)
-        nodes = tuple((v, self.unfold(T, depth + 1, links[j], g)) for v, j, T in children)
+            children.sort(key=lambda child: child[0])
+        nodes = tuple((v, self.unfold(T, depth + 1, link_j, f)) for v, T, link_j, f in children)
         return ResolutionNode(S, depth, EXPANDED, nodes)
 
 

@@ -8,8 +8,11 @@ check the group (`_checked`); `from_cone` (the lattice points of a cone)
 and `image` (a GL(d, Z) image) hold them by construction. An image is its
 mapped minimal generators and no cone: a semigroup built without one
 converts its generators' cone (`Cone.from_rays`) when `cone` is first
-read. Everything downstream (membership, minimal generators, saturation,
-smoothness) is exact and reads a semigroup through its minimal generators.
+read. Lattice points are the converse: in d >= 3 `from_cone` keeps the
+cone and computes the Hilbert basis only when the minimal generators are
+first read, and until then smoothness and the class key read the cone.
+Everything else downstream (membership, minimal generators, saturation)
+is exact and reads a semigroup through its minimal generators.
 Membership in a semigroup that is not known to be saturated is one
 depth-first search, `AffineSemigroup._generated`, in the basis coordinates
 of the first d independent generators in grading order, which are minimal.
@@ -34,6 +37,10 @@ from .linalg import (
 
 
 _NOT_FULL_LATTICE = "generators do not span Z^d as a group"
+# the least dimension in which a lattice-point semigroup is read through
+# its cone until its Hilbert basis is needed: below it the basis costs
+# about as much as an image (in 2D, the Hirzebruch-Jung chain)
+_CONE_DIM = 3
 
 
 def _frame(points):
@@ -121,9 +128,16 @@ class AffineSemigroup:
 
     @classmethod
     def from_cone(cls, cone: Cone) -> "AffineSemigroup":
-        """The saturated semigroup cone ∩ Z^d, generated by its Hilbert basis."""
-        hb = hilbert_basis(cone)
-        return cls.__new__(cls)._set(cone.dim, hb.elements, cone, hb.elements, True)
+        """The saturated semigroup cone ∩ Z^d, generated by its Hilbert basis.
+
+        The cone determines the semigroup, so from `_CONE_DIM` on the basis
+        waits until the minimal generators are first read (`generators` is
+        None until then), and a semigroup that is only tested for
+        smoothness or keyed (`LatticePairing`) never computes it. Below it
+        the basis is made at once.
+        """
+        hb = hilbert_basis(cone).elements if cone.dim < _CONE_DIM else None
+        return cls.__new__(cls)._set(cone.dim, hb, cone, hb, True)
 
     @property
     def cone(self) -> Cone:
@@ -147,8 +161,12 @@ class AffineSemigroup:
 
     def minimal_generators(self):
         """The unique minimal generating set, lexicographically sorted: the
-        sweep of `irreducible` with `_generated` as its member test."""
-        if self._minimal is None:
+        Hilbert basis of a lattice-point semigroup that deferred it
+        (`from_cone`), else the sweep of `irreducible` with `_generated` as
+        its member test."""
+        if self.generators is None:
+            self.generators = self._minimal = hilbert_basis(self._cone).elements
+        elif self._minimal is None:
             self._member_cache.update(dict.fromkeys(self.generators, True))
             self._minimal = irreducible(self.generators, self.cone.halfspaces, self._generated)
         return self._minimal
@@ -263,7 +281,17 @@ class AffineSemigroup:
 
     def is_smooth(self) -> bool:
         """Free on a lattice basis. The minimal generators span Z^d as a
-        group, so d of them are a lattice basis."""
+        group, so d of them are a lattice basis.
+
+        A lattice-point semigroup that deferred its Hilbert basis reads its
+        cone instead: it is smooth exactly when the cone has d rays with
+        determinant ±1, which are then its Hilbert basis, kept as such.
+        """
+        if self.generators is None:
+            rays = self.cone.rays
+            if len(rays) != self.dim or abs(adjugate(rays)[1]) != 1:
+                return False
+            self.generators = self._minimal = rays
         return len(self.minimal_generators()) == self.dim
 
     def __eq__(self, other):
@@ -278,40 +306,50 @@ class AffineSemigroup:
         return hash((self.dim, self.minimal_generators()))
 
     def __repr__(self):
-        return f"AffineSemigroup(dim={self.dim}, generators={list(self.generators)})"
+        gens = self.minimal_generators() if self.generators is None else self.generators
+        return f"AffineSemigroup(dim={self.dim}, generators={list(gens)})"
 
 
 class LatticePairing:
-    """The pairing matrix <h, x> of S, facet normals h by minimal
-    generators x, for telling GL(d, Z) classes apart.
+    """The pairing matrix <h, x> of S, facet normals h by points x, for
+    telling GL(d, Z) classes apart.
 
-    g·S has the minimal generators g·x and the normals g^-T h, so its
-    matrix is S's with rows and columns permuted: `key`, the sorted rows
-    and the sorted columns, each sorted first, is a class invariant.
-    `map_to` finds the g between two semigroups with equal keys.
+    The points are S's minimal generators, or, when S is known to be
+    saturated and d >= 3, the primitive extreme rays of its cone: the cone
+    determines a saturated S, so its Hilbert basis is never read (it may
+    not be computed, `from_cone`). The key records which kind of point it
+    pairs, so a saturated S is only ever matched to a saturated one. g·S
+    has the points g·x and the normals g^-T h, so its matrix is S's with
+    rows and columns permuted: `key`, the kind, the sorted rows and the
+    sorted columns, each sorted first, is a class invariant. `map_to`
+    finds the g between two semigroups with equal keys.
     """
 
     __slots__ = ("dim", "columns", "profiles", "key", "_frame")
 
     def __init__(self, S: AffineSemigroup):
-        hs = S.cone.halfspaces
+        cone = S.cone
+        hs = cone.halfspaces
+        by_rays = S.dim >= _CONE_DIM and S._saturated is True
         self.dim = S.dim
-        # each minimal generator's column, and that column sorted
+        # each point's column, and that column sorted
         self.columns = {
-            x: tuple([sum(map(operator.mul, h, x)) for h in hs]) for x in S.minimal_generators()
+            x: tuple([sum(map(operator.mul, h, x)) for h in hs])
+            for x in (cone.rays if by_rays else S.minimal_generators())
         }
         self.profiles = {x: tuple(sorted(c)) for x, c in self.columns.items()}
         self.key = (
             self.dim,
+            by_rays,
             tuple(sorted([tuple(sorted(r)) for r in zip(*self.columns.values())])),
             tuple(sorted(self.profiles.values())),
         )
         self._frame = None
 
     def _basis(self):
-        """The first d independent minimal generators A, rarest profile
-        first, with the columns of adj(A), det(A) > 0 (`_frame`) and, for
-        each prefix of A, the sorted facet value tuples of its members."""
+        """The first d independent points A, rarest profile first, with the
+        columns of adj(A), det(A) > 0 (`_frame`) and, for each prefix of A,
+        the sorted facet value tuples of its members."""
         if self._frame is None:
             count = Counter(self.profiles.values())
             order = sorted(self.columns, key=lambda x: (count[self.profiles[x]], x))
@@ -324,14 +362,17 @@ class LatticePairing:
         """Some g in GL(d, Z) (rows) with g·R == S for R and S the two
         semigroups, or None if there is none.
 
-        g is fixed by the images B of the independent generators A, g =
-        B·adj(A)/det(A), and maps them to minimal generators of S. g
-        permutes the facets too, so for every prefix of A the sorted facet
-        value tuples of its images must be those of the prefix; a
-        depth-first search extends B one image at a time under this test.
-        A full B is accepted when g is integral and maps R's minimal
-        generators onto S's. Both sets span Z^d as a group, so g then maps
-        Z^d onto itself and is unimodular, and the generators determine S.
+        g is fixed by the images B of the independent points A, g =
+        B·adj(A)/det(A), and maps them to points of S. g permutes the
+        facets too, so for every prefix of A the sorted facet value tuples
+        of its images must be those of the prefix; a depth-first search
+        extends B one image at a time under this test. A full B is accepted
+        when g is integral, maps R's points onto S's and has determinant
+        ±1. The points determine the semigroup: its minimal generators, or
+        the rays of a saturated one's cone. Minimal generators span Z^d as
+        a group, so an integral g between them is unimodular anyway, but in
+        d >= 3 rays can span a proper sublattice, and an integral g of
+        another determinant can map one cone's rays onto another's.
         """
         if self.key != other.key:
             return None
@@ -357,7 +398,8 @@ class LatticePairing:
                 continue
             g = tuple([tuple([q // det_A for q in row]) for row in g])
             mapped = {tuple([sum(map(operator.mul, row, x)) for row in g]) for x in self.columns}
-            if mapped == target.keys():
+            # g maps a spanning set onto one, so it is nonsingular
+            if mapped == target.keys() and abs(adjugate(g)[1]) == 1:
                 return g
         return None
 

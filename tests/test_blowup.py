@@ -357,7 +357,9 @@ SELF_LOOP_WITNESS = (
 
 def test_characteristic_zero_self_loop_witness():
     W = AffineSemigroup(4, SELF_LOOP_WITNESS)
-    key = LatticePairing(W)
+    # paired through its cone, as a lattice-point semigroup: W's p = 0
+    # chart in its own class is one, so W is one too
+    key = LatticePairing(AffineSemigroup.from_cone(W.cone))
     for p, count in ((0, 11), (2, 11), (3, 10), (5, 11), (7, 11)):
         charts = nash_blowup(W, p)
         assert charts == blowup_charts(newton_polyhedron(log_jacobian_ideal(W, p)))
@@ -676,3 +678,29 @@ def test_empty_ideal_raises_runtime_error(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="log-Jacobian ideal is empty"):
         log_jacobian_ideal(S, 0)
+
+
+def test_the_walk_computes_one_greedy_basis_per_vertex(monkeypatch, threefold):
+    # a vertex already seen on the ray of a bounded edge is its far end,
+    # so only the edges to new vertices compute a greedy basis, and each
+    # vertex is reached by one; one per edge but the edge back took 4, 5,
+    # 69 and 53 for these 4, 3, 19 and 17 charts. The charts stay those
+    # of the enumeration (`test_normalized_blowup_matches_enumeration`)
+    e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    fourfold = AffineSemigroup.from_cone(Cone.from_rays(e + ((3, 5, 7, 11),), 4))
+    walked = [0]
+    greedy = blowup._greedy_basis
+
+    def counted(gens, key, p):
+        walked[0] += 1
+        return greedy(gens, key, p)
+
+    monkeypatch.setattr(blowup, "_greedy_basis", counted)
+    for S, p, normalize, count in (
+        (threefold, 0, True, 4),
+        (threefold, 2, False, 3),
+        (fourfold, 0, True, 19),
+        (fourfold, 2, True, 17),
+    ):
+        walked[0] = 0
+        assert len(nash_blowup(S, p, normalize)) == walked[0] == count, (S.dim, p)

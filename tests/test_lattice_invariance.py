@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron
 from nashtoric.cones import Cone
-from nashtoric.errors import DimensionError
+from nashtoric.errors import DimensionError, NotFullDimensionalError
 from nashtoric.io import serialize, tree_payload
-from nashtoric.linalg import dot, group_is_full_lattice, identity
+from nashtoric.linalg import det, dot, group_is_full_lattice, identity, images
 from nashtoric.resolve import resolve
 from nashtoric.semigroups import AffineSemigroup, LatticePairing
 
@@ -173,6 +173,28 @@ def test_matcher_maps_a_semigroup_onto_its_image(case, data):
     assert S.image(g).minimal_generators() == T.minimal_generators()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 4), st.data())
+def test_matcher_maps_a_cone_onto_its_image(dim, data):
+    # lattice-point semigroups in d >= 3 are paired on their cones' rays,
+    # and neither side computes its Hilbert basis to be matched
+    vector = st.tuples(st.integers(1, 4), *[st.integers(-3, 3)] * (dim - 1))
+    rays = data.draw(st.lists(vector, min_size=dim, max_size=dim + 2))
+    try:
+        cone = Cone.from_rays(rays, dim)
+    except NotFullDimensionalError:
+        assume(False)
+    h = data.draw(_unimodular(dim))
+    S = AffineSemigroup.from_cone(cone)
+    T = AffineSemigroup.from_cone(Cone.from_rays(images(h, cone.rays), dim))
+    source, target = LatticePairing(S), LatticePairing(T)
+    assert source.key == target.key
+    g = source.map_to(target)
+    assert S.generators is None and T.generators is None
+    assert g is not None and det(g) in (1, -1)
+    assert S.image(g).minimal_generators() == T.minimal_generators()
+
+
 def test_matcher_separates_a_pair_with_equal_keys():
     # Found by a search over generator sets in [0, 3]^2 with one point on
     # each axis, bucketed by key. Both cones are the first quadrant, so a
@@ -186,6 +208,32 @@ def test_matcher_separates_a_pair_with_equal_keys():
     assert LatticePairing(R).key == LatticePairing(S).key
     assert LatticePairing(R).map_to(LatticePairing(S)) is None
     assert LatticePairing(S).map_to(LatticePairing(R)) is None
+
+
+def test_matcher_separates_two_surfaces_of_one_index():
+    # the lattice points of the cones on (1, 0), (1, 5) and on (1, 0),
+    # (2, 5): both of index 5, but of the classes (5, 1) and (5, 2), so
+    # a key that read the index alone would merge two different trees
+    R = AffineSemigroup.from_cone(Cone.from_rays([(1, 0), (1, 5)], 2))
+    S = AffineSemigroup.from_cone(Cone.from_rays([(1, 0), (2, 5)], 2))
+    assert LatticePairing(R).map_to(LatticePairing(S)) is None
+    assert LatticePairing(S).map_to(LatticePairing(R)) is None
+    assert resolve(R, 0).shape() != resolve(S, 0).shape()
+
+
+def test_matcher_needs_a_unimodular_map_between_cones():
+    # found by a search over 3D cones: R has 5 Hilbert basis elements and
+    # S has 7, yet their ray pairings have equal keys, and an integral map
+    # of determinant 3 sends R's rays onto S's. Keyed on rays, a match
+    # must also have determinant ±1
+    R = AffineSemigroup.from_cone(Cone.from_rays([(-1, 0, 1), (0, 1, 2), (2, 1, 3)], 3))
+    S = AffineSemigroup.from_cone(Cone.from_rays([(1, -2, -1), (1, -2, 2), (2, -1, 1)], 3))
+    g = ((0, -1, 1), (1, 0, -1), (0, 4, -1))
+    assert det(g) == 3 and set(images(g, R.cone.rays)) == set(S.cone.rays)
+    assert LatticePairing(R).key == LatticePairing(S).key
+    assert LatticePairing(R).map_to(LatticePairing(S)) is None
+    assert LatticePairing(S).map_to(LatticePairing(R)) is None
+    assert (len(R.minimal_generators()), len(S.minimal_generators())) == (5, 7)
 
 
 def test_matcher_passes_over_a_non_integral_candidate():

@@ -146,3 +146,38 @@ def test_the_benchmark_has_a_workload_on_each_side_of_the_closed_form(monkeypatc
         for problem in workloads.corpus(workloads.WORKLOADS[name], 0, groups):
             pipeline.solve(lib, problem)
         assert (walked[0] == 0) == closed, (name, walked[0])
+
+
+def test_the_benchmark_has_a_workload_on_each_side_of_the_deferred_basis(monkeypatch):
+    # a lattice-point semigroup in d >= 3 computes its Hilbert basis only
+    # when blown up, and a 2D one at once: `threefolds` must stay on one
+    # side of that selection and `surfaces` on the other, where every root
+    # and every chart still computes its chain
+    lib = pipeline.library()
+    counts = {"hilbert": 0, "blowups": 0, "charts": 0}
+    hilbert_basis = lib["semigroups"].hilbert_basis
+    nash_blowup = lib["resolve"].nash_blowup
+
+    def counted_hilbert(cone):
+        counts["hilbert"] += 1
+        return hilbert_basis(cone)
+
+    def counted_blowup(S, p, normalize=True):
+        charts = nash_blowup(S, p, normalize)
+        counts["blowups"] += 1
+        counts["charts"] += len(charts)
+        return charts
+
+    def solved(name, groups):
+        counts.update(dict.fromkeys(counts, 0))
+        problems = workloads.corpus(workloads.WORKLOADS[name], 0, groups)
+        for problem in problems:
+            pipeline.solve(lib, problem)
+        return len(problems)
+
+    monkeypatch.setattr(lib["semigroups"], "hilbert_basis", counted_hilbert)
+    monkeypatch.setattr(lib["resolve"], "nash_blowup", counted_blowup)
+    solved("threefolds", 2)
+    assert counts["hilbert"] == counts["blowups"] > 0, counts
+    roots = solved("surfaces", 10)
+    assert counts["hilbert"] == roots + counts["charts"] > roots, counts

@@ -26,6 +26,7 @@ from nashtoric.semigroups import AffineSemigroup, LatticePairing
 
 from oracles import resolve_reference
 from test_blowup import P2_SELF_LOOP_WITNESS
+from test_console import DUAL_3D_P0
 
 
 def random_saturated_surface(rng, bound=20):
@@ -679,3 +680,51 @@ def test_only_the_root_and_built_charts_are_keyed(
     first_node = events.index("node")
     assert set(events[first_node:]) == {"node"} and events.count("node") == nodes
     assert tree.shape() == resolve_reference(S, 2, max_depth=max_depth).shape()
+
+
+@pytest.mark.parametrize(
+    "make_root, p, max_depth, counts",
+    [
+        (lambda: parse_input(DUAL_3D_P0).semigroup(), 0, 64, (7, 0)),
+        (_dual_1224, 2, 5, (9, 1)),
+    ],
+    ids=["dual-3d-p0", "dual-1224-p2-cap-5"],
+)
+def test_only_a_class_representative_computes_a_hilbert_basis(
+    monkeypatch, make_root, p, max_depth, counts
+):
+    # a lattice-point chart in d >= 3 is tested for smoothness on its
+    # rays and keyed on its cone, and an unfolded node linked to a class
+    # is read off the class's representative. So resolve computes the
+    # Hilbert bases of the semigroups it blows up and of the charts it
+    # caps, whose nodes print them, each once; computing one per chart
+    # took 48 and 69
+    S = make_root()
+    module = sys.modules[resolve.__module__]
+    semigroups = sys.modules[AffineSemigroup.__module__]
+    computed, built, capped = [], [], []
+    hilbert_basis = semigroups.hilbert_basis
+    link = module._ClassGraph._link
+
+    def counted_blowup(T, p, normalize=True):
+        built.append(T.cone.rays)
+        return nash_blowup(T, p, normalize)
+
+    def counted_hilbert(cone):
+        computed.append(cone.rays)
+        return hilbert_basis(cone)
+
+    def logged_link(self, T, depth):
+        status = link(self, T, depth)
+        if status == DEPTH_CAPPED:
+            capped.append(T.cone.rays)
+        return status
+
+    monkeypatch.setattr(module, "nash_blowup", counted_blowup)
+    monkeypatch.setattr(semigroups, "hilbert_basis", counted_hilbert)
+    monkeypatch.setattr(module._ClassGraph, "_link", logged_link)
+    tree = resolve(S, p, max_depth=max_depth)
+    monkeypatch.undo()
+    assert (len(built), len(capped)) == counts
+    assert sorted(computed) == sorted(built + capped)
+    assert tree.shape() == resolve_reference(S, p, max_depth=max_depth).shape()
