@@ -193,7 +193,9 @@ def _surface_charts(S):
     order `_hirzebruch_jung` proves strict), the Newton vertices are the
     sums s_i = a_i + a_{i+1} where their chain turns, and s_0 and s_{m-1}.
     Each chart is the cone of the edges to its neighbouring vertices, with
-    a_0 and a_m at the two ends (README, "Surfaces in closed form").
+    a_0 and a_m at the two ends (README, "Surfaces in closed form"), read
+    off the two edge directions by the 2D scan (`Cone._from_rays_2d`): they
+    are integer tuples made here, so no input is checked first.
     """
     h = S.cone.halfspaces[0]
     a = sorted(S.minimal_generators(), key=lambda g: dot(h, g))
@@ -204,7 +206,11 @@ def _surface_charts(S):
     for j, v in enumerate(vertices):
         back = vsub(vertices[j - 1], v) if j else a[0]
         ahead = vsub(vertices[j + 1], v) if j < len(vertices) - 1 else a[-1]
-        charts.append(_chart(v, Cone.from_rays((back, ahead), 2), (), True))
+        tangent = Cone._from_rays_2d((back, ahead))
+        if tangent is None:
+            # the edges at a vertex span a pointed full-dimensional cone
+            raise RuntimeError(f"blowup chart at vertex {v} has edges {back}, {ahead}")
+        charts.append(_chart(v, tangent, (), True))
     return tuple(sorted(charts, key=lambda c: c.vertex))
 
 
@@ -215,7 +221,8 @@ def _walk(S: AffineSemigroup, p, normalize):
 
     A vertex is the sum of a greedy basis B. Both chart kinds are built on
     its tangent cone, one conversion of σ^∨'s rays and the exchange
-    directions g - b; the directions with B and the generators that have
+    directions g - b, nonzero integer tuples that `Cone._from_nonzero`
+    converts unchecked; the directions with B and the generators that have
     no exchange generate the unnormalized chart (module docstring). Each
     extreme ray u of that cone outside σ^∨ is a bounded edge; the sum w_e
     of the facet normals through u is least on exactly that edge, and the
@@ -241,7 +248,7 @@ def _walk(S: AffineSemigroup, p, normalize):
         basis = todo.pop()
         v = _vsum(basis)
         directions, unexchanged = _exchanges(basis, gens, p)
-        tangent = Cone.from_rays(S.cone.rays + directions, S.dim)
+        tangent = Cone._from_nonzero(S.cone.rays + directions, S.dim)
         charts.append(_chart(v, tangent, basis + unexchanged + directions, normalize))
         ahead = {primitive(vsub(x, v)) for x in seen if x != v}
         for u in tangent.rays:

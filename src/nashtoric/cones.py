@@ -3,10 +3,13 @@
 A Cone stores its sorted primitive extreme rays and sorted primitive inward
 facet normals. Both depend only on the cone, so `==` is exact, and the
 normals are the extreme rays of the dual cone, which `dual` makes by
-swapping the two lists. `Cone.from_rays(rays, d)` is the one constructor:
-inputs that span a cone containing a line raise NotPointedError, and
-otherwise inputs of rank < d raise NotFullDimensionalError. A cone given by
-facet normals is the dual of the cone they generate.
+swapping the two lists. `Cone.from_rays(rays, d)` is the one public
+constructor: inputs that span a cone containing a line raise
+NotPointedError, and otherwise inputs of rank < d raise
+NotFullDimensionalError. A cone given by facet normals is the dual of the
+cone they generate. It checks its inputs and hands the nonzero ones to
+`Cone._from_nonzero`, the conversion itself, which a blowup calls directly
+on the integer tuples it made.
 
 `Cone.from_rays` makes one double-description pass for every cone: the
 facets come out of it with the inputs on each, the extreme rays are the
@@ -211,12 +214,18 @@ class Cone:
         for r in rays:
             if len(r) != dim:
                 raise DimensionError(f"ray {r} does not have length {dim}")
-        nonzero = [r for r in rays if any(r)]
-        if dim == 2 and len(nonzero) >= 2:
-            fast = cls._from_rays_2d(nonzero)
+        return cls._from_nonzero([r for r in rays if any(r)], dim)
+
+    @classmethod
+    def _from_nonzero(cls, rays, dim):
+        """`from_rays` for nonzero integer tuples of length dim that the
+        library made, such as a blowup's chart cone inputs: the same
+        conversion without the `vec`, length and zero checks."""
+        if dim == 2 and len(rays) >= 2:
+            fast = cls._from_rays_2d(rays)
             if fast is not None:
                 return fast
-        norm = sorted({primitive(r) for r in nonzero})
+        norm = sorted({primitive(r) for r in rays})
         if len(norm) == dim:
             simplicial = cls._from_rays_simplicial(norm)
             if simplicial is not None:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from .blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
 from .cones import Cone
-from .linalg import cross2, integer, mat_mul, mat_vec, validate_characteristic
-from .semigroups import _CONE_DIM, AffineSemigroup, LatticePairing
+from .linalg import adjugate, cross2, integer, mat_mul, mat_vec, validate_characteristic
+from .semigroups import _CONE_DIM, AffineSemigroup, LatticePairing, _surface_normal_form
 
 SMOOTH_LEAF = "smooth-leaf"
 EXPANDED = "expanded"
@@ -91,7 +91,9 @@ def resolve(
     generators determine a semigroup and its charts, so this serves both
     chart kinds in every dimension. A normalized chart in d >= 3 is keyed
     on its cone instead, which determines it, so only the semigroups blown
-    up and the charts at the cap compute a Hilbert basis (`_ClassGraph`).
+    up and the charts at the cap compute a Hilbert basis, and a normal
+    surface in a normalized graph is keyed by its normal form (n, q), a
+    complete invariant, so its class is found with no search (`_ClassGraph`).
     """
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
@@ -102,8 +104,8 @@ def resolve(
 class _ClassGraph:
     """The lattice classes below one `resolve` root, built breadth first.
 
-    Class k is (R, pairing, level, charts, links): its representative R,
-    R's `LatticePairing`, the least depth of its nodes, R's charts, and per
+    Class k is (R, label, level, charts, links): its representative R,
+    R's key label, the least depth of its nodes, R's charts, and per
     chart j of R a link, `_link(chart j, level + 1)`: a status, or (k', h)
     with h·Q == chart j for Q class k''s representative (h None when chart
     j is Q). `root` is the root's link. The class list is walked in order
@@ -114,7 +116,13 @@ class _ClassGraph:
     invertible mod p. Links are indices, so a class whose chart lies in
     its own class makes no reference cycle.
 
-    A normalized chart in d >= 3 is keyed on its cone and tested for
+    A class is keyed by the `LatticePairing` of R, its label, and found by
+    `map_to`, except a normal surface in a normalized graph (d = 2 and the
+    saturation flag set, read and never computed, as `nash_blowup` selects
+    its closed form, so every chart of such a graph qualifies): it is keyed
+    by its normal form (n, q), and its label is the A in GL(2, Z) that
+    sends R's rays to (1, 0) and (q, n) (`_surface_normal_form`). A
+    normalized chart in d >= 3 is keyed on its cone and tested for
     smoothness on its rays, so only a representative, which is blown up,
     computes its Hilbert basis. A root of a normalized graph in d >= 3
     whose saturation is not known is tested once, so that a saturated
@@ -127,7 +135,7 @@ class _ClassGraph:
         self.p = p
         self.normalize = normalize
         self.max_depth = max_depth
-        self.buckets = {}  # LatticePairing key -> [class index]
+        self.buckets = {}  # LatticePairing key or (n, q) -> [class index]
         self.classes = []
         if normalize and S.dim >= _CONE_DIM and S._saturated is None:
             S.is_saturated()
@@ -148,15 +156,26 @@ class _ClassGraph:
 
     def _key(self, S, level):
         """(k, g) with g·R == S for class k's representative R, g None
-        when S is R, blown up here."""
-        pairing = LatticePairing(S)
-        bucket = self.buckets.setdefault(pairing.key, [])
-        for k in bucket:
-            g = self.classes[k][1].map_to(pairing)
-            if g is not None:
-                return k, g
+        when S is R, blown up here. A normal form is a complete invariant,
+        so its bucket holds one class, and a hit is g = A_S^-1·A_R, where
+        A^-1 = det(A)·adj(A) as det(A) = ±1."""
+        if self.normalize and S.dim == 2 and S._saturated is True:
+            key, label = _surface_normal_form(*S.cone.rays)
+            bucket = self.buckets.setdefault(key, [])
+            if bucket:
+                k = bucket[0]
+                adj, det_A = adjugate(label)
+                inverse = [[det_A * x for x in row] for row in adj]
+                return k, mat_mul(inverse, self.classes[k][1])
+        else:
+            label = LatticePairing(S)
+            bucket = self.buckets.setdefault(label.key, [])
+            for k in bucket:
+                g = self.classes[k][1].map_to(label)
+                if g is not None:
+                    return k, g
         bucket.append(len(self.classes))
-        self.classes.append((S, pairing, level, nash_blowup(S, self.p, self.normalize), []))
+        self.classes.append((S, label, level, nash_blowup(S, self.p, self.normalize), []))
         return len(self.classes) - 1, None
 
     def unfold(self, S, depth, link, g=None):

@@ -16,6 +16,8 @@ is exact and reads a semigroup through its minimal generators.
 Membership in a semigroup that is not known to be saturated is one
 depth-first search, `AffineSemigroup._generated`, in the basis coordinates
 of the first d independent generators in grading order, which are minimal.
+`resolve` tells GL(d, Z) classes apart by `LatticePairing`, and normal
+surfaces by the normal form of their cones (`_surface_normal_form`).
 """
 
 import operator
@@ -26,6 +28,7 @@ from .cones import Cone, hilbert_basis, irreducible
 from .linalg import (
     adjugate,
     columns_matrix,
+    cross2,
     dot,
     group_is_full_lattice,
     images,
@@ -33,6 +36,7 @@ from .linalg import (
     integer,
     vec,
     vsub,
+    xgcd,
 )
 
 
@@ -312,7 +316,9 @@ class AffineSemigroup:
 
 class LatticePairing:
     """The pairing matrix <h, x> of S, facet normals h by points x, for
-    telling GL(d, Z) classes apart.
+    telling GL(d, Z) classes apart: `resolve` keys every class by it but
+    the normal surfaces of a normalized graph, which it keys by their
+    normal form (`_surface_normal_form`).
 
     The points are S's minimal generators, or, when S is known to be
     saturated and d >= 3, the primitive extreme rays of its cone: the cone
@@ -403,3 +409,29 @@ class LatticePairing:
                 return g
         return None
 
+
+def _surface_normal_form(u1, u2):
+    """((n, q), A) for the 2D cone on independent primitive rays u1, u2:
+    A in GL(2, Z) (rows) sends one ray to (1, 0) and the other to (q, n),
+    n > 0 and 0 <= q < n.
+
+    For each order (x, y) of the rays one xgcd gives s·x_0 + t·x_1 = 1, so
+    the rows (s, t) and ±(-x_1, x_0), signed to make the second entry of
+    the image of y positive, send x to (1, 0) and y to (b, n), with
+    n = |det(x, y)|. Subtracting k = floor(b / n) times the second row
+    from the first leaves x where it is and moves y to (b mod n, n). The
+    two orders give a and a^-1 mod n, and the order with the smaller is
+    kept, so (n, q) is the Hirzebruch-Jung normal form: a complete
+    GL(2, Z) invariant (Oda 1988, ch. 1; Cox-Little-Schenck §10.1), and
+    two cones with one key are mapped onto each other by A_S^-1·A_R.
+    """
+    best = None
+    for x, y in ((u1, u2), (u2, u1)):
+        _, s, t = xgcd(x[0], x[1])
+        det_xy = cross2(x, y)
+        n = abs(det_xy)
+        row = (-x[1], x[0]) if det_xy > 0 else (x[1], -x[0])
+        k, a = divmod(s * y[0] + t * y[1], n)
+        if best is None or a < best[0][1]:
+            best = ((n, a), ((s - k * row[0], t - k * row[1]), row))
+    return best

@@ -8,6 +8,7 @@ class matcher and its trees are checked here too.
 """
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,8 +19,8 @@ from nashtoric.cones import Cone
 from nashtoric.errors import DimensionError, NotFullDimensionalError
 from nashtoric.io import serialize, tree_payload
 from nashtoric.linalg import det, dot, group_is_full_lattice, identity, images
-from nashtoric.resolve import resolve
-from nashtoric.semigroups import AffineSemigroup, LatticePairing
+from nashtoric.resolve import _ClassGraph, resolve
+from nashtoric.semigroups import AffineSemigroup, LatticePairing, _surface_normal_form
 
 from oracles import log_jacobian_reference, random_unsaturated_generators, resolve_reference
 
@@ -244,6 +245,78 @@ def test_matcher_passes_over_a_non_integral_candidate():
     g = LatticePairing(S).map_to(LatticePairing(T))
     assert g == ((2, -2, -3), (0, -1, -1), (3, -2, -3))
     assert S.image(g).minimal_generators() == T.minimal_generators()
+
+
+def _normal_surfaces():
+    """The lattice points of the cones on (1, 0) and (a, n), 2 <= n <= 40
+    and gcd(a, n) = 1: every class of normal surface singularity of index
+    at most 40, most of them several times."""
+    return [
+        AffineSemigroup.from_cone(Cone.from_rays([(1, 0), (a, n)], 2))
+        for n in range(2, 41)
+        for a in range(1, n)
+        if gcd(a, n) == 1
+    ]
+
+
+def test_normal_form_classes_are_the_matcher_classes():
+    # the normal form (n, q) keys normal surfaces in `resolve` in place of
+    # LatticePairing and map_to: both must split the roots alike
+    roots = _normal_surfaces()
+    assert len(roots) == 489
+    by_form = {}
+    for i, S in enumerate(roots):
+        by_form.setdefault(_surface_normal_form(*S.cone.rays)[0], []).append(i)
+    by_match = []  # (pairing of the first member, member indices)
+    for i, S in enumerate(roots):
+        pairing = LatticePairing(S)
+        for first, members in by_match:
+            if first.map_to(pairing) is not None:
+                members.append(i)
+                break
+        else:
+            by_match.append((pairing, [i]))
+    assert len(by_form) == len(by_match) == 302
+    assert sorted(by_form.values()) == sorted(members for _, members in by_match)
+
+
+def _random_unimodular(rng):
+    """Rows of an element of GL(2, Z): shears of the identity, then a row
+    swap and signs, each drawn from rng."""
+    rows = [[1, 0], [0, 1]]
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, 1)
+        k = rng.randint(-3, 3)
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[1 - i])]
+    rng.shuffle(rows)
+    signs = [rng.choice((-1, 1)) for _ in rows]
+    return tuple(tuple(s * a for a in row) for s, row in zip(signs, rows))
+
+
+def test_normal_form_is_invariant_and_its_hits_map_exactly():
+    # each root and a random GL(2, Z) image of it, keyed as `resolve` keys
+    # them: the image has the root's key, A sends the rays to (1, 0) and
+    # (q, n), and every hit's map sends its class's representative onto
+    # the semigroup keyed
+    rng = random.Random(2022)
+    roots = _normal_surfaces()
+    graph = _ClassGraph(roots[0], 0, True, 1)
+    hits = 0
+    for S in roots:
+        h = _random_unimodular(rng)
+        T = AffineSemigroup.from_cone(Cone.from_rays(images(h, S.cone.rays), 2))
+        (n, q), A = _surface_normal_form(*S.cone.rays)
+        assert _surface_normal_form(*T.cone.rays)[0] == (n, q)
+        assert sorted(images(A, S.cone.rays)) == sorted([(1, 0), (q, n)])
+        for U in (S, T):
+            k, g = graph._key(U, 1)
+            if g is not None:
+                hits += 1
+                assert graph.classes[k][0].image(g) == U
+    # the graph made roots[0] class 0 when it was built, so every key in
+    # the loop hits but the 301 that make the other classes
+    assert len(graph.classes) == 302
+    assert hits == 2 * len(roots) - 301
 
 
 # the deepest tree drawn per (dim, saturated root, normalize): unnormalized

@@ -148,6 +148,30 @@ def test_the_benchmark_has_a_workload_on_each_side_of_the_closed_form(monkeypatc
         assert (walked[0] == 0) == closed, (name, walked[0])
 
 
+def test_the_benchmark_has_a_workload_on_each_side_of_the_surface_key(monkeypatch):
+    # normal surfaces in a normalized graph are keyed by their normal form
+    # and every other class by a LatticePairing: `surfaces` must stay on
+    # one side of that selection and two workloads on the other
+    lib = pipeline.library()
+    built = [0]
+    pairing = lib["resolve"].LatticePairing
+
+    def counted(S):
+        built[0] += 1
+        return pairing(S)
+
+    monkeypatch.setattr(lib["resolve"], "LatticePairing", counted)
+    for name, groups, by_form in (
+        ("surfaces", 10, True),
+        ("unnormalized", 2, False),
+        ("threefolds", 1, False),
+    ):
+        built[0] = 0
+        for problem in workloads.corpus(workloads.WORKLOADS[name], 0, groups):
+            pipeline.solve(lib, problem)
+        assert (built[0] == 0) == by_form, (name, built[0])
+
+
 def test_the_benchmark_has_a_workload_on_each_side_of_the_deferred_basis(monkeypatch):
     # a lattice-point semigroup in d >= 3 computes its Hilbert basis only
     # when blown up, and a 2D one at once: `threefolds` must stay on one

@@ -22,7 +22,7 @@ from nashtoric.resolve import (
     resolve,
     surface_termination_suite,
 )
-from nashtoric.semigroups import AffineSemigroup, LatticePairing
+from nashtoric.semigroups import AffineSemigroup, LatticePairing, _surface_normal_form
 
 from oracles import resolve_reference
 from test_blowup import P2_SELF_LOOP_WITNESS
@@ -589,9 +589,11 @@ def test_class_links_give_the_plain_recursion(root, characteristics, normalize, 
 def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch, cone_conversions):
     # 71 nodes in 11 classes: only the root and the charts of a blowup
     # are keyed, and no mapped chart reads its cone; keying every
-    # expanded node took 27 keys, 16 matches and 38 chart cone images
+    # expanded node took 27 keys, 16 matches and 38 chart cone images.
+    # A normal surface is keyed by its normal form, so 8 of the 19 keys
+    # hit a class with no search and no pairing is built
     module = sys.modules[resolve.__module__]
-    calls = {"blowup": 0, "key": 0, "match": 0}
+    calls = {"blowup": 0, "key": 0, "hit": 0, "pairing": 0}
 
     def counter(name, f):
         def counted(*args, **kwargs):
@@ -600,14 +602,22 @@ def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch, cone_conversio
 
         return counted
 
+    key = module._ClassGraph._key
+
+    def counted_key(graph, S, level):
+        k, g = key(graph, S, level)
+        calls["hit"] += g is not None
+        return k, g
+
     monkeypatch.setattr(module, "nash_blowup", counter("blowup", nash_blowup))
-    monkeypatch.setattr(module, "LatticePairing", counter("key", LatticePairing))
-    monkeypatch.setattr(LatticePairing, "map_to", counter("match", LatticePairing.map_to))
+    monkeypatch.setattr(module, "_surface_normal_form", counter("key", _surface_normal_form))
+    monkeypatch.setattr(module._ClassGraph, "_key", counted_key)
+    monkeypatch.setattr(module, "LatticePairing", counter("pairing", LatticePairing))
     tree = resolve(_dual_root((33, 16), (16, 49)), 5)
     nodes = list(tree.nodes())
     assert len(nodes) == 71
     assert sum(node.status == EXPANDED for node in nodes) == 27
-    assert calls == {"blowup": 11, "key": 19, "match": 8}
+    assert calls == {"blowup": 11, "key": 19, "hit": 8, "pairing": 0}
     assert cone_conversions == [0]
 
 
