@@ -8,13 +8,13 @@ points (`AffineSemigroup.from_cone`) or, unnormalized, the semigroup that
 the chart's generators span in it (`AffineSemigroup._in_cone`).
 
 `nash_blowup` builds the charts without the C(n, d) enumeration. For a
-normal surface, normalized, it reads them off the Hilbert basis in closed
-form (`_surface_charts`). Otherwise it walks (`_walk`): the admissible
-subsets are the bases of the generators' matroid over F_p (over Q for
-p = 0), so conv(E) is the image of its base polytope; Edmonds' greedy
-algorithm finds a vertex, the single exchanges B - b + g of its basis span
-the chart cone, and a walk along the bounded edges reaches every other
-vertex.
+normal surface it reads them off the Hilbert basis in closed form, for
+both chart kinds (`_surface_charts`). Otherwise it walks (`_walk`): the
+admissible subsets are the bases of the generators' matroid over F_p (over
+Q for p = 0), so conv(E) is the image of its base polytope; Edmonds'
+greedy algorithm finds a vertex, the single exchanges B - b + g of its
+basis span the chart cone, and a walk along the bounded edges reaches
+every other vertex.
 
 The exchanges also generate the unnormalized chart Γ + <E - v>, Γ the
 semigroup and v = sum B. Each g - b is a raw exponent minus v, and a raw
@@ -22,10 +22,11 @@ exponent is a minimal one plus an element of Γ. Conversely, by Brualdi's
 symmetric exchange (Brualdi 1969) every basis B' admits a bijection
 s: B - B' -> B' - B with every B - b + s(b) a basis, so sum B' - v is a
 sum of exchange directions. Hence Γ + <E - v> = Γ + <g - b : B - b + g a
-basis mod p>, and one walk serves both chart kinds. Most of Γ's generators
-are redundant there: a generator g with some exchange is b + (g - b), so
-B, the generators with no exchange (only p > 0 leaves any) and the
-directions already generate the chart.
+basis mod p> for any basis B that sums to v, and one walk, or one closed
+form, serves both chart kinds. Most of Γ's generators are redundant
+there: a generator g with some exchange is b + (g - b), so B, the
+generators with no exchange (only p > 0 leaves any) and the directions
+already generate the chart.
 
 At a basis B mod p, adj(B)·g vanishes mod p exactly when g does, so the
 generators with no exchange are those outside B that are 0 mod p, and no
@@ -177,25 +178,33 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
     """The charts of one blowup step, in vertex order: equal to
     blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)), normalize),
     up to the generator lists of unnormalized charts, but built without E.
-    Normalized charts of a semigroup known to be a normal surface (the flag
-    is read, never computed) come in closed form; all else walks (`_walk`).
+    The charts of a semigroup known to be a normal surface, of either kind,
+    come in closed form (`_surface_charts`); all else walks (`_walk`). The
+    flag is read, never computed: a lattice-point surface has it, and a
+    surface given by generators has it once its minimal generators are read
+    (`AffineSemigroup._certify`), as `resolve` reads them before a blowup.
     """
     p = validate_characteristic(characteristic)
-    if normalize and S.dim == 2 and S._saturated is True:
-        return _surface_charts(S)
+    if S.dim == 2 and S._saturated is True:
+        return _surface_charts(S, p, normalize)
     return _walk(S, p, normalize)
 
 
-def _surface_charts(S):
-    """The normalized charts of a normal surface, in every characteristic.
+def _surface_charts(S, p, normalize):
+    """The charts of a normal surface in a validated characteristic p.
 
     Along the Hilbert basis a_0, ..., a_m, ordered by a facet normal (the
     order `_hirzebruch_jung` proves strict), the Newton vertices are the
-    sums s_i = a_i + a_{i+1} where their chain turns, and s_0 and s_{m-1}.
-    Each chart is the cone of the edges to its neighbouring vertices, with
-    a_0 and a_m at the two ends (README, "Surfaces in closed form"), read
-    off the two edge directions by the 2D scan (`Cone._from_rays_2d`): they
-    are integer tuples made here, so no input is checked first.
+    sums s_i = a_i + a_{i+1} where their chain turns, and s_0 and s_{m-1},
+    in every characteristic. Each tangent cone is the cone of the edges to
+    its neighbouring vertices, with a_0 and a_m at the two ends (README,
+    "Surfaces in closed form"), read off the two edge directions by the 2D
+    scan (`Cone._from_rays_2d`): they are integer tuples made here, so no
+    input is checked first. The normalized chart is its lattice points.
+    The unnormalized chart at s_i is generated by the basis (a_i, a_{i+1})
+    and its exchange directions (`_exchanges`): its determinant is 1, so it
+    is a basis mod every p, and these give Γ + <E - s_i> (module
+    docstring).
     """
     h = S.cone.halfspaces[0]
     a = sorted(S.minimal_generators(), key=lambda g: dot(h, g))
@@ -210,14 +219,21 @@ def _surface_charts(S):
         if tangent is None:
             # the edges at a vertex span a pointed full-dimensional cone
             raise RuntimeError(f"blowup chart at vertex {v} has edges {back}, {ahead}")
-        charts.append(_chart(v, tangent, (), True))
+        generators = ()
+        if not normalize:
+            i = s.index(v)
+            basis = (a[i], a[i + 1])
+            # a Hilbert basis is primitive, so no generator is 0 mod p and
+            # every one outside the basis has an exchange
+            generators = basis + _exchanges(basis, a, p)[0]
+        charts.append(_chart(v, tangent, generators, normalize))
     return tuple(sorted(charts, key=lambda c: c.vertex))
 
 
 def _walk(S: AffineSemigroup, p, normalize):
     """`nash_blowup` in a validated characteristic p by a walk on the
-    vertices: the path for unnormalized charts, d >= 3 and semigroups not
-    known to be saturated, and the tests' reference for the closed form.
+    vertices: the path for d >= 3 and for semigroups not known to be
+    saturated, and the tests' reference for the closed form.
 
     A vertex is the sum of a greedy basis B. Both chart kinds are built on
     its tangent cone, one conversion of σ^∨'s rays and the exchange

@@ -157,14 +157,18 @@ def _extreme_inputs(inputs, facets):
 
 
 def _hirzebruch_jung(u1, u2):
-    """Hilbert basis of the 2D cone spanned by independent primitive u1, u2.
+    """Hilbert basis of the 2D cone spanned by independent primitive u1, u2,
+    yielded in order along the cone, from the ray counterclockwise of which
+    the other lies.
 
     The Hirzebruch-Jung chain (Oda 1988, ch. 1; Cox-Little-Schenck §10.2):
     w0 = u1, w1 is the lattice point with det(u1, w1) = 1 moved into the
     cone by the least multiple of u1, and w_{i+1} = b_i w_i - w_{i-1} with
     b_i = ceil(det(w_{i-1}, u2) / det(w_i, u2)) until w_i reaches u2. The
     values det(w_i, u2) strictly decrease to 0, so the chain has one step per
-    basis element and lists no other lattice point.
+    basis element and lists no other lattice point. A generator, so that a
+    caller that stops early (`AffineSemigroup._certify`) pays only for the
+    steps it reads.
     """
     if cross2(u1, u2) < 0:
         u1, u2 = u2, u1
@@ -172,14 +176,13 @@ def _hirzebruch_jung(u1, u2):
     w = (-y, x)
     k = -(cross2(w, u2) // cross2(u1, u2))
     w = (w[0] + k * u1[0], w[1] + k * u1[1])
-    chain = [u1]
+    yield u1
     prev = u1
     while cross2(w, u2):
-        chain.append(w)
+        yield w
         b = -(-cross2(prev, u2) // cross2(w, u2))
         prev, w = w, (b * w[0] - prev[0], b * w[1] - prev[1])
-    chain.append(u2)
-    return tuple(sorted(chain))
+    yield u2
 
 
 class Cone:
@@ -391,7 +394,7 @@ def hilbert_basis(cone: Cone) -> HilbertBasis:
     points of a triangulation, which a simplicial cone is of itself.
     """
     if cone.dim == 2:
-        return HilbertBasis(cone, _hirzebruch_jung(*cone.rays))
+        return HilbertBasis(cone, tuple(sorted(_hirzebruch_jung(*cone.rays))))
     return HilbertBasis(cone, _hilbert_basis_by_pieces(cone))
 
 

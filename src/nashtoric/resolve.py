@@ -92,7 +92,7 @@ def resolve(
     chart kinds in every dimension. A normalized chart in d >= 3 is keyed
     on its cone instead, which determines it, so only the semigroups blown
     up and the charts at the cap compute a Hilbert basis, and a normal
-    surface in a normalized graph is keyed by its normal form (n, q), a
+    surface, in either graph kind, is keyed by its normal form (n, q), a
     complete invariant, so its class is found with no search (`_ClassGraph`).
     """
     p = validate_characteristic(characteristic)
@@ -117,11 +117,15 @@ class _ClassGraph:
     its own class makes no reference cycle.
 
     A class is keyed by the `LatticePairing` of R, its label, and found by
-    `map_to`, except a normal surface in a normalized graph (d = 2 and the
-    saturation flag set, read and never computed, as `nash_blowup` selects
-    its closed form, so every chart of such a graph qualifies): it is keyed
-    by its normal form (n, q), and its label is the A in GL(2, Z) that
-    sends R's rays to (1, 0) and (q, n) (`_surface_normal_form`). A
+    `map_to`, except a normal surface (d = 2 and the saturation flag set,
+    read and never computed, as `nash_blowup` selects its closed form): it
+    is keyed by its normal form (n, q), and its label is the A in GL(2, Z)
+    that sends R's rays to (1, 0) and (q, n) (`_surface_normal_form`).
+    Every chart of a normalized graph qualifies. A 2D semigroup given by
+    generators, a root or an unnormalized chart, has its flag decided by
+    the saturation certificate when `is_smooth` first reads its minimal
+    generators (`AffineSemigroup._certify`), before it is keyed; saturation
+    is a class invariant, so a class is never keyed both ways. A
     normalized chart in d >= 3 is keyed on its cone and tested for
     smoothness on its rays, so only a representative, which is blown up,
     computes its Hilbert basis. A root of a normalized graph in d >= 3
@@ -156,10 +160,11 @@ class _ClassGraph:
 
     def _key(self, S, level):
         """(k, g) with g·R == S for class k's representative R, g None
-        when S is R, blown up here. A normal form is a complete invariant,
-        so its bucket holds one class, and a hit is g = A_S^-1·A_R, where
-        A^-1 = det(A)·adj(A) as det(A) = ±1."""
-        if self.normalize and S.dim == 2 and S._saturated is True:
+        when S is R, blown up here. The selection reads only the dimension
+        and the saturation flag, in both graph kinds. A normal form is a
+        complete invariant, so its bucket holds one class, and a hit is
+        g = A_S^-1·A_R, where A^-1 = det(A)·adj(A) as det(A) = ±1."""
+        if S.dim == 2 and S._saturated is True:
             key, label = _surface_normal_form(*S.cone.rays)
             bucket = self.buckets.setdefault(key, [])
             if bucket:

@@ -13,6 +13,11 @@ cone and computes the Hilbert basis only when the minimal generators are
 first read, and until then smoothness and the class key read the cone.
 Everything else downstream (membership, minimal generators, saturation)
 is exact and reads a semigroup through its minimal generators.
+A semigroup given by generators G is saturated exactly when G contains
+the Hilbert basis H of its cone, which is then its minimal generating set
+(`AffineSemigroup._certify`): in 2D, where H is the Hirzebruch-Jung chain,
+and on a cone of d rays with determinant ±1, reading the minimal
+generators tests this first and needs no sweep when it holds.
 Membership in a semigroup that is not known to be saturated is one
 depth-first search, `AffineSemigroup._generated`, in the basis coordinates
 of the first d independent generators in grading order, which are minimal.
@@ -24,7 +29,7 @@ import operator
 from collections import Counter
 
 from .errors import DimensionError, NotFullDimensionalError, NotFullLatticeError, NotPointedError
-from .cones import Cone, hilbert_basis, irreducible
+from .cones import Cone, _hirzebruch_jung, hilbert_basis, irreducible
 from .linalg import (
     adjugate,
     columns_matrix,
@@ -61,6 +66,12 @@ def _frame(points):
         adj = [[-a for a in row] for row in adj]
         det_K = -det_K
     return K, (adj, det_K)
+
+
+def _unimodular(cone):
+    """Has the cone d rays with determinant ±1? They are then its Hilbert
+    basis: a lattice basis generates every lattice point of its cone."""
+    return len(cone.rays) == cone.dim and abs(adjugate(cone.rays)[1]) == 1
 
 
 def _nonzero_sorted(generators, dim):
@@ -166,14 +177,53 @@ class AffineSemigroup:
     def minimal_generators(self):
         """The unique minimal generating set, lexicographically sorted: the
         Hilbert basis of a lattice-point semigroup that deferred it
-        (`from_cone`), else the sweep of `irreducible` with `_generated` as
-        its member test."""
+        (`from_cone`); the Hilbert basis of the cone when the saturation
+        certificate finds it among the generators (`_certify`), in 2D
+        always and in any d on a cone of d rays with determinant ±1; else
+        the sweep of `irreducible` with `_generated` as its member test."""
         if self.generators is None:
             self.generators = self._minimal = hilbert_basis(self._cone).elements
-        elif self._minimal is None:
+        elif self._minimal is None and self._certify(False) is None:
             self._member_cache.update(dict.fromkeys(self.generators, True))
             self._minimal = irreducible(self.generators, self.cone.halfspaces, self._generated)
         return self._minimal
+
+    def _certify(self, full):
+        """The cone's Hilbert basis H when the generators G contain it, else
+        None; wherever H is read, the saturation flag is set.
+
+        S is saturated exactly when H ⊆ G, and H is then its minimal
+        generating set: a saturated S has H as its minimal generating set,
+        which lies in every generating set; and H ⊆ G ⊆ S ⊆ cone ∩ Z^d with
+        H generating cone ∩ Z^d forces S = cone ∩ Z^d. H is read where it
+        is cheap: in 2D the Hirzebruch-Jung chain, walked from one ray and
+        stopped at its first element outside G, so a test costs at most
+        |G| + 1 steps and decides the flag either way; in any d the d rays
+        of a cone with determinant ±1, which are their own Hilbert basis.
+        With full, any other cone computes H (`hilbert_basis`); without,
+        it returns None and leaves the flag unset.
+        """
+        gens = set(self.generators)
+        cone = self.cone
+        if self.dim == 2:
+            # H read up to its first element outside G, if there is one
+            chain = []
+            for w in _hirzebruch_jung(*cone.rays):
+                chain.append(w)
+                if w not in gens:
+                    break
+            H = tuple(sorted(chain))
+        elif _unimodular(cone):
+            H = cone.rays
+        elif full:
+            H = hilbert_basis(cone).elements
+        else:
+            return None
+        self._saturated = gens.issuperset(H)
+        if not self._saturated:
+            return None
+        self._minimal = H
+        return H
 
     def _generated(self, x, points) -> bool:
         """Is x, a point of the cone, a sum of points? They are minimal
@@ -278,9 +328,10 @@ class AffineSemigroup:
         return AffineSemigroup.from_cone(self.cone)
 
     def is_saturated(self) -> bool:
+        """Is S all of cone ∩ Z^d? Decided once, by whether the generators
+        contain the cone's Hilbert basis (`_certify`)."""
         if self._saturated is None:
-            sat = AffineSemigroup.from_cone(self.cone)
-            self._saturated = self.minimal_generators() == sat.minimal_generators()
+            self._certify(True)
         return self._saturated
 
     def is_smooth(self) -> bool:
@@ -292,10 +343,9 @@ class AffineSemigroup:
         determinant ±1, which are then its Hilbert basis, kept as such.
         """
         if self.generators is None:
-            rays = self.cone.rays
-            if len(rays) != self.dim or abs(adjugate(rays)[1]) != 1:
+            if not _unimodular(self.cone):
                 return False
-            self.generators = self._minimal = rays
+            self.generators = self._minimal = self.cone.rays
         return len(self.minimal_generators()) == self.dim
 
     def __eq__(self, other):
@@ -317,8 +367,8 @@ class AffineSemigroup:
 class LatticePairing:
     """The pairing matrix <h, x> of S, facet normals h by points x, for
     telling GL(d, Z) classes apart: `resolve` keys every class by it but
-    the normal surfaces of a normalized graph, which it keys by their
-    normal form (`_surface_normal_form`).
+    the normal surfaces, 2D semigroups flagged saturated, which it keys by
+    their normal form (`_surface_normal_form`) in both graph kinds.
 
     The points are S's minimal generators, or, when S is known to be
     saturated and d >= 3, the primitive extreme rays of its cone: the cone

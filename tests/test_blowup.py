@@ -389,7 +389,8 @@ def test_surface_blowup_closed_form():
                 surface_blowup(S)
             )
         # every p against the proof: the closed form `nash_blowup` takes on
-        # a normal surface, the walk and the oracle's cross-product order
+        # a normal surface, the walk and the oracle's cross-product order;
+        # unnormalized, the closed form against the walk
         seen = set()
         for node in resolve(S, 0).nodes():
             T = node.semigroup
@@ -400,41 +401,95 @@ def test_surface_blowup_closed_form():
             for p in (0, 2, 3, 5):
                 assert _vertex_gens(nash_blowup(T, p)) == want
                 assert _vertex_gens(blowup._walk(T, p, True)) == want
+                assert _vertex_cone_gens(nash_blowup(T, p, False)) == (
+                    _vertex_cone_gens(blowup._walk(T, p, False))
+                )
         nodes += len(seen)
     assert nodes >= 500
+
+
+def test_unnormalized_surface_closed_form_is_the_walk():
+    # the `unnormalized` draw: rays with entries in [1, 20], resolved
+    # without normalization to depth 6; every distinct non-smooth node of
+    # each root's p = 0 tree, in p = 0, 2, 3 and 5. The saturated ones take
+    # the closed form, the others walk
+    rng = random.Random(444)
+    roots = 0
+    seen = set()
+    saturated = 0
+    while roots < 100:
+        a = (rng.randint(1, 20), rng.randint(1, 20))
+        b = (rng.randint(1, 20), rng.randint(1, 20))
+        if a[0] * b[1] - a[1] * b[0] == 0:
+            continue
+        roots += 1
+        S = AffineSemigroup.from_cone(Cone.from_rays((a, b), 2))
+        for node in resolve(S, 0, normalize=False, max_depth=6).nodes():
+            T = node.semigroup
+            if T.is_smooth() or T.minimal_generators() in seen:
+                continue
+            seen.add(T.minimal_generators())
+            saturated += T.is_saturated()
+            for p in (0, 2, 3, 5):
+                assert _vertex_cone_gens(nash_blowup(T, p, False)) == (
+                    _vertex_cone_gens(blowup._walk(T, p, False))
+                )
+    assert saturated >= 200 and len(seen) - saturated >= 500, (saturated, len(seen))
 
 
 def _vertex_gens(charts):
     return [(c.vertex, c.semigroup.minimal_generators()) for c in charts]
 
 
+def _vertex_cone_gens(charts):
+    return [(c.vertex, c.semigroup.cone, c.semigroup.minimal_generators()) for c in charts]
+
+
 def test_normal_surfaces_take_the_closed_form(monkeypatch, threefold):
-    # the selection reads dimension, normalize and the saturation flag:
-    # the walk computes greedy bases, the closed form none
+    # the selection reads the dimension and the saturation flag, which the
+    # certificate sets on a surface given by generators when its minimal
+    # generators are first read: every normal surface takes the closed
+    # form, for both chart kinds, and every other semigroup walks
+    closed = []
     walked = []
-    greedy = blowup._greedy_basis
+    surface_charts = blowup._surface_charts
+    walk = blowup._walk
 
-    def counted(gens, key, p):
-        walked.append(gens)
-        return greedy(gens, key, p)
+    def counted_closed(S, p, normalize):
+        closed.append(S)
+        return surface_charts(S, p, normalize)
 
-    monkeypatch.setattr(blowup, "_greedy_basis", counted)
+    def counted_walk(S, p, normalize):
+        walked.append(S)
+        return walk(S, p, normalize)
+
+    monkeypatch.setattr(blowup, "_surface_charts", counted_closed)
+    monkeypatch.setattr(blowup, "_walk", counted_walk)
     S = AffineSemigroup.from_cone(Cone.from_rays(((1, 0), (7, 11)), 2))
-    G = AffineSemigroup(2, S.minimal_generators())
+    unsaturated = [(1, 0), (1, 1), (2, 5), (3, 7)]
     for p in (0, 2):
+        for normalize in (True, False):
+            shapes = set()
+            # the lattice points, then the same semigroup given by its
+            # Hilbert basis, not known to be saturated until it is read
+            for R in (S, AffineSemigroup(2, S.minimal_generators())):
+                closed.clear()
+                walked.clear()
+                shapes.add(resolve(R, p, normalize).shape())
+                assert closed[0] is R and R._saturated is True
+                assert all(T._saturated is True for T in closed)
+                assert all(T._saturated is False for T in walked)
+                # normalized charts are lattice points; unnormalized ones
+                # below this root are not all saturated
+                assert bool(walked) != normalize, (p, normalize)
+            assert len(shapes) == 1
+        closed.clear()
         walked.clear()
-        tree = resolve(S, p)
-        assert tree.depth() >= 2 and walked == []
-        # the same semigroup, not known to be saturated: only the root walks
-        assert G._saturated is None
-        assert resolve(G, p).shape() == tree.shape()
-        assert walked and set(walked) == {G.minimal_generators()}
-        walked.clear()
-        resolve(S, p, normalize=False)
-        assert walked
-        walked.clear()
+        resolve(AffineSemigroup(2, unsaturated), p)
+        assert [T.generators for T in walked] == [tuple(unsaturated)] and closed
+        closed.clear()
         resolve(threefold, p)
-        assert walked
+        assert walked[1:] and not closed
 
 
 def _charts_in(charts, S):

@@ -77,6 +77,12 @@ CONSOLE = (
      "929a676a1170b8c370fc992259908e31c89e4c48c400f68f529420b4a5ee15cf"),
     ("resolve-unnormalized-stall-2d-p2", "resolve --no-normalize", STALL_2D_P2, 4,
      "211c33e37e0d691982fe1c282d65cfbb54e0a7a9f61f70218adbfdf86bb69e43"),
+    # the Hilbert basis of cone((20,19), (4,13)) and one sum: a normal
+    # surface given by generators, certified saturated when first read, so
+    # it and its saturated charts take the closed form and the (n, q) key
+    ("resolve-unnormalized-generators-2d-p0", "resolve",
+     '{"dimension": 2, "characteristic": 0, "semigroup_generators": [[20,19],[1,1],[1,2],[1,3],[4,13],[21,20]], "normalize": false, "max_depth": 6}',
+     3, "dd59da04f4b19c3348ab6056492a4a443146024cd12d831b0a099d078563630a"),
     # 2x2 and 3x3 cofactor adjugates
     ("resolve-2d-p2", "resolve",
      '{"dimension": 2, "characteristic": 2, "dual_cone_rays": [[1,0],[47,50]]}',

@@ -124,52 +124,58 @@ def test_no_image_converts_its_cone_while_solve_runs(monkeypatch, cone_conversio
         assert cone_conversions == [0], name
 
 
-def test_the_benchmark_has_a_workload_on_each_side_of_the_closed_form(monkeypatch):
-    # normalized normal surfaces take `nash_blowup`'s closed form and every
-    # other blowup the walk, which computes greedy bases: `surfaces` must
-    # stay on one side of that selection and two workloads on the other
+def _sides(monkeypatch, module, names, workload_groups):
+    """Per workload, whether each named function of module ran while the
+    first groups of its seed-0 corpus were solved."""
     lib = pipeline.library()
-    walked = [0]
-    greedy = lib["blowup"]._greedy_basis
+    calls = dict.fromkeys(names, 0)
 
-    def counted(gens, key, p):
-        walked[0] += 1
-        return greedy(gens, key, p)
+    def counted(name):
+        original = getattr(lib[module], name)
 
-    monkeypatch.setattr(lib["blowup"], "_greedy_basis", counted)
-    for name, groups, closed in (
-        ("surfaces", 10, True),
-        ("unnormalized", 2, False),
-        ("threefolds", 1, False),
-    ):
-        walked[0] = 0
-        for problem in workloads.corpus(workloads.WORKLOADS[name], 0, groups):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(lib[module], name, counted(name))
+    sides = {}
+    for workload, groups in workload_groups:
+        calls.update(dict.fromkeys(names, 0))
+        for problem in workloads.corpus(workloads.WORKLOADS[workload], 0, groups):
             pipeline.solve(lib, problem)
-        assert (walked[0] == 0) == closed, (name, walked[0])
+        sides[workload] = tuple(calls[name] > 0 for name in names)
+    return sides
+
+
+# (workload, groups): `surfaces` on the normal-surface side of a
+# selection only, `threefolds` on the other only, `unnormalized` on both:
+# its roots and saturated charts are normal surfaces, its other charts not
+SIDES = (("surfaces", 10), ("unnormalized", 2), ("threefolds", 1))
+
+
+def test_the_benchmark_has_a_workload_on_each_side_of_the_closed_form(monkeypatch):
+    # 2D semigroups flagged saturated take `nash_blowup`'s closed form and
+    # every other blowup the walk
+    sides = _sides(monkeypatch, "blowup", ("_surface_charts", "_walk"), SIDES)
+    assert sides == {
+        "surfaces": (True, False),
+        "unnormalized": (True, True),
+        "threefolds": (False, True),
+    }, sides
 
 
 def test_the_benchmark_has_a_workload_on_each_side_of_the_surface_key(monkeypatch):
-    # normal surfaces in a normalized graph are keyed by their normal form
-    # and every other class by a LatticePairing: `surfaces` must stay on
-    # one side of that selection and two workloads on the other
-    lib = pipeline.library()
-    built = [0]
-    pairing = lib["resolve"].LatticePairing
-
-    def counted(S):
-        built[0] += 1
-        return pairing(S)
-
-    monkeypatch.setattr(lib["resolve"], "LatticePairing", counted)
-    for name, groups, by_form in (
-        ("surfaces", 10, True),
-        ("unnormalized", 2, False),
-        ("threefolds", 1, False),
-    ):
-        built[0] = 0
-        for problem in workloads.corpus(workloads.WORKLOADS[name], 0, groups):
-            pipeline.solve(lib, problem)
-        assert (built[0] == 0) == by_form, (name, built[0])
+    # 2D semigroups flagged saturated are keyed by their normal form and
+    # every other class by a LatticePairing
+    sides = _sides(monkeypatch, "resolve", ("_surface_normal_form", "LatticePairing"), SIDES)
+    assert sides == {
+        "surfaces": (True, False),
+        "unnormalized": (True, True),
+        "threefolds": (False, True),
+    }, sides
 
 
 def test_the_benchmark_has_a_workload_on_each_side_of_the_deferred_basis(monkeypatch):

@@ -11,7 +11,7 @@ from nashtoric.blowup import (
     nash_blowup,
     newton_polyhedron,
 )
-from nashtoric.cones import Cone, irreducible
+from nashtoric.cones import Cone, hilbert_basis, irreducible
 from nashtoric.errors import (
     DimensionError,
     NotFullDimensionalError,
@@ -25,6 +25,7 @@ from oracles import (
     boundary_generators_crosscheck,
     brute_force_minimal_generators,
     generator_sums,
+    hilbert_basis_by_triangulation,
     permutation_det,
     random_saturated_surface,
     random_unsaturated_generators,
@@ -160,6 +161,113 @@ def test_minimal_generators_against_brute_force():
             seen["dropped"] += len(mins) < len(S.generators)
             seen["unsaturated"] += dim < 4 and not S.is_saturated()
     assert min(seen.values()) >= 20, seen
+
+
+def _padded(rng, points, count=3):
+    """The points and count sums of random nonempty subsets of them."""
+    points = list(points)
+    return points + [
+        tuple(map(sum, zip(*rng.sample(points, rng.randint(1, len(points))))))
+        for _ in range(count)
+    ]
+
+
+def test_the_saturation_certificate_is_exact(monkeypatch):
+    # S is saturated exactly when its generators contain its cone's Hilbert
+    # basis H, which is then its minimal generating set. Where H is cheap
+    # (2D, or d rays of determinant ±1) the certificate decides the flag
+    # and skips the sweep when it holds; is_saturated decides it in every d
+    swept = []
+
+    def spying_irreducible(points, halfspaces, member):
+        swept.append(points)
+        return irreducible(points, halfspaces, member)
+
+    monkeypatch.setattr(semigroups, "irreducible", spying_irreducible)
+    rng = random.Random(444)
+    seen = {}
+    for dim, count in ((1, 24), (2, 36), (3, 36), (4, 12)):
+        for t in range(count):
+            recipe = ("unsaturated", "hilbert", "smooth")[t % 3]
+            if recipe == "unsaturated":
+                gens = random_unsaturated_generators(rng, dim)
+            elif recipe == "hilbert":
+                cone = Cone.from_rays(random_unsaturated_generators(rng, dim), dim)
+                points = list(hilbert_basis(cone).elements)
+                inner = [x for x in points if x not in cone.rays]
+                if inner and t % 2:
+                    # one element of H dropped: sums never make it again
+                    points.remove(rng.choice(inner))
+                    recipe = "hilbert-less-one"
+                gens = _padded(rng, points)
+            else:
+                points = list(_random_unimodular(rng, dim))
+                if t % 2:
+                    # b replaced by 2b and 3b: the cone stays smooth, and
+                    # the group full, but b is missing
+                    b = points.pop()
+                    points += [tuple(2 * x for x in b), tuple(3 * x for x in b)]
+                    recipe = "smooth-less-one"
+                gens = _padded(rng, points)
+            try:
+                S = AffineSemigroup(dim, gens)
+            except NotFullLatticeError:
+                continue
+            mins = brute_force_minimal_generators(gens, dim)
+            truth = mins == list(hilbert_basis_by_triangulation(S.cone))
+            smooth_cone = len(S.cone.rays) == dim and abs(permutation_det(S.cone.rays)) == 1
+            swept.clear()
+            assert list(S.minimal_generators()) == mins, gens
+            if dim <= 2 or smooth_cone:
+                assert S._saturated is truth, gens
+            else:
+                assert S._saturated is None, gens
+            assert bool(swept) == (S._saturated is not True), gens
+            assert S.is_saturated() is truth and S._saturated is truth, gens
+            # tested before the minimal generators are read: the
+            # certificate in every d, then the same minimal set
+            T = AffineSemigroup(dim, gens)
+            swept.clear()
+            assert T.is_saturated() is truth, gens
+            assert list(T.minimal_generators()) == mins, gens
+            assert bool(swept) != truth, gens
+            key = (recipe, truth)
+            seen[key] = seen.get(key, 0) + 1
+            key = ("cheap" if dim <= 2 or smooth_cone else "full", truth)
+            seen[key] = seen.get(key, 0) + 1
+    assert seen.keys() == {
+        ("unsaturated", True),
+        ("unsaturated", False),
+        ("hilbert", True),
+        ("hilbert-less-one", False),
+        ("smooth", True),
+        ("smooth-less-one", False),
+        ("cheap", True),
+        ("cheap", False),
+        ("full", True),
+        ("full", False),
+    }, seen
+    assert min(seen.values()) >= 3, seen
+
+
+def test_the_certificate_stops_at_the_first_chain_element_outside(monkeypatch):
+    # the cone of (1, 0), (1, 1), (1, 10000) has a Hirzebruch-Jung chain of
+    # 10,001 elements, and (1, 2) is the first one outside the generators
+    steps = []
+    chain = semigroups._hirzebruch_jung
+
+    def counted(u1, u2):
+        for w in chain(u1, u2):
+            steps.append(w)
+            yield w
+
+    monkeypatch.setattr(semigroups, "_hirzebruch_jung", counted)
+    gens = ((1, 0), (1, 1), (1, 10000))
+    S = AffineSemigroup(2, gens)
+    assert S.minimal_generators() == gens
+    assert S._saturated is False and 0 < len(steps) <= 4, steps
+    assert not AffineSemigroup(2, gens).is_saturated()
+    assert len(steps) <= 8, steps
 
 
 def test_saturate(cusp, threefold):
@@ -335,13 +443,19 @@ def test_a_semigroup_builds_at_most_one_frame(monkeypatch):
     seen = {"all hits": 0, "searched": 0, "in": 0, "out": 0}
     for dim, count in ((1, 30), (2, 30), (3, 30), (4, 12)):
         for t in range(count):
-            if t % 3 == 0:
-                # a lattice basis padded with sums: many searches are hits
-                basis = _random_unimodular(rng, dim)
-                gens = list(basis) + [
-                    tuple(map(sum, zip(*rng.sample(basis, rng.randint(1, dim)))))
-                    for _ in range(3)
-                ]
+            level = t % 3 == 0 and dim > 1
+            if level:
+                # every search a hit, on an unsaturated semigroup: points
+                # at height 1 of a functional, e1, e1 + e2, e1 + m e2 past
+                # the missing e1 + 2 e2, and e1 + e_i, pairwise
+                # incomparable, padded with twice each vertex v of their
+                # hull, which only v reduces, under a unimodular map
+                m = rng.randint(3, 5)
+                points = [(1,) + (0,) * (dim - 1), (1, 1) + (0,) * (dim - 2)]
+                vertices = [points[0], (1, m) + (0,) * (dim - 2)]
+                vertices += [tuple(int(j in (0, i)) for j in range(dim)) for i in range(2, dim)]
+                doubles = [tuple(2 * x for x in v) for v in vertices]
+                gens = images(_random_unimodular(rng, dim), points + vertices[1:] + doubles)
             else:
                 gens = random_unsaturated_generators(rng, dim)
             built.clear()
@@ -349,6 +463,8 @@ def test_a_semigroup_builds_at_most_one_frame(monkeypatch):
             S = AffineSemigroup(dim, gens)
             S.minimal_generators()
             assert sum(built) <= 1
+            if level:
+                assert hits and all(hits) and not S._saturated, gens
             if hits and all(hits):
                 assert not any(built), gens
                 seen["all hits"] += 1
@@ -456,11 +572,7 @@ def test_is_smooth():
         for t in range(30):
             if t % 3 == 0:
                 # a lattice basis padded with sums of its members
-                basis = _random_unimodular(rng, dim)
-                gens = list(basis) + [
-                    tuple(map(sum, zip(*rng.sample(basis, rng.randint(1, dim)))))
-                    for _ in range(3)
-                ]
+                gens = _padded(rng, _random_unimodular(rng, dim))
             else:
                 gens = random_unsaturated_generators(rng, dim)
             S = AffineSemigroup(dim, gens)
