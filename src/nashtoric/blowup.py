@@ -3,7 +3,7 @@
 Pipeline: admissible d-subsets of minimal generators (determinant nonzero
 mod p) give the ideal exponents; their convex hull plus the semigroup's
 cone is the Newton polyhedron; each vertex yields an affine chart, built
-on the tangent cone at the vertex, converted once per chart: its lattice
+on the tangent cone at the vertex, made once per chart: its lattice
 points (`AffineSemigroup.from_cone`) or, unnormalized, the semigroup that
 the chart's generators span in it (`AffineSemigroup._in_cone`).
 
@@ -236,16 +236,16 @@ def _walk(S: AffineSemigroup, p, normalize):
     saturated, and the tests' reference for the closed form.
 
     A vertex is the sum of a greedy basis B. Both chart kinds are built on
-    its tangent cone, one conversion of σ^∨'s rays and the exchange
-    directions g - b, nonzero integer tuples that `Cone._from_nonzero`
-    converts unchecked; the directions with B and the generators that have
-    no exchange generate the unnormalized chart (module docstring). Each
-    extreme ray u of that cone outside σ^∨ is a bounded edge; the sum w_e
-    of the facet normals through u is least on exactly that edge, and the
-    greedy basis under (w_e, -u) sits at its far end. Bounded edges
-    connect all vertices of a polyhedron whose recession cone is pointed.
-    The walk begins at the greedy basis under (<w, g>, g), w the sum of
-    σ^∨'s facet normals.
+    its tangent cone, σ^∨ extended by the exchange directions g - b
+    (`Cone._extended`, seeded once per walk); the directions with B and
+    the generators that have no exchange generate the unnormalized chart
+    (module docstring). Each extreme ray u of that cone outside σ^∨, that
+    is no ray of σ^∨ (an extreme ray lying in σ^∨ is extreme there), is a
+    bounded edge; the sum w_e of the facet normals through u is least on
+    exactly that edge, and the greedy basis under (w_e, -u) sits at its
+    far end. Bounded edges connect all vertices of a polyhedron whose
+    recession cone is pointed. The walk begins at the greedy basis under
+    (<w, g>, g), w the sum of σ^∨'s facet normals.
 
     A polyhedron meets the ray v + t·u, t > 0, of a bounded edge in that
     edge and nothing more, so a vertex already seen on the open ray is the
@@ -256,7 +256,10 @@ def _walk(S: AffineSemigroup, p, normalize):
     each vertex costs one greedy basis, the one that finds it.
     """
     gens = S.minimal_generators()
-    w = _vsum(S.cone.halfspaces)
+    cone = S.cone
+    incidence = cone._incidence() if S.dim > 2 else None  # 2D scans
+    in_dual = set(cone.rays)
+    w = _vsum(cone.halfspaces)
     todo = [_greedy_basis(gens, lambda g: (dot(w, g), g), p)]
     seen = {_vsum(todo[0])}
     charts = []
@@ -264,11 +267,11 @@ def _walk(S: AffineSemigroup, p, normalize):
         basis = todo.pop()
         v = _vsum(basis)
         directions, unexchanged = _exchanges(basis, gens, p)
-        tangent = Cone._from_nonzero(S.cone.rays + directions, S.dim)
+        tangent = cone._extended(directions, incidence)
         charts.append(_chart(v, tangent, basis + unexchanged + directions, normalize))
         ahead = {primitive(vsub(x, v)) for x in seen if x != v}
         for u in tangent.rays:
-            if u in ahead or S.cone.contains(u):
+            if u in ahead or u in in_dual:
                 continue
             w_e = _vsum([h for h in tangent.halfspaces if not dot(h, u)])
             far = _greedy_basis(gens, lambda g: (dot(w_e, g), -dot(u, g), g), p)

@@ -8,15 +8,15 @@ constructor: inputs that span a cone containing a line raise
 NotPointedError, and otherwise inputs of rank < d raise
 NotFullDimensionalError. A cone given by facet normals is the dual of the
 cone they generate. It checks its inputs and hands the nonzero ones to
-`Cone._from_nonzero`, the conversion itself, which a blowup calls directly
-on the integer tuples it made.
+`Cone._from_nonzero`, the conversion itself.
 
 `Cone.from_rays` makes one double-description pass for every cone: the
 facets come out of it with the inputs on each, the extreme rays are the
 inputs with maximal facet sets, and no second conversion runs. Inputs of
 rank r < d are first completed by d - r unit vectors, which leave the cone
 pointed exactly when the inputs' cone is, so every pass has full-rank
-normals.
+normals. `Cone._extended` adds rays to a cone, seeding the same loop
+(`_double_description`) with the cone's facets, as a blowup's walk does.
 
 2D cones take their own paths: one cross-product
 scan for the two extreme rays instead of a conversion, and the
@@ -76,26 +76,32 @@ def _pointed_extreme_rays(normals, basis):
     pairs, bit i of mask set when <normals[i], ray> is 0; basis holds the
     indices of dim independent normals, so the normals have full rank.
 
-    Incremental double description (Motzkin et al. 1953; Fukuda & Prodon,
-    1996). The basis normals cut out a simplicial cone whose rays are
-    the signed adjugate columns. The other normals are added one at
-    a time. Every ray carries the bitmask of the normals it lies on; a ray
-    on the positive side of the new normal and one on the negative side are
-    combined only when they are adjacent: their common zero set has at least
-    dim-2 members and lies in no third ray's zero set.
+    The double description (`_double_description`) starts from the
+    simplicial cone of the basis normals, whose rays are the signed
+    adjugate columns, and inserts the other normals.
     """
-    dim = len(basis)
-    seed_mask = 0
-    for i in basis:
-        seed_mask |= 1 << i
+    seed_mask = sum(1 << i for i in basis)
     rays = [
         (r, seed_mask ^ (1 << i))
         for r, i in zip(_simplicial_facets(tuple(normals[i] for i in basis)), basis)
     ]
-    seeded = set(basis)
-    for i, n in enumerate(normals):
-        if i in seeded:
-            continue
+    rest = sorted(set(range(len(normals))).difference(basis))
+    return _double_description(rays, normals, rest, len(basis))
+
+
+def _double_description(rays, normals, order, dim):
+    """The sorted (ray, mask) pairs of a pointed cone in Z^dim, given by
+    such pairs (bit j set when the ray lies on normals[j], for every normal
+    inserted so far), cut by normals[i] for i in order.
+
+    Incremental double description (Motzkin et al. 1953; Fukuda & Prodon,
+    1996). A ray on the positive side of the new normal and one on the
+    negative side are combined only when they are adjacent: their common
+    zero set has at least dim-2 members and lies in no third ray's zero
+    set.
+    """
+    for i in order:
+        n = normals[i]
         bit = 1 << i
         pos = []
         neg = []
@@ -289,6 +295,36 @@ class Cone:
         hi = primitive(hi)
         halfspaces = tuple(sorted(((-lo[1], lo[0]), (hi[1], -hi[0]))))
         return cls(2, tuple(sorted((lo, hi))), halfspaces)
+
+    def _incidence(self):
+        """The facet normals with the masks of the rays on them."""
+        return [
+            (h, sum(1 << i for i, r in enumerate(self.rays) if not dot(h, r)))
+            for h in self.halfspaces
+        ]
+
+    def _extended(self, directions, incidence=None):
+        """`_from_nonzero(self.rays + directions, dim)`, for nonzero integer
+        tuples of length dim. A pass over the rays first would end at this
+        cone's facets with the rays on each (`_incidence`, which a caller
+        extending many times passes in), so the double description starts
+        there and inserts each new primitive direction once, in order. 2D
+        takes the scan (`_from_rays_2d`).
+        """
+        if self.dim == 2:
+            fast = Cone._from_rays_2d(self.rays + tuple(directions))
+            if fast is not None:
+                return fast
+        inputs = dict.fromkeys(self.rays)
+        for r in directions:
+            inputs.setdefault(primitive(r))
+        if len(inputs) == len(self.rays):
+            return self
+        inputs = list(inputs)
+        new = range(len(self.rays), len(inputs))
+        facets = _double_description(incidence or self._incidence(), inputs, new, self.dim)
+        rays = _extreme_inputs(inputs, facets)
+        return Cone(self.dim, tuple(sorted(rays)), tuple(h for h, _ in facets))
 
     def contains(self, point) -> bool:
         if len(point) != self.dim:

@@ -162,17 +162,19 @@ class AffineSemigroup:
         return self._cone
 
     def membership(self, x) -> bool:
-        """Is x in S? Saturated: x is in the cone. Otherwise `_generated`
-        over the minimal generators."""
+        """Is x in S? Saturated, which reading the minimal generators may
+        certify (`_certify`): x is in the cone. Otherwise `_generated`."""
         x = vec(x)
         if len(x) != self.dim:
             raise DimensionError(f"point {x} does not have length {self.dim}")
         if not self.cone.contains(x):
             return False
-        if self._saturated is True:
-            # saturated means the semigroup is exactly cone ∩ Z^d
-            return True
-        return self._generated(x, self.minimal_generators())
+        if self._saturated is not True:
+            gens = self.minimal_generators()
+            if self._saturated is not True:
+                return self._generated(x, gens)
+        # saturated means the semigroup is exactly cone ∩ Z^d
+        return True
 
     def minimal_generators(self):
         """The unique minimal generating set, lexicographically sorted: the

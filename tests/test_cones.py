@@ -328,6 +328,83 @@ def test_from_rays_ignores_added_combinations_of_rays():
     assert min(kinds.values()) >= 60, kinds
 
 
+def _directions(rng, C):
+    """Directions to extend C by: a random mix of fresh vectors, positive
+    combinations of C's rays (interior or on a facet), multiples of its
+    rays, and 2r - q for rays r, q on a common facet, which lies beyond r
+    in that facet's hyperplane and leaves r no longer extreme; then
+    non-primitive multiples and repeats of those, shuffled."""
+    dim = C.dim
+    D = []
+    while not D:
+        if rng.random() < 0.4:
+            for _ in range(rng.randint(1, 2)):
+                u = tuple(rng.randint(-4, 4) for _ in range(dim))
+                if any(u):
+                    D.append(u)
+        h = rng.choice(C.halfspaces)
+        facet = [r for r in C.rays if not dot(h, r)]
+        for rays in (C.rays, facet):
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(1, 3) for _ in rays]
+                D.append(tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(dim)))
+        if rng.random() < 0.5:
+            k = rng.randint(1, 3)
+            D.append(tuple(k * x for x in rng.choice(C.rays)))
+        if rng.random() < 0.6:
+            r, q = rng.sample(facet, 2)
+            D.append(tuple(2 * a - b for a, b in zip(r, q)))
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randint(2, 4)
+        D.append(tuple(k * x for x in rng.choice(D)))
+    D += [rng.choice(D) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(D)
+    return D
+
+
+def test_extended_cone_matches_the_conversion_from_scratch(monkeypatch):
+    # `Cone._extended` starts the double description from C's facets and
+    # their incidences and inserts only the new directions: it must be what
+    # converting C's rays and the directions together makes, or raise the
+    # same error, with or without the incidences handed in
+    rng = random.Random(320)
+    seen = dict.fromkeys(("grown", "ray dropped", "unchanged", "line"), 0)
+    for dim in (3, 4, 5):
+        for _ in range(80):
+            C = random_pointed_cone(rng, dim, bound=4)
+            D = _directions(rng, C)
+            try:
+                want = Cone._from_nonzero(list(C.rays) + D, dim)
+            except NotPointedError:
+                for incidence in (None, C._incidence()):
+                    with pytest.raises(NotPointedError):
+                        C._extended(D, incidence)
+                seen["line"] += 1
+                continue
+            for incidence in (None, C._incidence()):
+                got = C._extended(D, incidence)
+                assert (got.rays, got.halfspaces) == (want.rays, want.halfspaces), (C, D)
+            seen["unchanged" if want == C else "grown"] += 1
+            seen["ray dropped"] += not set(C.rays) <= set(want.rays)
+    assert min(seen.values()) >= 20, seen
+
+    # a 2D cone takes the scan, here past a repeat, non-primitive inputs
+    # and a ray, (1, 3), that stops being extreme
+    C = Cone.from_rays(((1, 0), (1, 3)), 2)
+    D = [(2, 2), (0, 3), (-2, 8), (-1, 4), (2, 6)]
+    want = Cone._from_nonzero(list(C.rays) + D, 2)
+
+    def unused(*args):
+        raise AssertionError("a 2D cone ran the double description")
+
+    monkeypatch.setattr(cones, "_double_description", unused)
+    got = C._extended(D)
+    assert (got.rays, got.halfspaces) == (want.rays, want.halfspaces) == (
+        ((-1, 4), (1, 0)),
+        ((0, 1), (4, 1)),
+    )
+
+
 def test_2d_shortcut_matches_generic_conversion(monkeypatch):
     rng = random.Random(313)
     shortcut = Cone._from_rays_2d

@@ -124,30 +124,36 @@ def test_no_image_converts_its_cone_while_solve_runs(monkeypatch, cone_conversio
         assert cone_conversions == [0], name
 
 
-def _sides(monkeypatch, module, names, workload_groups):
-    """Per workload, whether each named function of module ran while the
+def _calls(monkeypatch, targets, workload_groups):
+    """Per workload, how often each (owner, name) target ran while the
     first groups of its seed-0 corpus were solved."""
     lib = pipeline.library()
-    calls = dict.fromkeys(names, 0)
+    calls = [0] * len(targets)
 
-    def counted(name):
-        original = getattr(lib[module], name)
-
+    def counted(k, original):
         def call(*args):
-            calls[name] += 1
+            calls[k] += 1
             return original(*args)
 
         return call
 
-    for name in names:
-        monkeypatch.setattr(lib[module], name, counted(name))
-    sides = {}
+    for k, (owner, name) in enumerate(targets):
+        monkeypatch.setattr(owner, name, counted(k, getattr(owner, name)))
+    counts = {}
     for workload, groups in workload_groups:
-        calls.update(dict.fromkeys(names, 0))
+        calls[:] = [0] * len(targets)
         for problem in workloads.corpus(workloads.WORKLOADS[workload], 0, groups):
             pipeline.solve(lib, problem)
-        sides[workload] = tuple(calls[name] > 0 for name in names)
-    return sides
+        counts[workload] = tuple(calls)
+    return counts
+
+
+def _sides(monkeypatch, module, names, workload_groups):
+    """Per workload, whether each named function of module ran while the
+    first groups of its seed-0 corpus were solved."""
+    owner = pipeline.library()[module]
+    counts = _calls(monkeypatch, [(owner, name) for name in names], workload_groups)
+    return {w: tuple(c > 0 for c in row) for w, row in counts.items()}
 
 
 # (workload, groups): `surfaces` on the normal-surface side of a
@@ -176,6 +182,31 @@ def test_the_benchmark_has_a_workload_on_each_side_of_the_surface_key(monkeypatc
         "unnormalized": (True, True),
         "threefolds": (False, True),
     }, sides
+
+
+def test_the_benchmark_has_a_workload_on_each_side_of_the_seeded_pass(monkeypatch):
+    # a d >= 3 walk chart extends σ̌'s cone (`Cone._extended`): a
+    # double-description pass seeded with σ̌'s facets, so one more than
+    # `_pointed_extreme_rays` starts. 2D walk charts take the scan, the
+    # closed form none, and the `blowup` command converts from scratch
+    cones = pipeline.library()["cones"]
+    targets = (
+        (cones, "_double_description"),
+        (cones, "_pointed_extreme_rays"),
+        (cones.Cone, "_from_nonzero"),
+    )
+    counts = _calls(monkeypatch, targets, SIDES + (("fourfold-step", 2),))
+    seeded = {w: passes > scratch for w, (passes, scratch, _) in counts.items()}
+    assert seeded == {
+        "surfaces": False,
+        "unnormalized": False,
+        "threefolds": True,
+        "fourfold-step": False,
+    }, counts
+    # the first `threefolds` group converts its root, once per
+    # characteristic, and no chart from scratch
+    roots = len(workloads.WORKLOADS["threefolds"].characteristics)
+    assert counts["threefolds"][2] == roots, counts
 
 
 def test_the_benchmark_has_a_workload_on_each_side_of_the_deferred_basis(monkeypatch):

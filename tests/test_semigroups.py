@@ -487,6 +487,20 @@ def test_a_semigroup_builds_at_most_one_frame(monkeypatch):
     assert min(seen["in"], seen["out"]) >= 200, seen
 
 
+def test_a_first_query_reads_the_certificate_before_searching():
+    # a surface given by its Hilbert basis is certified saturated when its
+    # minimal generators are first read, so a first membership query, which
+    # reads them, answers from the cone and builds no frame
+    H = hilbert_basis(Cone.from_rays(((1, 0), (7, 11)), 2)).elements
+    S = AffineSemigroup(2, H)
+    assert S._saturated is None
+    found = S.membership((3, 2))
+    assert S._saturated is True and S._frame is None
+    searched = AffineSemigroup(2, H)
+    assert found is searched._generated((3, 2), H) is True
+    assert searched._frame is not None
+
+
 def test_a_searching_sweep_frames_by_the_first_independent_minimal_generators(monkeypatch):
     # whatever rank the kept points have at the first search, and whether
     # the sweep or a later query fixes it, the frame K is the first d
