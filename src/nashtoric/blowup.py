@@ -198,9 +198,10 @@ def _surface_charts(S, p, normalize):
     sums s_i = a_i + a_{i+1} where their chain turns, and s_0 and s_{m-1},
     in every characteristic. Each tangent cone is the cone of the edges to
     its neighbouring vertices, with a_0 and a_m at the two ends (README,
-    "Surfaces in closed form"), read off the two edge directions by the 2D
-    scan (`Cone._from_rays_2d`): they are integer tuples made here, so no
-    input is checked first. The normalized chart is its lattice points.
+    "Surfaces in closed form"), built from the two edge directions by one
+    cross product and two `primitive` calls (`Cone._from_rays_2d`): they
+    are integer tuples made here, so no input is checked first. The
+    normalized chart is its lattice points, the two rays of a smooth one.
     The unnormalized chart at s_i is generated by the basis (a_i, a_{i+1})
     and its exchange directions (`_exchanges`): its determinant is 1, so it
     is a basis mod every p, and these give Γ + <E - s_i> (module

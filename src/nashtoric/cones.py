@@ -19,8 +19,10 @@ normals. `Cone._extended` adds rays to a cone, seeding the same loop
 (`_double_description`) with the cone's facets, as a blowup's walk does.
 
 2D cones take their own paths: one cross-product
-scan for the two extreme rays instead of a conversion, and the
-Hirzebruch-Jung chain as the Hilbert basis instead of parallelepiped points.
+scan for the two extreme rays instead of a conversion (two inputs, such as
+a surface chart's two edge directions, take one cross product), and the
+Hirzebruch-Jung chain as the Hilbert basis instead of parallelepiped points,
+or the two rays themselves when their determinant is ±1.
 The scan reads the nonzero inputs as given, before any of them is made
 primitive, deduplicated or sorted; only the two rays it keeps are made
 primitive, and every other dimension canonicalizes the inputs first.
@@ -282,19 +284,37 @@ class Cone:
         scaling, and a verified lo and hi are the cone's two extreme
         directions whatever the input order, so only they are made
         primitive: multiples and repeats need no canonical form first.
+
+        Two inputs, such as a surface chart's two edge directions, need no
+        scan: they span a pointed full-dimensional cone exactly when their
+        cross product is nonzero, and its sign orders them.
         """
-        lo = hi = rays[0]
-        for r in rays:
-            if cross2(hi, r) > 0:
-                hi = r
-            elif cross2(r, lo) > 0:
-                lo = r
-        if cross2(lo, hi) <= 0 or any(cross2(lo, r) < 0 or cross2(r, hi) < 0 for r in rays):
-            return None
+        if len(rays) == 2:
+            lo, hi = rays
+            turn = cross2(lo, hi)
+            if not turn:
+                return None
+            if turn < 0:
+                lo, hi = hi, lo
+        else:
+            lo = hi = rays[0]
+            for r in rays:
+                if cross2(hi, r) > 0:
+                    hi = r
+                elif cross2(r, lo) > 0:
+                    lo = r
+            if cross2(lo, hi) <= 0 or any(cross2(lo, r) < 0 or cross2(r, hi) < 0 for r in rays):
+                return None
         lo = primitive(lo)
         hi = primitive(hi)
-        halfspaces = tuple(sorted(((-lo[1], lo[0]), (hi[1], -hi[0]))))
-        return cls(2, tuple(sorted((lo, hi))), halfspaces)
+        # the inward normals of the faces at lo and at hi
+        n_lo = (-lo[1], lo[0])
+        n_hi = (hi[1], -hi[0])
+        return cls(
+            2,
+            (lo, hi) if lo < hi else (hi, lo),
+            (n_lo, n_hi) if n_lo < n_hi else (n_hi, n_lo),
+        )
 
     def _incidence(self):
         """The facet normals with the masks of the rays on them."""
@@ -425,12 +445,16 @@ class HilbertBasis:
 def hilbert_basis(cone: Cone) -> HilbertBasis:
     """Unique minimal generating set of cone ∩ Z^d.
 
-    In dimension 2 it is the Hirzebruch-Jung chain between the two rays; in
+    In dimension 2 it is the two rays when their determinant is ±1, a
+    lattice basis, and otherwise the Hirzebruch-Jung chain between them; in
     higher dimensions `irreducible` reduces the rays and the parallelepiped
     points of a triangulation, which a simplicial cone is of itself.
     """
     if cone.dim == 2:
-        return HilbertBasis(cone, tuple(sorted(_hirzebruch_jung(*cone.rays))))
+        u1, u2 = cone.rays
+        if abs(cross2(u1, u2)) == 1:
+            return HilbertBasis(cone, cone.rays)
+        return HilbertBasis(cone, tuple(sorted(_hirzebruch_jung(u1, u2))))
     return HilbertBasis(cone, _hilbert_basis_by_pieces(cone))
 
 

@@ -151,16 +151,14 @@ def parse_input(document) -> ProblemSpec:
     )
 
 
-def _enc_int(x: int):
-    return x if INT64_MIN <= x <= INT64_MAX else str(x)
-
-
 def _enc_vec(v):
-    return [_enc_int(c) for c in v]
+    return [c if INT64_MIN <= c <= INT64_MAX else str(c) for c in v]
 
 
 def _enc_vecs(vs):
-    return [_enc_vec(v) for v in vs]
+    # `_enc_vec` written out: every node of a tree prints its generators, and
+    # a call per vector costs more than the range test
+    return [[c if INT64_MIN <= c <= INT64_MAX else str(c) for c in v] for v in vs]
 
 
 def problem_payload(spec: ProblemSpec) -> dict:

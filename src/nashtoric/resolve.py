@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
 from .cones import Cone
+from .errors import DimensionError
 from .linalg import adjugate, cross2, integer, mat_mul, mat_vec, validate_characteristic
 from .semigroups import _CONE_DIM, AffineSemigroup, LatticePairing, _surface_normal_form
 
@@ -86,7 +87,8 @@ def resolve(
     from it read-only. A node S that is g·R for a class's representative
     R gets R's charts mapped by g, re-sorted by vertex: each is its
     chart's minimal generators mapped by g, with no cone
-    (`AffineSemigroup.image`). A mapped node takes its status and charts
+    (`AffineSemigroup._image`; g is checked unimodular once, where it is
+    composed, `_composed`). A mapped node takes its status and charts
     from its class's links, so none converts its cone. The minimal
     generators determine a semigroup and its charts, so this serves both
     chart kinds in every dimension. A normalized chart in d >= 3 is keyed
@@ -192,7 +194,9 @@ class _ClassGraph:
         generators (a lattice-point chart keyed on its cone, `from_cone`)
         but is h·Q for a class representative Q is read off Q instead, as
         the image of Q under g·h, so the chart's Hilbert basis is never
-        computed.
+        computed. Each map is checked unimodular where it is composed
+        (`_composed`) and passed down with the node it maps, so no image
+        checks it again.
         """
         if isinstance(link, str):
             return ResolutionNode(S, depth, link, ())
@@ -200,7 +204,7 @@ class _ClassGraph:
             return ResolutionNode(S, depth, DEPTH_CAPPED, ())
         k, h = link
         if h is not None:
-            g = h if g is None else mat_mul(g, h)
+            g = _composed(g, h)
         _, _, _, charts, links = self.classes[k]
         children = []
         for c, link_j in zip(charts, links):
@@ -209,14 +213,28 @@ class _ClassGraph:
             if T.generators is None and not isinstance(link_j, str) and link_j[1] is not None:
                 k_j, h_j = link_j
                 T, link_j = self.classes[k_j][0], (k_j, None)
-                f = h_j if g is None else mat_mul(g, h_j)
+                f = _composed(g, h_j)
             if g is not None:
                 v = mat_vec(g, v)
-            children.append((v, T if f is None else T.image(f), link_j, f))
+            children.append((v, T if f is None else T._image(f), link_j, f))
         if g is not None:
             children.sort(key=lambda child: child[0])
         nodes = tuple((v, self.unfold(T, depth + 1, link_j, f)) for v, T, link_j, f in children)
         return ResolutionNode(S, depth, EXPANDED, nodes)
+
+
+def _composed(g, h):
+    """g·h, or h when g is None, checked once for determinant ±1 so that the
+    nodes it maps take the unchecked `AffineSemigroup._image`. Every link's
+    map is unimodular by construction, so a product that is not is a bug."""
+    f = h if g is None else mat_mul(g, h)
+    try:
+        det_f = adjugate(f)[1]
+    except DimensionError:
+        det_f = 0
+    if det_f not in (1, -1):
+        raise RuntimeError(f"class map {f} has determinant {det_f}, expected ±1")
+    return f
 
 
 def _check_max_depth(max_depth) -> int:

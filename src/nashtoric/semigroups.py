@@ -319,6 +319,11 @@ class AffineSemigroup:
             det_g = 0
         if det_g not in (1, -1):
             raise ValueError("a unimodular map needs determinant ±1")
+        return self._image(g)
+
+    def _image(self, g) -> "AffineSemigroup":
+        """`image` for a map the caller has checked to be d rows of d
+        integers with determinant ±1, such as `resolve`'s composed maps."""
         gens = images(g, self.minimal_generators())
         return AffineSemigroup.__new__(AffineSemigroup)._set(
             self.dim, gens, None, gens, self._saturated

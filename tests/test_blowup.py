@@ -1,6 +1,7 @@
 import operator
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from nashtoric.errors import (
     NotPointedError,
     ToricError,
 )
-from nashtoric.linalg import columns_matrix, det, dot, images, vsub
+from nashtoric.linalg import columns_matrix, cross2, det, dot, images, vsub
 from nashtoric.resolve import resolve
 from nashtoric.semigroups import AffineSemigroup, LatticePairing
 
@@ -32,6 +33,7 @@ from oracles import (
     random_saturated_surface,
     random_unsaturated_generators,
     surface_blowup,
+    surface_profile,
 )
 
 # charts of the threefold in characteristic 2, keyed by Newton vertex
@@ -406,6 +408,42 @@ def test_surface_blowup_closed_form():
                 )
         nodes += len(seen)
     assert nodes >= 500
+
+
+def test_surface_vertex_rule():
+    # README, "Surfaces in closed form": along the Hilbert basis a_0, ...,
+    # a_m with a_{i-1} + a_{i+1} = b_i a_i, an interior sum s_i (0 < i <
+    # m - 1) is a Newton vertex exactly when b_i b_{i+1} != 4, since its two
+    # steps have cross product det(a_{i-1}, a_i)(4 - b_i b_{i+1}). Every
+    # normal surface class of index n <= 40, the lattice points on (1, 0)
+    # and (q, n), against the vertices of the enumeration path
+    roots = 0
+    interior = {"vertex": 0, "on an edge": 0}
+    for n in range(2, 41):
+        for q in range(n):
+            if gcd(q, n) != 1:
+                continue
+            roots += 1
+            S = AffineSemigroup.from_cone(Cone.from_rays(((1, 0), (q, n)), 2))
+            vertices = newton_polyhedron(log_jacobian_ideal(S, 0)).vertices
+            a = surface_profile(S).ordered_generators
+            b = [None]
+            for before, at, after in zip(a, a[1:], a[2:]):
+                w = (before[0] + after[0], before[1] + after[1])
+                b_i = w[0] // at[0] if at[0] else w[1] // at[1]
+                assert w == (b_i * at[0], b_i * at[1]) and b_i >= 2
+                b.append(b_i)
+            s = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(a, a[1:])]
+            assert s[0] in vertices and s[-1] in vertices
+            for i in range(1, len(s) - 1):
+                steps = vsub(s[i], s[i - 1]), vsub(s[i + 1], s[i])
+                turn = 4 - b[i] * b[i + 1]
+                assert cross2(*steps) == cross2(a[i - 1], a[i]) * turn
+                assert (s[i] in vertices) == (turn != 0), (n, q, i)
+                interior["vertex" if turn else "on an edge"] += 1
+    assert roots == 489
+    # 2443 interior sums, 682 of them vertices
+    assert min(interior.values()) >= 600, interior
 
 
 def test_unnormalized_surface_closed_form_is_the_walk():

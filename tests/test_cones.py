@@ -1,11 +1,13 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashtoric import cones, semigroups
+from nashtoric.blowup import nash_blowup
 from nashtoric.cones import (
     Cone,
     hilbert_basis,
@@ -442,6 +444,37 @@ def test_2d_shortcut_matches_generic_conversion(monkeypatch):
     assert min(raw_seen.values()) >= 100, raw_seen
 
 
+def test_two_edge_cone_matches_the_conversion(monkeypatch):
+    # a surface chart's tangent cone comes from its two edge directions by
+    # one cross product (`_from_rays_2d` on two inputs), in either order and
+    # before either is made primitive; the generic conversion is the
+    # reference, with the 2D shortcut off
+    rng = random.Random(331)
+    cases = []
+    seen = dict.fromkeys(("primitive", "multiple", "parallel", "opposite"), 0)
+    for i in range(1200):
+        bound = (3, 60)[i % 2]
+        while True:
+            a, b = (tuple(rng.randint(-bound, bound) for _ in range(2)) for _ in range(2))
+            if cross2(a, b):
+                break
+        k, m = (1, 1) if i % 3 == 0 else (rng.randint(1, 6), rng.randint(1, 6))
+        pair = ((k * a[0], k * a[1]), (m * b[0], m * b[1]))
+        fast = Cone._from_rays_2d(pair)
+        assert fast == Cone._from_rays_2d(pair[::-1])
+        cases.append((pair, fast))
+        seen["multiple" if primitive(pair[0]) + primitive(pair[1]) != pair[0] + pair[1] else "primitive"] += 1
+        s = rng.choice((-1, 1)) * rng.randint(1, 6)
+        line = (pair[0], (s * a[0], s * a[1]))
+        for rays in (line, line[::-1]):
+            assert Cone._from_rays_2d(rays) is None
+        seen["parallel" if s > 0 else "opposite"] += 1
+    monkeypatch.setattr(Cone, "_from_rays_2d", classmethod(lambda cls, rays: None))
+    for pair, fast in cases:
+        assert fast == Cone.from_rays(pair, 2)
+    assert min(seen.values()) >= 150, seen
+
+
 def _raw_2d_lists(rng):
     """Unnormalized 2D input lists, shuffled: a few directions, each given
     1-3 times as multiples up to 6 (so repeats and non-primitive inputs),
@@ -839,6 +872,27 @@ def test_hilbert_basis_against_brute_force():
             assert list(elements) == expected
             seen["brute"] += 1
     assert min(seen.values()) >= 40, seen
+
+
+def test_unimodular_2d_hilbert_basis_is_the_chain():
+    # `hilbert_basis` returns a 2D cone's rays without the Hirzebruch-Jung
+    # walk when their determinant is ±1; the walk is the reference on every
+    # normal surface root of index n <= 40, the lattice points on (1, 0) and
+    # (a, n), and on every chart of its blowup
+    roots = 0
+    seen = {"unimodular": 0, "chain": 0}
+    for n in range(2, 41):
+        for a in range(n):
+            if gcd(a, n) != 1:
+                continue
+            root = Cone.from_rays(((1, 0), (a, n)), 2)
+            charts = nash_blowup(AffineSemigroup.from_cone(root), 0)
+            for cone in (root, *(c.semigroup.cone for c in charts)):
+                assert hilbert_basis(cone).elements == tuple(sorted(cones._hirzebruch_jung(*cone.rays)))
+                seen["unimodular" if abs(cross2(*cone.rays)) == 1 else "chain"] += 1
+            roots += 1
+    assert roots == 489
+    assert min(seen.values()) >= 400, seen
 
 
 def test_hilbert_basis_matches_the_triangulation_route():

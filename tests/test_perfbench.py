@@ -104,17 +104,18 @@ def test_solve_follows_the_cli_and_passes_its_checks(command, fields, code, tmp_
 
 
 def test_no_image_converts_its_cone_while_solve_runs(monkeypatch, cone_conversions):
-    # resolve expands a node g·R from R's class, so the images it makes are
-    # read through their minimal generators only; one that read its cone
-    # would pay a conversion per node
+    # resolve expands a node g·R from R's class, so the images it makes
+    # (`_image`, the map checked where it is composed) are read through their
+    # minimal generators only; one that read its cone would pay a conversion
+    # per node
     made = [0]
-    image = AffineSemigroup.image
+    image = AffineSemigroup._image
 
     def counted(S, g):
         made[0] += 1
         return image(S, g)
 
-    monkeypatch.setattr(AffineSemigroup, "image", counted)
+    monkeypatch.setattr(AffineSemigroup, "_image", counted)
     lib = pipeline.library()
     for name, groups in (("surfaces", 20), ("threefolds", 4), ("unnormalized", 20)):
         made[0] = 0

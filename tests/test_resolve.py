@@ -621,6 +621,27 @@ def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch, cone_conversio
     assert cone_conversions == [0]
 
 
+def test_unfold_rejects_a_class_map_that_is_not_unimodular():
+    # unfold checks each map once, where it composes it, and maps the
+    # children through the unchecked `AffineSemigroup._image`; every link's
+    # map is unimodular by construction, so one of determinant 2, alone,
+    # composed, or on a chart's link, is a bug
+    module = sys.modules[resolve.__module__]
+    S = _dual_root((33, 16), (16, 49))
+    graph = module._ClassGraph(S, 5, True, 64)
+    assert graph.root == (0, None)
+    double = ((2, 0), (0, 1))
+    with pytest.raises(RuntimeError, match="determinant 2,"):
+        graph.unfold(S, 0, (0, double))
+    with pytest.raises(RuntimeError, match="determinant -2,"):
+        graph.unfold(S, 0, (0, double), ((0, 1), (1, 0)))
+    links = graph.classes[0][4]
+    j = next(j for j, link in enumerate(links) if not isinstance(link, str))
+    links[j] = (links[j][0], double)
+    with pytest.raises(RuntimeError, match="determinant 2,"):
+        graph.unfold(S, 0, graph.root)
+
+
 @pytest.mark.parametrize(
     "make_root, max_depth, nodes, counts",
     [
