@@ -38,7 +38,6 @@ without a basis.
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import ToricError
 from .cones import Cone, irreducible, polyhedron_vertices_and_facets
 from .linalg import (
     adjugate,
@@ -156,21 +155,14 @@ def blowup_charts(N: NewtonPolyhedron, normalize: bool = True):
 def _chart(v, tangent, generators, normalize):
     """The chart at vertex v, tangent the Newton polyhedron's tangent cone
     at v: with normalize, tangent ∩ Z^d; without, the semigroup the
-    generators span, whose cone is tangent. The generators are integer
-    tuples made in this module, so `_in_cone` reads them without `vec`; it
-    checks their length, drops zeros and checks the group, and a failed
-    check is a construction bug, raised as RuntimeError."""
-    try:
-        if normalize:
-            chart = AffineSemigroup.from_cone(tangent)
-        else:
-            chart = AffineSemigroup._in_cone(tangent, generators)
-    except ToricError as exc:
-        # chart cones are provably pointed and full-dimensional and chart
-        # semigroups have full group: reaching this is a construction bug
-        raise RuntimeError(
-            f"blowup chart at vertex {v} violated construction invariants: {exc}"
-        ) from exc
+    generators span, whose cone is tangent. Neither is checked: the tangent
+    cone is pointed and full-dimensional, the generators are integer tuples
+    of length d made in this module, and they span a semigroup that
+    contains the parent, so its group is Z^d (`AffineSemigroup._in_cone`)."""
+    if normalize:
+        chart = AffineSemigroup.from_cone(tangent)
+    else:
+        chart = AffineSemigroup._in_cone(tangent, generators)
     return BlowupChart(v, chart, normalize)
 
 

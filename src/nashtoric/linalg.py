@@ -7,10 +7,8 @@ where the size is small enough to write one out:
 
 - `independent_rows`, a fraction-free echelon, answers independence, rank
   and greedy bases;
-- `hermite_basis` gives lattice bases, full-lattice tests and, in
-  alternating row and column passes, the Smith form: the rows (a, b) and
-  (0, c) written out in Z^2, where every unnormalized surface chart checks
-  its group, and one xgcd pass otherwise;
+- `hermite_basis`, one xgcd pass, gives lattice bases, full-lattice tests
+  and, in alternating row and column passes, the Smith form;
 - `adjugate` returns the adjugate with the determinant: cofactors for
   2x2, 3x3 and 4x4, where most calls land (bases of surfaces, threefolds
   and fourfolds), and a fraction-free Gauss-Jordan pass otherwise (`det`
@@ -356,14 +354,11 @@ def hermite_basis(vectors, dim: int):
     lattice. Each vector is inserted into a triangular basis by xgcd row
     operations; once the basis has dim unit pivots the lattice is all of
     Z^dim and the remaining vectors are skipped, which keeps long generator
-    lists cheap. In Z^2 the same steps are written out (`_hermite_basis_2`).
-    A vector of another length raises DimensionError.
+    lists cheap. A vector of another length raises DimensionError.
     """
     vectors = tuple(vectors)
     if any(len(v) != dim for v in vectors):
         raise DimensionError(f"hermite_basis needs vectors of length {dim}")
-    if dim == 2:
-        return _hermite_basis_2(vectors)
     basis = {}
     for cand in vectors:
         v = list(cand)
@@ -393,26 +388,6 @@ def hermite_basis(vectors, dim: int):
                 for j in range(k, dim):
                     a[j] -= q * row[j]
     return tuple(tuple(basis[k]) for k in pivots)
-
-
-def _hermite_basis_2(vectors):
-    """`hermite_basis` in Z^2, written out: the rows (a, b) and (0, c), a
-    or c 0 while absent. A vector (x, y) with x and a nonzero costs one
-    xgcd step, which leaves (0, (a/g)·y - (x/g)·b) for c."""
-    a = b = c = 0
-    for x, y in vectors:
-        if not x:
-            c = gcd(c, y)
-        elif not a:
-            a, b = (x, y) if x > 0 else (-x, -y)
-        else:
-            g, s, t = xgcd(a, x)
-            a, b, c = g, s * b + t * y, gcd(c, a // g * y - x // g * b)
-        if a == 1 and c == 1:
-            return ((1, 0), (0, 1))
-    if not a:
-        return ((0, c),) if c else ()
-    return ((a, b % c), (0, c)) if c else ((a, b),)
 
 
 def group_is_full_lattice(vectors, dim: int) -> bool:

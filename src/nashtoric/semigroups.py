@@ -2,10 +2,12 @@
 
 Every semigroup meets the two standing hypotheses: the cone spanned by the
 generators is pointed, and the generators span all of Z^d as a group.
-`__init__` converts the generators' cone, which rejects a line, and it and
-`_in_cone`, the blowup chart constructor given the cone by its caller,
-check the group (`_checked`); `from_cone` (the lattice points of a cone)
-and `image` (a GL(d, Z) image) hold them by construction. An image is its
+`__init__`, whose generators come from outside, converts their cone, which
+rejects a line, and checks the group. The other constructors hold both by
+construction: `from_cone` (the lattice points of a cone), `image` (a
+GL(d, Z) image) and `_in_cone`, the blowup chart constructor given the
+cone by its caller, whose chart contains its parent (the proof is in
+`_in_cone`) and so has the parent's group, Z^d. An image is its
 mapped minimal generators and no cone: a semigroup built without one
 converts its generators' cone (`Cone.from_rays`) when `cone` is first
 read. Lattice points are the converse: in d >= 3 `from_cone` keeps the
@@ -110,26 +112,27 @@ class AffineSemigroup:
             raise NotPointedError("generators span a cone containing a line") from None
         except NotFullDimensionalError:
             raise NotFullLatticeError(_NOT_FULL_LATTICE) from None
-        self._checked(gens, cone, gens)
+        if not group_is_full_lattice(gens, dim):
+            raise NotFullLatticeError(_NOT_FULL_LATTICE)
+        self._set(dim, gens, cone, None, None)
 
     @classmethod
     def _in_cone(cls, cone: Cone, generators) -> "AffineSemigroup":
-        """The semigroup the generators, integer tuples, span, for a caller
-        that already has their cone: checked as in `__init__`, without its
-        conversion or its `vec` pass.
+        """The unnormalized blowup chart the generators, integer tuples,
+        span in the cone its caller built for them, without `__init__`'s
+        conversion, `vec` pass or group check: only the generators' lengths
+        are checked, and zeros dropped.
 
-        The group check reads the generators in the caller's order, so a
-        caller that lists a lattice basis first ends it after d vectors
-        (`hermite_basis`), as a blowup chart does with its basis B."""
-        generators = tuple(generators)
+        A chart's group is Z^d by construction, since the chart contains its
+        parent Γ, whose group is Z^d. Every minimal generator g of Γ is a
+        chart generator of the walk (`blowup._walk`) or a sum of them: g is
+        in the basis B, or g has no exchange and is listed, or
+        g = b + (g - b) with g - b an exchange direction. The closed form's
+        chart (`blowup._surface_charts`) lists a basis of determinant 1,
+        and the enumeration's (`blowup.blowup_charts`) lists Γ's minimal
+        generators outright."""
         gens = _nonzero_sorted(generators, cone.dim)
-        return cls.__new__(cls)._checked(gens, cone, generators)
-
-    def _checked(self, gens, cone, order):
-        """Check the group; it reads order, gens as the caller listed them."""
-        if not group_is_full_lattice(order, cone.dim):
-            raise NotFullLatticeError(_NOT_FULL_LATTICE)
-        return self._set(cone.dim, gens, cone, None, None)
+        return cls.__new__(cls)._set(cone.dim, gens, cone, None, None)
 
     def _set(self, dim, generators, cone, minimal, saturated):
         self.dim = dim

@@ -9,7 +9,8 @@ simplicial cones and for pieces that add no point are checked against it;
 `triangulate` lists that route's pieces as cones, for tests of the
 triangulation itself.
 The random unsaturated generator lists the minimal-generator oracle is
-checked on are drawn here too, so that every test draws them the same way.
+checked on are drawn here too, so that every test draws them the same way,
+and so are the small numerical semigroups that the curve tests sweep.
 `pairwise_irreducible` is the minimal-set sweep as a pairwise scan of the
 kept points, the reference for the bitset sweep of `cones.irreducible`.
 `fourier_motzkin_feasible` is rational feasibility by elimination, the
@@ -454,6 +455,20 @@ def random_unsaturated_generators(rng, dim):
             g = gcd(g, permutation_det(subset))
         if g == 1:
             return gens
+
+
+def small_numerical_semigroups():
+    """The 205 distinct numerical semigroups generated by 2 or 3 integers
+    in [2, 15] with gcd 1, in order of their first generator list."""
+    from nashtoric.semigroups import AffineSemigroup
+
+    found = {}
+    for k in (2, 3):
+        for gens in combinations(range(2, 16), k):
+            if gcd(*gens) == 1:
+                S = AffineSemigroup(1, [(g,) for g in gens])
+                found.setdefault(S.minimal_generators(), S)
+    return list(found.values())
 
 
 def brute_force_minimal_generators(generators, dim):

@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 from itertools import combinations
 from math import gcd
 
@@ -23,7 +24,15 @@ from nashtoric.errors import (
     NotPointedError,
     ToricError,
 )
-from nashtoric.linalg import columns_matrix, cross2, det, dot, images, vsub
+from nashtoric.linalg import (
+    columns_matrix,
+    cross2,
+    det,
+    dot,
+    group_is_full_lattice,
+    images,
+    vsub,
+)
 from nashtoric.resolve import resolve
 from nashtoric.semigroups import AffineSemigroup, LatticePairing
 
@@ -32,6 +41,7 @@ from oracles import (
     log_jacobian_reference,
     random_saturated_surface,
     random_unsaturated_generators,
+    small_numerical_semigroups,
     surface_blowup,
     surface_profile,
 )
@@ -742,6 +752,36 @@ def test_charts_contain_parent_generators(threefold):
         for chart in blowup_charts(N, normalize=False):
             for g in S.minimal_generators():
                 assert chart.semigroup.membership(g)
+
+
+def test_unnormalized_charts_have_full_group(monkeypatch):
+    # `_in_cone` does not check a chart's group: a chart contains its
+    # parent, whose group is Z^d. Every unnormalized chart the walk, the
+    # surface closed form and the enumeration build is checked here, on
+    # the charts of whole trees in d = 1 to 4
+    in_cone = AffineSemigroup._in_cone.__func__
+    built = {"_walk": 0, "_surface_charts": 0, "blowup_charts": 0}
+
+    def spied(cls, cone, generators):
+        generators = tuple(generators)
+        built[sys._getframe(2).f_code.co_name] += 1
+        assert group_is_full_lattice(generators, cone.dim), generators
+        return in_cone(cls, cone, generators)
+
+    monkeypatch.setattr(AffineSemigroup, "_in_cone", classmethod(spied))
+    e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    roots = [(S, (0, 2, 3), 64) for S in small_numerical_semigroups()] + [
+        (AffineSemigroup.from_cone(Cone.from_rays(((15, 14), (12, 18)), 2)), (0, 2, 3), 6),
+        (AffineSemigroup(2, [(2, 0), (3, 0), (0, 1), (1, 1)]), (0, 2, 3), 6),
+        (AffineSemigroup(3, [(0, 3, 3), (1, 0, 1), (2, 2, 0), (3, 1, 3)]), (0, 2, 3), 4),
+        (AffineSemigroup.from_cone(Cone.from_rays(e + ((1, 2, 2, 4),), 4)), (0, 2), 3),
+    ]
+    for S, ps, cap in roots:
+        for p in ps:
+            blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)), normalize=False)
+            resolve(S, p, normalize=False, max_depth=cap)
+    assert built["_walk"] >= 1000, built
+    assert built["_surface_charts"] >= 6 and built["blowup_charts"] >= 600, built
 
 
 def test_surface_blowup_vertices_fixed():

@@ -400,9 +400,9 @@ def test_hermite_basis_rejects_vectors_of_another_length():
 
 
 def test_hermite_basis_in_the_plane_matches_the_generic_pass():
-    # the written-out Z^2 pass against the generic one, reached through
-    # Z^3: L x Z has the Hermite basis of L, each row with a 0 appended,
-    # then (0, 0, 1)
+    # a property of the one Hermite pass, in the plane where degenerate
+    # lattices are easy to draw: L x Z has the Hermite basis of L, each row
+    # with a 0 appended, then (0, 0, 1)
     rng = random.Random(109)
     ranks = [0, 0, 0]
     for _ in range(20000):

@@ -24,7 +24,7 @@ from nashtoric.resolve import (
 )
 from nashtoric.semigroups import AffineSemigroup, LatticePairing, _surface_normal_form
 
-from oracles import resolve_reference
+from oracles import resolve_reference, small_numerical_semigroups
 from test_blowup import P2_SELF_LOOP_WITNESS
 from test_console import DUAL_3D_P0
 
@@ -93,6 +93,22 @@ def test_cusp_stalls_without_normalization(cusp):
     tree0 = resolve(cusp, 0, normalize=False)
     assert tree0.depth() == 1
     assert tree0.statuses() == {EXPANDED, SMOOTH_LEAF}
+
+
+def test_numerical_semigroups_stall_within_one_step_in_characteristic_two():
+    # README, "How `resolve` works": in p = 2 the least odd generator is the
+    # chart's only odd minimal generator, so a curve stalls at height <= 1;
+    # (resolved, stalled) in the other characteristics, unnormalized
+    curves = small_numerical_semigroups()
+    assert len(curves) == 205
+    counts = {0: (205, 0), 2: (0, 205), 3: (27, 178), 5: (79, 126), 7: (120, 85)}
+    for p, expected in counts.items():
+        trees = [resolve(S, p, normalize=False) for S in curves]
+        resolved = [T for T in trees if T.statuses() <= {EXPANDED, SMOOTH_LEAF}]
+        stalled = [T for T in trees if TRIVIAL_STALL in T.statuses()]
+        assert (len(resolved), len(stalled)) == expected, p
+        if p == 2:
+            assert all(T.depth() <= 1 for T in stalled)
 
 
 def test_cusp_resolves_with_normalization(cusp):

@@ -14,7 +14,6 @@ from nashtoric.blowup import (
 from nashtoric.cones import Cone, hilbert_basis, irreducible
 from nashtoric.errors import (
     DimensionError,
-    NotFullDimensionalError,
     NotFullLatticeError,
     NotPointedError,
 )
@@ -51,9 +50,12 @@ def test_construction_validates():
         AffineSemigroup(True, [(2,), (3,)])
 
 
-def test_in_cone_checks_what_construction_checks():
-    # _in_cone takes the generators' cone from its caller and checks the
-    # rest as __init__ does, with the same semigroup or the same error
+def test_in_cone_builds_what_init_builds():
+    # _in_cone takes the generators' cone from its caller and checks only
+    # their lengths: on generators __init__ accepts it builds the same
+    # semigroup. Its only inputs, blowup charts, have group Z^d by
+    # construction (test_blowup.py::test_unnormalized_charts_have_full_group),
+    # so only __init__ rejects outside input
     cases = [
         (2, [(1, 0), (-1, 0), (0, 1)], NotPointedError),
         (2, [(2, 0), (0, 1)], NotFullLatticeError),
@@ -69,13 +71,6 @@ def test_in_cone_checks_what_construction_checks():
         if error is not None:
             with pytest.raises(error):
                 AffineSemigroup(dim, gens)
-            # a cone with a line or of rank < d is not built at all
-            try:
-                cone = Cone.from_rays(gens, dim)
-            except (NotPointedError, NotFullDimensionalError):
-                continue
-            with pytest.raises(error):
-                AffineSemigroup._in_cone(cone, gens)
             continue
         cone = Cone.from_rays(gens, dim)
         S = AffineSemigroup(dim, gens)
