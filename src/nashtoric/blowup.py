@@ -98,15 +98,14 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
-    """conv(exponents) + recession_cone, with its sorted vertices and its
-    facets: the normals (h0, h), as tuples (h0,) + h, with
+    """conv(exponents) + the semigroup's cone, with its sorted vertices and
+    its facets: the normals (h0, h), as tuples (h0,) + h, with
     h0 + <h, x> >= 0 on the polyhedron, (1, 0) included when the far face
     is a facet. The facets through a vertex cut out its tangent cone."""
 
     semigroup: AffineSemigroup
     characteristic: int
     exponents: tuple
-    recession_cone: Cone
     vertices: tuple
     facets: tuple
 
@@ -116,9 +115,7 @@ def newton_polyhedron(ideal: MonomialIdealExponents) -> NewtonPolyhedron:
     conversion of the homogenized cone (`polyhedron_vertices_and_facets`)."""
     S = ideal.semigroup
     vertices, facets = polyhedron_vertices_and_facets(ideal.exponents, S.cone)
-    return NewtonPolyhedron(
-        S, ideal.characteristic, ideal.exponents, S.cone, vertices, facets
-    )
+    return NewtonPolyhedron(S, ideal.characteristic, ideal.exponents, vertices, facets)
 
 
 @dataclass(frozen=True)

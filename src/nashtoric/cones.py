@@ -338,8 +338,6 @@ class Cone:
         inputs = dict.fromkeys(self.rays)
         for r in directions:
             inputs.setdefault(primitive(r))
-        if len(inputs) == len(self.rays):
-            return self
         inputs = list(inputs)
         new = range(len(self.rays), len(inputs))
         facets = _double_description(incidence or self._incidence(), inputs, new, self.dim)
@@ -383,8 +381,6 @@ def _simplicial_pieces(rays, halfspaces):
     interiors.
     """
     rays = tuple(sorted(rays))
-    if not rays:
-        return ()
     k = rank(rays)
     if len(rays) == k:
         return (rays,)

@@ -200,7 +200,7 @@ def newton_payload(N: NewtonPolyhedron) -> dict:
         "dimension": N.semigroup.dim,
         "characteristic": N.characteristic,
         "exponents": _enc_vecs(N.exponents),
-        "recession_rays": _enc_vecs(N.recession_cone.rays),
+        "recession_rays": _enc_vecs(N.semigroup.cone.rays),
         "vertices": _enc_vecs(N.vertices),
     }
 

@@ -16,9 +16,9 @@ where the size is small enough to write one out:
 - `maximal_minors` gives all maximal minors of a vector list from one
   Laplace sweep instead of one elimination per subset.
 
-`det`, `smith_normal_form` and the integer kernels of `kernel_basis` are
-public API only, thin readings of `adjugate` and `hermite_basis`; no
-library path calls them.
+`det`, a reading of `adjugate`, checks every class map for ±1.
+`smith_normal_form` and the integer kernels of `kernel_basis` are public
+API only, thin readings of `hermite_basis`; no library path calls them.
 """
 
 import operator

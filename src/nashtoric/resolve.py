@@ -3,12 +3,12 @@ and a randomized termination suite for normal surface singularities."""
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
 from .cones import Cone
-from .errors import DimensionError
-from .linalg import adjugate, cross2, integer, mat_mul, mat_vec, validate_characteristic
-from .semigroups import _CONE_DIM, AffineSemigroup, LatticePairing, _surface_normal_form
+from .linalg import adjugate, cross2, det, integer, mat_mul, mat_vec, validate_characteristic
+from .semigroups import AffineSemigroup, LatticePairing, _surface_normal_form
 
 SMOOTH_LEAF = "smooth-leaf"
 EXPANDED = "expanded"
@@ -123,16 +123,15 @@ class _ClassGraph:
     read and never computed, as `nash_blowup` selects its closed form): it
     is keyed by its normal form (n, q), and its label is the A in GL(2, Z)
     that sends R's rays to (1, 0) and (q, n) (`_surface_normal_form`).
-    Every chart of a normalized graph qualifies. A 2D semigroup given by
-    generators, a root or an unnormalized chart, has its flag decided by
-    the saturation certificate when `is_smooth` first reads its minimal
-    generators (`AffineSemigroup._certify`), before it is keyed; saturation
-    is a class invariant, so a class is never keyed both ways. A
-    normalized chart in d >= 3 is keyed on its cone and tested for
-    smoothness on its rays, so only a representative, which is blown up,
-    computes its Hilbert basis. A root of a normalized graph in d >= 3
-    whose saturation is not known is tested once, so that a saturated
-    root keys on its cone as its charts do.
+    Every chart of a normalized graph qualifies, and so does a saturated
+    root: a normalized graph tests any root whose saturation is unknown,
+    in any dimension, once (`AffineSemigroup._certify`), so that it keys
+    as its charts do. A 2D semigroup of an unnormalized graph has its flag
+    decided by the same certificate when `is_smooth` first reads its
+    minimal generators, before it is keyed; saturation is a class
+    invariant, so a class is never keyed both ways. A normalized chart in
+    d >= 3 is keyed on its cone and tested for smoothness on its rays, so
+    only a representative, which is blown up, computes its Hilbert basis.
     """
 
     __slots__ = ("p", "normalize", "max_depth", "buckets", "classes", "root")
@@ -143,7 +142,7 @@ class _ClassGraph:
         self.max_depth = max_depth
         self.buckets = {}  # LatticePairing key or (n, q) -> [class index]
         self.classes = []
-        if normalize and S.dim >= _CONE_DIM and S._saturated is None:
+        if normalize and S._saturated is None:
             S.is_saturated()
         self.root = self._link(S, 0)
         for _, _, level, charts, links in self.classes:
@@ -228,10 +227,7 @@ def _composed(g, h):
     nodes it maps take the unchecked `AffineSemigroup._image`. Every link's
     map is unimodular by construction, so a product that is not is a bug."""
     f = h if g is None else mat_mul(g, h)
-    try:
-        det_f = adjugate(f)[1]
-    except DimensionError:
-        det_f = 0
+    det_f = det(f)
     if det_f not in (1, -1):
         raise RuntimeError(f"class map {f} has determinant {det_f}, expected ±1")
     return f
@@ -275,17 +271,11 @@ def compare_characteristics(S: AffineSemigroup, characteristics) -> Characterist
         entries.append(
             CharacteristicEntry(ideal.characteristic, ideal.exponents, N.vertices)
         )
-    pairs = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            pairs.append(
-                (
-                    entries[i].characteristic,
-                    entries[j].characteristic,
-                    entries[i].vertices == entries[j].vertices,
-                )
-            )
-    return CharacteristicComparison(S, tuple(entries), tuple(pairs))
+    pairs = tuple(
+        (a.characteristic, b.characteristic, a.vertices == b.vertices)
+        for a, b in combinations(entries, 2)
+    )
+    return CharacteristicComparison(S, tuple(entries), pairs)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .linalg import (
     adjugate,
     columns_matrix,
     cross2,
+    det,
     dot,
     group_is_full_lattice,
     images,
@@ -168,8 +169,6 @@ class AffineSemigroup:
         """Is x in S? Saturated, which reading the minimal generators may
         certify (`_certify`): x is in the cone. Otherwise `_generated`."""
         x = vec(x)
-        if len(x) != self.dim:
-            raise DimensionError(f"point {x} does not have length {self.dim}")
         if not self.cone.contains(x):
             return False
         if self._saturated is not True:
@@ -316,11 +315,7 @@ class AffineSemigroup:
         for row in g:
             if len(row) != self.dim:
                 raise DimensionError(f"map row {row} does not have length {self.dim}")
-        try:
-            det_g = adjugate(g)[1]
-        except DimensionError:
-            det_g = 0
-        if det_g not in (1, -1):
+        if det(g) not in (1, -1):
             raise ValueError("a unimodular map needs determinant ±1")
         return self._image(g)
 
@@ -380,10 +375,10 @@ class LatticePairing:
     the normal surfaces, 2D semigroups flagged saturated, which it keys by
     their normal form (`_surface_normal_form`) in both graph kinds.
 
-    The points are S's minimal generators, or, when S is known to be
-    saturated and d >= 3, the primitive extreme rays of its cone: the cone
-    determines a saturated S, so its Hilbert basis is never read (it may
-    not be computed, `from_cone`). The key records which kind of point it
+    The points are S's minimal generators, or, when S's saturation flag is
+    set, the primitive extreme rays of its cone: the cone determines a
+    saturated S, so its Hilbert basis is never read (it may not be
+    computed, `from_cone`). The key records which kind of point it
     pairs, so a saturated S is only ever matched to a saturated one. g·S
     has the points g·x and the normals g^-T h, so its matrix is S's with
     rows and columns permuted: `key`, the kind, the sorted rows and the
@@ -396,7 +391,7 @@ class LatticePairing:
     def __init__(self, S: AffineSemigroup):
         cone = S.cone
         hs = cone.halfspaces
-        by_rays = S.dim >= _CONE_DIM and S._saturated is True
+        by_rays = S._saturated is True
         self.dim = S.dim
         # each point's column, and that column sorted
         self.columns = {
@@ -436,9 +431,9 @@ class LatticePairing:
         when g is integral, maps R's points onto S's and has determinant
         ±1. The points determine the semigroup: its minimal generators, or
         the rays of a saturated one's cone. Minimal generators span Z^d as
-        a group, so an integral g between them is unimodular anyway, but in
-        d >= 3 rays can span a proper sublattice, and an integral g of
-        another determinant can map one cone's rays onto another's.
+        a group, so an integral g between them is unimodular anyway, but
+        rays can span a proper sublattice, and an integral g of another
+        determinant can map one cone's rays onto another's.
         """
         if self.key != other.key:
             return None

@@ -390,6 +390,18 @@ def test_extended_cone_matches_the_conversion_from_scratch(monkeypatch):
             seen["ray dropped"] += not set(C.rays) <= set(want.rays)
     assert min(seen.values()) >= 20, seen
 
+    # directions that are all rays of C, some scaled or repeated, insert
+    # nothing: the double description ends at C's own facets and rays
+    for dim in (3, 4, 5):
+        for _ in range(10):
+            C = random_pointed_cone(rng, dim, bound=4)
+            D = []
+            for k in rng.choices((1, 2, 3), k=4):
+                D.append(tuple(k * x for x in rng.choice(C.rays)))
+            for incidence in (None, C._incidence()):
+                got = C._extended(D, incidence)
+                assert (got.rays, got.halfspaces) == (C.rays, C.halfspaces), (C, D)
+
     # a 2D cone takes the scan, here past a repeat, non-primitive inputs
     # and a ray, (1, 3), that stops being extreme
     C = Cone.from_rays(((1, 0), (1, 3)), 2)

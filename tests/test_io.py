@@ -27,6 +27,7 @@ from nashtoric.io import (
     problem_payload,
     semigroup_payload,
     serialize,
+    suite_payload,
     tree_payload,
 )
 from nashtoric.resolve import (
@@ -37,6 +38,7 @@ from nashtoric.resolve import (
     ResolutionTree,
     compare_characteristics,
     resolve,
+    surface_termination_suite,
 )
 from nashtoric.semigroups import AffineSemigroup
 
@@ -336,6 +338,34 @@ def test_text_rendering(cusp, threefold):
     cmp_text = serialize(comparison_payload(compare_characteristics(cusp, (2, 3))), "text")
     assert "vertices(2) vs vertices(3): different" in cmp_text
     assert "all equal: false" in cmp_text
+    suite = suite_payload(surface_termination_suite(5, 3, entry_bound=8))
+    suite_lines = serialize(suite, "text").splitlines()
+    assert suite_lines[0] == (
+        "surface suite: seed={} count={} entry_bound={} characteristics={} max_depth={}".format(
+            suite["seed"],
+            suite["count"],
+            suite["entry_bound"],
+            ",".join(map(str, suite["characteristics"])),
+            suite["max_depth"],
+        )
+    )
+    assert suite_lines[1:5] == [
+        f"  all terminated: {str(suite['all_terminated']).lower()}",
+        f"  all leaves smooth: {str(suite['all_leaves_smooth']).lower()}",
+        "  all characteristic independent: "
+        + str(suite["all_characteristic_independent"]).lower(),
+        f"  max depth observed: {suite['max_depth_observed']}",
+    ]
+    assert len(suite_lines) == 5 + len(suite["runs"]) == 8
+    for line, run in zip(suite_lines[5:], suite["runs"]):
+        rays = " ".join("(" + ",".join(map(str, r)) + ")" for r in run["rays"])
+        assert line == "  rays {}: depths {} terminated={} smooth={} independent={}".format(
+            rays,
+            ",".join(map(str, run["depths"])),
+            str(run["terminated"]).lower(),
+            str(run["leaves_smooth"]).lower(),
+            str(run["characteristic_independent"]).lower(),
+        )
     with pytest.raises(FormatError):
         serialize([(1, 2)], "text")
 

@@ -19,7 +19,7 @@ from nashtoric.cones import Cone
 from nashtoric.errors import DimensionError, NotFullDimensionalError
 from nashtoric.io import serialize, tree_payload
 from nashtoric.linalg import det, dot, group_is_full_lattice, identity, images
-from nashtoric.resolve import _ClassGraph, resolve
+from nashtoric.resolve import _ClassGraph, _composed, resolve
 from nashtoric.semigroups import AffineSemigroup, LatticePairing, _surface_normal_form
 
 from oracles import log_jacobian_reference, random_unsaturated_generators, resolve_reference
@@ -149,6 +149,11 @@ def test_images_need_a_unimodular_map():
     for g in (((1, 0, 0), (0, 1, 0)), ((1,), (0, 1))):
         with pytest.raises(DimensionError, match="length 2"):
             S.image(g)
+    # `resolve` composes its class maps unchecked by `image` and checks
+    # each product once, by the same determinant: another one is a bug
+    for g, det_g in ((((1, 2), (2, 4)), 0), (((2, 0), (0, 1)), 2)):
+        with pytest.raises(RuntimeError, match=f"determinant {det_g}, expected ±1"):
+            _composed(None, g)
 
 
 def test_images_need_an_integer_map():
