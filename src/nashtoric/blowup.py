@@ -42,7 +42,6 @@ from .cones import Cone, irreducible, polyhedron_vertices_and_facets
 from .linalg import (
     adjugate,
     columns_matrix,
-    cross2,
     dot,
     independent_rows,
     maximal_minors,
@@ -182,12 +181,15 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
 def _surface_charts(S, p, normalize):
     """The charts of a normal surface in a validated characteristic p.
 
-    Along the Hilbert basis a_0, ..., a_m, ordered by a facet normal (the
-    order `_hirzebruch_jung` proves strict), the Newton vertices are the
-    sums s_i = a_i + a_{i+1} where their chain turns, and s_0 and s_{m-1},
-    in every characteristic. Each tangent cone is the cone of the edges to
-    its neighbouring vertices, with a_0 and a_m at the two ends (README,
-    "Surfaces in closed form"), built from the two edge directions by one
+    The Hilbert basis a_0, ..., a_m is put in chain order by a facet normal
+    (the order `_hirzebruch_jung` proves strict), and its string b_1, ...,
+    b_{m-1} read off it: a_{i-1} + a_{i+1} = b_i·a_i. The Newton vertices
+    are the sums s_i = a_i + a_{i+1} with b_i·b_{i+1} != 4, and s_0 and
+    s_{m-1}, in every characteristic. Each tangent cone is spanned by the
+    directions to its neighbouring sums, on the edges to its neighbouring
+    vertices: s_{i-1} - s_i = b_i·a_i - 2·a_{i+1} and s_{i+1} - s_i =
+    b_{i+1}·a_{i+1} - 2·a_i, with a_0 and a_m at the two ends (README,
+    "Surfaces in closed form"). It is built from the two directions by one
     cross product and two `primitive` calls (`Cone._from_rays_2d`): they
     are integer tuples made here, so no input is checked first. The
     normalized chart is its lattice points, the two rays of a smooth one.
@@ -198,24 +200,29 @@ def _surface_charts(S, p, normalize):
     """
     h = S.cone.halfspaces[0]
     a = sorted(S.minimal_generators(), key=lambda g: dot(h, g))
-    s = [_vsum(pair) for pair in zip(a, a[1:])]
-    turns = [t for r, t, u in zip(s, s[1:], s[2:]) if cross2(vsub(t, r), vsub(u, t))]
-    vertices = list(dict.fromkeys((s[0], *turns, s[-1])))  # s_0 is s_{m-1} if m = 1
+    m = len(a) - 1
+    # b_i on a nonzero coordinate of a_i, where the division is exact
+    b = [None] + [
+        (u[0] + w[0]) // v[0] if v[0] else (u[1] + w[1]) // v[1]
+        for u, v, w in zip(a, a[1:], a[2:])
+    ]
     charts = []
-    for j, v in enumerate(vertices):
-        back = vsub(vertices[j - 1], v) if j else a[0]
-        ahead = vsub(vertices[j + 1], v) if j < len(vertices) - 1 else a[-1]
+    for i in range(m):
+        if 0 < i < m - 1 and b[i] * b[i + 1] == 4:
+            continue  # s_i lies inside the edge from s_{i-1} to s_{i+1}
+        x, y = a[i], a[i + 1]
+        v = (x[0] + y[0], x[1] + y[1])
+        back = a[0] if i == 0 else (b[i] * x[0] - 2 * y[0], b[i] * x[1] - 2 * y[1])
+        ahead = a[m] if i == m - 1 else (b[i + 1] * y[0] - 2 * x[0], b[i + 1] * y[1] - 2 * x[1])
         tangent = Cone._from_rays_2d((back, ahead))
         if tangent is None:
             # the edges at a vertex span a pointed full-dimensional cone
             raise RuntimeError(f"blowup chart at vertex {v} has edges {back}, {ahead}")
         generators = ()
         if not normalize:
-            i = s.index(v)
-            basis = (a[i], a[i + 1])
             # a Hilbert basis is primitive, so no generator is 0 mod p and
             # every one outside the basis has an exchange
-            generators = basis + _exchanges(basis, a, p)[0]
+            generators = (x, y) + _exchanges((x, y), a, p)[0]
         charts.append(_chart(v, tangent, generators, normalize))
     return tuple(sorted(charts, key=lambda c: c.vertex))
 

@@ -183,11 +183,12 @@ class AffineSemigroup:
         Hilbert basis of a lattice-point semigroup that deferred it
         (`from_cone`); the Hilbert basis of the cone when the saturation
         certificate finds it among the generators (`_certify`), in 2D
-        always and in any d on a cone of d rays with determinant ±1; else
-        the sweep of `irreducible` with `_generated` as its member test."""
+        always and in any d on a cone of d rays with determinant ±1; else,
+        or when the flag already reads False, the sweep of `irreducible`
+        with `_generated` as its member test."""
         if self.generators is None:
             self.generators = self._minimal = hilbert_basis(self._cone).elements
-        elif self._minimal is None and self._certify(False) is None:
+        elif self._minimal is None and (self._saturated is False or self._certify(False) is None):
             self._member_cache.update(dict.fromkeys(self.generators, True))
             self._minimal = irreducible(self.generators, self.cone.halfspaces, self._generated)
         return self._minimal

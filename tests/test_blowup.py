@@ -31,6 +31,7 @@ from nashtoric.linalg import (
     dot,
     group_is_full_lattice,
     images,
+    primitive,
     vsub,
 )
 from nashtoric.resolve import resolve
@@ -423,10 +424,15 @@ def test_surface_vertex_rule():
     # README, "Surfaces in closed form": along the Hilbert basis a_0, ...,
     # a_m with a_{i-1} + a_{i+1} = b_i a_i, an interior sum s_i (0 < i <
     # m - 1) is a Newton vertex exactly when b_i b_{i+1} != 4, since its two
-    # steps have cross product det(a_{i-1}, a_i)(4 - b_i b_{i+1}). Every
-    # normal surface class of index n <= 40, the lattice points on (1, 0)
-    # and (q, n), against the vertices of the enumeration path
-    roots = 0
+    # steps have cross product det(a_{i-1}, a_i)(4 - b_i b_{i+1}). The chart
+    # map on the string: the tangent cone at a vertex s_i is spanned by
+    # s_{i-1} - s_i = b_i a_i - 2 a_{i+1} and s_{i+1} - s_i = b_{i+1} a_{i+1}
+    # - 2 a_i, by a_0 at i = 0 and by a_m at i = m - 1, so its index is
+    # (b_i b_{i+1} - 4) / (gcd(b_i, 2) gcd(b_{i+1}, 2)) inside and
+    # b_1 / gcd(b_1, 2), b_{m-1} / gcd(b_{m-1}, 2) at the ends. Every normal
+    # surface class of index n <= 40, the lattice points on (1, 0) and
+    # (q, n), against the vertices and charts of the enumeration path
+    roots = charts = 0
     interior = {"vertex": 0, "on an edge": 0}
     for n in range(2, 41):
         for q in range(n):
@@ -434,8 +440,11 @@ def test_surface_vertex_rule():
                 continue
             roots += 1
             S = AffineSemigroup.from_cone(Cone.from_rays(((1, 0), (q, n)), 2))
-            vertices = newton_polyhedron(log_jacobian_ideal(S, 0)).vertices
+            N = newton_polyhedron(log_jacobian_ideal(S, 0))
+            vertices = N.vertices
+            cones = {c.vertex: c.semigroup.cone for c in blowup_charts(N)}
             a = surface_profile(S).ordered_generators
+            m = len(a) - 1
             b = [None]
             for before, at, after in zip(a, a[1:], a[2:]):
                 w = (before[0] + after[0], before[1] + after[1])
@@ -450,9 +459,31 @@ def test_surface_vertex_rule():
                 assert cross2(*steps) == cross2(a[i - 1], a[i]) * turn
                 assert (s[i] in vertices) == (turn != 0), (n, q, i)
                 interior["vertex" if turn else "on an edge"] += 1
+            assert set(vertices) <= set(s)
+            for i, v in enumerate(s):
+                if v not in vertices:
+                    continue
+                x, y = a[i], a[i + 1]
+                back = a[0] if i == 0 else vsub(s[i - 1], v)
+                ahead = a[m] if i == m - 1 else vsub(s[i + 1], v)
+                if i > 0:
+                    assert back == (b[i] * x[0] - 2 * y[0], b[i] * x[1] - 2 * y[1])
+                if i < m - 1:
+                    assert ahead == (b[i + 1] * y[0] - 2 * x[0], b[i + 1] * y[1] - 2 * x[1])
+                rays = cones[v].rays
+                assert set(rays) == {primitive(back), primitive(ahead)}, (n, q, i)
+                if 0 < i < m - 1:
+                    index = (b[i] * b[i + 1] - 4) // (gcd(b[i], 2) * gcd(b[i + 1], 2))
+                else:
+                    end = b[1] if i == 0 else b[m - 1]
+                    index = end // gcd(end, 2)
+                assert abs(cross2(*rays)) == index, (n, q, i)
+                charts += 1
     assert roots == 489
     # 2443 interior sums, 682 of them vertices
     assert min(interior.values()) >= 600, interior
+    # every root has m >= 2, so s_0 and s_{m-1} are two vertices
+    assert charts == interior["vertex"] + 2 * roots, charts
 
 
 def test_unnormalized_surface_closed_form_is_the_walk():

@@ -97,6 +97,42 @@ def test_blowup_commutes_with_unimodular_maps(case, data):
         assert _mapped_tree(one, mapped.root) == _mapped_tree(g, tree.root)
 
 
+def test_surface_closed_form_commutes_with_unimodular_maps():
+    # every normal surface class of index 2 <= n <= 30, the lattice points
+    # on (1, 0) and (q, n), moved by the g taking a middle pair a_j, a_{j+1}
+    # of its Hilbert basis, in chain order, to e1, e2: an element inside
+    # the cone then has first coordinate 0, so the closed form reads its
+    # string entry on the second coordinate
+    one = identity(2)
+    roots = 0
+    for n in range(2, 31):
+        for q in range(1, n):
+            if gcd(q, n) != 1:
+                continue
+            roots += 1
+            S = AffineSemigroup.from_cone(Cone.from_rays(((1, 0), (q, n)), 2))
+            a = sorted(S.minimal_generators(), key=lambda x: dot(S.cone.halfspaces[0], x))
+            j = (len(a) - 2) // 2
+            (x0, x1), (y0, y1) = a[j], a[j + 1]
+            # consecutive basis elements have determinant d = ±1, so d times
+            # the adjugate inverts the matrix with columns a_j, a_{j+1}
+            d = x0 * y1 - x1 * y0
+            g = ((d * y1, -d * y0), (-d * x1, d * x0))
+            T = AffineSemigroup.from_cone(Cone.from_rays(_mapped(g, S.cone.rays), 2))
+            assert (0, 1) in T.minimal_generators() and (0, 1) not in T.cone.rays
+            for p in (0, 2, 3):
+                for normalize in (True, False):
+                    assert [_mapped_chart(one, c) for c in nash_blowup(T, p, normalize)] == (
+                        sorted(_mapped_chart(g, c) for c in nash_blowup(S, p, normalize))
+                    ), (n, q, p, normalize)
+    assert roots == 277
+
+
+def _mapped_chart(g, chart):
+    T = chart.semigroup
+    return _apply(g, chart.vertex), _mapped(g, T.minimal_generators()), _mapped(g, T.cone.rays)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(_generators(), st.data())
 def test_generator_order_and_repeats_change_nothing(case, data):

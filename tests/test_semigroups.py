@@ -18,6 +18,7 @@ from nashtoric.errors import (
     NotPointedError,
 )
 from nashtoric.linalg import dot, group_is_full_lattice, images
+from nashtoric.resolve import resolve
 from nashtoric.semigroups import AffineSemigroup, _frame
 
 from oracles import (
@@ -28,6 +29,7 @@ from oracles import (
     permutation_det,
     random_saturated_surface,
     random_unsaturated_generators,
+    resolve_reference,
     surface_profile,
 )
 
@@ -263,6 +265,27 @@ def test_the_certificate_stops_at_the_first_chain_element_outside(monkeypatch):
     assert S._saturated is False and 0 < len(steps) <= 4, steps
     assert not AffineSemigroup(2, gens).is_saturated()
     assert len(steps) <= 8, steps
+
+
+def test_a_failed_certificate_is_not_read_again(monkeypatch):
+    # a normalized root given by unsaturated generators: `resolve` decides
+    # its flag first (`is_saturated`), and the minimal generators read
+    # after it sweep without walking the chain again
+    gens = [(1, 0), (1, 2), (1, 3), (2, 5)]
+    want = resolve_reference(AffineSemigroup(2, gens), 0).shape()
+    calls = []
+    certify = AffineSemigroup._certify
+
+    def counted(self, full):
+        calls.append(self.generators)
+        return certify(self, full)
+
+    monkeypatch.setattr(AffineSemigroup, "_certify", counted)
+    S = AffineSemigroup(2, gens)
+    tree = resolve(S, 0)
+    assert S._saturated is False and S.minimal_generators() == ((1, 0), (1, 2), (1, 3))
+    assert len(calls) == 1, calls
+    assert tree.shape() == want
 
 
 def test_saturate(cusp, threefold):
