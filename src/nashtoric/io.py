@@ -20,7 +20,7 @@ from .errors import (
     NotFullDimensionalError,
     NotPointedError,
 )
-from .linalg import validate_characteristic
+from .linalg import images, validate_characteristic
 from .resolve import DEFAULT_MAX_DEPTH, MAX_DEPTH
 from .resolve import CharacteristicComparison, ResolutionTree, SuiteSummary
 from .semigroups import AffineSemigroup
@@ -235,14 +235,35 @@ def _node_payload(node) -> dict:
     }
 
 
+def _graph_node_payload(T, g, depth, status, children) -> dict:
+    """`_node_payload` of the node g·T (T when g is None), written by the
+    class graph's walk (`_ClassGraph.unfold`) with no node or image built:
+    its generators are T's minimal generators mapped by g."""
+    gens = T.minimal_generators()
+    return {
+        "generators": _enc_vecs(gens if g is None else images(g, gens)),
+        "depth": depth,
+        "status": status,
+        "children": [{"vertex": _enc_vec(v), "node": child} for v, child in children],
+    }
+
+
 def tree_payload(tree: ResolutionTree) -> dict:
+    """The tree as a payload dict. A tree `resolve` returned is written
+    from its class graph, so its nodes are never unfolded; one made from a
+    root node is written from its nodes."""
+    graph = tree._graph
+    if graph is None:
+        root = _node_payload(tree.root)
+    else:
+        root = graph.unfold(tree.semigroup, 0, graph.root, node=_graph_node_payload)
     return {
         "kind": "resolution-tree",
-        "dimension": tree.root.semigroup.dim,
+        "dimension": tree.semigroup.dim,
         "characteristic": tree.characteristic,
         "normalize": tree.normalize,
         "max_depth": tree.max_depth,
-        "root": _node_payload(tree.root),
+        "root": root,
     }
 
 

@@ -37,21 +37,55 @@ class ResolutionNode:
             yield from child.nodes()
 
 
-@dataclass(frozen=True)
 class ResolutionTree:
-    root: ResolutionNode
-    characteristic: int
-    normalize: bool
-    max_depth: int
+    """A resolution tree. `resolve` returns one that holds its class graph
+    (`_ClassGraph`) and root semigroup: `root`, and so `nodes()` and
+    `shape()`, is unfolded from the graph on first read and then kept,
+    `statuses()` and `depth()` read the graph's links, and
+    `io.tree_payload` writes the tree from the graph, so none of the
+    three builds a node. A tree made from a root node,
+    `ResolutionTree(root, characteristic, normalize, max_depth)`, reads
+    its nodes."""
+
+    __slots__ = ("semigroup", "characteristic", "normalize", "max_depth", "_root", "_graph")
+
+    def __init__(self, root: ResolutionNode, characteristic, normalize, max_depth):
+        self.semigroup = root.semigroup
+        self.characteristic = characteristic
+        self.normalize = normalize
+        self.max_depth = max_depth
+        self._root = root
+        self._graph = None
+
+    @classmethod
+    def _of_graph(cls, graph, S):
+        tree = cls.__new__(cls)
+        tree.semigroup = S
+        tree.characteristic = graph.p
+        tree.normalize = graph.normalize
+        tree.max_depth = graph.max_depth
+        tree._root = None
+        tree._graph = graph
+        return tree
+
+    @property
+    def root(self) -> ResolutionNode:
+        if self._root is None:
+            self._root = self._graph.unfold(self.semigroup, 0, self._graph.root)
+        return self._root
 
     def nodes(self):
         return self.root.nodes()
 
     def statuses(self):
-        return {node.status for node in self.nodes()}
+        if self._graph is None:
+            return {node.status for node in self.nodes()}
+        return self._graph.reach()[0]
 
     def depth(self) -> int:
-        return max(node.depth for node in self.nodes())
+        if self._graph is None:
+            return max(node.depth for node in self.nodes())
+        return self._graph.reach()[1]
 
     def shape(self):
         """Hashable structural fingerprint: generators, status and the
@@ -81,12 +115,14 @@ def resolve(
     generators' residues mod p (`stalls`), so neither a stall nor a node
     at the cap computes a basis or builds a chart.
 
-    A Nash blowup commutes with GL(d, Z), so the call first builds the
-    graph of the lattice classes below S (`_ClassGraph`), which blows up
-    each class and tests each of its charts once, then unfolds the tree
-    from it read-only. A node S that is g·R for a class's representative
-    R gets R's charts mapped by g, re-sorted by vertex: each is its
-    chart's minimal generators mapped by g, with no cone
+    A Nash blowup commutes with GL(d, Z), so the call builds the graph of
+    the lattice classes below S (`_ClassGraph`), which blows up each class
+    and tests each of its charts once, and returns a tree that holds it:
+    the tree's nodes are unfolded from the graph, read-only, when `root`
+    is first read, and the CLI prints the tree from the graph without
+    them (`io.tree_payload`). A node S that is g·R for a class's
+    representative R gets R's charts mapped by g, re-sorted by vertex:
+    each is its chart's minimal generators mapped by g, with no cone
     (`AffineSemigroup._image`; g is checked unimodular once, where it is
     composed, `_composed`). A mapped node takes its status and charts
     from its class's links, so none converts its cone. The minimal
@@ -99,8 +135,12 @@ def resolve(
     """
     p = validate_characteristic(characteristic)
     max_depth = _check_max_depth(max_depth)
-    graph = _ClassGraph(S, p, normalize, max_depth)
-    return ResolutionTree(graph.unfold(S, 0, graph.root), p, normalize, max_depth)
+    return ResolutionTree._of_graph(_ClassGraph(S, p, normalize, max_depth), S)
+
+
+def _tree_node(T, g, depth, status, children):
+    """`_ClassGraph.unfold`'s node for the tree's `root`."""
+    return ResolutionNode(T if g is None else T._image(g), depth, status, tuple(children))
 
 
 class _ClassGraph:
@@ -117,6 +157,11 @@ class _ClassGraph:
     counts those nonzero mod p, which any g ∈ GL(d, Z) keeps, being
     invertible mod p. Links are indices, so a class whose chart lies in
     its own class makes no reference cycle.
+
+    The tree `resolve` returns holds the graph and reads it three ways,
+    none of which changes it: `unfold` walks the links into the tree's
+    nodes, on the first read of `root`, or into `io.tree_payload`'s
+    dicts, and `reach` reads the statuses and the depth.
 
     A class is keyed by the `LatticePairing` of R, its label, and found by
     `map_to`, except a normal surface (d = 2 and the saturation flag set,
@@ -184,10 +229,14 @@ class _ClassGraph:
         self.classes.append((S, label, level, nash_blowup(S, self.p, self.normalize), []))
         return len(self.classes) - 1, None
 
-    def unfold(self, S, depth, link, g=None):
-        """The node of S == g·T for T the chart or root whose link is
-        `link` (g None when S is T), read off the graph: it makes no key,
-        no blowup and no status test.
+    def unfold(self, T, depth, link, g=None, node=_tree_node):
+        """The node of g·T (T when g is None) for T the chart or root whose
+        link is `link`, read off the graph: it makes no key, no blowup and
+        no status test. This one walk serves both the tree's `root` and
+        `io.tree_payload`: each node is `node(T, g, depth, status,
+        children)`, its children a list of pairs (vertex, child's node)
+        already sorted, built bottom-up. The default makes a
+        `ResolutionNode`, with g·T the image `T._image(g)`.
 
         A child g·(chart j) whose chart never computed its minimal
         generators (a lattice-point chart keyed on its cone, `from_cone`)
@@ -198,28 +247,51 @@ class _ClassGraph:
         checks it again.
         """
         if isinstance(link, str):
-            return ResolutionNode(S, depth, link, ())
+            return node(T, g, depth, link, [])
         if depth == self.max_depth:
-            return ResolutionNode(S, depth, DEPTH_CAPPED, ())
+            return node(T, g, depth, DEPTH_CAPPED, [])
         k, h = link
-        if h is not None:
-            g = _composed(g, h)
+        f = g if h is None else _composed(g, h)
         _, _, _, charts, links = self.classes[k]
         children = []
         for c, link_j in zip(charts, links):
-            # the child is f·T, linked by link_j
-            v, T, f = c.vertex, c.semigroup, g
-            if T.generators is None and not isinstance(link_j, str) and link_j[1] is not None:
+            # the child is f_j·T_j, linked by link_j
+            v, T_j, f_j = c.vertex, c.semigroup, f
+            if T_j.generators is None and not isinstance(link_j, str) and link_j[1] is not None:
                 k_j, h_j = link_j
-                T, link_j = self.classes[k_j][0], (k_j, None)
-                f = _composed(g, h_j)
-            if g is not None:
-                v = mat_vec(g, v)
-            children.append((v, T if f is None else T._image(f), link_j, f))
-        if g is not None:
+                T_j, link_j = self.classes[k_j][0], (k_j, None)
+                f_j = _composed(f, h_j)
+            if f is not None:
+                v = mat_vec(f, v)
+            children.append((v, T_j, link_j, f_j))
+        if f is not None:
             children.sort(key=lambda child: child[0])
-        nodes = tuple((v, self.unfold(T, depth + 1, link_j, f)) for v, T, link_j, f in children)
-        return ResolutionNode(S, depth, EXPANDED, nodes)
+        nodes = [
+            (v, self.unfold(T_j, depth + 1, link_j, f_j, node)) for v, T_j, link_j, f_j in children
+        ]
+        return node(T, g, depth, EXPANDED, nodes)
+
+    def reach(self):
+        """(statuses, depth): the set of the unfolded tree's node statuses
+        and its greatest node depth, read off the links with no node built.
+        A node's status and children depend only on its link and depth, so
+        each level visits each class once."""
+        statuses, depth, level = set(), 0, [self.root]
+        while True:
+            classes = set()
+            for link in level:
+                if isinstance(link, str):
+                    statuses.add(link)
+                else:
+                    classes.add(link[0])
+            if not classes:
+                return statuses, depth
+            if depth == self.max_depth:
+                statuses.add(DEPTH_CAPPED)
+                return statuses, depth
+            statuses.add(EXPANDED)
+            level = [link_j for k in classes for link_j in self.classes[k][4]]
+            depth += 1
 
 
 def _composed(g, h):

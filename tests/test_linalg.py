@@ -543,3 +543,15 @@ def test_adjugate():
     for M in (((1, 2),), ((1, 2), (3,)), ((1, 2, 3), (4, 5, 6), (7, 8))):
         with pytest.raises(DimensionError):
             adjugate(M)
+
+
+def test_written_out_2x2_products_match_numpy():
+    # `images` and `mat_vec` write the 2x2 product out; every other size
+    # takes the general loop, here the 3x3 case for contrast
+    rng = random.Random(50)
+    for dim in (2, 2, 2, 3):
+        M = tuple(tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(dim))
+        vectors = [tuple(rng.randint(-2**70, 2**70) for _ in range(dim)) for _ in range(5)]
+        want = [tuple(int(c) for c in np.array(M, dtype=object).dot(x)) for x in vectors]
+        assert linalg.images(M, vectors) == tuple(sorted(want))
+        assert [linalg.mat_vec(M, x) for x in vectors] == want

@@ -104,10 +104,12 @@ def test_solve_follows_the_cli_and_passes_its_checks(command, fields, code, tmp_
 
 
 def test_no_image_converts_its_cone_while_solve_runs(monkeypatch, cone_conversions):
-    # resolve expands a node g·R from R's class, so the images it makes
-    # (`_image`, the map checked where it is composed) are read through their
-    # minimal generators only; one that read its cone would pay a conversion
-    # per node
+    # solve writes each tree from its class graph, so it makes no image and
+    # converts no cone. The unfold `pipeline.check` starts with, reading
+    # `tree.root`, expands a node g·R from R's class: the images it makes
+    # (`_image`, the map checked where it is composed) are read through
+    # their minimal generators only; one that read its cone would pay a
+    # conversion per node
     made = [0]
     image = AffineSemigroup._image
 
@@ -119,8 +121,14 @@ def test_no_image_converts_its_cone_while_solve_runs(monkeypatch, cone_conversio
     lib = pipeline.library()
     for name, groups in (("surfaces", 20), ("threefolds", 4), ("unnormalized", 20)):
         made[0] = 0
-        for problem in workloads.corpus(workloads.WORKLOADS[name], 0, groups):
-            pipeline.solve(lib, problem)
+        trees = [
+            pipeline.solve(lib, problem)[2]
+            for problem in workloads.corpus(workloads.WORKLOADS[name], 0, groups)
+        ]
+        assert made[0] == 0, name
+        assert cone_conversions == [0], name
+        for tree in trees:
+            tree.root
         assert made[0] > 0, name
         assert cone_conversions == [0], name
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from nashtoric import blowup
+from nashtoric import blowup, cli
 from nashtoric.blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron
 from nashtoric.cones import Cone
 from nashtoric.errors import CharacteristicError
@@ -18,6 +18,7 @@ from nashtoric.resolve import (
     MAX_DEPTH,
     SMOOTH_LEAF,
     TRIVIAL_STALL,
+    ResolutionTree,
     compare_characteristics,
     resolve,
     surface_termination_suite,
@@ -26,7 +27,8 @@ from nashtoric.semigroups import AffineSemigroup, LatticePairing, _surface_norma
 
 from oracles import resolve_reference, small_numerical_semigroups
 from test_blowup import P2_SELF_LOOP_WITNESS
-from test_console import DUAL_3D_P0
+from test_console import CONSOLE, DUAL_3D_P0
+from test_perfbench import workloads
 
 
 def random_saturated_surface(rng, bound=20):
@@ -656,6 +658,98 @@ def test_unfold_rejects_a_class_map_that_is_not_unimodular():
     links[j] = (links[j][0], double)
     with pytest.raises(RuntimeError, match="determinant 2,"):
         graph.unfold(S, 0, graph.root)
+    # the payload writer takes the same walk, and so the same checks
+    with pytest.raises(RuntimeError, match="determinant 2,"):
+        tree_payload(ResolutionTree._of_graph(graph, S))
+
+
+def _unfolded(tree):
+    """The tree as its unfolded nodes: `tree_payload` writes it with the
+    reference writer `io._node_payload`, and `statuses` and `depth` read
+    it node by node."""
+    return ResolutionTree(tree.root, tree.characteristic, tree.normalize, tree.max_depth)
+
+
+def test_the_graph_writes_and_reads_what_the_unfolded_tree_does(monkeypatch, capsys, tmp_path):
+    # `tree_payload` writes a tree `resolve` returned from its class graph,
+    # and `statuses` and `depth` read the graph's links: every format's
+    # bytes and both answers equal those of the unfolded nodes, on every
+    # `resolve` console row, on seed-0 prefixes of the benchmark's corpora,
+    # and on the p = 2 roots whose class graphs have cycles, at every cap
+    # from 1 to 5
+    trees, printed = [], {}
+    for _, command, document, _, _ in CONSOLE:
+        if command.split()[0] != "resolve":
+            continue
+        recorded = []
+        monkeypatch.setattr(
+            cli, "tree_payload", lambda tree: recorded.append(tree) or tree_payload(tree)
+        )
+        path = tmp_path / "problem.json"
+        path.write_text(document)
+        cli.main([*command.split(), str(path)])
+        (tree,) = recorded
+        fmt = command.split("--format ")[1] if "--format" in command else "json"
+        printed[tree] = fmt, capsys.readouterr().out
+        trees.append(tree)
+    for name, groups in (("surfaces", 20), ("threefolds", 4), ("unnormalized", 20)):
+        for problem in workloads.corpus(workloads.WORKLOADS[name], 0, groups):
+            if problem.command == "resolve":
+                spec = parse_input(problem.document)
+                trees.append(
+                    resolve(spec.semigroup(), spec.characteristic, spec.normalize, spec.max_depth)
+                )
+    for make_root in (_witness, _dual_1224):
+        trees += [resolve(make_root(), 2, max_depth=max_depth) for max_depth in range(1, 6)]
+    assert len(trees) == 12 + 80 + 8 + 60 + 10
+    for tree in trees:
+        payload = tree_payload(tree)
+        assert tree._root is None
+        unfolded = _unfolded(tree)
+        reference = {fmt: serialize(tree_payload(unfolded), fmt) for fmt in ("json", "dot", "text")}
+        # names, not texts, so that a failure does not diff a 4D tree's text
+        differ = [fmt for fmt, text in reference.items() if serialize(payload, fmt) != text]
+        if tree in printed and printed[tree][1] != reference[printed[tree][0]] + "\n":
+            differ.append("cli")
+        assert differ == [], tree.semigroup.minimal_generators()
+        assert tree.statuses() == unfolded.statuses()
+        assert tree.depth() == unfolded.depth()
+
+
+def test_the_cli_prints_a_tree_with_no_node_and_no_image(monkeypatch, capsys, tmp_path):
+    # 71 nodes, most of them mapped from a class met before: the CLI writes
+    # them and reads the exit code off the class graph, so it builds no
+    # node and maps no semigroup; reading `root` afterwards unfolds them
+    module = sys.modules[resolve.__module__]
+    counts = {"node": 0, "image": 0}
+    node, image = module.ResolutionNode, AffineSemigroup._image
+    recorded = []
+
+    def counted_node(*args):
+        counts["node"] += 1
+        return node(*args)
+
+    def counted_image(S, g):
+        counts["image"] += 1
+        return image(S, g)
+
+    def recorded_resolve(*args, **kwargs):
+        recorded.append(resolve(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(module, "ResolutionNode", counted_node)
+    monkeypatch.setattr(AffineSemigroup, "_image", counted_image)
+    monkeypatch.setattr(cli, "resolve", recorded_resolve)
+    path = tmp_path / "problem.json"
+    path.write_text('{"dimension": 2, "characteristic": 5, "dual_cone_rays": [[33,16],[16,49]]}')
+    assert cli.main(["resolve", str(path)]) == 0
+    assert counts == {"node": 0, "image": 0}
+    assert capsys.readouterr().out.count('"generators"') == 71
+    (tree,) = recorded
+    tree.root
+    assert counts["node"] == 71 and counts["image"] > 0
+    monkeypatch.undo()
+    assert tree.shape() == resolve_reference(_dual_root((33, 16), (16, 49)), 5).shape()
 
 
 @pytest.mark.parametrize(
@@ -676,9 +770,9 @@ def test_only_the_root_and_built_charts_are_keyed(
     # built chart, and 40 and 54 matches; now each chart is keyed at most
     # once, on its representative, never as an image. Testing each node's
     # status took 371 and 1703 smooth tests, one per node; now the root and
-    # each built chart are tested once, and the tree is unfolded only after
-    # the last key, match, blowup and test. At the cap 1 only the root is
-    # keyed
+    # each built chart are tested once, and the tree, unfolded when its
+    # `root` is first read (here before the spies go), only after the last
+    # key, match, blowup and test. At the cap 1 only the root is keyed
     S = make_root()
     module = sys.modules[resolve.__module__]
     built, keyed, matches, events = [], [], [], []
@@ -716,6 +810,7 @@ def test_only_the_root_and_built_charts_are_keyed(
     monkeypatch.setattr(AffineSemigroup, "is_smooth", counted_smooth)
     monkeypatch.setattr(module, "ResolutionNode", logged_node)
     tree = resolve(S, 2, max_depth=max_depth)
+    tree.root
     monkeypatch.undo()
     assert len(list(tree.nodes())) == nodes
     charts = {id(c.semigroup) for made in built for c in made}
@@ -744,8 +839,8 @@ def test_only_a_class_representative_computes_a_hilbert_basis(
     # rays and keyed on its cone, and an unfolded node linked to a class
     # is read off the class's representative. So resolve computes the
     # Hilbert bases of the semigroups it blows up and of the charts it
-    # caps, whose nodes print them, each once; computing one per chart
-    # took 48 and 69
+    # caps, whose nodes print them, each once, the unfold of `root`
+    # included; computing one per chart took 48 and 69
     S = make_root()
     module = sys.modules[resolve.__module__]
     semigroups = sys.modules[AffineSemigroup.__module__]
@@ -771,6 +866,7 @@ def test_only_a_class_representative_computes_a_hilbert_basis(
     monkeypatch.setattr(semigroups, "hilbert_basis", counted_hilbert)
     monkeypatch.setattr(module._ClassGraph, "_link", logged_link)
     tree = resolve(S, p, max_depth=max_depth)
+    tree.root
     monkeypatch.undo()
     assert (len(built), len(capped)) == counts
     assert sorted(computed) == sorted(built + capped)
