@@ -26,9 +26,20 @@ or the two rays themselves when their determinant is ±1.
 The scan reads the nonzero inputs as given, before any of them is made
 primitive, deduplicated or sorted; only the two rays it keeps are made
 primitive, and every other dimension canonicalizes the inputs first.
-A simplicial cone in any dimension costs one determinant for its facets,
-the adjugate of its d rays, and one Hermite index for its Hilbert basis: it
-is its own triangulation, and a piece of index 1 adds no point.
+A simplicial cone in any dimension costs one adjugate of its d rays for its
+facets and one more for its Hilbert basis, which it reads off the
+barycentric numerators of its parallelepiped's points.
+
+`_barycentric_box` is the one enumeration of parallelepiped points. The
+numerators D·λ of the points of d independent vectors, D = |det|, are the
+group their signed adjugate's columns generate in (Z/D)^d, which is Z^d
+modulo the vectors' lattice and so has order D; it is closed one column at
+a time and its order checked against D. `parallelepiped_points` maps every
+numerator back to its point. A simplicial cone's facet values are its
+numerators over positive integers, so numerator dominance is its own
+reduction, and its Hilbert basis is its rays and the points of the minimal
+nonzero numerators. Other cones in d >= 3 reduce the parallelepiped points
+of a triangulation.
 
 `irreducible` is the one reduction behind every minimal generating set: the
 Hilbert basis here, the semigroup's minimal generators and the minimal
@@ -41,21 +52,17 @@ the queries a pairwise scan of the kept points makes, in its order.
 """
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
 from operator import mul
 
 from .errors import DimensionError, NotFullDimensionalError, NotPointedError
 from .linalg import (
     adjugate,
-    columns_matrix,
     cross2,
     dot,
-    hermite_basis,
     identity,
     independent_rows,
     integer,
-    mat_vec,
     primitive,
     rank,
     vec,
@@ -398,38 +405,85 @@ def _simplicial_pieces(rays, halfspaces):
     return tuple(sorted(pieces))
 
 
-def parallelepiped_points(vectors):
-    """Lattice points with all barycentric coordinates in [0, 1).
+def _barycentric_box(vectors):
+    """(D, numerators) of d independent vectors v_1, ..., v_d in Z^d.
 
-    Exactly |det| many: one representative per coset of Z^d modulo the
-    lattice the vectors generate, read off the box [0, H[k][k]) under its
-    Hermite basis H and translated into the half-open parallelepiped. The
-    index Π H[k][k] is checked against |det| before the box is enumerated;
-    at index 1 the origin is the only point.
+    D is |det|, and the numerators are the vectors c = D·λ of the lattice
+    points x = Σ λ_j v_j with every λ_j in [0, 1), as tuples, the origin
+    first. The point of c is Σ c_j v_j / D (`_box_points`).
+
+    With A the transpose of the rows' adjugate, negated when det < 0,
+    A·x = D·λ(x), so the numerators are the group the columns of A (the
+    rows of the signed adjugate) generate in (Z/D)^d, of order D (see
+    `parallelepiped_points`). It is closed one generator at a time: if the
+    k-th multiple of a generator is the first in the group so far, the
+    group's k translates by its multiples are disjoint and make the next
+    group, each coset once, so the order is the product of the k. It is
+    checked against D, and RuntimeError raised before the group could grow
+    past it.
+    """
+    adj, det_v = adjugate(vectors)
+    D = abs(det_v)
+    # coordinate j of every numerator so far, in list j
+    numerators = [[0] for _ in vectors]
+    sign = 1 if det_v > 0 else -1
+    order = 1
+    members = None
+    for row in adj:
+        step = [sign * a % D for a in row]
+        if order == 1:
+            # the first multiple in the trivial group is the order of step
+            k = D // gcd(D, *step)
+        else:
+            if members is None:
+                members = set(zip(*numerators))
+            k = 1
+            while tuple([k * s % D for s in step]) not in members:
+                k += 1
+        if k == 1:
+            continue
+        order *= k
+        if order > D:
+            raise RuntimeError(
+                f"parallelepiped has at least {order} lattice points, "
+                f"expected |det| = {D}"
+            )
+        numerators = [
+            [(c + t * s) % D for t in range(k) for c in column]
+            for column, s in zip(numerators, step)
+        ]
+        members = None
+    if order != D:
+        raise RuntimeError(
+            f"parallelepiped has {order} lattice points, expected |det| = {D}"
+        )
+    return D, list(zip(*numerators))
+
+
+def _box_points(vectors, D, numerators):
+    """The points Σ c_j v_j / D of the numerators c."""
+    rows = tuple(zip(*vectors))
+    return [tuple([sum(map(mul, row, c)) // D for row in rows]) for c in numerators]
+
+
+def parallelepiped_points(vectors):
+    """Lattice points with all barycentric coordinates in [0, 1), sorted.
+
+    Exactly |det| many, one per coset of Z^d modulo the lattice L the
+    vectors generate, read in barycentric numerators (`_barycentric_box`).
+    Their group has order D = |det|: with A·x = D·λ(x) for the signed
+    adjugate A, x ↦ A·x mod D maps Z^d onto it, and A·x ≡ 0 mod D exactly
+    when λ(x) is integral, that is x in L, so the group is Z^d / L, of
+    order [Z^d : L] = D. An element read in [0, D)^d is the numerator of
+    the one point of its coset in the parallelepiped. The closure's order
+    is checked against D; at D = 1 the origin is the only point.
     """
     vectors = tuple(vec(v) for v in vectors)
     d = len(vectors)
     if d == 0 or any(len(v) != d for v in vectors):
         raise DimensionError("need d vectors in Z^d")
-    M = columns_matrix(vectors)
-    Madj, dM = adjugate(M)
-    H = hermite_basis(vectors, d)
-    index = 1
-    for k in range(d):
-        index *= H[k][k]
-    if index != abs(dM):
-        raise RuntimeError(
-            f"parallelepiped has {index} lattice points, "
-            f"expected |det| = {abs(dM)}"
-        )
-    if index == 1:
-        return ((0,) * d,)
-    points = []
-    for z in product(*(range(H[k][k]) for k in range(d))):
-        # floor of the rational barycentric coordinates; // floors for any sign
-        shift = [dot(row, z) // dM for row in Madj]
-        points.append(vsub(z, mat_vec(M, shift)))
-    return tuple(sorted(points))
+    D, numerators = _barycentric_box(vectors)
+    return tuple(sorted(_box_points(vectors, D, numerators)))
 
 
 @dataclass(frozen=True)
@@ -442,16 +496,46 @@ def hilbert_basis(cone: Cone) -> HilbertBasis:
     """Unique minimal generating set of cone ∩ Z^d.
 
     In dimension 2 it is the two rays when their determinant is ±1, a
-    lattice basis, and otherwise the Hirzebruch-Jung chain between them; in
-    higher dimensions `irreducible` reduces the rays and the parallelepiped
-    points of a triangulation, which a simplicial cone is of itself.
+    lattice basis, and otherwise the Hirzebruch-Jung chain between them.
+    In higher dimensions a simplicial cone keeps its rays and the points of
+    its parallelepiped's minimal nonzero numerators, under the
+    componentwise order (`_simplicial_hilbert_basis`): numerator dominance
+    is the cone's own reduction. With A·x = D·λ(x) as in
+    `parallelepiped_points`, row j of A vanishes on every ray but r_j and is
+    positive on r_j, so it is the inward normal of facet j times a positive
+    integer g_j, and the facet values of a parallelepiped point x are its
+    numerators c(x) = A·x over (g_1, ..., g_d). So x - y, a lattice point,
+    lies in the cone exactly when c(x) >= c(y) componentwise. Any other
+    cone has `irreducible` reduce the rays and the parallelepiped points of
+    a triangulation on its own facets.
     """
     if cone.dim == 2:
         u1, u2 = cone.rays
         if abs(cross2(u1, u2)) == 1:
             return HilbertBasis(cone, cone.rays)
         return HilbertBasis(cone, tuple(sorted(_hirzebruch_jung(u1, u2))))
+    if len(cone.rays) == cone.dim:
+        return HilbertBasis(cone, _simplicial_hilbert_basis(cone.rays))
     return HilbertBasis(cone, _hilbert_basis_by_pieces(cone))
+
+
+def _simplicial_hilbert_basis(rays):
+    """Sorted Hilbert basis of the cone of d independent primitive rays.
+
+    Its lattice points are parallelepiped points plus sums of rays, so the
+    rays and the nonzero parallelepiped points generate, and numerator
+    dominance reduces them (`hilbert_basis`). No ray reduces a point, whose
+    numerators are all below D, while r_j has D·e_j. No point x reduces a
+    ray r_j: c(x) <= D·e_j would make x = (c_j(x) / D)·r_j a lattice point
+    strictly between 0 and the primitive r_j. So `irreducible` keeps the
+    minimal nonzero numerators, with the identity as the facets, and only
+    those are mapped back to points. At D = 1 the rays alone are the basis.
+    """
+    D, numerators = _barycentric_box(rays)
+    if D == 1:
+        return rays
+    minimal = irreducible(numerators[1:], identity(len(rays)))
+    return tuple(sorted(rays + tuple(_box_points(rays, D, minimal))))
 
 
 def _hilbert_basis_by_pieces(cone: Cone):
@@ -463,12 +547,8 @@ def _hilbert_basis_by_pieces(cone: Cone):
     primitive extreme rays are the basis: none is a sum of other nonzero
     lattice points of the cone.
     """
-    if len(cone.rays) == cone.dim:
-        pieces = (cone.rays,)
-    else:
-        pieces = _simplicial_pieces(cone.rays, cone.halfspaces)
     candidates = set(cone.rays)
-    for piece in pieces:
+    for piece in _simplicial_pieces(cone.rays, cone.halfspaces):
         for x in parallelepiped_points(piece):
             if any(x):
                 candidates.add(x)

@@ -4,10 +4,12 @@ Everything here trades speed for obviousness: permutation determinants,
 dense Fraction solves, exhaustive lattice scans. The Hilbert basis oracle
 enumerates irreducible lattice points directly from a graded bounding box
 and never calls the triangulation-based algorithm under test; a second
-reference runs that general route on every cone, so that the shortcuts for
-simplicial cones and for pieces that add no point are checked against it;
-`triangulate` lists that route's pieces as cones, for tests of the
-triangulation itself.
+reference runs that general route on every cone, with each piece's points
+from the box under its Hermite basis (`hermite_box_points`) instead of the
+library's numerator closure, so that the simplicial route through minimal
+numerators and the shortcut for pieces that add no point are checked
+against it; `triangulate` lists that route's pieces as cones, for tests of
+the triangulation itself.
 The random unsaturated generator lists the minimal-generator oracle is
 checked on are drawn here too, so that every test draws them the same way,
 and so are the small numerical semigroups that the curve tests sweep.
@@ -237,16 +239,44 @@ def triangulate(cone):
     )
 
 
+def hermite_box_points(vectors):
+    """Sorted lattice points with every barycentric coordinate in [0, 1),
+    from the box [0, H[k][k]) under the Hermite basis H of the lattice the
+    vectors generate: it holds one point of each coset, which the floors of
+    its barycentric coordinates, times the vectors, move into the
+    parallelepiped. The reference for the group closure of
+    `cones.parallelepiped_points`, with its own index check."""
+    from nashtoric.linalg import hermite_basis
+
+    d = len(vectors)
+    columns = tuple(tuple(v[i] for v in vectors) for i in range(d))
+    adj = cofactor_adjugate(columns)
+    D = permutation_det(columns)
+    H = hermite_basis(vectors, d)
+    index = 1
+    for k in range(d):
+        index *= H[k][k]
+    assert index == abs(D), (index, D)
+    points = []
+    for z in product(*(range(H[k][k]) for k in range(d))):
+        # floor of the rational barycentric coordinates; // floors for any sign
+        shift = [sum(a * x for a, x in zip(row, z)) // D for row in adj]
+        points.append(
+            tuple(z[i] - sum(s * v[i] for s, v in zip(shift, vectors)) for i in range(d))
+        )
+    return sorted(points)
+
+
 def hilbert_basis_by_triangulation(cone):
     """Hilbert basis by the general route for every cone: a placing
-    triangulation, the parallelepiped points of each piece, then the graded
+    triangulation, the Hermite box points of each piece, then the graded
     reduction, with no shortcut for simplicial cones or for pieces that add
-    no point."""
-    from nashtoric.cones import _simplicial_pieces, irreducible, parallelepiped_points
+    no point, and none of the numerator closure."""
+    from nashtoric.cones import _simplicial_pieces, irreducible
 
     candidates = set(cone.rays)
     for piece in _simplicial_pieces(cone.rays, cone.halfspaces):
-        candidates.update(x for x in parallelepiped_points(piece) if any(x))
+        candidates.update(x for x in hermite_box_points(piece) if any(x))
     return irreducible(candidates, cone.halfspaces)
 
 

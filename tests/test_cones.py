@@ -28,6 +28,7 @@ from nashtoric.linalg import (
     independent_rows,
     primitive,
     rank,
+    smith_normal_form,
     vneg,
     vsub,
 )
@@ -38,6 +39,8 @@ from oracles import (
     brute_force_hilbert,
     cone_bruteforce,
     extreme_rays_bruteforce,
+    frac_solve,
+    hermite_box_points,
     hilbert_basis_by_triangulation,
     in_cone_2d,
     interior_point,
@@ -784,6 +787,41 @@ def test_parallelepiped_points_against_box_oracle():
     pts = parallelepiped_points(columns)
     assert list(pts) == box_parallelepiped(columns)
     assert len(pts) == 8
+    # Z^3 / L is (Z/2)×(Z/4) or (Z/3)^3: the diagonal under a milder
+    # unimodular map, so that the box scan stays small
+    shear = ((1, 1, 0), (-1, 1, 1), (1, 0, -1))
+    assert abs(det(shear)) == 1
+    for diagonal in ((1, 2, 4), (3, 3, 3)):
+        columns = tuple(tuple(shear[i][j] * diagonal[j] for i in range(3)) for j in range(3))
+        assert smith_normal_form(columns_matrix(columns))[1] == tuple(
+            tuple(diagonal[i] * (i == j) for j in range(3)) for i in range(3)
+        )
+        pts = parallelepiped_points(columns)
+        assert list(pts) == box_parallelepiped(columns)
+        assert len(pts) == abs(det(columns))
+    # d = 4 against the Hermite box, whose scan of a bounding box is too
+    # large here, and every point on its barycentric coordinates; the
+    # non-cyclic groups (Z/2)×(Z/4), (Z/3)^3 and (Z/2)^4 under random
+    # unimodular maps on both sides
+    cases = []
+    while len(cases) < 40:
+        vecs = tuple(tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(4))
+        if det(vecs):
+            cases.append((vecs, None))
+    for diagonal in ((1, 1, 2, 4), (1, 3, 3, 3), (2, 2, 2, 2)):
+        M = mat_mul(
+            mat_mul(_random_unimodular(rng, 4), [[diagonal[i] * (i == j) for j in range(4)] for i in range(4)]),
+            _random_unimodular(rng, 4),
+        )
+        cases.append((tuple(zip(*M)), diagonal))
+    for vecs, diagonal in cases:
+        M = columns_matrix(vecs)
+        if diagonal is not None:
+            assert [row[i] for i, row in enumerate(smith_normal_form(M)[1])] == list(diagonal)
+        pts = parallelepiped_points(vecs)
+        assert list(pts) == hermite_box_points(vecs)
+        assert len(pts) == abs(det(vecs))
+        assert all(0 <= lam < 1 for x in pts for lam in frac_solve(M, x))
 
 
 @pytest.mark.parametrize(
@@ -795,20 +833,23 @@ def test_parallelepiped_points_against_box_oracle():
         ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (1, 1, 1, 5)),
     ],
 )
-def test_parallelepiped_points_checks_the_hermite_index(monkeypatch, columns):
-    # a Hermite basis whose index disagrees with |det| must be caught
-    # before anything is enumerated, also when |det| is 1
-    original = cones.hermite_basis
-
-    def doubled(vectors, dim):
-        H = [list(row) for row in original(vectors, dim)]
-        H[-1] = [2 * x for x in H[-1]]
-        return tuple(map(tuple, H))
-
+def test_parallelepiped_points_checks_the_group_order(monkeypatch, columns):
+    # a group of numerators whose order disagrees with |det| must raise,
+    # also when |det| is 1. Modulo a doubled determinant the adjugate's
+    # columns generate a group of order 2^d·|det|, caught before it passes
+    # 2·|det|, and the doubled adjugate's a group of order |det|, caught at
+    # the end
+    original = cones.adjugate
     assert len(parallelepiped_points(columns)) == abs(det(columns))
-    monkeypatch.setattr(cones, "hermite_basis", doubled)
-    with pytest.raises(RuntimeError, match="expected \\|det\\|"):
-        parallelepiped_points(columns)
+    for scale in (1, 2):
+
+        def doubled(M):
+            adj, det_M = original(M)
+            return tuple(tuple(scale * a for a in row) for row in adj), 2 * det_M
+
+        monkeypatch.setattr(cones, "adjugate", doubled)
+        with pytest.raises(RuntimeError, match="expected \\|det\\|"):
+            parallelepiped_points(columns)
 
 
 def test_hilbert_basis_fixed():
@@ -886,6 +927,33 @@ def test_hilbert_basis_against_brute_force():
     assert min(seen.values()) >= 40, seen
 
 
+def test_simplicial_hilbert_basis_against_brute_force():
+    # simplicial cones keep the rays and the points of the minimal nonzero
+    # numerators; the graded scan knows nothing of numerators. Rays are
+    # drawn from [-1, 3] in d = 4 so that the scan's box stays small; cones
+    # whose box is still too large are drawn again
+    rng = random.Random(321)
+    seen = {3: [], 4: []}
+    for dim, low, count in ((3, -3, 30), (4, -1, 20)):
+        while len(seen[dim]) < count:
+            rays = [tuple(rng.randint(low, 3) for _ in range(dim)) for _ in range(dim)]
+            if not det(rays):
+                continue
+            c = Cone.from_rays(rays, dim)
+            D = abs(det(c.rays))
+            if not 2 <= D <= 30:
+                continue
+            try:
+                expected = brute_force_hilbert(
+                    c.rays, c.halfspaces, dim, volume_limit=100_000
+                )
+            except RuntimeError:
+                continue
+            assert list(hilbert_basis(c).elements) == expected
+            seen[dim].append(D)
+    assert all(max(Ds) >= 15 and len(set(Ds)) >= 8 for Ds in seen.values()), seen
+
+
 def test_unimodular_2d_hilbert_basis_is_the_chain():
     # `hilbert_basis` returns a 2D cone's rays without the Hirzebruch-Jung
     # walk when their determinant is ±1; the walk is the reference on every
@@ -908,8 +976,9 @@ def test_unimodular_2d_hilbert_basis_is_the_chain():
 
 
 def test_hilbert_basis_matches_the_triangulation_route():
-    # simplicial cones skip the triangulation and index-1 pieces the box;
-    # the reference always takes the general route
+    # simplicial cones read minimal numerators instead of a triangulation,
+    # and index-1 pieces skip the box; the reference always takes the
+    # general route, with Hermite box points
     rng = random.Random(320)
     seen = {"unimodular": 0, "simplicial": 0, "non-simplicial": 0}
     for i in range(270):
