@@ -223,22 +223,10 @@ def charts_payload(charts, characteristic) -> dict:
     }
 
 
-def _node_payload(node) -> dict:
-    return {
-        "generators": _enc_vecs(node.semigroup.minimal_generators()),
-        "depth": node.depth,
-        "status": node.status,
-        "children": [
-            {"vertex": _enc_vec(v), "node": _node_payload(child)}
-            for v, child in node.children
-        ],
-    }
-
-
-def _graph_node_payload(T, g, depth, status, children) -> dict:
-    """`_node_payload` of the node g·T (T when g is None), written by the
-    class graph's walk (`_ClassGraph.unfold`) with no node or image built:
-    its generators are T's minimal generators mapped by g."""
+def _payload_node(T, g, depth, status, children) -> dict:
+    """`ResolutionTree.unfold`'s builder for `tree_payload`: the dict of
+    the node g·T (T when g is None), its generators T's minimal generators
+    mapped by g, with no node or image built."""
     gens = T.minimal_generators()
     return {
         "generators": _enc_vecs(gens if g is None else images(g, gens)),
@@ -249,21 +237,15 @@ def _graph_node_payload(T, g, depth, status, children) -> dict:
 
 
 def tree_payload(tree: ResolutionTree) -> dict:
-    """The tree as a payload dict. A tree `resolve` returned is written
-    from its class graph, so its nodes are never unfolded; one made from a
-    root node is written from its nodes."""
-    graph = tree._graph
-    if graph is None:
-        root = _node_payload(tree.root)
-    else:
-        root = graph.unfold(tree.semigroup, 0, graph.root, node=_graph_node_payload)
+    """The tree as a payload dict, written from its class graph by one
+    walk (`ResolutionTree.unfold`), so no `ResolutionNode` is built."""
     return {
         "kind": "resolution-tree",
         "dimension": tree.semigroup.dim,
         "characteristic": tree.characteristic,
         "normalize": tree.normalize,
         "max_depth": tree.max_depth,
-        "root": root,
+        "root": tree.unfold(tree.semigroup, 0, tree.link, _payload_node),
     }
 
 

@@ -7,7 +7,8 @@ from itertools import combinations
 
 from .blowup import log_jacobian_ideal, nash_blowup, newton_polyhedron, stalls
 from .cones import Cone
-from .linalg import adjugate, cross2, det, integer, mat_mul, mat_vec, validate_characteristic
+from .linalg import adjugate, cross2, det, images, integer, mat_mul, mat_vec
+from .linalg import validate_characteristic
 from .semigroups import AffineSemigroup, LatticePairing, _surface_normal_form
 
 SMOOTH_LEAF = "smooth-leaf"
@@ -38,130 +39,27 @@ class ResolutionNode:
 
 
 class ResolutionTree:
-    """A resolution tree. `resolve` returns one that holds its class graph
-    (`_ClassGraph`) and root semigroup: `root`, and so `nodes()` and
-    `shape()`, is unfolded from the graph on first read and then kept,
-    `statuses()` and `depth()` read the graph's links, and
-    `io.tree_payload` writes the tree from the graph, so none of the
-    three builds a node. A tree made from a root node,
-    `ResolutionTree(root, characteristic, normalize, max_depth)`, reads
-    its nodes."""
+    """The resolution tree below the semigroup S, held as its class graph.
 
-    __slots__ = ("semigroup", "characteristic", "normalize", "max_depth", "_root", "_graph")
-
-    def __init__(self, root: ResolutionNode, characteristic, normalize, max_depth):
-        self.semigroup = root.semigroup
-        self.characteristic = characteristic
-        self.normalize = normalize
-        self.max_depth = max_depth
-        self._root = root
-        self._graph = None
-
-    @classmethod
-    def _of_graph(cls, graph, S):
-        tree = cls.__new__(cls)
-        tree.semigroup = S
-        tree.characteristic = graph.p
-        tree.normalize = graph.normalize
-        tree.max_depth = graph.max_depth
-        tree._root = None
-        tree._graph = graph
-        return tree
-
-    @property
-    def root(self) -> ResolutionNode:
-        if self._root is None:
-            self._root = self._graph.unfold(self.semigroup, 0, self._graph.root)
-        return self._root
-
-    def nodes(self):
-        return self.root.nodes()
-
-    def statuses(self):
-        if self._graph is None:
-            return {node.status for node in self.nodes()}
-        return self._graph.reach()[0]
-
-    def depth(self) -> int:
-        if self._graph is None:
-            return max(node.depth for node in self.nodes())
-        return self._graph.reach()[1]
-
-    def shape(self):
-        """Hashable structural fingerprint: generators, status and the
-        vertex-labelled children of every node, recursively."""
-        return _shape(self.root)
-
-
-def _shape(node: ResolutionNode):
-    return (
-        node.semigroup.minimal_generators(),
-        node.status,
-        tuple((v, _shape(child)) for v, child in node.children),
-    )
-
-
-def resolve(
-    S: AffineSemigroup,
-    characteristic,
-    normalize: bool = True,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> ResolutionTree:
-    """Blow up repeatedly until every branch is smooth, stalls, or hits
-    the depth cap.
-
-    A node is tested in the order smooth, stall (unnormalized only), cap,
-    and only then blown up: an unnormalized stall is read off the minimal
-    generators' residues mod p (`stalls`), so neither a stall nor a node
-    at the cap computes a basis or builds a chart.
-
-    A Nash blowup commutes with GL(d, Z), so the call builds the graph of
-    the lattice classes below S (`_ClassGraph`), which blows up each class
-    and tests each of its charts once, and returns a tree that holds it:
-    the tree's nodes are unfolded from the graph, read-only, when `root`
-    is first read, and the CLI prints the tree from the graph without
-    them (`io.tree_payload`). A node S that is g·R for a class's
-    representative R gets R's charts mapped by g, re-sorted by vertex:
-    each is its chart's minimal generators mapped by g, with no cone
-    (`AffineSemigroup._image`; g is checked unimodular once, where it is
-    composed, `_composed`). A mapped node takes its status and charts
-    from its class's links, so none converts its cone. The minimal
-    generators determine a semigroup and its charts, so this serves both
-    chart kinds in every dimension. A normalized chart in d >= 3 is keyed
-    on its cone instead, which determines it, so only the semigroups blown
-    up and the charts at the cap compute a Hilbert basis, and a normal
-    surface, in either graph kind, is keyed by its normal form (n, q), a
-    complete invariant, so its class is found with no search (`_ClassGraph`).
-    """
-    p = validate_characteristic(characteristic)
-    max_depth = _check_max_depth(max_depth)
-    return ResolutionTree._of_graph(_ClassGraph(S, p, normalize, max_depth), S)
-
-
-def _tree_node(T, g, depth, status, children):
-    """`_ClassGraph.unfold`'s node for the tree's `root`."""
-    return ResolutionNode(T if g is None else T._image(g), depth, status, tuple(children))
-
-
-class _ClassGraph:
-    """The lattice classes below one `resolve` root, built breadth first.
-
-    Class k is (R, label, level, charts, links): its representative R,
-    R's key label, the least depth of its nodes, R's charts, and per
+    A Nash blowup commutes with GL(d, Z), so the tree is built as the
+    lattice classes below S, breadth first, and each class is blown up
+    once. Class k is (R, label, level, charts, links): its representative
+    R, R's key label, the least depth of its nodes, R's charts, and per
     chart j of R a link, `_link(chart j, level + 1)`: a status, or (k', h)
     with h·Q == chart j for Q class k''s representative (h None when chart
-    j is Q). `root` is the root's link. The class list is walked in order
+    j is Q). `link` is the root's link. The class list is walked in order
     while it grows, so a class is first met at its least depth, and only
-    the root and R's own charts are keyed, each at most once. A status
-    link is its class's: smooth counts minimal generators, and a stall
-    counts those nonzero mod p, which any g ∈ GL(d, Z) keeps, being
+    the root and R's own charts are keyed and tested, each at most once. A
+    status link is its class's: smooth counts minimal generators, and a
+    stall counts those nonzero mod p, which any g ∈ GL(d, Z) keeps, being
     invertible mod p. Links are indices, so a class whose chart lies in
     its own class makes no reference cycle.
 
-    The tree `resolve` returns holds the graph and reads it three ways,
-    none of which changes it: `unfold` walks the links into the tree's
-    nodes, on the first read of `root`, or into `io.tree_payload`'s
-    dicts, and `reach` reads the statuses and the depth.
+    The tree is read off the graph, which no reader changes: `statuses()`
+    and `depth()` read the links (`_reach`), and `shape()`, `root` and
+    `io.tree_payload` each walk them once (`unfold`) with a builder of
+    their own. `root` is the tree as `ResolutionNode`s, unfolded on each
+    read and not kept, and so is `nodes()`.
 
     A class is keyed by the `LatticePairing` of R, its label, and found by
     `map_to`, except a normal surface (d = 2 and the saturation flag set,
@@ -177,28 +75,52 @@ class _ClassGraph:
     invariant, so a class is never keyed both ways. A normalized chart in
     d >= 3 is keyed on its cone and tested for smoothness on its rays, so
     only a representative, which is blown up, computes its Hilbert basis.
+
+    The arguments are taken as given; `resolve` validates them.
     """
 
-    __slots__ = ("p", "normalize", "max_depth", "buckets", "classes", "root")
+    __slots__ = (
+        "semigroup", "characteristic", "normalize", "max_depth", "buckets", "classes", "link"
+    )
 
-    def __init__(self, S, p, normalize, max_depth):
-        self.p = p
+    def __init__(self, S, characteristic, normalize, max_depth):
+        self.semigroup = S
+        self.characteristic = characteristic
         self.normalize = normalize
         self.max_depth = max_depth
         self.buckets = {}  # LatticePairing key or (n, q) -> [class index]
         self.classes = []
         if normalize and S._saturated is None:
             S.is_saturated()
-        self.root = self._link(S, 0)
+        self.link = self._link(S, 0)
         for _, _, level, charts, links in self.classes:
             links.extend(self._link(c.semigroup, level + 1) for c in charts)
+
+    @property
+    def root(self) -> ResolutionNode:
+        """The tree as `ResolutionNode`s, unfolded on each read."""
+        return self.unfold(self.semigroup, 0, self.link, _tree_node)
+
+    def nodes(self):
+        return self.root.nodes()
+
+    def statuses(self):
+        return self._reach()[0]
+
+    def depth(self) -> int:
+        return self._reach()[1]
+
+    def shape(self):
+        """Hashable structural fingerprint: generators, status and the
+        vertex-labelled children of every node, recursively."""
+        return self.unfold(self.semigroup, 0, self.link, _shape_node)
 
     def _link(self, S, depth):
         """S's status as a node at depth, tested in the order smooth,
         stall, cap; else `_key(S, depth)`."""
         if S.is_smooth():
             return SMOOTH_LEAF
-        if not self.normalize and stalls(S, self.p):
+        if not self.normalize and stalls(S, self.characteristic):
             return TRIVIAL_STALL
         if depth == self.max_depth:
             return DEPTH_CAPPED
@@ -226,17 +148,16 @@ class _ClassGraph:
                 if g is not None:
                     return k, g
         bucket.append(len(self.classes))
-        self.classes.append((S, label, level, nash_blowup(S, self.p, self.normalize), []))
+        charts = nash_blowup(S, self.characteristic, self.normalize)
+        self.classes.append((S, label, level, charts, []))
         return len(self.classes) - 1, None
 
-    def unfold(self, T, depth, link, g=None, node=_tree_node):
+    def unfold(self, T, depth, link, node, g=None):
         """The node of g·T (T when g is None) for T the chart or root whose
         link is `link`, read off the graph: it makes no key, no blowup and
-        no status test. This one walk serves both the tree's `root` and
-        `io.tree_payload`: each node is `node(T, g, depth, status,
-        children)`, its children a list of pairs (vertex, child's node)
-        already sorted, built bottom-up. The default makes a
-        `ResolutionNode`, with g·T the image `T._image(g)`.
+        no status test. Each node is `node(T, g, depth, status, children)`,
+        its children a list of pairs (vertex, child's node) already sorted,
+        built bottom-up.
 
         A child g·(chart j) whose chart never computed its minimal
         generators (a lattice-point chart keyed on its cone, `from_cone`)
@@ -267,16 +188,16 @@ class _ClassGraph:
         if f is not None:
             children.sort(key=lambda child: child[0])
         nodes = [
-            (v, self.unfold(T_j, depth + 1, link_j, f_j, node)) for v, T_j, link_j, f_j in children
+            (v, self.unfold(T_j, depth + 1, link_j, node, f_j)) for v, T_j, link_j, f_j in children
         ]
         return node(T, g, depth, EXPANDED, nodes)
 
-    def reach(self):
+    def _reach(self):
         """(statuses, depth): the set of the unfolded tree's node statuses
         and its greatest node depth, read off the links with no node built.
         A node's status and children depend only on its link and depth, so
         each level visits each class once."""
-        statuses, depth, level = set(), 0, [self.root]
+        statuses, depth, level = set(), 0, [self.link]
         while True:
             classes = set()
             for link in level:
@@ -292,6 +213,43 @@ class _ClassGraph:
             statuses.add(EXPANDED)
             level = [link_j for k in classes for link_j in self.classes[k][4]]
             depth += 1
+
+
+def _tree_node(T, g, depth, status, children):
+    """`unfold`'s builder for `root`: a `ResolutionNode`, g·T the image
+    `T._image(g)`."""
+    return ResolutionNode(T if g is None else T._image(g), depth, status, tuple(children))
+
+
+def _shape_node(T, g, depth, status, children):
+    """`unfold`'s builder for `shape()`: g·T's minimal generators, the
+    status and the children."""
+    gens = T.minimal_generators()
+    return (gens if g is None else images(g, gens), status, tuple(children))
+
+
+def resolve(
+    S: AffineSemigroup,
+    characteristic,
+    normalize: bool = True,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> ResolutionTree:
+    """Blow up repeatedly until every branch is smooth, stalls, or hits
+    the depth cap, and return the tree, which is its class graph
+    (`ResolutionTree`).
+
+    A node is tested in the order smooth, stall (unnormalized only), cap,
+    and only then blown up: an unnormalized stall is read off the minimal
+    generators' residues mod p (`stalls`), so neither a stall nor a node
+    at the cap computes a basis or builds a chart. A node g·R, for R its
+    class's representative, gets R's charts mapped by g and re-sorted by
+    vertex, each its chart's minimal generators mapped by g, with no cone;
+    the minimal generators determine a semigroup and its charts, so this
+    serves both chart kinds in every dimension.
+    """
+    p = validate_characteristic(characteristic)
+    max_depth = _check_max_depth(max_depth)
+    return ResolutionTree(S, p, normalize, max_depth)
 
 
 def _composed(g, h):

@@ -19,6 +19,9 @@ kept points, the reference for the bitset sweep of `cones.irreducible`.
 reference for the cone conversion of `lp.rational_feasible`, and the LP of
 the vertex oracle `vertices_via_lp`, which so never runs the
 double-description pass that `polyhedron_vertices` is checked for.
+`resolve_reference` resolves by a plain recursion into a `ReferenceTree`
+of nodes, and `reference_payload` writes one node by node: the references
+for the queries and the writer that read `resolve`'s class graph.
 """
 
 from dataclasses import dataclass
@@ -707,10 +710,70 @@ def vertices_via_lp(points, rays, dim):
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class ReferenceTree:
+    """A resolution tree held as its `ResolutionNode`s, read node by node:
+    the reference for the class graph's readers in `ResolutionTree`."""
+
+    root: object
+    characteristic: int
+    normalize: bool
+    max_depth: int
+
+    @property
+    def semigroup(self):
+        return self.root.semigroup
+
+    def nodes(self):
+        return self.root.nodes()
+
+    def statuses(self):
+        return {node.status for node in self.nodes()}
+
+    def depth(self):
+        return max(node.depth for node in self.nodes())
+
+    def shape(self):
+        return _node_shape(self.root)
+
+
+def _node_shape(node):
+    return (
+        node.semigroup.minimal_generators(),
+        node.status,
+        tuple((v, _node_shape(child)) for v, child in node.children),
+    )
+
+
+def reference_payload(tree):
+    """`io.tree_payload` of a `ReferenceTree`, written node by node."""
+    return {
+        "kind": "resolution-tree",
+        "dimension": tree.semigroup.dim,
+        "characteristic": tree.characteristic,
+        "normalize": tree.normalize,
+        "max_depth": tree.max_depth,
+        "root": _node_payload(tree.root),
+    }
+
+
+def _node_payload(node):
+    from nashtoric.io import _enc_vec, _enc_vecs
+
+    return {
+        "generators": _enc_vecs(node.semigroup.minimal_generators()),
+        "depth": node.depth,
+        "status": node.status,
+        "children": [
+            {"vertex": _enc_vec(v), "node": _node_payload(child)} for v, child in node.children
+        ],
+    }
+
+
 def resolve_reference(S, characteristic, normalize=True, max_depth=64):
     """`resolve` as a plain recursion that blows up every node itself,
     with no memo over lattice classes, and tells a stall from the charts:
-    one chart equal to the node."""
+    one chart equal to the node. Returns a `ReferenceTree`."""
     from nashtoric.blowup import nash_blowup
     from nashtoric.resolve import (
         DEPTH_CAPPED,
@@ -718,7 +781,6 @@ def resolve_reference(S, characteristic, normalize=True, max_depth=64):
         SMOOTH_LEAF,
         TRIVIAL_STALL,
         ResolutionNode,
-        ResolutionTree,
     )
 
     def expand(T, depth):
@@ -738,7 +800,7 @@ def resolve_reference(S, characteristic, normalize=True, max_depth=64):
         children = tuple((c.vertex, expand(c.semigroup, depth + 1)) for c in charts)
         return ResolutionNode(T, depth, EXPANDED, children)
 
-    return ResolutionTree(expand(S, 0), characteristic, normalize, max_depth)
+    return ReferenceTree(expand(S, 0), characteristic, normalize, max_depth)
 
 
 def _cross(u, v):

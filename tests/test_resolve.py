@@ -25,7 +25,13 @@ from nashtoric.resolve import (
 )
 from nashtoric.semigroups import AffineSemigroup, LatticePairing, _surface_normal_form
 
-from oracles import resolve_reference, small_numerical_semigroups
+from oracles import (
+    ReferenceTree,
+    random_unsaturated_generators,
+    reference_payload,
+    resolve_reference,
+    small_numerical_semigroups,
+)
 from test_blowup import P2_SELF_LOOP_WITNESS
 from test_console import CONSOLE, DUAL_3D_P0
 from test_perfbench import workloads
@@ -501,6 +507,52 @@ def test_suite_edge_cases():
     assert all(set(ray) <= {1, 2} for run in runs for ray in run.rays)
 
 
+def test_shapes_and_their_verdicts_match_the_plain_recursion():
+    # the suite's `characteristic_independent` verdict is the equality of
+    # `shape()` across characteristics. Unnormalized surface roots, half
+    # of them unsaturated, at caps 1 to 4, give shapes that mostly differ
+    # across p: each shape, and each verdict, equals the plain recursion's
+    rng = random.Random(0)
+    verdicts = []
+    for i in range(60):
+        if i % 2:
+            S = random_saturated_surface(rng)
+        else:
+            S = AffineSemigroup(2, random_unsaturated_generators(rng, 2))
+        max_depth = rng.randint(1, 4)
+        shapes, reference = [], []
+        for p in (0, 2, 3):
+            shapes.append(resolve(S, p, normalize=False, max_depth=max_depth).shape())
+            reference.append(
+                resolve_reference(S, p, normalize=False, max_depth=max_depth).shape()
+            )
+        assert shapes == reference, (S.minimal_generators(), max_depth)
+        verdicts.append(len(set(shapes)) <= 1)
+        assert verdicts[-1] == (len(set(reference)) <= 1)
+    assert (verdicts.count(True), verdicts.count(False)) == (6, 54)
+
+
+def test_the_suite_builds_no_node(monkeypatch):
+    # the suite reads statuses, depths and shapes off the class graphs, so
+    # it builds no `ResolutionNode`; its verdicts are the plain recursion's
+    module = sys.modules[resolve.__module__]
+    node, built = module.ResolutionNode, [0]
+
+    def counted_node(*args):
+        built[0] += 1
+        return node(*args)
+
+    monkeypatch.setattr(module, "ResolutionNode", counted_node)
+    summary = surface_termination_suite(0, 20)
+    assert built == [0]
+    monkeypatch.undo()
+    for run in summary.runs:
+        S = AffineSemigroup.from_cone(Cone.from_rays(run.rays, 2))
+        trees = [resolve_reference(S, p) for p in summary.characteristics]
+        assert run.depths == tuple(tree.depth() for tree in trees)
+        assert run.characteristic_independent == (len({tree.shape() for tree in trees}) <= 1)
+
+
 def test_fourfold_root_blows_up_each_lattice_class_once(monkeypatch):
     document = (
         '{"dimension": 4, "characteristic": 0, '
@@ -620,7 +672,7 @@ def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch, cone_conversio
 
         return counted
 
-    key = module._ClassGraph._key
+    key = module.ResolutionTree._key
 
     def counted_key(graph, S, level):
         k, g = key(graph, S, level)
@@ -629,7 +681,7 @@ def test_a_linked_child_is_neither_keyed_nor_matched(monkeypatch, cone_conversio
 
     monkeypatch.setattr(module, "nash_blowup", counter("blowup", nash_blowup))
     monkeypatch.setattr(module, "_surface_normal_form", counter("key", _surface_normal_form))
-    monkeypatch.setattr(module._ClassGraph, "_key", counted_key)
+    monkeypatch.setattr(module.ResolutionTree, "_key", counted_key)
     monkeypatch.setattr(module, "LatticePairing", counter("pairing", LatticePairing))
     tree = resolve(_dual_root((33, 16), (16, 49)), 5)
     nodes = list(tree.nodes())
@@ -646,37 +698,44 @@ def test_unfold_rejects_a_class_map_that_is_not_unimodular():
     # composed, or on a chart's link, is a bug
     module = sys.modules[resolve.__module__]
     S = _dual_root((33, 16), (16, 49))
-    graph = module._ClassGraph(S, 5, True, 64)
-    assert graph.root == (0, None)
+    tree = ResolutionTree(S, 5, True, 64)
+    assert tree.link == (0, None)
     double = ((2, 0), (0, 1))
+    node = module._tree_node
     with pytest.raises(RuntimeError, match="determinant 2,"):
-        graph.unfold(S, 0, (0, double))
+        tree.unfold(S, 0, (0, double), node)
     with pytest.raises(RuntimeError, match="determinant -2,"):
-        graph.unfold(S, 0, (0, double), ((0, 1), (1, 0)))
-    links = graph.classes[0][4]
+        tree.unfold(S, 0, (0, double), node, ((0, 1), (1, 0)))
+    links = tree.classes[0][4]
     j = next(j for j, link in enumerate(links) if not isinstance(link, str))
     links[j] = (links[j][0], double)
     with pytest.raises(RuntimeError, match="determinant 2,"):
-        graph.unfold(S, 0, graph.root)
-    # the payload writer takes the same walk, and so the same checks
+        tree.unfold(S, 0, tree.link, node)
+    # the payload writer, `root` and `shape` take the same walk, and so the
+    # same checks
     with pytest.raises(RuntimeError, match="determinant 2,"):
-        tree_payload(ResolutionTree._of_graph(graph, S))
+        tree_payload(tree)
+    with pytest.raises(RuntimeError, match="determinant 2,"):
+        tree.root
+    with pytest.raises(RuntimeError, match="determinant 2,"):
+        tree.shape()
 
 
 def _unfolded(tree):
-    """The tree as its unfolded nodes: `tree_payload` writes it with the
-    reference writer `io._node_payload`, and `statuses` and `depth` read
-    it node by node."""
-    return ResolutionTree(tree.root, tree.characteristic, tree.normalize, tree.max_depth)
+    """The tree as its unfolded nodes, which the reference writer
+    `reference_payload` writes and `statuses`, `depth` and `shape` read
+    node by node."""
+    return ReferenceTree(tree.root, tree.characteristic, tree.normalize, tree.max_depth)
 
 
 def test_the_graph_writes_and_reads_what_the_unfolded_tree_does(monkeypatch, capsys, tmp_path):
-    # `tree_payload` writes a tree `resolve` returned from its class graph,
-    # and `statuses` and `depth` read the graph's links: every format's
-    # bytes and both answers equal those of the unfolded nodes, on every
+    # `tree_payload` and `shape` walk a tree's class graph, and `statuses`
+    # and `depth` read its links, with no node built: every format's bytes
+    # and the three answers equal those of the unfolded nodes, on every
     # `resolve` console row, on seed-0 prefixes of the benchmark's corpora,
     # and on the p = 2 roots whose class graphs have cycles, at every cap
     # from 1 to 5
+    module = sys.modules[resolve.__module__]
     trees, printed = [], {}
     for _, command, document, _, _ in CONSOLE:
         if command.split()[0] != "resolve":
@@ -702,18 +761,29 @@ def test_the_graph_writes_and_reads_what_the_unfolded_tree_does(monkeypatch, cap
     for make_root in (_witness, _dual_1224):
         trees += [resolve(make_root(), 2, max_depth=max_depth) for max_depth in range(1, 6)]
     assert len(trees) == 12 + 80 + 8 + 60 + 10
+    node, built = module.ResolutionNode, [0]
+
+    def counted_node(*args):
+        built[0] += 1
+        return node(*args)
+
+    monkeypatch.setattr(module, "ResolutionNode", counted_node)
     for tree in trees:
+        built[0] = 0
         payload = tree_payload(tree)
-        assert tree._root is None
+        answers = tree.statuses(), tree.depth(), tree.shape()
+        assert built == [0]
         unfolded = _unfolded(tree)
-        reference = {fmt: serialize(tree_payload(unfolded), fmt) for fmt in ("json", "dot", "text")}
+        assert built[0] == len(list(unfolded.nodes()))
+        reference = {
+            fmt: serialize(reference_payload(unfolded), fmt) for fmt in ("json", "dot", "text")
+        }
         # names, not texts, so that a failure does not diff a 4D tree's text
         differ = [fmt for fmt, text in reference.items() if serialize(payload, fmt) != text]
         if tree in printed and printed[tree][1] != reference[printed[tree][0]] + "\n":
             differ.append("cli")
         assert differ == [], tree.semigroup.minimal_generators()
-        assert tree.statuses() == unfolded.statuses()
-        assert tree.depth() == unfolded.depth()
+        assert answers == (unfolded.statuses(), unfolded.depth(), unfolded.shape())
 
 
 def test_the_cli_prints_a_tree_with_no_node_and_no_image(monkeypatch, capsys, tmp_path):
@@ -771,8 +841,8 @@ def test_only_the_root_and_built_charts_are_keyed(
     # once, on its representative, never as an image. Testing each node's
     # status took 371 and 1703 smooth tests, one per node; now the root and
     # each built chart are tested once, and the tree, unfolded when its
-    # `root` is first read (here before the spies go), only after the last
-    # key, match, blowup and test. At the cap 1 only the root is keyed
+    # `root` is read (here before the spies go), only after the last key,
+    # match, blowup and test. At the cap 1 only the root is keyed
     S = make_root()
     module = sys.modules[resolve.__module__]
     built, keyed, matches, events = [], [], [], []
@@ -846,7 +916,7 @@ def test_only_a_class_representative_computes_a_hilbert_basis(
     semigroups = sys.modules[AffineSemigroup.__module__]
     computed, built, capped = [], [], []
     hilbert_basis = semigroups.hilbert_basis
-    link = module._ClassGraph._link
+    link = module.ResolutionTree._link
 
     def counted_blowup(T, p, normalize=True):
         built.append(T.cone.rays)
@@ -864,7 +934,7 @@ def test_only_a_class_representative_computes_a_hilbert_basis(
 
     monkeypatch.setattr(module, "nash_blowup", counted_blowup)
     monkeypatch.setattr(semigroups, "hilbert_basis", counted_hilbert)
-    monkeypatch.setattr(module._ClassGraph, "_link", logged_link)
+    monkeypatch.setattr(module.ResolutionTree, "_link", logged_link)
     tree = resolve(S, p, max_depth=max_depth)
     tree.root
     monkeypatch.undo()
