@@ -254,7 +254,7 @@ def _walk(S: AffineSemigroup, p, normalize):
     """
     gens = S.minimal_generators()
     cone = S.cone
-    incidence = cone._incidence() if S.dim > 2 else None  # 2D scans
+    incidence = cone._incidence()
     in_dual = set(cone.rays)
     w = _vsum(cone.halfspaces)
     todo = [_greedy_basis(gens, lambda g: (dot(w, g), g), p)]

@@ -10,13 +10,20 @@ NotFullDimensionalError. A cone given by facet normals is the dual of the
 cone they generate. It checks its inputs and hands the nonzero ones to
 `Cone._from_nonzero`, the conversion itself.
 
-`Cone.from_rays` makes one double-description pass for every cone: the
-facets come out of it with the inputs on each, the extreme rays are the
-inputs with maximal facet sets, and no second conversion runs. Inputs of
-rank r < d are first completed by d - r unit vectors, which leave the cone
-pointed exactly when the inputs' cone is, so every pass has full-rank
-normals. `Cone._extended` adds rays to a cone, seeding the same loop
-(`_double_description`) with the cone's facets, as a blowup's walk does.
+`_frame` is the one rule that picks d independent points: the first d
+when they are independent, otherwise the first points independent of
+those before them, completed below rank d by unit vectors, which leave the
+cone pointed exactly when the inputs' cone is. Every double description
+starts from one of two seeds, the simplicial cone of a frame, whose facets
+are the columns of its adjugate, or an existing cone's facets with the
+rays on each, and ends in one tail, `_cut`: it inserts the other inputs
+(`_double_description`) and reads the extreme rays off the facets, the
+inputs with maximal facet sets, so no second conversion runs.
+`Cone.from_rays` seeds with its inputs' frame, and d independent inputs
+are their own cone; `Cone._extended` adds rays to a cone, seeded with its
+facets, as a blowup's walk does. The same frame gives a semigroup its
+membership coordinates and `LatticePairing` its candidate maps, and
+`lp.rational_feasible` seeds its pass with the unit frame.
 
 2D cones take their own paths: one cross-product
 scan for the two extreme rays instead of a conversion (two inputs, such as
@@ -71,31 +78,37 @@ from .linalg import (
 )
 
 
-def _simplicial_facets(rows):
-    """The primitive signed adjugate columns of d independent rows: column j
-    lies on every row's hyperplane but the j-th and is positive on the j-th.
-    A singular list raises DimensionError."""
-    adj, det_M = adjugate(rows)
-    sign = 1 if det_M > 0 else -1
-    return [primitive(tuple(sign * a for a in col)) for col in zip(*adj)]
-
-
-def _pointed_extreme_rays(normals, basis):
-    """Extreme rays of {x : <n,x> >= 0 for all n} as sorted (ray, mask)
-    pairs, bit i of mask set when <normals[i], ray> is 0; basis holds the
-    indices of dim independent normals, so the normals have full rank.
-
-    The double description (`_double_description`) starts from the
-    simplicial cone of the basis normals, whose rays are the signed
-    adjugate columns, and inserts the other normals.
+def _frame(points, d):
+    """(K, adj(K), det(K)) for d independent points K, rows, with
+    det(K) > 0: the first d points when they are independent, which one
+    adjugate finds out, and otherwise the first points independent of
+    those before them, completed below rank d by the unit vectors
+    independent of those. Column j of adj(K) vanishes on every K[i] but
+    K[j], where it is det(K): the columns are the facet normals of the
+    simplicial cone on K, the seed of a double description (`_cut`).
     """
-    seed_mask = sum(1 << i for i in basis)
-    rays = [
-        (r, seed_mask ^ (1 << i))
-        for r, i in zip(_simplicial_facets(tuple(normals[i] for i in basis)), basis)
-    ]
-    rest = sorted(set(range(len(normals))).difference(basis))
-    return _double_description(rays, normals, rest, len(basis))
+    K = tuple(points[:d])
+    try:
+        if len(K) < d:
+            # the empty list would pass: its adjugate is () with det 1
+            raise DimensionError("fewer than d points")
+        adj, det_K = adjugate(K)
+    except DimensionError:
+        rows = tuple(points) + identity(d)
+        K = tuple(rows[i] for i in independent_rows(rows))
+        adj, det_K = adjugate(K)
+    if det_K < 0:
+        adj = tuple(tuple(-a for a in row) for row in adj)
+        det_K = -det_K
+    return K, adj, det_K
+
+
+def _seed(facets):
+    """The (normal, mask) pairs of the simplicial cone on d inputs with
+    these facet normals, facet j off inputs[j] and on the others: a
+    frame's, with the columns of its adjugate made primitive."""
+    full = (1 << len(facets)) - 1
+    return [(h, full ^ (1 << j)) for j, h in enumerate(facets)]
 
 
 def _double_description(rays, normals, order, dim):
@@ -145,16 +158,20 @@ def _double_description(rays, normals, order, dim):
     return tuple(sorted(dict(rays).items()))
 
 
-def _extreme_inputs(inputs, facets):
-    """The extreme rays of cone(inputs), read off its facets, (normal,
-    mask) pairs with bit i of mask set when inputs[i] lies on the facet.
+def _cut(inputs, incidence, start, dim):
+    """(rays, facets) of cone(inputs) in Z^dim, sorted, given the
+    (normal, mask) pairs of the pointed full-dimensional cone on
+    inputs[:start], bit i of a mask set when inputs[i] lies on the facet:
+    a frame's simplicial cone or an existing cone's `_incidence`. The
+    double description inserts inputs[start:], in order.
 
-    The face an input generates is cut out by the facets through it. The
-    lineality space is the least face, generated by the inputs in it, so
-    an input on every facet lies on a line of the cone: NotPointedError.
-    Otherwise an input whose set of facets is maximal among the others
-    spans an extreme ray.
+    The extreme rays are then read off the facets. The face an input
+    generates is cut out by the facets through it. The lineality space is
+    the least face, generated by the inputs in it, so an input on every
+    facet lies on a line of the cone: NotPointedError. Otherwise an input
+    whose set of facets is maximal among the others spans an extreme ray.
     """
+    facets = _double_description(incidence, inputs, range(start, len(inputs)), dim)
     on = [0] * len(inputs)
     for j, (_, z) in enumerate(facets):
         while z:
@@ -168,7 +185,8 @@ def _extreme_inputs(inputs, facets):
         if all(f & m != f for m in maximal):
             maximal.append(f)
     maximal = set(maximal)
-    return tuple(r for r, f in zip(inputs, on) if f in maximal)
+    rays = sorted(r for r, f in zip(inputs, on) if f in maximal)
+    return tuple(rays), tuple(h for h, _ in facets)
 
 
 def _hirzebruch_jung(u1, u2):
@@ -214,16 +232,17 @@ class Cone:
         double-description pass, if it is pointed and full-dimensional. The
         cone that facet normals cut out is `from_rays(normals, dim).dual()`.
 
-        The facet normals are the extreme rays of the dual cone, each with
-        the inputs on it, and the extreme rays are the inputs whose facet
-        sets are maximal under inclusion. Inputs of rank r < d convert
-        with the d - r unit vectors `independent_rows` keeps after them, so
-        that a line in their cone is reported first (`_extreme_inputs`),
-        and otherwise raise NotFullDimensionalError.
+        The pass starts from the simplicial cone of the inputs' `_frame`
+        and inserts the other inputs (`_cut`): the facet normals are the
+        extreme rays of the dual cone, each with the inputs on it, and the
+        extreme rays are the inputs whose facet sets are maximal under
+        inclusion. Inputs of rank r < d convert with the d - r unit vectors
+        that complete their frame, so that a line in their cone is reported
+        first, and otherwise raise NotFullDimensionalError.
 
         Exactly d independent primitive inputs (after the 2D scan) stop at
-        the pass's seed: one adjugate gives the facets, and the inputs are
-        the rays.
+        the seed: one adjugate gives the facets, and the inputs are the
+        rays.
         """
         rays = [vec(r) for r in rays]
         dim = integer(dim, "dimension")
@@ -244,40 +263,22 @@ class Cone:
             if fast is not None:
                 return fast
         norm = sorted({primitive(r) for r in rays})
-        if len(norm) == dim:
-            simplicial = cls._from_rays_simplicial(norm)
-            if simplicial is not None:
-                return simplicial
-        n = len(norm)
-        basis = independent_rows(norm)
-        units = []
-        if len(basis) < dim:
-            # a functional positive on the inputs' cone minus 0 extends by
-            # 1 on a complement of unit vectors, so the completed cone has
-            # a line exactly when the inputs' cone does
-            eye = list(identity(dim))
-            units = [eye[i - n] for i in independent_rows(norm + eye)[len(basis):]]
-            basis += tuple(range(n, n + len(units)))
-            norm += units
-        facets = _pointed_extreme_rays(norm, basis)
-        rays = _extreme_inputs(norm, facets)
-        if units:
+        K, adj, _ = _frame(norm, dim)
+        normals = [primitive(c) for c in zip(*adj)]
+        if K == tuple(norm[:dim]):
+            if len(norm) == dim:
+                return cls(dim, K, tuple(sorted(normals)))
+            inputs = norm
+        else:
+            # the frame first; below rank d it ends in unit vectors, and a
+            # functional positive on the inputs' cone minus 0 extends by 1
+            # on them, so the completed cone has a line exactly when the
+            # inputs' cone does
+            inputs = list(K) + [r for r in norm if r not in K]
+        rays, facets = _cut(inputs, _seed(normals), dim, dim)
+        if len(inputs) > len(norm):  # the frame has unit vectors
             raise NotFullDimensionalError("cone is not full-dimensional")
-        return cls(dim, rays, tuple(h for h, _ in facets))
-
-    @classmethod
-    def _from_rays_simplicial(cls, norm):
-        """d independent primitive inputs without the insertion loop.
-
-        The double description's seed is the whole answer: the inputs are
-        the extreme rays and the signed adjugate columns the facets. A
-        singular list returns None for the general pass.
-        """
-        try:
-            facets = _simplicial_facets(norm)
-        except DimensionError:
-            return None
-        return cls(len(norm), tuple(norm), tuple(sorted(facets)))
+        return cls(dim, rays, facets)
 
     @classmethod
     def _from_rays_2d(cls, rays):
@@ -330,26 +331,20 @@ class Cone:
             for h in self.halfspaces
         ]
 
-    def _extended(self, directions, incidence=None):
+    def _extended(self, directions, incidence):
         """`_from_nonzero(self.rays + directions, dim)`, for nonzero integer
         tuples of length dim. A pass over the rays first would end at this
         cone's facets with the rays on each (`_incidence`, which a caller
-        extending many times passes in), so the double description starts
-        there and inserts each new primitive direction once, in order. 2D
-        takes the scan (`_from_rays_2d`).
+        extending many times computes once), so the double description
+        starts there and inserts each new primitive direction once, in
+        order. 2D takes the scan (`_from_rays_2d`).
         """
         if self.dim == 2:
             fast = Cone._from_rays_2d(self.rays + tuple(directions))
             if fast is not None:
                 return fast
-        inputs = dict.fromkeys(self.rays)
-        for r in directions:
-            inputs.setdefault(primitive(r))
-        inputs = list(inputs)
-        new = range(len(self.rays), len(inputs))
-        facets = _double_description(incidence or self._incidence(), inputs, new, self.dim)
-        rays = _extreme_inputs(inputs, facets)
-        return Cone(self.dim, tuple(sorted(rays)), tuple(h for h, _ in facets))
+        inputs = list(dict.fromkeys(self.rays + tuple(map(primitive, directions))))
+        return Cone(self.dim, *_cut(inputs, incidence, len(self.rays), self.dim))
 
     def contains(self, point) -> bool:
         if len(point) != self.dim:

@@ -7,14 +7,16 @@ the system is feasible exactly when the pointed cone {(u, w, t) >= 0 :
 and Integer Programming, 1986, ch. 7). The cone is generated by its
 extreme rays, so then one of them has t > 0, and (u - w) / t is an exact
 witness. Each constraint becomes the integer normal s (a, -a, -b), s the
-lcm of its denominators, and one double-description pass seeded by the
-2n + 1 unit normals finds the rays.
+lcm of its denominators, and one double-description pass finds the rays.
+The 2n + 1 unit normals come first: they are their own frame, so the pass
+starts from the simplicial cone of the unit vectors, the orthant, as every
+conversion starts from its frame's (`cones._frame`), and inserts the rest.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .cones import _pointed_extreme_rays
+from .cones import _double_description, _seed
 from .errors import DimensionError
 from .linalg import dot, identity, vneg
 
@@ -36,8 +38,9 @@ def rational_feasible(constraints, dim: int):
         s = lcm(*(f.denominator for f in entries))
         rows.append(tuple(int(f * s) for f in entries))
     n = 2 * dim + 1
-    normals = identity(n) + tuple(r[:dim] + vneg(r[:dim]) + r[dim:] for r in rows)
-    for ray, _ in _pointed_extreme_rays(normals, tuple(range(n))):
+    units = identity(n)
+    normals = units + tuple(r[:dim] + vneg(r[:dim]) + r[dim:] for r in rows)
+    for ray, _ in _double_description(_seed(units), normals, range(n, len(normals)), n):
         if ray[-1] > 0:
             witness = tuple(Fraction(u - w, ray[-1]) for u, w in zip(ray[:dim], ray[dim:-1]))
             for row in rows:

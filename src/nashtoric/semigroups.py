@@ -22,8 +22,10 @@ and on a cone of d rays with determinant ±1, reading the minimal
 generators tests this first and needs no sweep when it holds.
 Membership in a semigroup that is not known to be saturated is one
 depth-first search, `AffineSemigroup._generated`, in the basis coordinates
-of the first d independent generators in grading order, which are minimal.
-`resolve` tells GL(d, Z) classes apart by `LatticePairing`, and normal
+of the frame of its generators in grading order (`cones._frame`, the rule
+every cone conversion seeds with): the first d independent ones, which are
+minimal. `resolve` tells GL(d, Z) classes apart by `LatticePairing`, whose
+candidate maps are fixed on the same frame of its points, and normal
 surfaces by the normal form of their cones (`_surface_normal_form`).
 """
 
@@ -31,16 +33,14 @@ import operator
 from collections import Counter
 
 from .errors import DimensionError, NotFullDimensionalError, NotFullLatticeError, NotPointedError
-from .cones import Cone, _hirzebruch_jung, hilbert_basis, irreducible
+from .cones import Cone, _frame, _hirzebruch_jung, hilbert_basis, irreducible
 from .linalg import (
     adjugate,
-    columns_matrix,
     cross2,
     det,
     dot,
     group_is_full_lattice,
     images,
-    independent_rows,
     integer,
     vec,
     vsub,
@@ -53,22 +53,6 @@ _NOT_FULL_LATTICE = "generators do not span Z^d as a group"
 # its cone until its Hilbert basis is needed: below it the basis costs
 # about as much as an image (in 2D, the Hirzebruch-Jung chain)
 _CONE_DIM = 3
-
-
-def _frame(points):
-    """(K, (adj(K), det(K))) for a full-rank list of points: K the first d
-    independent points, in order, and det(K) > 0. Usually the first d
-    points are independent, and one adjugate finds out."""
-    K = tuple(points[: len(points[0])])
-    try:
-        adj, det_K = adjugate(columns_matrix(K))
-    except DimensionError:
-        K = tuple(points[i] for i in independent_rows(points))
-        adj, det_K = adjugate(columns_matrix(K))
-    if det_K < 0:
-        adj = [[-a for a in row] for row in adj]
-        det_K = -det_K
-    return K, (adj, det_K)
 
 
 def _unimodular(cone):
@@ -239,10 +223,12 @@ class AffineSemigroup:
         entry says whether a point lies in S.
 
         The search runs in the basis coordinates of a frame, d independent
-        generators K with det(K) > 0 (`_frame`). x = K·a + F·c, for
-        F the points outside K, has a = adj(K)·(x - F·c) / det(K), so a
-        point w whose numerators adj(K)·w are >= 0 and divisible by det(K)
-        is in N·K and ends the search, which steps only along F: w is in S
+        generators K with det(K) > 0 (`_frame`, the points as rows).
+        x = K^T·a + F^T·c, for F the points outside K, has a =
+        adj(K)^T·(x - F^T·c) / det(K), so a point w whose numerators
+        adj(K)^T·w (adj(K) is transposed once per frame) are >= 0 and
+        divisible by det(K) is in N·K and ends the search, which steps only
+        along F: w is in S
         exactly when it is in N·K or some w - f is. The first search the
         cache does not answer fixes K: the first d independent generators
         in the grading order of `irreducible`. A generator independent of
@@ -264,8 +250,9 @@ class AffineSemigroup:
         cone = self.cone
         if self._frame is None:
             grading = [sum(c) for c in zip(*cone.halfspaces)]
-            K, frame = _frame(sorted(self.generators, key=lambda g: (dot(grading, g), g)))
-            self._frame = frame, set(K)
+            order = sorted(self.generators, key=lambda g: (dot(grading, g), g))
+            K, adj, det_K = _frame(order, self.dim)
+            self._frame = (tuple(zip(*adj)), det_K), set(K)
         (rows, det_K), K = self._frame
         extras = [p for p in points if p not in K]
         n = len(extras)
@@ -409,15 +396,15 @@ class LatticePairing:
         self._frame = None
 
     def _basis(self):
-        """The first d independent points A, rarest profile first, with the
-        columns of adj(A), det(A) > 0 (`_frame`) and, for each prefix of A,
-        the sorted facet value tuples of its members."""
+        """The first d independent points A, rarest profile first, with
+        adj(A), the points its rows and det(A) > 0 (`_frame`), and, for
+        each prefix of A, the sorted facet value tuples of its members."""
         if self._frame is None:
             count = Counter(self.profiles.values())
             order = sorted(self.columns, key=lambda x: (count[self.profiles[x]], x))
-            A, (adj, det_A) = _frame(order)
+            A, adj, det_A = _frame(order, self.dim)
             prefixes = [sorted(zip(*(self.columns[a] for a in A[: k + 1]))) for k in range(self.dim)]
-            self._frame = A, tuple(zip(*adj)), det_A, prefixes
+            self._frame = A, adj, det_A, prefixes
         return self._frame
 
     def map_to(self, other: "LatticePairing"):
@@ -425,7 +412,8 @@ class LatticePairing:
         semigroups, or None if there is none.
 
         g is fixed by the images B of the independent points A, g =
-        B·adj(A)/det(A), and maps them to points of S. g permutes the
+        (adj(A)·B)^T/det(A) with the points as rows, and maps them to
+        points of S. g permutes the
         facets too, so for every prefix of A the sorted facet value tuples
         of its images must be those of the prefix; a depth-first search
         extends B one image at a time under this test. A full B is accepted
@@ -438,7 +426,7 @@ class LatticePairing:
         """
         if self.key != other.key:
             return None
-        A, adj_columns, det_A, prefixes = self._basis()
+        A, adj, det_A, prefixes = self._basis()
         d = len(A)
         target = other.columns
         by_profile = {}
@@ -455,7 +443,7 @@ class LatticePairing:
             if k < d:
                 todo += [B + (y,) for y in reversed(by_profile[self.profiles[A[k]]]) if y not in B]
                 continue
-            g = [[sum(map(operator.mul, b, a)) for a in adj_columns] for b in zip(*B)]
+            g = [[sum(map(operator.mul, b, a)) for a in adj] for b in zip(*B)]
             if any(q % det_A for row in g for q in row):
                 continue
             g = tuple([tuple([q // det_A for q in row]) for row in g])

@@ -259,7 +259,8 @@ def hermite_box_points(vectors):
     index = 1
     for k in range(d):
         index *= H[k][k]
-    assert index == abs(D), (index, D)
+    if index != abs(D):
+        raise RuntimeError(f"Hermite index {index} is not |det| {abs(D)}")
     points = []
     for z in product(*(range(H[k][k]) for k in range(d))):
         # floor of the rational barycentric coordinates; // floors for any sign
@@ -421,8 +422,10 @@ def brute_force_hilbert(rays, halfspaces, dim, volume_limit=None):
     that whole graded region, so the result is the complete basis.
     """
     for r in rays:
-        assert any(r), "zero ray"
-        assert all(_grade(h, r) >= 0 for h in halfspaces), "halfspace fails a ray"
+        if not any(r):
+            raise ValueError("zero ray")
+        if not all(_grade(h, r) >= 0 for h in halfspaces):
+            raise ValueError(f"a halfspace fails the ray {r}")
     best = None
     for w in _gradings(rays, dim):
         grades = sorted((_grade(w, r) for r in rays), reverse=True)

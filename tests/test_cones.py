@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashtoric import cones, semigroups
+from nashtoric import cones, linalg, semigroups
 from nashtoric.blowup import nash_blowup
 from nashtoric.cones import (
     Cone,
@@ -25,7 +25,6 @@ from nashtoric.linalg import (
     cross2,
     det,
     dot,
-    independent_rows,
     primitive,
     rank,
     smith_normal_form,
@@ -243,6 +242,14 @@ def test_cone_descriptions_are_canonical(case, data):
     assert Cone.from_rays(c.halfspaces, dim).dual() == c
 
 
+def _frame_seed(points, dim):
+    """The points, frame first, and the (normal, mask) pairs of the frame's
+    simplicial cone: the seed `Cone._from_nonzero` starts its pass from."""
+    K, adj, _ = cones._frame(points, dim)
+    seed = cones._seed([primitive(c) for c in zip(*adj)])
+    return list(K) + [p for p in points if p not in K], seed
+
+
 def test_pointed_extreme_rays_match_bruteforce():
     rng = random.Random(310)
     checked = 0
@@ -267,11 +274,13 @@ def test_pointed_extreme_rays_match_bruteforce():
         if not normals or rank(normals) < dim:
             continue
         normals = sorted(set(normals))
-        found = cones._pointed_extreme_rays(normals, independent_rows(normals))
+        inputs, seed = _frame_seed(normals, dim)
+        assert sorted(inputs) == normals
+        found = cones._double_description(seed, inputs, range(dim, len(inputs)), dim)
         assert tuple(r for r, _ in found) == extreme_rays_bruteforce(normals, dim)
         # each mask is the set of normals the ray lies on
         for r, mask in found:
-            assert mask == sum(1 << i for i, n in enumerate(normals) if dot(n, r) == 0)
+            assert mask == sum(1 << i for i, n in enumerate(inputs) if dot(n, r) == 0)
         checked += 1
 
 
@@ -371,7 +380,7 @@ def test_extended_cone_matches_the_conversion_from_scratch(monkeypatch):
     # `Cone._extended` starts the double description from C's facets and
     # their incidences and inserts only the new directions: it must be what
     # converting C's rays and the directions together makes, or raise the
-    # same error, with or without the incidences handed in
+    # same error
     rng = random.Random(320)
     seen = dict.fromkeys(("grown", "ray dropped", "unchanged", "line"), 0)
     for dim in (3, 4, 5):
@@ -381,14 +390,12 @@ def test_extended_cone_matches_the_conversion_from_scratch(monkeypatch):
             try:
                 want = Cone._from_nonzero(list(C.rays) + D, dim)
             except NotPointedError:
-                for incidence in (None, C._incidence()):
-                    with pytest.raises(NotPointedError):
-                        C._extended(D, incidence)
+                with pytest.raises(NotPointedError):
+                    C._extended(D, C._incidence())
                 seen["line"] += 1
                 continue
-            for incidence in (None, C._incidence()):
-                got = C._extended(D, incidence)
-                assert (got.rays, got.halfspaces) == (want.rays, want.halfspaces), (C, D)
+            got = C._extended(D, C._incidence())
+            assert (got.rays, got.halfspaces) == (want.rays, want.halfspaces), (C, D)
             seen["unchanged" if want == C else "grown"] += 1
             seen["ray dropped"] += not set(C.rays) <= set(want.rays)
     assert min(seen.values()) >= 20, seen
@@ -401,9 +408,8 @@ def test_extended_cone_matches_the_conversion_from_scratch(monkeypatch):
             D = []
             for k in rng.choices((1, 2, 3), k=4):
                 D.append(tuple(k * x for x in rng.choice(C.rays)))
-            for incidence in (None, C._incidence()):
-                got = C._extended(D, incidence)
-                assert (got.rays, got.halfspaces) == (C.rays, C.halfspaces), (C, D)
+            got = C._extended(D, C._incidence())
+            assert (got.rays, got.halfspaces) == (C.rays, C.halfspaces), (C, D)
 
     # a 2D cone takes the scan, here past a repeat, non-primitive inputs
     # and a ray, (1, 3), that stops being extreme
@@ -415,7 +421,7 @@ def test_extended_cone_matches_the_conversion_from_scratch(monkeypatch):
         raise AssertionError("a 2D cone ran the double description")
 
     monkeypatch.setattr(cones, "_double_description", unused)
-    got = C._extended(D)
+    got = C._extended(D, C._incidence())
     assert (got.rays, got.halfspaces) == (want.rays, want.halfspaces) == (
         ((-1, 4), (1, 0)),
         ((0, 1), (4, 1)),
@@ -533,10 +539,11 @@ def _random_unimodular(rng, dim):
     return M
 
 
-def test_simplicial_exit_matches_general_pass(monkeypatch):
+def test_simplicial_exit_matches_general_pass():
     # d independent inputs stop at the double description's seed; adding
     # their sum, a new primitive input for d > 1, forces the general pass,
-    # and so does switching the exit off
+    # and the pass's tail (`_cut`) over the same seed, inserting nothing,
+    # reads off the same cone
     rng = random.Random(318)
     cases = []
     seen = {"positive": 0, "negative": 0, "non-primitive": 0, "unimodular": 0}
@@ -563,9 +570,10 @@ def test_simplicial_exit_matches_general_pass(monkeypatch):
         seen["positive" if D > 0 else "negative"] += 1
         seen["non-primitive"] += any(primitive(r) != r for r in rays)
         seen["unimodular"] += abs(D) == 1
-    monkeypatch.setattr(Cone, "_from_rays_simplicial", classmethod(lambda cls, norm: None))
     for rays, fast in cases:
-        assert Cone.from_rays(rays, len(rays)) == fast
+        dim = len(rays)
+        inputs, seed = _frame_seed(sorted({primitive(r) for r in rays}), dim)
+        assert cones._cut(inputs, seed, dim, dim) == (fast.rays, fast.halfspaces)
     assert min(seen.values()) >= 20, seen
 
 
@@ -590,6 +598,45 @@ def test_singular_d_list_matches_bruteforce():
         shapes.add(_check_against_bruteforce(rays, dim))
         checked += 1
     assert {(False, False), (True, False)} <= shapes, shapes
+
+
+def test_frame_fallbacks_match_bruteforce():
+    # the frame is the first d sorted primitive inputs when they are
+    # independent; otherwise the first inputs independent of those before
+    # them, completed below rank d by unit vectors. Every fallback must
+    # give the oracle's cone, or its error with a line reported first
+    rng = random.Random(321)
+    kinds = ("dependent prefix", "flat")
+    seen = dict.fromkeys(kinds + tuple(k + " with a line" for k in kinds), 0)
+    while min(seen.values()) < 20:
+        dim = rng.randint(3, 4)
+        if rng.random() < 0.5:
+            rays = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(dim + 2)]
+        else:
+            basis = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim - 1)]
+            rays = [_combination(rng, basis, dim) for _ in range(dim + rng.randint(0, 2))]
+            if rng.random() < 0.5:
+                rays.append(tuple(-x for x in rays[0]))
+        norm = sorted({primitive(r) for r in rays if any(r)})
+        if len(norm) < dim:
+            continue
+        if rank(norm) == dim:
+            if rank(norm[:dim]) == dim:
+                continue
+            kind = "dependent prefix"
+        else:
+            kind = "flat"
+        pointed, full_dim = _check_against_bruteforce(rays, dim)
+        assert full_dim == (kind == "dependent prefix")
+        seen[kind if pointed else kind + " with a line"] += 1
+
+    # no input: the frame is the unit vectors, and the cone is {0}
+    for dim in range(1, 6):
+        units = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        assert cones._frame([], dim) == (units, units, 1)
+        for rays in ([], [(0,) * dim]):
+            with pytest.raises(NotFullDimensionalError):
+                Cone.from_rays(rays, dim)
 
 
 def test_tall_normal_list_converts():
@@ -822,6 +869,23 @@ def test_parallelepiped_points_against_box_oracle():
         assert list(pts) == hermite_box_points(vecs)
         assert len(pts) == abs(det(vecs))
         assert all(0 <= lam < 1 for x in pts for lam in frac_solve(M, x))
+
+
+def test_the_parallelepiped_and_hilbert_basis_oracles_check_their_inputs(monkeypatch):
+    # the oracles' checks raise, so they hold under python -O too
+    with pytest.raises(ValueError, match="zero ray"):
+        brute_force_hilbert(((1, 0), (0, 0)), ((1, 0), (0, 1)), 2)
+    with pytest.raises(ValueError, match="halfspace"):
+        brute_force_hilbert(((1, 0), (-1, 2)), ((1, 0), (0, 1)), 2)
+    hermite_basis = linalg.hermite_basis
+
+    def doubled(vectors, dim):
+        return tuple(tuple(2 * x for x in row) for row in hermite_basis(vectors, dim))
+
+    assert len(hermite_box_points(((1, 0), (1, 2)))) == 2
+    monkeypatch.setattr(linalg, "hermite_basis", doubled)
+    with pytest.raises(RuntimeError, match="Hermite index 8 is not"):
+        hermite_box_points(((1, 0), (1, 2)))
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ harness files are loaded by path, as they are, under private module names.
 
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -195,23 +197,32 @@ def test_the_benchmark_has_a_workload_on_each_side_of_the_surface_key(monkeypatc
 
 def test_the_benchmark_has_a_workload_on_each_side_of_the_seeded_pass(monkeypatch):
     # a d >= 3 walk chart extends σ̌'s cone (`Cone._extended`): a
-    # double-description pass seeded with σ̌'s facets, so one more than
-    # `_pointed_extreme_rays` starts. 2D walk charts take the scan, the
-    # closed form none, and the `blowup` command converts from scratch
+    # double-description pass (`_cut`) seeded with σ̌'s facets, where a
+    # conversion from scratch seeds it with a frame's simplicial cone. 2D
+    # walk charts take the scan, the closed form none, and the `blowup`
+    # command converts from scratch
     cones = pipeline.library()["cones"]
+    passes = types.SimpleNamespace(seeded=cones._cut, scratch=cones._cut)
+
+    def by_caller(*args):
+        seeded = sys._getframe(1).f_code.co_name == "_extended"
+        return (passes.seeded if seeded else passes.scratch)(*args)
+
+    monkeypatch.setattr(cones, "_cut", by_caller)
     targets = (
-        (cones, "_double_description"),
-        (cones, "_pointed_extreme_rays"),
+        (passes, "seeded"),
+        (passes, "scratch"),
         (cones.Cone, "_from_nonzero"),
     )
     counts = _calls(monkeypatch, targets, SIDES + (("fourfold-step", 2),))
-    seeded = {w: passes > scratch for w, (passes, scratch, _) in counts.items()}
+    seeded = {w: extended > 0 for w, (extended, _, _) in counts.items()}
     assert seeded == {
         "surfaces": False,
         "unnormalized": False,
         "threefolds": True,
         "fourfold-step": False,
     }, counts
+    assert counts["fourfold-step"][1] > 0, counts
     # the first `threefolds` group converts its root, once per
     # characteristic, and no chart from scratch
     roots = len(workloads.WORKLOADS["threefolds"].characteristics)

@@ -11,7 +11,7 @@ from nashtoric.blowup import (
     nash_blowup,
     newton_polyhedron,
 )
-from nashtoric.cones import Cone, hilbert_basis, irreducible
+from nashtoric.cones import Cone, _frame, hilbert_basis, irreducible
 from nashtoric.errors import (
     DimensionError,
     NotFullLatticeError,
@@ -19,7 +19,7 @@ from nashtoric.errors import (
 )
 from nashtoric.linalg import dot, group_is_full_lattice, images
 from nashtoric.resolve import resolve
-from nashtoric.semigroups import AffineSemigroup, _frame
+from nashtoric.semigroups import AffineSemigroup
 
 from oracles import (
     boundary_generators_crosscheck,
@@ -364,9 +364,12 @@ def test_frame_leaf_test_checks_sign_and_divisibility():
         # det(K) = 1: (1, 2) = -(1, 0) + 2 (1, 1), (2, 5) = -3 (1, 0) + 5 (1, 1)
         (((1, 0), (1, 1), (1, 3)), 1, ((1, 2), (2, 5), (3, 8))),
     ):
-        K, (adj, d) = _frame(gens)
+        K, adj, d = _frame(gens, 2)
         extras = [x for x in gens if x not in K]
         assert (d, extras) == (det_K, [gens[2]])
+        # rows: K·adj(K) = det(K)·I, so column j of adj(K) is positive on
+        # K[j] only
+        assert [[dot(k, c) for c in zip(*adj)] for k in K] == [[d, 0], [0, d]]
         assert all(x[1] <= 3 * x[0] for x in outside)  # all in the cone
         S = AffineSemigroup(2, gens)
         assert S.minimal_generators() == gens
@@ -443,8 +446,8 @@ def test_a_semigroup_builds_at_most_one_frame(monkeypatch):
     built = []
     hits = []
 
-    def counting_frame(points):
-        found = _frame(points)
+    def counting_frame(points, d):
+        found = _frame(points, d)
         built.append(found is not None)
         return found
 
