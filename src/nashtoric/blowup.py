@@ -9,7 +9,9 @@ the chart's generators span in it (`AffineSemigroup._in_cone`).
 
 `nash_blowup` builds the charts without the C(n, d) enumeration. For a
 normal surface it reads them off the Hilbert basis in closed form, for
-both chart kinds (`_surface_charts`). Otherwise it walks (`_walk`): the
+both chart kinds (`_surface_charts`); an unnormalized chart comes with its
+minimal generators and saturation flag, read off a window of four entries
+of the Hirzebruch-Jung string. Otherwise it walks (`_walk`): the
 admissible subsets are the bases of the generators' matroid over F_p (over
 Q for p = 0), so conv(E) is the image of its base polytope; Edmonds'
 greedy algorithm finds a vertex, the single exchanges B - b + g of its
@@ -74,7 +76,8 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
 
     E = sums of d distinct minimal generators whose determinant does not
     vanish mod p (p = 0 reads as: does not vanish over Z), all determinants
-    from one `maximal_minors` sweep. The exponents kept are the ideal's
+    from one `maximal_minors` sweep, and each sum one integer sum of the
+    generators packed into integers. The exponents kept are the ideal's
     minimal generators, those that are no other exponent plus an element
     of S (`irreducible`). A semigroup known to be saturated is all of
     its cone's lattice points, and `irreducible` asks only about points
@@ -83,11 +86,20 @@ def log_jacobian_ideal(S: AffineSemigroup, characteristic) -> MonomialIdealExpon
     """
     p = validate_characteristic(characteristic)
     gens = S.minimal_generators()
-    raw = {
-        _vsum([gens[i] for i in T])
+    d = S.dim
+    # each generator as one integer, its coordinates shifted to be >= 0 and
+    # packed in fields wide enough for a sum of d of them: a subset's sum
+    # is one integer sum, unpacked once per distinct sum
+    low = min(map(min, gens))
+    width = (d * (max(map(max, gens)) - low)).bit_length()
+    packed = [sum((c - low) << (k * width) for k, c in enumerate(g)) for g in gens]
+    sums = {
+        sum(map(packed.__getitem__, T))
         for T, minor in maximal_minors(gens)
         if (minor % p if p else minor)
     }
+    mask = (1 << width) - 1
+    raw = {tuple([((s >> (k * width)) & mask) + d * low for k in range(d)]) for s in sums}
     if not raw:
         raise RuntimeError(_EMPTY_IDEAL)
     member = None if S._saturated is True else (lambda g, _: S.membership(g))
@@ -167,7 +179,9 @@ def nash_blowup(S: AffineSemigroup, characteristic, normalize: bool = True):
     blowup_charts(newton_polyhedron(log_jacobian_ideal(S, p)), normalize),
     up to the generator lists of unnormalized charts, but built without E.
     The charts of a semigroup known to be a normal surface, of either kind,
-    come in closed form (`_surface_charts`); all else walks (`_walk`). The
+    come in closed form (`_surface_charts`), each in O(1) once the string
+    is read, an unnormalized one with its minimal generators and saturation
+    flag set; all else walks (`_walk`). The
     flag is read, never computed: a lattice-point surface has it, and a
     surface given by generators has it once its minimal generators are read
     (`AffineSemigroup._certify`), as `resolve` reads them before a blowup.
@@ -193,37 +207,88 @@ def _surface_charts(S, p, normalize):
     cross product and two `primitive` calls (`Cone._from_rays_2d`): they
     are integer tuples made here, so no input is checked first. The
     normalized chart is its lattice points, the two rays of a smooth one.
-    The unnormalized chart at s_i is generated by the basis (a_i, a_{i+1})
-    and its exchange directions (`_exchanges`): its determinant is 1, so it
-    is a basis mod every p, and these give Γ + <E - s_i> (module
-    docstring).
+
+    The unnormalized chart at s_i is read off the window b_{i-1}, ...,
+    b_{i+2} (None off the string) in the basis (x, y) = (a_i, a_{i+1}),
+    with its minimal generators and saturation flag set, as the
+    certificate would set them: no chart reads the rest of the chain, and
+    none sweeps. It is generated by x, y and the exchange directions
+    L1 = a_{i-1} - y = (b_i, -2), L2 = a_{i-1} - x = (b_i - 1, -1) when p
+    does not divide b_i, L3 = a_{i-2} - y when p does not divide b_{i-1},
+    and their mirror images R1, R2, R3 (window lemma). The minimal
+    generators are the candidates that are no sum of the others
+    (minimal-generator rule): b_i = 2 with L2 gives L1 = 2·L2 and x = L2 +
+    y; b_{i+1} = 2 with R2 gives L2 = L1 + R2 and L3 = 2·L1 + R2;
+    {b_i, b_{i+1}} = {2, 3}
+    gives x = L1 + R1 or L1 + R2 or L2 + y; L3 is (2·b_i - 1, -3) and kept
+    only when b_{i-1} = 2 and p divides b_i and not 2; and mirror images.
+    The chart is saturated exactly when b_i and b_{i+1} are 2, 3 or None
+    and the one of L2, R2 that the Hilbert basis needs is a direction.
     """
     h = S.cone.halfspaces[0]
     a = sorted(S.minimal_generators(), key=lambda g: dot(h, g))
     m = len(a) - 1
-    # b_i on a nonzero coordinate of a_i, where the division is exact
-    b = [None] + [
+    # b_i on a nonzero coordinate of a_i, where the division is exact, at
+    # b[i + 1], so that the window b_{i-1}, ..., b_{i+2} is b[i:i + 4]
+    b = [None, None]
+    b += [
         (u[0] + w[0]) // v[0] if v[0] else (u[1] + w[1]) // v[1]
         for u, v, w in zip(a, a[1:], a[2:])
     ]
+    b += [None, None]
     charts = []
     for i in range(m):
-        if 0 < i < m - 1 and b[i] * b[i + 1] == 4:
+        b_prev, b_i, b_next, b_after = b[i : i + 4]
+        if b_i and b_next and b_i * b_next == 4:
             continue  # s_i lies inside the edge from s_{i-1} to s_{i+1}
         x, y = a[i], a[i + 1]
-        v = (x[0] + y[0], x[1] + y[1])
-        back = a[0] if i == 0 else (b[i] * x[0] - 2 * y[0], b[i] * x[1] - 2 * y[1])
-        ahead = a[m] if i == m - 1 else (b[i + 1] * y[0] - 2 * x[0], b[i + 1] * y[1] - 2 * x[1])
+        (x0, x1), (y0, y1) = x, y
+        v = (x0 + y0, x1 + y1)
+        back = x if b_i is None else (b_i * x0 - 2 * y0, b_i * x1 - 2 * y1)
+        ahead = y if b_next is None else (b_next * y0 - 2 * x0, b_next * y1 - 2 * x1)
         tangent = Cone._from_rays_2d((back, ahead))
         if tangent is None:
             # the edges at a vertex span a pointed full-dimensional cone
             raise RuntimeError(f"blowup chart at vertex {v} has edges {back}, {ahead}")
-        generators = ()
-        if not normalize:
-            # a Hilbert basis is primitive, so no generator is 0 mod p and
-            # every one outside the basis has an exchange
-            generators = (x, y) + _exchanges((x, y), a, p)[0]
-        charts.append(_chart(v, tangent, generators, normalize))
+        if normalize:
+            charts.append(BlowupChart(v, AffineSemigroup.from_cone(tangent), True))
+            continue
+        # is L2 (R2) a direction, and does it halve L1 (R1) and reduce x (y)?
+        l2 = b_i is not None and (not p or b_i % p != 0)
+        r2 = b_next is not None and (not p or b_next % p != 0)
+        halve_l = b_i == 2 and l2
+        halve_r = b_next == 2 and r2
+        pair = (b_i, b_next) in ((2, 3), (3, 2))
+        local = []
+        if not (halve_l or pair):
+            local.append((1, 0))
+        if not (halve_r or pair):
+            local.append((0, 1))
+        if b_i is not None:
+            if not halve_l:
+                local.append((b_i, -2))
+            if not halve_r:
+                if l2:
+                    local.append((b_i - 1, -1))
+                elif b_prev == 2 and p != 2:
+                    local.append((2 * b_i - 1, -3))
+        if b_next is not None:
+            if not halve_r:
+                local.append((-2, b_next))
+            if not halve_l:
+                if r2:
+                    local.append((-1, b_next - 1))
+                elif b_after == 2 and p != 2:
+                    local.append((-3, 2 * b_next - 1))
+        saturated = (
+            b_i in (None, 2, 3)
+            and b_next in (None, 2, 3)
+            and (b_i is None or l2 or (b_i, b_next) == (3, 2))
+            and (b_next is None or r2 or (b_i, b_next) == (2, 3))
+        )
+        gens = tuple(sorted([(s * x0 + t * y0, s * x1 + t * y1) for s, t in local]))
+        chart = AffineSemigroup.__new__(AffineSemigroup)._set(2, gens, tangent, gens, saturated)
+        charts.append(BlowupChart(v, chart, False))
     return tuple(sorted(charts, key=lambda c: c.vertex))
 
 

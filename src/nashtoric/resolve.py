@@ -70,8 +70,9 @@ class ResolutionTree:
     root: a normalized graph tests any root whose saturation is unknown,
     in any dimension, once (`AffineSemigroup._certify`), so that it keys
     as its charts do. A 2D semigroup of an unnormalized graph has its flag
-    decided by the same certificate when `is_smooth` first reads its
-    minimal generators, before it is keyed; saturation is a class
+    set before it is keyed: a closed-form chart comes with it, and the same
+    certificate decides it on any other when `is_smooth` first reads its
+    minimal generators; saturation is a class
     invariant, so a class is never keyed both ways. A normalized chart in
     d >= 3 is keyed on its cone and tested for smoothness on its rays, so
     only a representative, which is blown up, computes its Hilbert basis.

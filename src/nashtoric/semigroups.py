@@ -7,7 +7,9 @@ rejects a line, and checks the group. The other constructors hold both by
 construction: `from_cone` (the lattice points of a cone), `image` (a
 GL(d, Z) image) and `_in_cone`, the blowup chart constructor given the
 cone by its caller, whose chart contains its parent (the proof is in
-`_in_cone`) and so has the parent's group, Z^d. An image is its
+`_in_cone`) and so has the parent's group, Z^d; the closed form of
+`blowup._surface_charts` builds such a chart with its minimal generators
+and saturation flag already set. An image is its
 mapped minimal generators and no cone: a semigroup built without one
 converts its generators' cone (`Cone.from_rays`) when `cone` is first
 read. Lattice points are the converse: in d >= 3 `from_cone` keeps the
@@ -112,10 +114,10 @@ class AffineSemigroup:
         parent Γ, whose group is Z^d. Every minimal generator g of Γ is a
         chart generator of the walk (`blowup._walk`) or a sum of them: g is
         in the basis B, or g has no exchange and is listed, or
-        g = b + (g - b) with g - b an exchange direction. The closed form's
-        chart (`blowup._surface_charts`) lists a basis of determinant 1,
-        and the enumeration's (`blowup.blowup_charts`) lists Γ's minimal
-        generators outright."""
+        g = b + (g - b) with g - b an exchange direction. The enumeration's
+        chart (`blowup.blowup_charts`) lists Γ's minimal generators
+        outright. The closed form (`blowup._surface_charts`) builds its
+        charts with `_set`, their minimal generators known."""
         gens = _nonzero_sorted(generators, cone.dim)
         return cls.__new__(cls)._set(cone.dim, gens, cone, None, None)
 

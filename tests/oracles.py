@@ -22,6 +22,9 @@ double-description pass that `polyhedron_vertices` is checked for.
 `resolve_reference` resolves by a plain recursion into a `ReferenceTree`
 of nodes, and `reference_payload` writes one node by node: the references
 for the queries and the writer that read `resolve`'s class graph.
+`unnormalized_surface_charts` builds the unnormalized charts of a normal
+surface over its whole Hilbert basis, the reference for the closed form
+that reads each chart off a window of the Hirzebruch-Jung string.
 """
 
 from dataclasses import dataclass
@@ -923,4 +926,46 @@ def _surface_charts(S):
         back = step(v, vertices[j - 1]) if j else a[0]
         ahead = step(v, vertices[j + 1]) if j + 1 < len(vertices) else a[-1]
         charts.append((v, AffineSemigroup.from_cone(Cone.from_rays((back, ahead), 2))))
+    return sorted(charts, key=lambda c: c[0])
+
+
+def unnormalized_surface_charts(S, p):
+    """(vertex, chart semigroup) of the unnormalized Nash blowup of a
+    normal 2D S in characteristic p, sorted by vertex, built over the whole
+    Hilbert basis: the reference for the closed form of
+    `blowup._surface_charts`, which reads each chart off a window of the
+    string.
+
+    Along the Hilbert basis a_0, ..., a_m, in the order of
+    `surface_profile`, with a_{i-1} + a_{i+1} = b_i a_i, the vertices are
+    s_i = a_i + a_{i+1} for i = 0, m - 1 and every i with b_i b_{i+1} != 4.
+    The chart at s_i lies on the cone of its two edge directions (a_0 and
+    a_m at the ends) and is generated by the basis (a_i, a_{i+1}) and its
+    exchange directions g - a_i, g - a_{i+1} against every other element g
+    (`blowup._exchanges`). Its minimal generators and saturation flag are
+    left to the semigroup: the sweep and the certificate compute them when
+    first read. The sweep's member search grows with the entries of the
+    directions, so a long string of 3s in p = 3, or of 4s in any p, is out
+    of its reach.
+    """
+    from nashtoric.blowup import _exchanges
+    from nashtoric.cones import Cone
+    from nashtoric.semigroups import AffineSemigroup
+
+    a = surface_profile(S).ordered_generators
+    m = len(a) - 1
+    b = [None]
+    for before, at, after in zip(a, a[1:], a[2:]):
+        k = 0 if at[0] else 1
+        b.append((before[k] + after[k]) // at[k])
+    charts = []
+    for i in range(m):
+        if 0 < i < m - 1 and b[i] * b[i + 1] == 4:
+            continue
+        x, y = a[i], a[i + 1]
+        back = x if i == 0 else (b[i] * x[0] - 2 * y[0], b[i] * x[1] - 2 * y[1])
+        ahead = y if i == m - 1 else (b[i + 1] * y[0] - 2 * x[0], b[i + 1] * y[1] - 2 * x[1])
+        tangent = Cone.from_rays((back, ahead), 2)
+        generators = (x, y) + _exchanges((x, y), a, p)[0]
+        charts.append(((x[0] + y[0], x[1] + y[1]), AffineSemigroup._in_cone(tangent, generators)))
     return sorted(charts, key=lambda c: c[0])

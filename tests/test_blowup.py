@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashtoric import blowup
+from nashtoric import blowup, semigroups
 from nashtoric.blowup import (
     blowup_charts,
     is_trivial_step,
@@ -45,6 +45,7 @@ from oracles import (
     small_numerical_semigroups,
     surface_blowup,
     surface_profile,
+    unnormalized_surface_charts,
 )
 
 # charts of the threefold in characteristic 2, keyed by Newton vertex
@@ -515,6 +516,131 @@ def test_unnormalized_surface_closed_form_is_the_walk():
     assert saturated >= 200 and len(seen) - saturated >= 500, (saturated, len(seen))
 
 
+def _string_surface(string):
+    """The normal surface whose Hilbert basis is the chain a_0 = e1, a_1 =
+    e2, a_{k+1} = b_k a_k - a_{k-1} of the string, with that chain."""
+    a = [(1, 0), (0, 1)]
+    for b_k in string:
+        a.append((b_k * a[-1][0] - a[-2][0], b_k * a[-1][1] - a[-2][1]))
+    S = AffineSemigroup.from_cone(Cone.from_rays((a[0], a[-1]), 2))
+    assert S.minimal_generators() == tuple(sorted(a))
+    return S, a
+
+
+def _closed_form_matches_reference(S, p, vertices=None):
+    """The closed form's unnormalized charts of S against the full-chain
+    reference: vertices, cones, minimal generators and saturation flags,
+    the flag read as set, before anything computes it."""
+    got = blowup._surface_charts(S, p, False)
+    want = unnormalized_surface_charts(S, p)
+    assert [c.vertex for c in got] == [v for v, _ in want]
+    for c, (v, T) in zip(got, want):
+        if vertices is not None and v not in vertices:
+            continue
+        R = c.semigroup
+        assert R._saturated in (True, False), (v, p)
+        assert (R.cone, R.minimal_generators(), R._saturated) == (
+            T.cone, T.minimal_generators(), T.is_saturated()
+        ), (v, p)
+    return len(got)
+
+
+CLOSED_FORM_PRIMES = (0, 2, 3, 5, 7, 11, 13)
+
+
+def test_unnormalized_closed_form_on_every_window():
+    # README, "Surfaces in closed form": the chart at s_i depends only on
+    # the window b_{i-1}, b_i, b_{i+1}, b_{i+2} and p. Every window with
+    # entries in {none} and [2, 6], the ends of the string included: the
+    # string is the window itself, and its chart at s_i is checked
+    values = range(2, 7)
+    lefts = [()] + [(b,) for b in values] + [(a, b) for a in values for b in values]
+    rights = [()] + [(c,) for c in values] + [(c, e) for c in values for e in values]
+    checked = 0
+    for left in lefts:
+        for right in rights:
+            if left and right and left[-1] * right[0] == 4:
+                continue  # s_i lies on an edge, no vertex
+            S, a = _string_surface(left + right)
+            i = len(left)
+            v = (a[i][0] + a[i + 1][0], a[i][1] + a[i + 1][1])
+            for p in CLOSED_FORM_PRIMES:
+                _closed_form_matches_reference(S, p, {v})
+                checked += 1
+    assert checked == 7 * (31 * 31 - 6 * 6)
+
+
+def test_unnormalized_closed_form_on_long_chains():
+    # whole strings against the reference, every chart. The reference's
+    # member search grows with the entries of the directions, which grow
+    # geometrically along a string of 3s: in p = 3 it runs out of memory
+    # on fifty of them, so p = 3 takes twelve
+    charts = 0
+    for string, primes in (
+        ([3] * 50, (0, 2, 5, 7, 11, 13)),
+        ([3] * 12, (3,)),
+        ([2] * 50, CLOSED_FORM_PRIMES),
+        ([2, 3] * 25, (0, 5, 7, 11, 13)),
+        ([2, 5, 2, 2, 7, 3] * 2, CLOSED_FORM_PRIMES),
+    ):
+        S, _ = _string_surface(string)
+        for p in primes:
+            charts += _closed_form_matches_reference(S, p)
+    assert charts >= 500, charts
+
+
+def test_unnormalized_closed_form_reads_a_window(monkeypatch):
+    # the closed form costs O(1) per chart: no sweep, no member search and
+    # no certificate, when the charts are built or read, and each chart
+    # reads at most six chain elements once the string is read off the
+    # chain (the first chart cone marks that point)
+    def forbidden(*args):
+        raise AssertionError("the closed form ran a generic minimal-generator step")
+
+    log = []
+
+    class Element(tuple):
+        def __getitem__(self, k):
+            log.append(self)
+            return tuple.__getitem__(self, k)
+
+        def __iter__(self):
+            log.append(self)
+            return tuple.__iter__(self)
+
+    from_rays_2d = Cone._from_rays_2d
+
+    def marked(rays):
+        log.append(None)
+        return from_rays_2d(rays)
+
+    for string in ([3] * 50, [2, 5, 2, 2, 7, 3] * 4, [4], []):
+        S, a = _string_surface(string)
+        chain = tuple(sorted(Element(g) for g in a))
+        T = AffineSemigroup.__new__(AffineSemigroup)._set(2, chain, S.cone, chain, True)
+        for p in CLOSED_FORM_PRIMES:
+            log.clear()
+            with monkeypatch.context() as spy:
+                spy.setattr(blowup, "irreducible", forbidden)
+                spy.setattr(semigroups, "irreducible", forbidden)
+                spy.setattr(semigroups, "hilbert_basis", forbidden)
+                spy.setattr(AffineSemigroup, "_generated", forbidden)
+                spy.setattr(AffineSemigroup, "_certify", forbidden)
+                spy.setattr(Cone, "_from_rays_2d", staticmethod(marked))
+                charts = blowup._surface_charts(T, p, False)
+                for c in charts:
+                    c.semigroup.minimal_generators()
+                    c.semigroup.is_saturated()
+                    c.semigroup.is_smooth()
+            marks = [k for k, e in enumerate(log) if e is None]
+            assert len(marks) == len(a) - 1 - sum(
+                b * c == 4 for b, c in zip(string, string[1:])
+            )
+            marks.append(len(log))
+            for start, end in zip(marks, marks[1:]):
+                assert len({id(e) for e in log[start + 1 : end]}) <= 6, (string, p)
+
+
 def _vertex_gens(charts):
     return [(c.vertex, c.semigroup.minimal_generators()) for c in charts]
 
@@ -731,7 +857,9 @@ def test_walk_charts_keep_only_the_basis_and_unexchanged_generators(monkeypatch)
     # no exchange (those outside B that are 0 mod p) and the directions
     # generate Γ + <directions>, and no direction lies in Γ; every basis
     # the walk visits is checked against the chart built from all of Γ's
-    # generators, and against the walk's own chart at its vertex
+    # generators, and against the walk's own chart at its vertex. The walk
+    # runs on the normal surfaces too, which `nash_blowup` hands to the
+    # closed form
     rng = random.Random(517)
     visited = []
     exchanges = blowup._exchanges
@@ -749,7 +877,7 @@ def test_walk_charts_keep_only_the_basis_and_unexchanged_generators(monkeypatch)
         gens = S.minimal_generators()
         for p in (0, 2, 3, 5):
             visited.clear()
-            charts = {c.vertex: c.semigroup for c in nash_blowup(S, p, normalize=False)}
+            charts = {c.vertex: c.semigroup for c in blowup._walk(S, p, False)}
             assert len(visited) == len(charts)
             for basis, directions, unexchanged in visited:
                 assert unexchanged == tuple(
@@ -785,11 +913,13 @@ def test_charts_contain_parent_generators(threefold):
 
 
 def test_unnormalized_charts_have_full_group(monkeypatch):
-    # `_in_cone` does not check a chart's group: a chart contains its
+    # neither `_in_cone` nor the surface closed form, which sets its charts'
+    # minimal generators, checks a chart's group: a chart contains its
     # parent, whose group is Z^d. Every unnormalized chart the walk, the
     # surface closed form and the enumeration build is checked here, on
     # the charts of whole trees in d = 1 to 4
     in_cone = AffineSemigroup._in_cone.__func__
+    surface_charts = blowup._surface_charts
     built = {"_walk": 0, "_surface_charts": 0, "blowup_charts": 0}
 
     def spied(cls, cone, generators):
@@ -798,7 +928,17 @@ def test_unnormalized_charts_have_full_group(monkeypatch):
         assert group_is_full_lattice(generators, cone.dim), generators
         return in_cone(cls, cone, generators)
 
+    def spied_surface(S, p, normalize):
+        charts = surface_charts(S, p, normalize)
+        if not normalize:
+            for c in charts:
+                built["_surface_charts"] += 1
+                generators = c.semigroup.minimal_generators()
+                assert group_is_full_lattice(generators, 2), generators
+        return charts
+
     monkeypatch.setattr(AffineSemigroup, "_in_cone", classmethod(spied))
+    monkeypatch.setattr(blowup, "_surface_charts", spied_surface)
     e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     roots = [(S, (0, 2, 3), 64) for S in small_numerical_semigroups()] + [
         (AffineSemigroup.from_cone(Cone.from_rays(((15, 14), (12, 18)), 2)), (0, 2, 3), 6),
